@@ -5,7 +5,8 @@ Verbs mirror the pipeline stages: encode (sequence encoder only), build
 backend), estimate (resource report), simulate (sampled histogram),
 validate (both validation procedures), compare-modes (minimizer on/off
 comparison). Exit codes: 0 success, 1 a requested validation failed,
-2 configuration error, 3 internal error.
+2 configuration error or resource limit (circuit wider than the backend,
+statevector cap, shots below 1), 3 internal error.
 """
 
 from __future__ import annotations
@@ -92,6 +93,21 @@ def _outdir(config: RunConfig) -> Path:
     return p
 
 
+def _compile(circuit: Circuit, backend: BackendModel, mcx_mode: str) -> Circuit:
+    """Lower to the backend's native set, then route onto its coupling map.
+
+    A lowered circuit wider than the backend is a configuration error, on
+    all-to-all backends too.
+    """
+    lowered = lower_to_native(circuit, backend, mcx_mode)
+    if lowered.n_qubits > backend.qubit_count:
+        raise ConfigError(
+            f"circuit needs {lowered.n_qubits} qubits but backend "
+            f"{backend.name!r} has {backend.qubit_count}"
+        )
+    return lowered if backend.all_to_all else route(lowered, backend)
+
+
 def run_pipeline(config: RunConfig, validate: bool = False) -> int:
     """ingest -> encode -> build -> lower/route -> estimate, artifacts on disk.
 
@@ -102,9 +118,7 @@ def run_pipeline(config: RunConfig, validate: bool = False) -> int:
     circuit = build_pattern_circuit(
         r, q, mcx_mode=config.mcx_mode, use_minimizer=config.use_minimizer
     )
-    lowered = lower_to_native(circuit, backend, config.mcx_mode)
-    if backend.coupling_map is not None:
-        lowered = route(lowered, backend)
+    lowered = _compile(circuit, backend, config.mcx_mode)
     report = estimate(lowered, backend, config.mcx_mode, dataset=dataset, assume_lowered=True)
     out = _outdir(config)
     emit_qasm(lowered, out / "qpr.qasm")
@@ -205,9 +219,7 @@ def encode(**kwargs):
         r, _, dataset = _load_pair(config)
         backend = load_backend(config.backend)
         circuit = build_encoder_circuit(r, config.mcx_mode, config.use_minimizer)
-        lowered = lower_to_native(circuit, backend, config.mcx_mode)
-        if backend.coupling_map is not None:
-            lowered = route(lowered, backend)
+        lowered = _compile(circuit, backend, config.mcx_mode)
         report = estimate(lowered, backend, config.mcx_mode,
                           dataset=dataset, assume_lowered=True)
         out = _outdir(config)
@@ -248,7 +260,8 @@ def estimate_cmd(**kwargs):
         circuit = build_pattern_circuit(
             r, q, mcx_mode=config.mcx_mode, use_minimizer=config.use_minimizer
         )
-        report = estimate(circuit, backend, config.mcx_mode, dataset=dataset)
+        report = estimate(_compile(circuit, backend, config.mcx_mode), backend,
+                          config.mcx_mode, dataset=dataset, assume_lowered=True)
         out = _outdir(config)
         (out / "report.json").write_text(report_to_json(report) + "\n")
         (out / "report.csv").write_text(reports_to_csv([report]))

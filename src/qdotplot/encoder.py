@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .circuit import Circuit, Control, Gate, Register
-from .logic import build_pla, cubes_to_mcx, d1merge
+from .logic import PlaTable, build_pla, cubes_to_mcx, d1merge
 from .sequences import SymbolSequence
 
 MCX_MODES = ("ccnot_chain", "single_ancilla")
@@ -94,12 +94,15 @@ def encode_sequence(
     index_reg: str,
     data_reg: str,
     use_minimizer: bool = True,
+    table: PlaTable | None = None,
 ) -> Circuit:
     """Append the index-controlled value encoder for one sequence.
 
     The data register must still be in |0..0>; every element's code is
     written by multi-controlled X gates keyed on the index register, one
-    gate per (cube, set data bit) after optional cover minimization.
+    gate per (cube, set data bit) after optional cover minimization. A
+    caller that already holds the sequence's table (minimized or not, as it
+    chose) passes it as table, and use_minimizer is then not consulted.
     """
     index = circuit.register(index_reg)
     data = circuit.register(data_reg)
@@ -110,9 +113,8 @@ def encode_sequence(
         )
     if data.size != seq.d:
         raise ValueError(f"register {data_reg!r} holds {data.size} bits but d={seq.d}")
-    table = build_pla(seq.codes, seq.d)
-    if use_minimizer:
-        table = d1merge(table)
+    if table is None:
+        table = sequence_table(seq, use_minimizer)
     gates = []
     for desc in cubes_to_mcx(table):
         target = data[desc.output_bit]
@@ -122,6 +124,12 @@ def encode_sequence(
         else:
             gates.append(Gate.x(target))
     return circuit.append_stage("neqr", gates)
+
+
+def sequence_table(seq: SymbolSequence, use_minimizer: bool = True) -> PlaTable:
+    """The sequence's index -> code table, cover-minimized unless told not to."""
+    table = build_pla(seq.codes, seq.d)
+    return d1merge(table) if use_minimizer else table
 
 
 def quantum_xor(circuit: Circuit, src: str = "dr", dst: str = "dq") -> Circuit:
@@ -148,11 +156,14 @@ def build_dotplot_circuit(
     """Full match oracle: init, both encoders, XOR, mark. No measurements.
 
     After it runs, v = 1 exactly on index pairs (x, y) with S_R[x] = S_Q[y].
+    A self pair (equal codes) shares one table between both encoders.
     """
     layout = layout_for(r, q, mcx_mode)
     c = init_registers(layout, pinned=pinned)
-    c = encode_sequence(c, r, "x", "dr", use_minimizer)
-    c = encode_sequence(c, q, "y", "dq", use_minimizer)
+    r_table = sequence_table(r, use_minimizer)
+    q_table = r_table if q.codes == r.codes else sequence_table(q, use_minimizer)
+    c = encode_sequence(c, r, "x", "dr", table=r_table)
+    c = encode_sequence(c, q, "y", "dq", table=q_table)
     c = quantum_xor(c)
     c = mark_matches(c)
     return c

@@ -14,4 +14,5 @@ class QasmError(ValueError):
 
 
 class ConfigError(ValueError):
-    """Invalid user-facing configuration: paths, symbols, backend names."""
+    """Invalid user-facing configuration or a resource limit it hits: paths,
+    symbols, backend names, shot counts, qubit capacities."""

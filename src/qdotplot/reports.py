@@ -68,10 +68,14 @@ def estimate(
     dataset: str | None = None,
     assume_lowered: bool = False,
 ) -> ResourceReport:
-    """Lower (and route, for coupled backends), then measure the result."""
-    lowered = circuit if assume_lowered else lower_to_native(circuit, backend, mcx_mode)
-    if backend.coupling_map is not None:
-        lowered = route(lowered, backend)
+    """Lower (and route, for coupled backends), then measure the result.
+
+    With assume_lowered=True the circuit is measured as given: it must
+    already be lowered, and routed if the backend has a coupling map.
+    """
+    lowered = circuit
+    if not assume_lowered:
+        lowered = route(lower_to_native(circuit, backend, mcx_mode), backend)
     total = depth(lowered)
     return ResourceReport(
         backend_name=backend.name,

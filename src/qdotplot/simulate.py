@@ -18,6 +18,7 @@ from fractions import Fraction
 import numpy as np
 
 from .circuit import Circuit, Gate
+from .errors import ConfigError
 
 DEFAULT_QUBIT_CAP = 24
 
@@ -309,10 +310,10 @@ def sample(
     drawn from the exact joint distribution.
     """
     if shots < 1:
-        raise ValueError("shots must be >= 1")
+        raise ConfigError(f"shots must be >= 1, got {shots}")
     n = circuit.n_qubits
     if n > max_qubits:
-        raise ValueError(f"{n} qubits exceeds the statevector cap of {max_qubits}")
+        raise ConfigError(f"{n} qubits exceeds the statevector cap of {max_qubits}")
     gates = circuit.gates
     if not any(g.kind == "measure" for g in gates):
         raise ValueError("circuit has no measurements to sample")

@@ -19,7 +19,6 @@ import json
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.stats import chi2
 
 from .backends import BackendModel
 from .circuit import Circuit, Gate
@@ -172,6 +171,9 @@ def validate_sampling(
     expected = shots / (wf * hf)
     stat = float(((cells - expected) ** 2 / expected).sum())
     dof = wf * hf - 1
+    # Imported here: scipy.stats costs about a second, and no other path needs it.
+    from scipy.stats import chi2
+
     p_value = float(chi2.sf(stat, dof))
     uniform_ok = p_value > significance
     return ValidationReport(

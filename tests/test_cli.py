@@ -66,6 +66,25 @@ def test_transpile_routes_to_coupled_backend(runner, seqdir):
     assert report["estimated_runtime_seconds"] > 0
 
 
+def test_transpile_readouts_use_final_layout(runner, seqdir):
+    result = runner.invoke(
+        main, _args(seqdir, "transpile", "--backend", "superconducting-53")
+    )
+    assert result.exit_code == 0, result.output
+    layout = json.loads((seqdir / "out" / "report.json").read_text())["final_layout"]
+    assert layout != list(range(len(layout)))  # the router moved something
+    measured = {}
+    for line in (seqdir / "out" / "qpr.qasm").read_text().splitlines():
+        if line.startswith("measure "):
+            qubit, cbit = line[len("measure "):].rstrip(";").split(" -> ")
+            measured[int(cbit[2:-1])] = int(qubit[2:-1])
+    # Registers x[3], dr[2], y[3], dq[2], v, anc: x[i] is logical wire i and
+    # y[j] is wire 5 + j; classical bits 1-3 read x, 4-6 read y.
+    logical = {1 + i: i for i in range(3)} | {4 + j: 5 + j for j in range(3)}
+    for cbit, wire in logical.items():
+        assert measured[cbit] == layout[wire], (cbit, wire)
+
+
 def test_encode_single_sequence(runner, seqdir):
     result = runner.invoke(main, _args(seqdir, "encode", query=False))
     assert result.exit_code == 0, result.output
@@ -149,6 +168,21 @@ def test_missing_file_exits_two(runner, seqdir):
         main, ["build", "--reference", str(seqdir / "absent.txt")]
     )
     assert result.exit_code == 2
+
+
+def test_circuit_wider_than_all_to_all_backend_exits_two(runner, seqdir):
+    tiny = seqdir / "tiny.json"
+    tiny.write_text(json.dumps({"name": "tiny", "qubit_count": 4,
+                                "native_gates": ["x", "cx", "ccx", "h", "p", "swap"]}))
+    result = runner.invoke(main, _args(seqdir, "build", "--backend", str(tiny)))
+    assert result.exit_code == 2
+    assert "circuit needs 12 qubits but backend 'tiny' has 4" in result.output
+
+
+def test_simulate_zero_shots_exits_two(runner, seqdir):
+    result = runner.invoke(main, _args(seqdir, "simulate", "--shots", "0"))
+    assert result.exit_code == 2
+    assert "shots must be >= 1" in result.output
 
 
 def test_internal_error_exits_three(runner, seqdir, monkeypatch):

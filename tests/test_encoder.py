@@ -14,6 +14,7 @@ from qdotplot import (
     build_encoder_circuit,
     build_pattern_circuit,
     circuit_unitary,
+    d1merge,
     decode_outcome,
     gate_counts,
     init_registers,
@@ -102,6 +103,23 @@ def test_dotplot_pinned_matches_classical():
         for x in range(8):
             state = toffoli_run(lowered, (x << x0) | (y << y0))
             assert state.bit(v0) == plot[y, x], (x, y)
+
+
+def test_self_pair_minimizes_one_table(monkeypatch):
+    from qdotplot import encoder
+
+    calls = []
+
+    def counting_d1merge(table):
+        calls.append(table)
+        return d1merge(table)
+
+    monkeypatch.setattr(encoder, "d1merge", counting_d1merge)
+    build_dotplot_circuit(SEQ8, SEQ8)
+    assert len(calls) == 1
+    other = make_sequence((3, 1, 3, 2, 1, 2, 3, 0))
+    build_dotplot_circuit(SEQ8, other)
+    assert len(calls) == 3
 
 
 def test_init_stage_h_or_pinned_x():

@@ -1,5 +1,8 @@
 """Two-level logic: table building, minimization, MCX conversion."""
 
+import hashlib
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +21,7 @@ from qdotplot import (
     read_pla,
     write_pla,
 )
+from qdotplot.logic import _subsume_pass
 
 # The worked example used throughout: an 8-element sequence over a 4-symbol
 # alphabet whose nonzero table rows and minimized cover are known by hand.
@@ -189,3 +193,51 @@ def test_cube_validation():
         Cube("01", "00")  # no output bit set
     with pytest.raises(ValueError):
         Cube("0x", "1")
+
+
+# -- care-mask subsumption against the literal all-pairs rule ------------------
+
+
+def _covers_literally(big: str, small: str) -> bool:
+    return all(b == "-" or b == s for b, s in zip(big, small))
+
+
+def _subsume_all_pairs(cubes):
+    """Drop every cube that another, different cube with equal outputs covers,
+    comparing literal strings one character at a time over all pairs."""
+    keep = [
+        (ins, outs) for ins, outs in cubes
+        if not any(o == outs and other != ins and _covers_literally(other, ins)
+                   for other, o in cubes)
+    ]
+    return keep, len(keep) < len(cubes)
+
+
+@given(pla_tables())
+@settings(max_examples=300, deadline=None)
+def test_subsume_pass_matches_all_pairs_rule(table):
+    cubes = sorted(set((c.inputs, c.outputs) for c in table.cubes))
+    assert _subsume_pass(cubes) == _subsume_all_pairs(cubes)
+
+
+def _long_dna_table():
+    # A seeded 4096-element sequence over four codes, as a DNA pair compiles.
+    codes = np.random.default_rng(4096).integers(0, 4, size=4096)
+    return build_pla(tuple(int(c) for c in codes), 2)
+
+
+def test_d1merge_long_sequence_golden():
+    # Digest of the minimized cover as the all-pairs subsumption produced it;
+    # the emitted circuits depend on every byte of it.
+    text = write_pla(d1merge(_long_dna_table()))
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "025cd42c2b2ab83db03693d98ede2462d70325c76bc00a35fdaccc13a9d184c1"
+    )
+
+
+def test_d1merge_long_sequence_budget():
+    table = _long_dna_table()
+    start = time.perf_counter()
+    d1merge(table)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.5, f"d1merge of 4096 rows took {elapsed:.3f}s, budget 1.5s"
