@@ -1,12 +1,15 @@
 """Command-line surface.
 
 Verbs mirror the pipeline stages: encode (sequence encoder only), build
-(full pattern-recognition circuit), transpile (lower and route to a
-backend), estimate (resource report), simulate (sampled histogram),
+or its other name transpile (full pattern-recognition circuit, lowered and
+routed to a backend), estimate (resource report), simulate (sampled
+histogram of the unlowered circuit, so --mcx-mode does not change it),
 validate (both validation procedures), compare-modes (minimizer on/off
-comparison). Exit codes: 0 success, 1 a requested validation failed,
-2 configuration error or resource limit (circuit wider than the backend,
-statevector cap, shots below 1), 3 internal error.
+comparison). --mcx-mode only picks how lowering decomposes
+multi-controlled X gates and how many ancillas it adds. Exit codes:
+0 success, 1 a requested validation failed, 2 configuration error or
+resource limit (circuit wider than the backend, statevector cap, shots
+below 1), 3 internal error.
 """
 
 from __future__ import annotations
@@ -18,9 +21,7 @@ from pathlib import Path
 
 import click
 
-from .backends import BackendModel, load_backend
-from .circuit import Circuit
-from .decompose import lower_to_native
+from .backends import load_backend
 from .encoder import (
     build_encoder_circuit,
     build_pattern_circuit,
@@ -30,8 +31,7 @@ from .encoder import (
 )
 from .errors import ConfigError
 from .qasm import emit_qasm
-from .reports import compare_encodings, estimate, report_to_json, reports_to_csv
-from .routing import route
+from .reports import compile_circuit, compare_encodings, report_to_json, reports_to_csv
 from .sequences import (
     ALPHABET_PRESETS,
     SymbolSequence,
@@ -93,21 +93,6 @@ def _outdir(config: RunConfig) -> Path:
     return p
 
 
-def _compile(circuit: Circuit, backend: BackendModel, mcx_mode: str) -> Circuit:
-    """Lower to the backend's native set, then route onto its coupling map.
-
-    A lowered circuit wider than the backend is a configuration error, on
-    all-to-all backends too.
-    """
-    lowered = lower_to_native(circuit, backend, mcx_mode)
-    if lowered.n_qubits > backend.qubit_count:
-        raise ConfigError(
-            f"circuit needs {lowered.n_qubits} qubits but backend "
-            f"{backend.name!r} has {backend.qubit_count}"
-        )
-    return lowered if backend.all_to_all else route(lowered, backend)
-
-
 def run_pipeline(config: RunConfig, validate: bool = False) -> int:
     """ingest -> encode -> build -> lower/route -> estimate, artifacts on disk.
 
@@ -115,13 +100,10 @@ def run_pipeline(config: RunConfig, validate: bool = False) -> int:
     fails)."""
     r, q, dataset = _load_pair(config)
     backend = load_backend(config.backend)
-    circuit = build_pattern_circuit(
-        r, q, mcx_mode=config.mcx_mode, use_minimizer=config.use_minimizer
-    )
-    lowered = _compile(circuit, backend, config.mcx_mode)
-    report = estimate(lowered, backend, config.mcx_mode, dataset=dataset, assume_lowered=True)
+    circuit = build_pattern_circuit(r, q, use_minimizer=config.use_minimizer)
+    compiled, report = compile_circuit(circuit, backend, config.mcx_mode, dataset)
     out = _outdir(config)
-    emit_qasm(lowered, out / "qpr.qasm")
+    emit_qasm(compiled, out / "qpr.qasm")
     (out / "report.json").write_text(report_to_json(report) + "\n")
     (out / "report.csv").write_text(reports_to_csv([report]))
     status = 0
@@ -218,12 +200,10 @@ def encode(**kwargs):
     def body():
         r, _, dataset = _load_pair(config)
         backend = load_backend(config.backend)
-        circuit = build_encoder_circuit(r, config.mcx_mode, config.use_minimizer)
-        lowered = _compile(circuit, backend, config.mcx_mode)
-        report = estimate(lowered, backend, config.mcx_mode,
-                          dataset=dataset, assume_lowered=True)
+        circuit = build_encoder_circuit(r, use_minimizer=config.use_minimizer)
+        compiled, report = compile_circuit(circuit, backend, config.mcx_mode, dataset)
         out = _outdir(config)
-        emit_qasm(lowered, out / "encode.qasm")
+        emit_qasm(compiled, out / "encode.qasm")
         (out / "report.json").write_text(report_to_json(report) + "\n")
         click.echo(f"dataset={dataset} width={report.width} "
                    f"neqr_depth={report.depth_per_stage.get('neqr', 0)}")
@@ -235,15 +215,7 @@ def encode(**kwargs):
 @main.command()
 @_common
 def build(**kwargs):
-    """Full pattern-recognition circuit, lowered to the backend."""
-    config = _config(kwargs)
-    _run(lambda: run_pipeline(config, validate=False))
-
-
-@main.command()
-@_common
-def transpile(**kwargs):
-    """Alias pipeline emphasizing lowering + routing to --backend."""
+    """Full pattern-recognition circuit, lowered and routed to --backend."""
     config = _config(kwargs)
     _run(lambda: run_pipeline(config, validate=False))
 
@@ -257,11 +229,8 @@ def estimate_cmd(**kwargs):
     def body():
         r, q, dataset = _load_pair(config)
         backend = load_backend(config.backend)
-        circuit = build_pattern_circuit(
-            r, q, mcx_mode=config.mcx_mode, use_minimizer=config.use_minimizer
-        )
-        report = estimate(_compile(circuit, backend, config.mcx_mode), backend,
-                          config.mcx_mode, dataset=dataset, assume_lowered=True)
+        circuit = build_pattern_circuit(r, q, use_minimizer=config.use_minimizer)
+        _, report = compile_circuit(circuit, backend, config.mcx_mode, dataset)
         out = _outdir(config)
         (out / "report.json").write_text(report_to_json(report) + "\n")
         (out / "report.csv").write_text(reports_to_csv([report]))
@@ -279,10 +248,8 @@ def simulate(**kwargs):
 
     def body():
         r, q, dataset = _load_pair(config)
-        circuit = build_pattern_circuit(
-            r, q, mcx_mode=config.mcx_mode, use_minimizer=config.use_minimizer
-        )
-        layout = layout_for(r, q, config.mcx_mode)
+        circuit = build_pattern_circuit(r, q, use_minimizer=config.use_minimizer)
+        layout = layout_for(r, q)
         counts = sample(circuit, config.shots, seed=config.seed)
         rows = []
         for key in sorted(counts):
@@ -337,6 +304,7 @@ def compare_modes(**kwargs):
 
 
 main.add_command(estimate_cmd, name="estimate")
+main.add_command(build, name="transpile")
 
 if __name__ == "__main__":
     main()

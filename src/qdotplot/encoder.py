@@ -2,7 +2,8 @@
 
 Register layout, in declaration order: |x> (reference index, w qubits),
 |dr> (reference data, d), |y> (query index, h), |dq> (query data, d),
-|v> (match value, 1), plus a chain-mode ancilla pool. The pipeline stages
+|v> (match value, 1). No register is declared for ancillas: lowering
+(decompose.lower_to_native) adds the ones its MCX mode needs. The stages
 are marked "init" (Hadamards or pinned-index X gates), "neqr" (one
 index-controlled encoder per sequence), "dotplot" (d CNOTs computing
 dr XOR dq into dq, then one zero-controlled mark onto v), and "qft"
@@ -19,8 +20,6 @@ from .circuit import Circuit, Control, Gate, Register
 from .logic import PlaTable, build_pla, cubes_to_mcx, d1merge
 from .sequences import SymbolSequence
 
-MCX_MODES = ("ccnot_chain", "single_ancilla")
-
 
 @dataclass(frozen=True)
 class DotplotLayout:
@@ -29,41 +28,25 @@ class DotplotLayout:
     w: int
     h: int
     d: int
-    mcx_mode: str = "ccnot_chain"
 
     def __post_init__(self):
         if self.w < 1 or self.h < 1 or self.d < 1:
             raise ValueError("layout needs w, h, d >= 1")
-        if self.mcx_mode not in MCX_MODES:
-            raise ValueError(f"mcx_mode must be one of {MCX_MODES}")
-
-    @property
-    def n_ancilla(self) -> int:
-        # Largest control set is max(w, h) (an encoder minterm) or d (the
-        # mark gate); a c-control chain needs c-2 scratch qubits, the
-        # single-ancilla recursion exactly one.
-        biggest = max(self.w, self.h, self.d)
-        if biggest < 3:
-            return 0
-        return biggest - 2 if self.mcx_mode == "ccnot_chain" else 1
 
     def registers(self) -> tuple[Register, ...]:
-        regs = [
+        return (
             Register("x", self.w, "index"),
             Register("dr", self.d, "data"),
             Register("y", self.h, "index"),
             Register("dq", self.d, "data"),
             Register("v", 1, "value"),
-        ]
-        if self.n_ancilla:
-            regs.append(Register("anc", self.n_ancilla, "ancilla"))
-        return tuple(regs)
+        )
 
 
-def layout_for(r: SymbolSequence, q: SymbolSequence, mcx_mode: str = "ccnot_chain") -> DotplotLayout:
+def layout_for(r: SymbolSequence, q: SymbolSequence) -> DotplotLayout:
     if r.d != q.d:
         raise ValueError("sequences must share one data width; run pad_pair first")
-    return DotplotLayout(r.index_bits, q.index_bits, r.d, mcx_mode)
+    return DotplotLayout(r.index_bits, q.index_bits, r.d)
 
 
 def init_registers(layout: DotplotLayout, pinned: tuple[int, int] | None = None) -> Circuit:
@@ -149,7 +132,7 @@ def mark_matches(circuit: Circuit, data: str = "dq", value: str = "v") -> Circui
 def build_dotplot_circuit(
     r: SymbolSequence,
     q: SymbolSequence,
-    mcx_mode: str = "ccnot_chain",
+    *,
     use_minimizer: bool = True,
     pinned: tuple[int, int] | None = None,
 ) -> Circuit:
@@ -158,8 +141,7 @@ def build_dotplot_circuit(
     After it runs, v = 1 exactly on index pairs (x, y) with S_R[x] = S_Q[y].
     A self pair (equal codes) shares one table between both encoders.
     """
-    layout = layout_for(r, q, mcx_mode)
-    c = init_registers(layout, pinned=pinned)
+    c = init_registers(layout_for(r, q), pinned=pinned)
     r_table = sequence_table(r, use_minimizer)
     q_table = r_table if q.codes == r.codes else sequence_table(q, use_minimizer)
     c = encode_sequence(c, r, "x", "dr", table=r_table)
@@ -171,20 +153,15 @@ def build_dotplot_circuit(
 
 def build_encoder_circuit(
     seq: SymbolSequence,
-    mcx_mode: str = "ccnot_chain",
+    *,
     use_minimizer: bool = True,
     pinned: int | None = None,
 ) -> Circuit:
     """Standalone encoder for one sequence: index register, data register,
-    ancilla pool, init stage, one neqr stage. Used for encoder-only
-    inspection and minimizer comparisons."""
-    if mcx_mode not in MCX_MODES:
-        raise ValueError(f"mcx_mode must be one of {MCX_MODES}")
+    init stage, one neqr stage. Used for encoder-only inspection and
+    minimizer comparisons."""
     n = seq.index_bits
-    regs = [Register("x", n, "index"), Register("dr", seq.d, "data")]
-    if n >= 3:
-        regs.append(Register("anc", n - 2 if mcx_mode == "ccnot_chain" else 1, "ancilla"))
-    circuit = Circuit(tuple(regs))
+    circuit = Circuit((Register("x", n, "index"), Register("dr", seq.d, "data")))
     x = circuit.register("x")
     if pinned is None:
         init = [Gate.h(q) for q in x.refs()]
@@ -240,10 +217,21 @@ def readout_bits(layout: DotplotLayout) -> dict:
     }
 
 
+def readout_gates(circuit: Circuit, layout: DotplotLayout, names=("v", "x", "y")) -> list[Gate]:
+    """Measurements of the named registers into their readout_bits slots."""
+    bits = readout_bits(layout)
+    gates = []
+    for name in names:
+        slots = (bits["v"],) if name == "v" else bits[name]
+        reg = circuit.register(name)
+        gates += [Gate.measure(reg[i], b) for i, b in enumerate(slots)]
+    return gates
+
+
 def build_pattern_circuit(
     r: SymbolSequence,
     q: SymbolSequence,
-    mcx_mode: str = "ccnot_chain",
+    *,
     use_minimizer: bool = True,
 ) -> Circuit:
     """Dot-plot oracle followed by value readout, inverse QFT, index readout.
@@ -252,15 +240,11 @@ def build_pattern_circuit(
     the matching (or only the non-matching) cells; the inverse transform
     over (y, x) then concentrates structured plots onto few k values.
     """
-    layout = layout_for(r, q, mcx_mode)
-    c = build_dotplot_circuit(r, q, mcx_mode=mcx_mode, use_minimizer=use_minimizer)
-    bits = readout_bits(layout)
-    c = c.append_stage("dotplot", [Gate.measure(c.register("v")[0], bits["v"])])
+    layout = layout_for(r, q)
+    c = build_dotplot_circuit(r, q, use_minimizer=use_minimizer)
+    c = c.append_stage("dotplot", readout_gates(c, layout, ("v",)))
     c = inverse_qft(c, c.register("x").refs() + c.register("y").refs())
-    x, y = c.register("x"), c.register("y")
-    readout = [Gate.measure(x[i], bits["x"][i]) for i in range(layout.w)]
-    readout += [Gate.measure(y[j], bits["y"][j]) for j in range(layout.h)]
-    return c.append_stage("readout", readout)
+    return c.append_stage("readout", readout_gates(c, layout, ("x", "y")))
 
 
 def decode_outcome(key: tuple, layout: DotplotLayout) -> tuple[int, int, int]:

@@ -215,11 +215,6 @@ def cubes_to_mcx(table: PlaTable) -> tuple[McxDescriptor, ...]:
     return tuple(out)
 
 
-def brute_force_mcx(table: PlaTable) -> tuple[McxDescriptor, ...]:
-    """Direct row-per-gate mapping of an unminimized table."""
-    return cubes_to_mcx(table)
-
-
 def write_pla(table: PlaTable) -> str:
     lines = [f".i {table.n_inputs}", f".o {table.n_outputs}", f".p {len(table.cubes)}"]
     lines += [f"{c.inputs} {c.outputs}" for c in table.cubes]

@@ -15,6 +15,7 @@ from .backends import BackendModel
 from .circuit import Circuit, depth, gate_counts, stage_depths, width
 from .decompose import lower_to_native
 from .encoder import build_encoder_circuit
+from .errors import ConfigError
 from .routing import route
 from .sequences import SymbolSequence
 
@@ -61,33 +62,46 @@ def width_bounds(n: int, d: int) -> tuple[int, int]:
     return (2 * n + 2 * d + 1, 3 * n + 2 * d - 1)
 
 
+def compile_circuit(
+    circuit: Circuit,
+    backend: BackendModel,
+    mcx_mode: str = "ccnot_chain",
+    dataset: str | None = None,
+) -> tuple[Circuit, ResourceReport]:
+    """Lower to the backend's native set, check width, route, and measure.
+
+    A lowered circuit wider than the backend is a configuration error, on
+    all-to-all backends too. Routing runs only on coupled backends.
+    """
+    lowered = lower_to_native(circuit, backend, mcx_mode)
+    if lowered.n_qubits > backend.qubit_count:
+        raise ConfigError(
+            f"circuit needs {lowered.n_qubits} qubits but backend "
+            f"{backend.name!r} has {backend.qubit_count}"
+        )
+    compiled = lowered if backend.all_to_all else route(lowered, backend)
+    total = depth(compiled)
+    return compiled, ResourceReport(
+        backend_name=backend.name,
+        mcx_mode=mcx_mode,
+        width=width(compiled),
+        total_depth=total,
+        depth_per_stage=stage_depths(compiled),
+        gate_counts=gate_counts(compiled),
+        estimated_runtime_seconds=estimated_runtime(total, backend.gate_time_seconds),
+        final_layout=compiled.final_layout,
+        dataset=dataset,
+    )
+
+
 def estimate(
     circuit: Circuit,
     backend: BackendModel,
     mcx_mode: str = "ccnot_chain",
     dataset: str | None = None,
-    assume_lowered: bool = False,
 ) -> ResourceReport:
-    """Lower (and route, for coupled backends), then measure the result.
-
-    With assume_lowered=True the circuit is measured as given: it must
-    already be lowered, and routed if the backend has a coupling map.
-    """
-    lowered = circuit
-    if not assume_lowered:
-        lowered = route(lower_to_native(circuit, backend, mcx_mode), backend)
-    total = depth(lowered)
-    return ResourceReport(
-        backend_name=backend.name,
-        mcx_mode=mcx_mode,
-        width=width(lowered),
-        total_depth=total,
-        depth_per_stage=stage_depths(lowered),
-        gate_counts=gate_counts(lowered),
-        estimated_runtime_seconds=estimated_runtime(total, backend.gate_time_seconds),
-        final_layout=lowered.final_layout,
-        dataset=dataset,
-    )
+    """Resource report of the circuit as compile_circuit compiles it."""
+    return compile_circuit(circuit, backend, mcx_mode, dataset)[1]
 
 
 def report_to_json(report: ResourceReport) -> str:
@@ -138,7 +152,7 @@ class EncodingComparison:
 
 
 def _neqr_stats(seq: SymbolSequence, backend, use_minimizer: bool):
-    c = build_encoder_circuit(seq, "ccnot_chain", use_minimizer)
+    c = build_encoder_circuit(seq, use_minimizer=use_minimizer)
     counts = gate_counts(c)
     mcx = sum(v for k, v in counts.items() if k in ("cx", "ccx", "mcx", "x"))
     lowered = lower_to_native(c, backend, "ccnot_chain")

@@ -377,34 +377,23 @@ def sample(
 
 
 def states_equal(a, b, tol: float = 1e-10) -> bool:
-    """Vector equality up to global phase; accepts arrays or Statevectors."""
+    """Equality up to global phase of two vectors, Statevectors or matrices.
+
+    Arrays of different shapes are never equal.
+    """
     if isinstance(a, Statevector):
         a = a.amplitudes
     if isinstance(b, Statevector):
         b = b.amplitudes
-    a = np.asarray(a, dtype=complex).ravel()
-    b = np.asarray(b, dtype=complex).ravel()
-    if a.shape != b.shape:
-        return False
-    k = int(np.argmax(np.abs(a)))
-    if abs(a[k]) < tol:
-        return bool(np.allclose(a, b, atol=tol))
-    phase = b[k] / a[k]
-    if abs(abs(phase) - 1.0) > tol:
-        return False
-    return bool(np.allclose(a * phase, b, atol=tol))
-
-
-def unitaries_equal(a: np.ndarray, b: np.ndarray, tol: float = 1e-10) -> bool:
-    """Matrix equality up to global phase."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     if a.shape != b.shape:
         return False
-    idx = np.unravel_index(int(np.argmax(np.abs(a))), a.shape)
-    if abs(a[idx]) < tol:
+    a, b = a.ravel(), b.ravel()
+    k = int(np.argmax(np.abs(a)))
+    if abs(a[k]) < tol:
         return bool(np.allclose(a, b, atol=tol))
-    phase = b[idx] / a[idx]
+    phase = b[k] / a[k]
     if abs(abs(phase) - 1.0) > tol:
         return False
     return bool(np.allclose(a * phase, b, atol=tol))

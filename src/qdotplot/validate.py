@@ -10,7 +10,9 @@ cannot run, so that mode is checked at the multi-controlled gate level
 
 Method 2 (sampling): run the full superposed circuit, measure v and both
 index registers, assert every sampled (x, y, v) agrees with the classical
-plot, and chi-square test the (x, y) marginal for uniformity.
+plot, and chi-square test the (x, y) marginal for uniformity. The sampled
+circuit is not lowered, so it holds no ancillas and mcx_mode only labels
+the report.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .backends import BackendModel
-from .circuit import Circuit, Gate
-from .decompose import lower_to_native
-from .encoder import build_dotplot_circuit, layout_for, readout_bits
+from .circuit import Circuit
+from .decompose import MCX_MODES, lower_to_native
+from .encoder import build_dotplot_circuit, decode_outcome, layout_for, readout_gates
 from .sequences import SymbolSequence
 from .simulate import sample, toffoli_run_batch
 
@@ -60,6 +62,11 @@ def classical_dotplot(r: SymbolSequence, q: SymbolSequence) -> DotPlot:
     return DotPlot((qc[:, None] == rc[None, :]).astype(np.uint8))
 
 
+def _check_mode(mcx_mode: str) -> None:
+    if mcx_mode not in MCX_MODES:
+        raise ValueError(f"mcx_mode must be one of {MCX_MODES}")
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     method: str
@@ -89,11 +96,10 @@ def validate_exhaustive(
     the init stage is empty) and each (x, y) pair is supplied as the input
     basis state of a batched bit-propagation run.
     """
+    _check_mode(mcx_mode)
     plot = classical_dotplot(r, q)
     if circuit is None:
-        circuit = build_dotplot_circuit(
-            r, q, mcx_mode=mcx_mode, use_minimizer=use_minimizer, pinned=(0, 0)
-        )
+        circuit = build_dotplot_circuit(r, q, use_minimizer=use_minimizer, pinned=(0, 0))
         if mcx_mode == "ccnot_chain":
             circuit = lower_to_native(circuit, TOFFOLI_BACKEND, mcx_mode)
     wf, hf = plot.width, plot.height
@@ -142,27 +148,20 @@ def validate_sampling(
     the chi-square p-value of the (x, y) marginal drops to the significance
     level or below.
     """
+    _check_mode(mcx_mode)
     plot = classical_dotplot(r, q)
-    layout = layout_for(r, q, mcx_mode)
+    layout = layout_for(r, q)
     if circuit is None:
-        circuit = build_dotplot_circuit(r, q, mcx_mode=mcx_mode, use_minimizer=use_minimizer)
-        bits = readout_bits(layout)
-        readout = [Gate.measure(circuit.register("v")[0], bits["v"])]
-        x, y = circuit.register("x"), circuit.register("y")
-        readout += [Gate.measure(x[i], bits["x"][i]) for i in range(layout.w)]
-        readout += [Gate.measure(y[j], bits["y"][j]) for j in range(layout.h)]
-        circuit = circuit.append_stage("readout", readout)
+        circuit = build_dotplot_circuit(r, q, use_minimizer=use_minimizer)
+        circuit = circuit.append_stage("readout", readout_gates(circuit, layout))
     counts = sample(circuit, shots, seed=seed)
-    bits = readout_bits(layout)
     wf, hf = plot.width, plot.height
     cells = np.zeros((hf, wf), dtype=np.int64)
     mismatches = 0
     first = None
     for key in sorted(counts):
         n = counts[key]
-        v = key[bits["v"]]
-        xv = sum((key[b] & 1) << i for i, b in enumerate(bits["x"]))
-        yv = sum((key[b] & 1) << j for j, b in enumerate(bits["y"]))
+        v, xv, yv = decode_outcome(key, layout)
         cells[yv, xv] += n
         if v != plot.pixel(xv, yv):
             mismatches += n

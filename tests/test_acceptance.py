@@ -28,7 +28,6 @@ from qdotplot import (
     Control,
     Gate,
     Register,
-    brute_force_mcx,
     build_dotplot_circuit,
     build_pattern_circuit,
     build_pla,
@@ -114,9 +113,9 @@ def test_criterion_01_truth_table_rows():
 def test_criterion_02_brute_force_synthesis():
     """Brute force gives 8 three-control gates; chained, exactly 24 CCNOTs."""
     table = build_pla(SEQ8, 2)
-    _chain_ccnots(brute_force_mcx(table), 3, 2)  # warm import paths
+    _chain_ccnots(cubes_to_mcx(table), 3, 2)  # warm import paths
     with _budget(1e-3):
-        gates = brute_force_mcx(table)
+        gates = cubes_to_mcx(table)
         assert len(gates) == 8
         assert all(len(g.controls) == 3 for g in gates)
         lowered = lower_to_native(
@@ -137,7 +136,7 @@ def test_criterion_03_minimizer_equivalence_and_gain():
     merged_rows = [(c.inputs, c.outputs) for c in merged.cubes]
     for value in range(8):
         assert eval_cover(merged_rows, 3, value) == eval_cover(orig_rows, 3, value)
-    brute_ccnot = _chain_ccnots(brute_force_mcx(table), 3, 2)
+    brute_ccnot = _chain_ccnots(cubes_to_mcx(table), 3, 2)
     merged_ccnot = _chain_ccnots(cubes_to_mcx(merged), 3, 2)
     assert brute_ccnot == 24
     assert merged_ccnot <= 24
@@ -148,7 +147,7 @@ def test_criterion_03_minimizer_equivalence_and_gain():
         reductions = []
         for _ in range(20):
             t = build_pla(random_codes(rng, 256, 2), 2)
-            n_brute = len(brute_force_mcx(t))
+            n_brute = len(cubes_to_mcx(t))
             n_min = len(cubes_to_mcx(d1merge(t)))
             reductions.append(1.0 - n_min / n_brute)
         assert np.mean(reductions) >= 0.15
@@ -164,20 +163,9 @@ def test_criterion_04_width_formulas():
                 lo, hi = width_bounds(n, d)
                 assert lo == 2 * n + 2 * d + 1
                 assert hi == 3 * n + 2 * d - 1
-                chain = lower_to_native(
-                    build_pattern_circuit(
-                        seq, seq, mcx_mode="ccnot_chain", use_minimizer=False
-                    ),
-                    ALLSIM,
-                    "ccnot_chain",
-                )
-                single = lower_to_native(
-                    build_pattern_circuit(
-                        seq, seq, mcx_mode="single_ancilla", use_minimizer=False
-                    ),
-                    ALLSIM,
-                    "single_ancilla",
-                )
+                circuit = build_pattern_circuit(seq, seq, use_minimizer=False)
+                chain = lower_to_native(circuit, ALLSIM, "ccnot_chain")
+                single = lower_to_native(circuit, ALLSIM, "single_ancilla")
                 assert width(chain) == 3 * n + 2 * d - 1
                 assert width(single) == 2 * n + 2 * d + 2
                 for w in (width(chain), width(single)):
@@ -226,7 +214,7 @@ def test_criterion_06_sampling_validation_and_amplitudes():
         plot = brute_dot_plot(r4.codes, q4.codes)
         circuit = build_dotplot_circuit(r4, q4)
         psi, _ = statevector_run(circuit)
-        layout = layout_for(r4, q4, "ccnot_chain")
+        layout = layout_for(r4, q4)
         probe = Circuit(registers=layout.registers())
         x0 = probe.wire(probe.register("x")[0])
         y0 = probe.wire(probe.register("y")[0])
@@ -307,7 +295,7 @@ def test_criterion_10_encoder_depth_scaling():
         for n in ns:
             seq = make_sequence(random_codes(rng, 1 << n, 2), 2)
             lowered = lower_to_native(
-                build_pattern_circuit(seq, seq, mcx_mode="ccnot_chain"),
+                build_pattern_circuit(seq, seq),
                 ALLSIM,
                 "ccnot_chain",
             )
@@ -323,16 +311,9 @@ def test_criterion_11_single_ancilla_depth_penalty():
     rng = np.random.default_rng(1111)
     seq = make_sequence(random_codes(rng, 256, 2), 2)
     with _budget(60.0):
-        chain = lower_to_native(
-            build_pattern_circuit(seq, seq, mcx_mode="ccnot_chain"),
-            ALLSIM,
-            "ccnot_chain",
-        )
-        single = lower_to_native(
-            build_pattern_circuit(seq, seq, mcx_mode="single_ancilla"),
-            ALLSIM,
-            "single_ancilla",
-        )
+        circuit = build_pattern_circuit(seq, seq)
+        chain = lower_to_native(circuit, ALLSIM, "ccnot_chain")
+        single = lower_to_native(circuit, ALLSIM, "single_ancilla")
         assert depth(single) > 3 * depth(chain), (depth(single), depth(chain))
 
 

@@ -1,6 +1,8 @@
 """Command-line interface: verbs, artifacts, exit codes, determinism."""
 
+import hashlib
 import json
+import random
 
 import pytest
 from click.testing import CliRunner
@@ -206,3 +208,185 @@ def test_no_minimize_flag_increases_gates(runner, seqdir):
     runner.invoke(main, _args(seqdir, "build", "--no-minimize"))
     big = json.loads((seqdir / "out" / "report.json").read_text())
     assert sum(big["gate_counts"].values()) > sum(small["gate_counts"].values())
+
+
+def test_simulate_histogram_ignores_mcx_mode(runner, seqdir):
+    # simulate samples the unlowered circuit, which holds no ancillas.
+    hists = []
+    for mode in ("chain", "single-ancilla"):
+        args = _args(seqdir, "simulate", "--shots", "3000", "--mcx-mode", mode)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        hists.append((seqdir / "out" / "histogram.json").read_bytes())
+    assert hists[0] == hists[1]
+
+
+def test_simulate_256_by_64_fits_the_statevector_cap(runner, tmp_path):
+    # 8 + 2 + 6 + 2 + 1 = 19 qubits; lowering's six chain ancillas would
+    # make it 25, past the cap of 24, but simulate never lowers.
+    rng = random.Random(256)
+    (tmp_path / "ref.txt").write_text(_dna(rng, 256) + "\n")
+    (tmp_path / "qry.txt").write_text(_dna(rng, 64) + "\n")
+    result = runner.invoke(main, [
+        "simulate", "--reference", str(tmp_path / "ref.txt"),
+        "--query", str(tmp_path / "qry.txt"), "--alphabet", "dna",
+        "--shots", "1000", "--out", str(tmp_path / "out"),
+    ])
+    assert result.exit_code == 0, result.output
+    hist = json.loads((tmp_path / "out" / "histogram.json").read_text())
+    assert sum(o["count"] for o in hist["outcomes"]) == 1000
+
+
+# -- golden artifacts ------------------------------------------------------------
+
+# (name, verb and flags) of every run whose artifacts are hashed.
+_GOLDEN_RUNS = (
+    ("build", "build"),
+    ("transpile-sc53", "transpile", "--backend", "superconducting-53"),
+    ("transpile-ion40", "transpile", "--backend", "ion-40"),
+    ("validate-chain", "validate", "--mcx-mode", "chain"),
+    ("validate-single", "validate", "--mcx-mode", "single-ancilla"),
+    ("simulate-chain", "simulate", "--mcx-mode", "chain"),
+    ("simulate-single", "simulate", "--mcx-mode", "single-ancilla"),
+    ("encode", "encode"),
+    ("estimate", "estimate"),
+)
+# seed -> (reference length, query length) of a random DNA pair.
+_GOLDEN_PAIRS = {1: (8, 16), 2: (16, 12)}
+
+
+def _dna(rng: random.Random, n: int) -> str:
+    return "".join(rng.choice("ACGT") for _ in range(n))
+
+
+def _golden_hashes(root, seed: int) -> dict:
+    """sha256 of every artifact the golden runs write for one seeded pair."""
+    rng = random.Random(seed)
+    ref_len, qry_len = _GOLDEN_PAIRS[seed]
+    (root / "ref.txt").write_text(_dna(rng, ref_len) + "\n")
+    (root / "qry.txt").write_text(_dna(rng, qry_len) + "\n")
+    pair = ["--reference", str(root / "ref.txt"), "--query", str(root / "qry.txt"),
+            "--alphabet", "dna", "--shots", "4000", "--seed", str(seed)]
+    hashes = {}
+    for name, *verb in _GOLDEN_RUNS:
+        out = root / name
+        result = CliRunner().invoke(main, [*verb, *pair, "--out", str(out)])
+        assert result.exit_code == 0, (name, result.output)
+        for path in sorted(out.iterdir()):
+            hashes[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return hashes
+
+
+# Pins the promise that identical inputs and flags give byte-identical
+# artifacts: a change that alters any of these bytes must say so and why.
+GOLDEN = {
+    1: {
+        "build/qpr.qasm":
+            "34164565c85f52ddd655f057c93df7db306c909984c2fd1367fe294e95745889",
+        "build/report.csv":
+            "21de3c6210d621e8ff15507b45815776cf5c0f128898015131c7b1a82ba38555",
+        "build/report.json":
+            "e596b1614223a7577d2f95d54aac5a0c75df6a0d80cbdb86f2d9439f04e6727e",
+        "encode/encode.qasm":
+            "1f0756af80cdb5a534a3c1d8caf95b6b4cd0d0ac1dd58964e0fdd5bf0dd9719b",
+        "encode/report.json":
+            "ca0cfacce2b106e458552d98526a86cd0440896001c26aab17bab9f066b8f960",
+        "estimate/report.csv":
+            "21de3c6210d621e8ff15507b45815776cf5c0f128898015131c7b1a82ba38555",
+        "estimate/report.json":
+            "e596b1614223a7577d2f95d54aac5a0c75df6a0d80cbdb86f2d9439f04e6727e",
+        "simulate-chain/histogram.json":
+            "bc9dc4895d8e7983f47ea03ff750a1ce96b46282689c5f819b6bbf86b729751b",
+        "simulate-single/histogram.json":
+            "bc9dc4895d8e7983f47ea03ff750a1ce96b46282689c5f819b6bbf86b729751b",
+        "transpile-ion40/qpr.qasm":
+            "62daac00e977ba0813aff2a2f163906799a3c1c8940d81db70bceea04434aafb",
+        "transpile-ion40/report.csv":
+            "0af698c6cf5fd6e405329dfb966a08834a6e29829eef0ef348d3ef3d094def07",
+        "transpile-ion40/report.json":
+            "d6c0fe2446d3f1684ec503920bac3c717ae3617c25e30ea0d40588803b74fc15",
+        "transpile-sc53/qpr.qasm":
+            "26e3f1ef6d8a56be098deaa2ac27d3ddecd2e9b8eb0d42ddeb0b4f205e73accf",
+        "transpile-sc53/report.csv":
+            "bcfc66ca30878e82410e6ddb5d4008240381d0a9c66d8ba9b4b47558f4edd14c",
+        "transpile-sc53/report.json":
+            "b7d78b71d9714886e2a34dd6c13e8c178a2df61d817611f15f4785f7bf22072d",
+        "validate-chain/qpr.qasm":
+            "34164565c85f52ddd655f057c93df7db306c909984c2fd1367fe294e95745889",
+        "validate-chain/report.csv":
+            "21de3c6210d621e8ff15507b45815776cf5c0f128898015131c7b1a82ba38555",
+        "validate-chain/report.json":
+            "e596b1614223a7577d2f95d54aac5a0c75df6a0d80cbdb86f2d9439f04e6727e",
+        "validate-chain/validation_method1.json":
+            "db62936e99b021e6792c6d50e7c7292a92064ee70723080ad883ed374a574330",
+        "validate-chain/validation_method2.json":
+            "d2871b028a9e805aa0220c52cf2c65fe8497f762424e7ba1b998c56ee173d06b",
+        "validate-single/qpr.qasm":
+            "9e39ae2e0c6be35e62b345524007481d290e2960fe8fbe49710f4e377c1d71c3",
+        "validate-single/report.csv":
+            "11b3bed558263a0d7600dfd51748810ea14d237631aff44f8edda1dfde2c80a8",
+        "validate-single/report.json":
+            "83c50a009935d66e7d8d5480a6e1234cfb9d6083b19365c5490c592028132108",
+        "validate-single/validation_method1.json":
+            "082d0b051327764ddaad1c3cc1a9ebfd146737f1340047f436e6370dda30d141",
+        "validate-single/validation_method2.json":
+            "4d1529a236e6b6923c4a8f4946ba63d332f8f3a5904402d88d882932c60271ec",
+    },
+    2: {
+        "build/qpr.qasm":
+            "44c3e3b023631acf7b53ad441ad339e857ef612bec2dca08d4ac6dbb46219851",
+        "build/report.csv":
+            "84d5c53c56a66bf71d48bf9d990aeffff7bc1f9d4b54441466d096f1db49b8f2",
+        "build/report.json":
+            "4264aae8103e72ab223ba8d2373a26ead40ac320b96b62ec3e7ab99a497d7002",
+        "encode/encode.qasm":
+            "ef2f467128ee596b4e6893cb88678d27baeb97103c4979e30783062b22c14b49",
+        "encode/report.json":
+            "043ef5223c0ba42603ced0bf49aecfe81011c41a78aa852ad14b347e2907b2cf",
+        "estimate/report.csv":
+            "84d5c53c56a66bf71d48bf9d990aeffff7bc1f9d4b54441466d096f1db49b8f2",
+        "estimate/report.json":
+            "4264aae8103e72ab223ba8d2373a26ead40ac320b96b62ec3e7ab99a497d7002",
+        "simulate-chain/histogram.json":
+            "26d66745f46cea17342c04feafa3f76054d584d13a0d325061a2902552ae1585",
+        "simulate-single/histogram.json":
+            "26d66745f46cea17342c04feafa3f76054d584d13a0d325061a2902552ae1585",
+        "transpile-ion40/qpr.qasm":
+            "d65a9a2d134b13422c885ae338d27f1b59a50b8921964e4fb80461270b41a938",
+        "transpile-ion40/report.csv":
+            "1fc931b322e2d075ec987cf4d1330dd345c460813c453ab4ede74ee3efef9358",
+        "transpile-ion40/report.json":
+            "896b3045083a340d2e2b142395c4ffd10325bc9be2c880d27018e87241108f6f",
+        "transpile-sc53/qpr.qasm":
+            "c22ba6c3ec7acb8d22abe075404440361ea985b66f857009c859f1ec2fc7f006",
+        "transpile-sc53/report.csv":
+            "6f88ba3de36e4198b59f6fb2df6da00e274262442678ddbe3457847982f1ce9f",
+        "transpile-sc53/report.json":
+            "c0f9179db2267dc13a234f55746b232bb6a3d8be6c342f6b61ace48d01ee42ab",
+        "validate-chain/qpr.qasm":
+            "44c3e3b023631acf7b53ad441ad339e857ef612bec2dca08d4ac6dbb46219851",
+        "validate-chain/report.csv":
+            "84d5c53c56a66bf71d48bf9d990aeffff7bc1f9d4b54441466d096f1db49b8f2",
+        "validate-chain/report.json":
+            "4264aae8103e72ab223ba8d2373a26ead40ac320b96b62ec3e7ab99a497d7002",
+        "validate-chain/validation_method1.json":
+            "5f95005b84e8fad92d4b0b3e5422a6d2fd49350abd06a99d241852675c97570b",
+        "validate-chain/validation_method2.json":
+            "7ff52e345d5a541bcb364aa13a75d1464f82057c84cb7bc6b1881c9861dabfff",
+        "validate-single/qpr.qasm":
+            "046881ab70279ba0b0653ecd3e8131e32124421f768d86eb7ac7c7fcb0fe7d8c",
+        "validate-single/report.csv":
+            "22b2c3bde3538c98177bb6d8603bf0e4c1d22d424d81acd161c44bd5770ca842",
+        "validate-single/report.json":
+            "1faf028b5f7db68942e84041abdb8afd20a41b188e31d75a148ea3b45172441b",
+        "validate-single/validation_method1.json":
+            "2176371d3f2c081640026e684c380e0d28c8cc7d60b3e33042fbee970b6b5179",
+        "validate-single/validation_method2.json":
+            "bb5315639f904841344346927fced2517ed680de94c4bc0bbed8bd8d7b9fc14b",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_GOLDEN_PAIRS))
+def test_artifacts_match_golden_hashes(tmp_path, seed):
+    assert _golden_hashes(tmp_path, seed) == GOLDEN[seed]

@@ -21,6 +21,7 @@ from qdotplot import (
     inverse_qft,
     k_index,
     layout_for,
+    load_backend,
     lower_to_native,
     readout_bits,
     statevector_run,
@@ -37,24 +38,47 @@ SEQ8 = make_sequence((0, 1, 3, 2, 1, 2, 3, 0))
 
 
 def test_layout_register_order_and_sizes():
+    # The layout and the builders declare no ancilla register: the pool is
+    # sized by lowering.
     r = make_sequence(random_codes(np.random.default_rng(0), 8, 2))
     q = make_sequence(random_codes(np.random.default_rng(1), 16, 2))
-    layout = layout_for(r, q, "ccnot_chain")
-    c = Circuit(registers=layout.registers())
-    names = [reg.name for reg in c.registers]
-    assert names == ["x", "dr", "y", "dq", "v", "anc"]
-    assert c.register("x").size == 3
-    assert c.register("y").size == 4
-    assert c.register("dr").size == c.register("dq").size == 2
-    assert c.register("v").size == 1
-    assert c.register("anc").size == max(4, 2) - 2
+    layout = Circuit(registers=layout_for(r, q).registers())
+    c = build_pattern_circuit(r, q, use_minimizer=False)
+    for built in (layout, c):
+        assert [reg.name for reg in built.registers] == ["x", "dr", "y", "dq", "v"]
+        assert [reg.size for reg in built.registers] == [3, 2, 4, 2, 1]
+    assert [reg.name for reg in build_encoder_circuit(r).registers] == ["x", "dr"]
+    for built in (c, build_dotplot_circuit(r, q), build_encoder_circuit(q)):
+        assert all(reg.role != "ancilla" for reg in built.registers)
 
 
 def test_layout_ancilla_count_per_mode():
-    r = q = make_sequence(random_codes(np.random.default_rng(2), 32, 3))
-    assert layout_for(r, q, "ccnot_chain").n_ancilla == 5 - 2
-    assert layout_for(r, q, "single_ancilla").n_ancilla == 1
+    r = make_sequence(random_codes(np.random.default_rng(0), 8, 2))
+    q = make_sequence(random_codes(np.random.default_rng(1), 16, 2))
+    c = build_pattern_circuit(r, q, use_minimizer=False)
+    # The widest gate is a 4-control minterm of the query encoder: the chain
+    # needs 4 - 2 clean ancillas, the recursion one; "anc" comes last.
+    assert max(len(g.controls) for g in c.gates) == 4
+    for mode, n_anc in (("ccnot_chain", 2), ("single_ancilla", 1)):
+        lowered = lower_to_native(c, load_backend("allsim"), mode)
+        assert lowered.registers[:-1] == c.registers
+        assert lowered.registers[-1].name == "anc"
+        assert lowered.registers[-1].size == n_anc
+    # Below three controls lowering adds nothing.
+    small = build_pattern_circuit(make_sequence((0, 1)), make_sequence((1, 0)))
+    assert lower_to_native(small, load_backend("allsim"), "ccnot_chain").registers == small.registers
     assert set(MCX_MODES) == {"ccnot_chain", "single_ancilla"}
+
+
+def test_builders_take_no_positional_mode():
+    # A call written for the old signature must not bind the mode string to
+    # use_minimizer.
+    with pytest.raises(TypeError):
+        build_encoder_circuit(SEQ8, "ccnot_chain", False)
+    with pytest.raises(TypeError):
+        build_dotplot_circuit(SEQ8, SEQ8, "ccnot_chain")
+    with pytest.raises(TypeError):
+        build_pattern_circuit(SEQ8, SEQ8, "ccnot_chain")
 
 
 # -- NEQR encoding ----------------------------------------------------------------
@@ -67,7 +91,7 @@ def test_encoder_reproduces_every_element(use_minimizer):
     for length in (4, 8, 32, 256):
         codes = random_codes(rng, length, 2)
         seq = make_sequence(codes)
-        c = build_encoder_circuit(seq, "ccnot_chain", use_minimizer, pinned=0)
+        c = build_encoder_circuit(seq, use_minimizer=use_minimizer, pinned=0)
         lowered = lower_to_native(c, TOFFOLI_BACKEND, "ccnot_chain")
         x0 = lowered.wire(lowered.register("x")[0])
         d0 = lowered.wire(lowered.register("dr")[0])
@@ -81,7 +105,7 @@ def test_encoder_reproduces_every_element(use_minimizer):
 
 
 def test_encoder_brute_gate_count_worked_example():
-    c = build_encoder_circuit(SEQ8, "ccnot_chain", use_minimizer=False)
+    c = build_encoder_circuit(SEQ8, use_minimizer=False)
     counts = gate_counts(c)
     assert counts.get("mcx", 0) == 8
     encode_gates = [g for g in c.gates if g.kind == "x"]
@@ -94,7 +118,7 @@ def test_dotplot_pinned_matches_classical():
     r = make_sequence(random_codes(rng, 8, 2))
     q = make_sequence(random_codes(rng, 4, 2))
     plot = brute_dot_plot(r.codes, q.codes)
-    c = build_dotplot_circuit(r, q, mcx_mode="ccnot_chain", pinned=(0, 0))
+    c = build_dotplot_circuit(r, q, pinned=(0, 0))
     lowered = lower_to_native(c, TOFFOLI_BACKEND, "ccnot_chain")
     x0 = lowered.wire(lowered.register("x")[0])
     y0 = lowered.wire(lowered.register("y")[0])
@@ -123,7 +147,7 @@ def test_self_pair_minimizes_one_table(monkeypatch):
 
 
 def test_init_stage_h_or_pinned_x():
-    layout = layout_for(SEQ8, SEQ8, "ccnot_chain")
+    layout = layout_for(SEQ8, SEQ8)
     free = init_registers(layout)
     assert gate_counts(free) == {"h": 6}
     pinned = init_registers(layout, pinned=(5, 2))
@@ -228,9 +252,9 @@ def test_superposition_amplitudes_uniform_and_consistent():
     r = make_sequence(random_codes(rng, 16, 2))
     q = make_sequence(random_codes(rng, 16, 2))
     plot = brute_dot_plot(r.codes, q.codes)
-    c = build_dotplot_circuit(r, q, mcx_mode="ccnot_chain")
+    c = build_dotplot_circuit(r, q)
     psi, _ = statevector_run(c)
-    cw = Circuit(registers=layout_for(r, q, "ccnot_chain").registers())
+    cw = Circuit(registers=layout_for(r, q).registers())
     x0 = cw.wire(cw.register("x")[0])
     y0 = cw.wire(cw.register("y")[0])
     v0 = cw.wire(cw.register("v")[0])
@@ -253,13 +277,8 @@ def test_width_against_formula_bounds():
         native_gates=("h", "x", "p", "cp", "u2", "u3", "cx", "ccx", "swap", "rootx", "crootx"),
     )
     n, d = 4, 2
-    chain = lower_to_native(
-        build_dotplot_circuit(r, q, mcx_mode="ccnot_chain", use_minimizer=False),
-        allsim, "ccnot_chain",
-    )
+    oracle = build_dotplot_circuit(r, q, use_minimizer=False)
+    chain = lower_to_native(oracle, allsim, "ccnot_chain")
     assert width(chain) == 3 * n + 2 * d - 1
-    single = lower_to_native(
-        build_dotplot_circuit(r, q, mcx_mode="single_ancilla", use_minimizer=False),
-        allsim, "single_ancilla",
-    )
+    single = lower_to_native(oracle, allsim, "single_ancilla")
     assert width(single) == 2 * n + 2 * d + 2

@@ -12,7 +12,6 @@ from conftest import eval_cover
 from qdotplot import (
     Cube,
     PlaTable,
-    brute_force_mcx,
     build_pla,
     cubes_to_mcx,
     d1merge,
@@ -58,7 +57,7 @@ def test_build_pla_rejects_bad_shapes():
 
 def test_brute_force_count_is_popcount_sum():
     table = build_pla(SEQ8, 2)
-    gates = brute_force_mcx(table)
+    gates = cubes_to_mcx(table)
     want = sum(c.outputs.count("1") for c in table.cubes)
     assert len(gates) == want == 8
     assert all(len(g.controls) == 3 for g in gates)
@@ -84,7 +83,7 @@ def test_d1merge_worked_example_equivalent_and_smaller():
     merged = d1merge(table)
     assert functional_equal(table, merged)
     assert len(merged.cubes) < len(table.cubes)
-    assert len(cubes_to_mcx(merged)) < len(brute_force_mcx(table))
+    assert len(cubes_to_mcx(merged)) < len(cubes_to_mcx(table))
 
 
 def test_d1merge_merges_distance_one_equal_outputs():

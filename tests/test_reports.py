@@ -10,6 +10,8 @@ import pytest
 from conftest import make_sequence, random_codes
 from qdotplot import (
     CSV_COLUMNS,
+    BackendModel,
+    ConfigError,
     build_pattern_circuit,
     compare_encodings,
     depth,
@@ -58,7 +60,7 @@ def test_csv_columns_fixed_order():
 
 def _report(backend_name, mode="ccnot_chain"):
     backend = load_backend(backend_name)
-    circuit = build_pattern_circuit(SEQ8, SEQ8, mcx_mode=mode)
+    circuit = build_pattern_circuit(SEQ8, SEQ8)
     return estimate(circuit, backend, mode, dataset="seq8-self")
 
 
@@ -105,6 +107,12 @@ def test_report_json_round_trip():
     assert raw["estimated_runtime_seconds"] == pytest.approx(rep.total_depth * 20e-6)
     # Deterministic serialization.
     assert report_to_json(rep) == report_to_json(rep)
+
+
+def test_estimate_rejects_circuit_wider_than_backend():
+    tiny = BackendModel(name="tiny", qubit_count=4, native_gates=("x", "cx", "ccx", "h", "p"))
+    with pytest.raises(ConfigError, match="circuit needs 12 qubits but backend 'tiny' has 4"):
+        estimate(build_pattern_circuit(SEQ8, SEQ8), tiny)
 
 
 def test_compare_encodings_worked_example():

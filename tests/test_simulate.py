@@ -18,7 +18,6 @@ from qdotplot import (
     states_equal,
     toffoli_run,
     toffoli_run_batch,
-    unitaries_equal,
 )
 
 
@@ -174,8 +173,8 @@ def test_states_and_unitaries_equal_mod_phase():
     b = np.exp(1j * 0.7) * a
     assert states_equal(Statevector(a.astype(complex), 2), Statevector(b, 2))
     u = np.eye(4, dtype=complex)
-    assert unitaries_equal(u, np.exp(-1j * 1.1) * u)
-    assert not unitaries_equal(u, np.diag([1, 1, 1, -1]).astype(complex))
+    assert states_equal(u, np.exp(-1j * 1.1) * u)
+    assert not states_equal(u, np.diag([1, 1, 1, -1]).astype(complex))
     assert equal_up_to_phase(u, np.exp(2j) * u)
 
 

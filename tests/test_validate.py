@@ -52,7 +52,7 @@ def test_exhaustive_passes_on_correct_circuit(mode, use_minimizer):
 
 def test_exhaustive_catches_mutations():
     # Drop the final mark gate: v never flips, every matching cell disagrees.
-    good = build_dotplot_circuit(R8, Q8, mcx_mode="ccnot_chain", pinned=(0, 0))
+    good = build_dotplot_circuit(R8, Q8, pinned=(0, 0))
     broken = Circuit(
         registers=good.registers,
         gates=good.gates[:-1],
@@ -68,7 +68,7 @@ def test_exhaustive_catches_mutations():
 
 
 def test_exhaustive_catches_stray_flip():
-    good = build_dotplot_circuit(R8, Q8, mcx_mode="ccnot_chain", pinned=(0, 0))
+    good = build_dotplot_circuit(R8, Q8, pinned=(0, 0))
     v = good.register("v")[0]
     broken = good.append_stage("sabotage", [Gate.x(v)])
     rep = validate_exhaustive(R8, Q8, "ccnot_chain", True, circuit=broken)
@@ -89,8 +89,8 @@ def _measured_oracle(r, q):
     # of v, x, y directly (no transform between oracle and readout).
     from qdotplot import layout_for, readout_bits
 
-    layout = layout_for(r, q, "ccnot_chain")
-    c = build_dotplot_circuit(r, q, mcx_mode="ccnot_chain")
+    layout = layout_for(r, q)
+    c = build_dotplot_circuit(r, q)
     bits = readout_bits(layout)
     readout = [Gate.measure(c.register("v")[0], bits["v"])]
     x, y = c.register("x"), c.register("y")
@@ -144,6 +144,13 @@ def test_validation_report_serializes():
     assert raw["method"] == "exhaustive"
     assert raw["passed"] is True
     assert raw["checks"] == 64
+
+
+def test_validators_reject_unknown_mcx_mode():
+    with pytest.raises(ValueError, match="mcx_mode"):
+        validate_exhaustive(R8, Q8, "ccnot")
+    with pytest.raises(ValueError, match="mcx_mode"):
+        validate_sampling(R8, Q8, shots=10, mcx_mode="ccnot")
 
 
 def test_unequal_sizes_validate():
