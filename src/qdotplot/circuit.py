@@ -99,37 +99,42 @@ class Gate:
     classical_bit: int | None = None
 
     def __post_init__(self):
-        want = _TARGET_COUNT.get(self.kind, 1)
-        if self.kind == "x":
-            if not self.targets:
+        kind, targets, controls = self.kind, self.targets, self.controls
+        want = _TARGET_COUNT.get(kind, 1)
+        if kind == "x":
+            if not targets:
                 raise CircuitError("x gate needs at least one target")
-        elif len(self.targets) != want:
-            raise CircuitError(f"{self.kind} gate takes {want} target(s), got {len(self.targets)}")
-        if self.controls and self.kind not in _CONTROLLABLE:
-            raise CircuitError(f"{self.kind} gate cannot carry controls")
-        if len(self.params) != (_PARAM_COUNT.get(self.kind, 0)):
-            raise CircuitError(f"{self.kind} gate takes {_PARAM_COUNT.get(self.kind, 0)} parameter(s)")
+        elif len(targets) != want:
+            raise CircuitError(f"{kind} gate takes {want} target(s), got {len(targets)}")
+        if controls and kind not in _CONTROLLABLE:
+            raise CircuitError(f"{kind} gate cannot carry controls")
+        if len(self.params) != _PARAM_COUNT.get(kind, 0):
+            raise CircuitError(f"{kind} gate takes {_PARAM_COUNT.get(kind, 0)} parameter(s)")
         for a in self.params:
             if not math.isfinite(a):
                 raise CircuitError("gate parameters must be finite")
-        if self.kind == "rootx":
+        if kind == "rootx":
             if self.exponent not in ROOT_EXPONENTS:
                 raise CircuitError(f"rootx exponent must be one of {sorted(ROOT_EXPONENTS)}, got {self.exponent}")
         elif self.exponent is not None:
-            raise CircuitError(f"{self.kind} gate does not take an exponent")
-        if self.kind == "measure":
+            raise CircuitError(f"{kind} gate does not take an exponent")
+        if kind == "measure":
             if self.classical_bit is None or self.classical_bit < 0:
                 raise CircuitError("measure needs a classical bit index >= 0")
         elif self.classical_bit is not None:
-            raise CircuitError(f"{self.kind} gate does not take a classical bit")
-        seen = set()
-        for q in self.qubits():
-            if q in seen:
-                raise CircuitError(f"qubit {q} appears twice in one gate")
-            seen.add(q)
+            raise CircuitError(f"{kind} gate does not take a classical bit")
+        if len(targets) + len(controls) > 1:
+            seen = set()
+            for q in self.qubits():
+                key = (q.register, q.offset)  # QubitRef equality, without its hash call
+                if key in seen:
+                    raise CircuitError(f"qubit {q} appears twice in one gate")
+                seen.add(key)
 
     def qubits(self) -> tuple[QubitRef, ...]:
-        return self.targets + tuple(c.qubit for c in self.controls)
+        if not self.controls:
+            return self.targets
+        return self.targets + tuple([c.qubit for c in self.controls])
 
     @property
     def label(self) -> str:
@@ -241,9 +246,12 @@ class Circuit:
             if idx < last or idx > len(self.gates):
                 raise CircuitError("stage marks must be non-decreasing gate indices")
             last = idx
+        starts = self._starts
         for g in self.gates:
             for q in g.qubits():
-                self.wire(q)
+                s = starts.get(q.register)
+                if s is None or not 0 <= q.offset < s[1]:
+                    self.wire(q)  # raises the CircuitError that names the bad reference
             if g.kind == "measure" and g.classical_bit >= self.classical_bits:
                 raise CircuitError(
                     f"measure writes bit {g.classical_bit} but circuit has {self.classical_bits}"
@@ -317,12 +325,23 @@ class Circuit:
         return out
 
 
+def _gate_wires(circuit: Circuit, starts: dict[str, tuple[int, int]], g: Gate) -> list[int]:
+    """Wire indices of g's qubits, read from circuit._starts without a call per qubit."""
+    wires = []
+    for q in g.qubits():
+        s = starts.get(q.register)
+        if s is None or not 0 <= q.offset < s[1]:
+            circuit.wire(q)  # raises the CircuitError that names the bad reference
+        wires.append(s[0] + q.offset)
+    return wires
+
+
 def width(circuit: Circuit) -> int:
     """Number of qubits touched by at least one gate or measurement."""
+    starts = circuit._starts
     touched = set()
     for g in circuit.gates:
-        for q in g.qubits():
-            touched.add(circuit.wire(q))
+        touched.update(_gate_wires(circuit, starts, g))
     return len(touched)
 
 
@@ -333,16 +352,18 @@ def depth(circuit: Circuit, gate_range: tuple[int, int] | None = None) -> int:
     share a qubit wire or a classical bit.
     """
     start, stop = gate_range if gate_range is not None else (0, len(circuit.gates))
+    starts = circuit._starts
     level: dict[object, int] = {}
     longest = 0
     for g in circuit.gates[start:stop]:
-        keys = [circuit.wire(q) for q in g.qubits()]
+        keys = _gate_wires(circuit, starts, g)
         if g.kind == "measure":
             keys.append(("c", g.classical_bit))
-        layer = 1 + max((level.get(k, 0) for k in keys), default=0)
+        layer = 1 + max([level.get(k, 0) for k in keys])
         for k in keys:
             level[k] = layer
-        longest = max(longest, layer)
+        if layer > longest:
+            longest = layer
     return longest
 
 
@@ -350,7 +371,8 @@ def gate_counts(circuit: Circuit) -> dict[str, int]:
     """Multiset of gate labels; values sum to len(circuit.gates)."""
     counts: dict[str, int] = {}
     for g in circuit.gates:
-        counts[g.label] = counts.get(g.label, 0) + 1
+        label = g.label
+        counts[label] = counts.get(label, 0) + 1
     return counts
 
 

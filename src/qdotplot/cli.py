@@ -283,7 +283,7 @@ def validate(**kwargs):
 @main.command("compare-modes")
 @_common
 def compare_modes(**kwargs):
-    """Brute-force vs. minimized encoder comparison for the reference."""
+    """Compare the brute-force and minimized reference encoders."""
     config = _config(kwargs)
 
     def body():

@@ -11,10 +11,24 @@ used.
 The parser accepts exactly the grammar the emitter produces (plus
 whitespace/comment freedom) and maps every statement back to the gate kind
 that produced it, so gate counts and depth survive a round trip unchanged.
+Every rejection is a QasmError that names the offending statement.
+
+A gate parameter is a number that float() reads whole (the emitter's repr
+form) or an angle expression, evaluated in double precision without eval:
+
+    sum     := product (("+" | "-") product)*
+    product := signed (("*" | "/") signed)*
+    signed  := ("+" | "-")* atom
+    atom    := NUMBER | "pi" | "(" sum ")"
+
+NUMBER is a decimal literal such as 3, 0.25, .5 or 1e-3. Anything else,
+such as "**", any other name, division by zero, or a result that is not
+finite (including "inf" and "nan"), raises "cannot evaluate angle".
 """
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -35,14 +49,12 @@ def _f(x: float) -> str:
 
 
 def _xrt_def(exponent: Fraction) -> str:
-    import math
     name = f"xrt_{_EXP_NAMES[exponent]}"
     s = math.pi * float(exponent)
     return (f"gate {name} a {{ u3({_f(s)},{_f(-math.pi / 2)},{_f(math.pi / 2)}) a; }}")
 
 
 def _cxrt_def(exponent: Fraction) -> str:
-    import math
     name = f"cxrt_{_EXP_NAMES[exponent]}"
     g = math.pi * float(exponent)
     half = math.pi / 2
@@ -118,25 +130,104 @@ def emit_qasm(circuit: Circuit, path) -> None:
 
 # -- parsing ------------------------------------------------------------------
 
-_TOKEN = re.compile(r"^\s*(\w+)\s*(?:\(([^)]*)\))?\s*(.*)$")
+_DELIMITER = re.compile(r"[{};]")
+_HEAD = re.compile(r"(\w+)\s*")
 _OPERAND = re.compile(r"^(\w+)\[(\d+)\]$")
+_MEASURE = re.compile(r"(\S+)\s*->\s*(\w+)\[(\d+)\]")
+_ANGLE_TOKEN = re.compile(
+    r"\s*([0-9]+\.?[0-9]*(?:[eE][-+]?[0-9]+)?|\.[0-9]+(?:[eE][-+]?[0-9]+)?|pi|[-+*/()])"
+)
 
-_PI = {"pi": 3.141592653589793}
+
+def _angle_tokens(text: str) -> list[str]:
+    tokens, pos = [], 0
+    for m in _ANGLE_TOKEN.finditer(text):
+        if m.start() != pos:
+            break
+        tokens.append(m.group(1))
+        pos = m.end()
+    if text[pos:].strip():
+        raise ValueError("unexpected character")
+    return tokens
+
+
+# Recursive descent over the angle grammar; each returns (value, next index).
+
+def _sum(tokens: list[str], i: int) -> tuple[float, int]:
+    value, i = _product(tokens, i)
+    while i < len(tokens) and tokens[i] in ("+", "-"):
+        op = tokens[i]
+        rhs, i = _product(tokens, i + 1)
+        value = value + rhs if op == "+" else value - rhs
+    return value, i
+
+
+def _product(tokens: list[str], i: int) -> tuple[float, int]:
+    value, i = _signed(tokens, i)
+    while i < len(tokens) and tokens[i] in ("*", "/"):
+        op = tokens[i]
+        rhs, i = _signed(tokens, i + 1)
+        value = value * rhs if op == "*" else value / rhs
+    return value, i
+
+
+def _signed(tokens: list[str], i: int) -> tuple[float, int]:
+    negate = False
+    while i < len(tokens) and tokens[i] in ("+", "-"):
+        negate ^= tokens[i] == "-"
+        i += 1
+    if i == len(tokens):
+        raise ValueError("missing operand")
+    tok = tokens[i]
+    if tok == "(":
+        value, i = _sum(tokens, i + 1)
+        if i == len(tokens) or tokens[i] != ")":
+            raise ValueError("unbalanced parenthesis")
+    elif tok == "pi":
+        value = math.pi
+    elif tok[0] in "0123456789.":
+        value = float(tok)
+    else:
+        raise ValueError(f"unexpected {tok!r}")
+    return (-value if negate else value), i + 1
 
 
 def _angle(text: str) -> float:
-    text = text.strip()
+    """Evaluate one gate parameter (grammar in the module docstring)."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        pass
-    # Allow the pi-expression forms QASM tools commonly write.
-    if re.fullmatch(r"[-+*/0-9.epi() ]+", text):
         try:
-            return float(eval(text, {"__builtins__": {}}, _PI))
-        except Exception as exc:
-            raise QasmError(f"cannot evaluate angle {text!r}") from exc
-    raise QasmError(f"cannot evaluate angle {text!r}")
+            tokens = _angle_tokens(text)
+            value, end = _sum(tokens, 0)
+            if end != len(tokens):
+                raise ValueError("trailing tokens")
+        except (ValueError, ZeroDivisionError, RecursionError):
+            raise QasmError(f"cannot evaluate angle {text.strip()!r}") from None
+    if not math.isfinite(value):
+        raise QasmError(f"cannot evaluate angle {text.strip()!r}")
+    return value
+
+
+def _split_statements(text: str) -> list[str]:
+    """Split on top-level ';', keeping each braced gate body whole."""
+    statements = []
+    start = depth = 0
+    for m in _DELIMITER.finditer(text):
+        ch = m.group()
+        if ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth -= 1
+            if depth == 0:
+                statements.append(text[start:m.end()].strip())
+                start = m.end()
+        elif depth == 0:
+            statements.append(text[start:m.start()].strip())
+            start = m.end()
+    if text[start:].strip():
+        raise QasmError(f"trailing unterminated statement {text[start:].strip()!r}")
+    return statements
 
 
 def parse_qasm(text: str) -> Circuit:
@@ -145,130 +236,138 @@ def parse_qasm(text: str) -> Circuit:
     Gate-definition preludes are recognized by name (xrt_*, cxrt_*, rxx)
     and skipped; their uses are mapped back to the originating gate kinds.
     """
-    # Strip comments, then split into ';'-terminated statements. Gate
-    # definitions keep their braced body on one logical statement.
-    text = re.sub(r"//[^\n]*", "", text)
-    statements = []
-    buf = []
-    depth = 0
-    for ch in text:
-        if ch == "{":
-            depth += 1
-        elif ch == "}":
-            depth -= 1
-            if depth == 0:
-                buf.append(ch)
-                statements.append("".join(buf).strip())
-                buf = []
-                continue
-        if ch == ";" and depth == 0:
-            statements.append("".join(buf).strip())
-            buf = []
-        else:
-            buf.append(ch)
-    if "".join(buf).strip():
-        raise QasmError("trailing unterminated statement")
+    statements = _split_statements(re.sub(r"//[^\n]*", "", text))
 
     registers: list[Register] = []
+    qreg_sizes: dict[str, int] = {}
     creg_names: dict[str, int] = {}
     creg_base: dict[str, int] = {}
     classical_bits = 0
     gates: list[Gate] = []
-    known_defs: set[str] = set()
+    # Each distinct gate statement, operand token and angle text is checked
+    # once per parse. A repeated statement reuses its (immutable) Gate, and
+    # every gate on a wire shares one QubitRef.
+    built: dict[str, Gate] = {}
+    refs: dict[str, QubitRef] = {}
+    angle_values: dict[str, float] = {}
 
     def qubit(tok: str) -> QubitRef:
-        m = _OPERAND.fullmatch(tok.strip())
-        if not m:
-            raise QasmError(f"malformed operand {tok!r}")
-        name, off = m.group(1), int(m.group(2))
-        for r in registers:
-            if r.name == name:
-                if off >= r.size:
-                    raise QasmError(f"offset {off} out of range for qreg {name}")
-                return QubitRef(name, off)
-        raise QasmError(f"unknown qreg {name!r}")
+        ref = refs.get(tok)
+        if ref is None:
+            m = _OPERAND.fullmatch(tok.strip())
+            if not m:
+                raise QasmError(f"malformed operand {tok!r}")
+            name, off = m.group(1), int(m.group(2))
+            if name not in qreg_sizes:
+                raise QasmError(f"unknown qreg {name!r}")
+            if off >= qreg_sizes[name]:
+                raise QasmError(f"offset {off} out of range for qreg {name}")
+            ref = refs[tok] = QubitRef(name, off)
+        return ref
 
     header_seen = False
-    for st in statements:
-        if not st:
-            continue
-        if not header_seen:
-            if re.fullmatch(r"OPENQASM\s+2\.0", st):
-                header_seen = True
+    try:
+        for st in statements:
+            if not st:
                 continue
-            raise QasmError("program must start with OPENQASM 2.0;")
-        if st.startswith("include"):
-            continue
-        if st.startswith("gate "):
-            name = st.split()[1].split("(")[0]
-            if name == "rxx" or name[:4] == "xrt_" or name[:5] == "cxrt_":
-                known_defs.add(name)
+            if not header_seen:
+                if re.fullmatch(r"OPENQASM\s+2\.0", st):
+                    header_seen = True
+                    continue
+                raise QasmError("program must start with OPENQASM 2.0;")
+            gate = built.get(st)
+            if gate is not None:
+                gates.append(gate)
                 continue
-            raise QasmError(f"unsupported gate definition {name!r}")
-        m = _TOKEN.match(st)
-        if not m:
-            raise QasmError(f"cannot parse statement {st!r}")
-        head, params, rest = m.group(1), m.group(2), m.group(3)
-        if head == "qreg":
-            dm = _OPERAND.fullmatch(st.split(None, 1)[1].strip())
-            if not dm:
-                raise QasmError(f"malformed qreg declaration {st!r}")
-            registers.append(Register(dm.group(1), int(dm.group(2))))
-            continue
-        if head == "creg":
-            dm = _OPERAND.fullmatch(st.split(None, 1)[1].strip())
-            if not dm:
-                raise QasmError(f"malformed creg declaration {st!r}")
-            creg_base[dm.group(1)] = classical_bits
-            creg_names[dm.group(1)] = int(dm.group(2))
-            classical_bits += int(dm.group(2))
-            continue
-        if head == "measure":
-            dm = re.fullmatch(r"(\S+)\s*->\s*(\w+)\[(\d+)\]", rest.strip())
-            if not dm:
-                raise QasmError(f"malformed measure {st!r}")
-            cname, cbit = dm.group(2), int(dm.group(3))
-            if cname not in creg_names or cbit >= creg_names[cname]:
-                raise QasmError(f"unknown classical bit {cname}[{cbit}]")
-            gates.append(Gate.measure(qubit(dm.group(1)), creg_base[cname] + cbit))
-            continue
-        operands = [qubit(tok) for tok in rest.split(",")] if rest.strip() else []
-        angles = [_angle(a) for a in params.split(",")] if params else []
+            if st.startswith("include"):
+                continue
+            if st.startswith("gate "):
+                name = st.split()[1].split("(")[0]
+                if name == "rxx" or name[:4] == "xrt_" or name[:5] == "cxrt_":
+                    continue
+                raise QasmError(f"unsupported gate definition {name!r}")
+            m = _HEAD.match(st)
+            if not m:
+                raise QasmError("cannot parse statement")
+            head, params, rest = m.group(1), None, st[m.end():]
+            if rest[:1] == "(":
+                close = rest.rfind(")")  # operands never hold one, so angles may nest
+                if close < 0:
+                    raise QasmError("unclosed parameter list")
+                params, rest = rest[1:close], rest[close + 1:].lstrip()
+            if head == "qreg":
+                dm = _OPERAND.fullmatch(st[4:].strip())
+                if not dm:
+                    raise QasmError("malformed qreg declaration")
+                if dm.group(1) in qreg_sizes:
+                    raise QasmError(f"qreg {dm.group(1)!r} declared twice")
+                registers.append(Register(dm.group(1), int(dm.group(2))))
+                qreg_sizes[dm.group(1)] = registers[-1].size
+                continue
+            if head == "creg":
+                dm = _OPERAND.fullmatch(st[4:].strip())
+                if not dm:
+                    raise QasmError("malformed creg declaration")
+                creg_base[dm.group(1)] = classical_bits
+                creg_names[dm.group(1)] = int(dm.group(2))
+                classical_bits += int(dm.group(2))
+                continue
+            if head == "measure":
+                dm = _MEASURE.fullmatch(rest)
+                if not dm:
+                    raise QasmError("malformed measure")
+                cname, cbit = dm.group(2), int(dm.group(3))
+                if cname not in creg_names or cbit >= creg_names[cname]:
+                    raise QasmError(f"unknown classical bit {cname}[{cbit}]")
+                gates.append(Gate.measure(qubit(dm.group(1)), creg_base[cname] + cbit))
+                continue
+            operands = [qubit(tok) for tok in rest.split(",")] if rest else []
+            angles = []
+            if params:
+                for a in params.split(","):
+                    value = angle_values.get(a)
+                    if value is None:
+                        value = angle_values[a] = _angle(a)
+                    angles.append(value)
 
-        if head == "h" and len(operands) == 1:
-            gates.append(Gate.h(operands[0]))
-        elif head == "x" and len(operands) == 1:
-            gates.append(Gate.x(operands[0]))
-        elif head == "cx" and len(operands) == 2:
-            gates.append(Gate.cx(operands[0], operands[1]))
-        elif head == "ccx" and len(operands) == 3:
-            gates.append(Gate.ccx(operands[0], operands[1], operands[2]))
-        elif head == "swap" and len(operands) == 2:
-            gates.append(Gate.swap(operands[0], operands[1]))
-        elif head in ("u1", "p") and len(operands) == 1 and len(angles) == 1:
-            gates.append(Gate.phase(angles[0], operands[0]))
-        elif head in ("cu1", "cp") and len(operands) == 2 and len(angles) == 1:
-            gates.append(Gate.cphase(angles[0], operands[0], operands[1]))
-        elif head == "u2" and len(operands) == 1 and len(angles) == 2:
-            gates.append(Gate.u2(angles[0], angles[1], operands[0]))
-        elif head == "u3" and len(operands) == 1 and len(angles) == 3:
-            gates.append(Gate.u3(angles[0], angles[1], angles[2], operands[0]))
-        elif head == "rx" and len(operands) == 1 and len(angles) == 1:
-            gates.append(Gate.rx(angles[0], operands[0]))
-        elif head == "ry" and len(operands) == 1 and len(angles) == 1:
-            gates.append(Gate.ry(angles[0], operands[0]))
-        elif head == "rxx" and len(operands) == 2 and len(angles) == 1:
-            gates.append(Gate.rxx(angles[0], operands[0], operands[1]))
-        elif head[:4] == "xrt_" and len(operands) == 1:
-            if head[4:] not in _NAME_EXPS:
-                raise QasmError(f"unknown root gate {head!r}")
-            gates.append(Gate.root_x(_NAME_EXPS[head[4:]], operands[0]))
-        elif head[:5] == "cxrt_" and len(operands) == 2:
-            if head[5:] not in _NAME_EXPS:
-                raise QasmError(f"unknown root gate {head!r}")
-            gates.append(Gate.root_x(_NAME_EXPS[head[5:]], operands[1], control=operands[0]))
-        else:
-            raise QasmError(f"unsupported statement {st!r}")
+            if head == "h" and len(operands) == 1:
+                gate = Gate.h(operands[0])
+            elif head == "x" and len(operands) == 1:
+                gate = Gate.x(operands[0])
+            elif head == "cx" and len(operands) == 2:
+                gate = Gate.cx(operands[0], operands[1])
+            elif head == "ccx" and len(operands) == 3:
+                gate = Gate.ccx(operands[0], operands[1], operands[2])
+            elif head == "swap" and len(operands) == 2:
+                gate = Gate.swap(operands[0], operands[1])
+            elif head in ("u1", "p") and len(operands) == 1 and len(angles) == 1:
+                gate = Gate.phase(angles[0], operands[0])
+            elif head in ("cu1", "cp") and len(operands) == 2 and len(angles) == 1:
+                gate = Gate.cphase(angles[0], operands[0], operands[1])
+            elif head == "u2" and len(operands) == 1 and len(angles) == 2:
+                gate = Gate.u2(angles[0], angles[1], operands[0])
+            elif head == "u3" and len(operands) == 1 and len(angles) == 3:
+                gate = Gate.u3(angles[0], angles[1], angles[2], operands[0])
+            elif head == "rx" and len(operands) == 1 and len(angles) == 1:
+                gate = Gate.rx(angles[0], operands[0])
+            elif head == "ry" and len(operands) == 1 and len(angles) == 1:
+                gate = Gate.ry(angles[0], operands[0])
+            elif head == "rxx" and len(operands) == 2 and len(angles) == 1:
+                gate = Gate.rxx(angles[0], operands[0], operands[1])
+            elif head[:4] == "xrt_" and len(operands) == 1:
+                if head[4:] not in _NAME_EXPS:
+                    raise QasmError(f"unknown root gate {head!r}")
+                gate = Gate.root_x(_NAME_EXPS[head[4:]], operands[0])
+            elif head[:5] == "cxrt_" and len(operands) == 2:
+                if head[5:] not in _NAME_EXPS:
+                    raise QasmError(f"unknown root gate {head!r}")
+                gate = Gate.root_x(_NAME_EXPS[head[5:]], operands[1], control=operands[0])
+            else:
+                raise QasmError("unsupported gate or operand count")
+            gates.append(gate)
+            built[st] = gate
+    except ValueError as exc:  # QasmError, CircuitError, or an over-long integer
+        raise QasmError(f"{exc} in statement {st!r}") from exc
 
     return Circuit(tuple(registers), tuple(gates), classical_bits)
 

@@ -322,12 +322,16 @@ def sample(
     tail = [(circuit.wire(g.targets[0]), g.classical_bit)
             for g in gates[last_op + 1:]]
 
-    # Depth-first over mid-circuit measurement outcomes; each leaf carries
-    # its path probability, the classical bits fixed so far, and the final
-    # distribution over basis states.
+    # Depth-first over mid-circuit measurement outcomes, on an explicit stack
+    # (a recursive closure would hold every leaf in a reference cycle after
+    # return). Each leaf carries its path probability, the classical bits
+    # fixed so far, and the final distribution over basis states.
     leaves: list[tuple[float, tuple, np.ndarray]] = []
-
-    def run(psi: np.ndarray, start: int, prob: float, classical: tuple):
+    psi = np.zeros(1 << n, dtype=complex)
+    psi[0] = 1.0
+    pending = [(psi, 0, 1.0, (None,) * circuit.classical_bits)]
+    while pending:
+        psi, start, prob, classical = pending.pop()
         eng = _Engine(circuit, psi.reshape([2] * n))
         for i in range(start, last_op + 1):
             g = gates[i]
@@ -335,26 +339,26 @@ def sample(
                 w = circuit.wire(g.targets[0])
                 s0, s1 = eng._slices(eng.t, n - 1 - w)
                 p1 = float(np.sum(np.abs(eng.t[s1]) ** 2))
-                for outcome, p in ((0, 1.0 - p1), (1, p1)):
-                    if p < 1e-12:
-                        continue
-                    fork = psi.copy()
+                outcomes = [(o, p) for o, p in ((0, 1.0 - p1), (1, p1)) if p >= 1e-12]
+                forks = []
+                for k, (outcome, p) in enumerate(outcomes):
+                    # The last outcome takes psi itself; the others take copies.
+                    fork = psi if k == len(outcomes) - 1 else psi.copy()
                     view = fork.reshape([2] * n)
                     view[s0 if outcome else s1] = 0.0
                     keep = s1 if outcome else s0
                     view[keep] = view[keep] / math.sqrt(p)
                     bits = list(classical)
                     bits[g.classical_bit] = outcome
-                    run(fork, i + 1, prob * p, tuple(bits))
-                return
+                    forks.append((fork, i + 1, prob * p, tuple(bits)))
+                pending.extend(reversed(forks))  # outcome 0 is explored first
+                break
             eng.apply(g)
-        if len(leaves) >= max_branches:
-            raise ValueError("too many measurement branches to sample")
-        leaves.append((prob, classical, np.abs(psi) ** 2))
-
-    psi0 = np.zeros(1 << n, dtype=complex)
-    psi0[0] = 1.0
-    run(psi0, 0, 1.0, (None,) * circuit.classical_bits)
+        else:
+            if len(leaves) >= max_branches:
+                raise ValueError("too many measurement branches to sample")
+            leaves.append((prob, classical, np.abs(psi) ** 2))
+    del psi, eng  # the last 2^n state is not needed while drawing
 
     rng = np.random.default_rng(seed)
     weights = np.array([p for p, _, _ in leaves])

@@ -154,6 +154,13 @@ def test_compare_modes_output(runner, seqdir):
     assert "compression=" in result.output
 
 
+def test_help_shows_compare_modes_summary_in_full(runner):
+    # Click cuts a command's short help at its first period.
+    result = runner.invoke(main, ["--help"])
+    assert result.exit_code == 0
+    assert "Compare the brute-force and minimized reference encoders." in result.output
+
+
 def test_unknown_backend_exits_two(runner, seqdir):
     result = runner.invoke(main, _args(seqdir, "build", "--backend", "nope"))
     assert result.exit_code == 2

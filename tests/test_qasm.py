@@ -1,24 +1,32 @@
 """OpenQASM 2.0 emission and ingestion."""
 
+import math
+import time
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qdotplot import (
     Circuit,
+    CircuitError,
     Gate,
     QasmError,
     Register,
+    build_pattern_circuit,
     circuit_unitary,
+    compile_circuit,
     depth,
     emit_qasm,
     gate_counts,
+    load_backend,
     parse_qasm,
     qasm_text,
     read_qasm,
 )
-from conftest import equal_up_to_phase
+from conftest import equal_up_to_phase, make_sequence
 
 
 def _rich_circuit():
@@ -135,3 +143,120 @@ def test_gate_counts_unaffected_by_angle_formatting():
     c = Circuit(registers=(a,)).append_stage("s", [Gate.phase(1 / 3, a[0])])
     back = parse_qasm(qasm_text(c))
     assert back.gates[0].params[0] == pytest.approx(1 / 3, abs=0)
+
+
+# -- angles -------------------------------------------------------------------
+
+# The forms test_parse_external_dialect uses, and those the perfbench QASM
+# generator writes.
+_ANGLE_FORMS = ("pi/4", "-pi/2", "pi", "0", "pi", "-pi", "pi/2", "-pi/2", "-pi/4",
+                "3*pi/8", "-3*pi/8", "pi/16", "2*pi/3", "-pi*0.5", "0.25*pi")
+
+
+def _one_gate(statement: str) -> Gate:
+    return parse_qasm(f"OPENQASM 2.0;\nqreg q[2];\n{statement}\n").gates[0]
+
+
+@pytest.mark.parametrize("form", _ANGLE_FORMS)
+def test_angle_forms_evaluate_as_python_arithmetic(form):
+    expected = float(eval(form, {"__builtins__": {}}, {"pi": math.pi}))
+    assert _one_gate(f"u1({form}) q[0];").params == (expected,)
+
+
+def test_angle_grammar():
+    assert _one_gate("u3(-(pi), +-2, 1.5e-3*(2-1)) q[0];").params == (-math.pi, -2.0, 1.5e-3)
+    assert _one_gate("u2(--pi/2 ,.5) q[0];").params == (math.pi / 2, 0.5)
+    for bad in ("pi**2", "2**3", "e", "tau", "pi/0", "1/(1-1)", "1e999", "pi*1e308",
+                "inf", "nan", "pi pi", "2pi", "(pi", "-", "1e", "abs(1)",
+                "(" * 2000 + "pi" + ")" * 2000):
+        with pytest.raises(QasmError, match="cannot evaluate angle"):
+            _one_gate(f"rx({bad}) q[0];")
+
+
+def test_power_tower_angle_is_rejected_quickly():
+    start = time.perf_counter()
+    with pytest.raises(QasmError, match="cannot evaluate angle"):
+        _one_gate("u1(9**9**8) q[0];")
+    assert time.perf_counter() - start < 1.0
+
+
+# -- rejections ---------------------------------------------------------------
+
+def test_gate_level_rejections_are_qasm_errors_naming_the_statement():
+    with pytest.raises(QasmError, match=r"appears twice in one gate in statement 'cx q\[0\],q\[0\]'"):
+        _one_gate("cx q[0],q[0];")
+    with pytest.raises(QasmError, match=r"cannot evaluate angle '1e999' in statement 'u1\(1e999\) q\[0\]'"):
+        _one_gate("u1(1e999) q[0];")
+    with pytest.raises(QasmError, match="declared twice"):
+        parse_qasm("OPENQASM 2.0;\nqreg q[1];\nqreg q[2];\n")
+    with pytest.raises(QasmError, match="not a valid identifier"):
+        parse_qasm("OPENQASM 2.0;\nqreg _q[1];\n")
+    with pytest.raises(QasmError, match="in statement 'qreg q\\[0\\]'"):
+        parse_qasm("OPENQASM 2.0;\nqreg q[0];\n")
+    with pytest.raises(QasmError, match="trailing unterminated statement"):
+        parse_qasm("OPENQASM 2.0;\nqreg q[1];\nh q[0]")
+
+
+def test_ir_still_raises_circuit_errors_directly():
+    q = Register("q", 2)
+    with pytest.raises(CircuitError, match="appears twice in one gate"):
+        Gate.cx(q[0], q[0])
+    with pytest.raises(CircuitError, match="gate parameters must be finite"):
+        Gate.phase(float("inf"), q[0])
+
+
+_OPERANDS = ("q[0]", "q[1]", "q[2]", "q[3]", "r[0]", " q[1] ", "q[", "q[01]", "_q[0]", "",
+             "q[" + "1" * 5000 + "]")
+_PARAMS = ("pi", "-pi/2", "0.25", "1e999", "nan", "0/0", "2**3", "(pi", "pi*", "x", "9" * 5000)
+_HEADS = ("h", "x", "cx", "ccx", "swap", "u1", "p", "cu1", "u2", "u3", "rx", "ry", "rxx",
+          "xrt_p2", "xrt_q9", "cxrt_m4", "measure", "qreg", "creg", "gate", "include", "frob")
+
+
+@st.composite
+def _statement(draw):
+    head = draw(st.sampled_from(_HEADS))
+    params = draw(st.lists(st.one_of(st.sampled_from(_PARAMS), st.floats().map(repr),
+                                     st.text("0123456789.epi+-*/() ", max_size=10)), max_size=3))
+    ops = draw(st.lists(st.sampled_from(_OPERANDS), max_size=4))
+    arrow = draw(st.sampled_from(("", " -> c[0]", " -> c[5]", " -> d[0]", " { h a; }", " }")))
+    head = f"{head}({','.join(params)})" if params else head
+    return f"{head} {','.join(ops)}{arrow}"
+
+
+@settings(max_examples=300, deadline=1000)
+@given(st.lists(_statement(), max_size=8), st.booleans())
+@example(["cx q[0],q[0]"], True)
+@example(["u1(1e999) q[0]"], True)
+def test_fuzz_near_valid_programs_parse_or_raise_qasm_error(statements, terminate):
+    text = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\ncreg c[2];\n" + ";\n".join(statements)
+    if terminate and statements:
+        text += ";"
+    try:
+        parse_qasm(text)
+    except QasmError:
+        pass
+
+
+@settings(max_examples=300, deadline=1000)
+@given(st.text(max_size=300))
+def test_fuzz_arbitrary_text_parses_or_raises_qasm_error(text):
+    for candidate in (text, "OPENQASM 2.0;\n" + text):
+        try:
+            parse_qasm(candidate)
+        except QasmError:
+            pass
+
+
+# -- round trip ---------------------------------------------------------------
+
+@pytest.mark.parametrize("backend", ["allsim", "superconducting-53", "ion-40"])
+def test_round_trip_equals_lowered_pattern_circuit(backend):
+    r = make_sequence((0, 1, 3, 2, 1, 2, 3, 0), 2)
+    q = make_sequence((2, 0, 3, 3, 0, 1, 0, 2), 2)
+    compiled, _ = compile_circuit(build_pattern_circuit(r, q), load_backend(backend))
+    back = parse_qasm(qasm_text(compiled))
+    assert back.gates == compiled.gates
+    assert [(g.name, g.size) for g in back.registers] == [
+        (g.name, g.size) for g in compiled.registers
+    ]
+    assert back.classical_bits == compiled.classical_bits

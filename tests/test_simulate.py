@@ -1,5 +1,7 @@
 """Simulation engines: bit propagation, dense statevector, sampling."""
 
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -268,3 +270,29 @@ def test_sample_requires_measurements():
     r = _reg(1)
     with pytest.raises(ValueError, match="no measurements"):
         sample(_circuit(1, [Gate.h(r[0])]), 10)
+
+
+def test_sample_leaves_no_reference_cycle():
+    # Mid-circuit measurements fork the state. Once sample returns, nothing
+    # may keep the forks' 2^n distributions alive until the cyclic GC runs.
+    r = _reg(2)
+    c = _circuit(
+        2,
+        [
+            Gate.h(r[0]),
+            Gate.cx(r[0], r[1]),
+            Gate.measure(r[0], 0),
+            Gate.x(r[1]),
+            Gate.h(r[0]),
+            Gate.measure(r[1], 1),
+            Gate.measure(r[0], 2),
+        ],
+    )
+    gc.collect()
+    gc.disable()
+    try:
+        counts = sample(c, 1000, seed=3)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert set(counts) == {(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)}
