@@ -247,7 +247,13 @@ class Circuit:
                 raise CircuitError("stage marks must be non-decreasing gate indices")
             last = idx
         starts = self._starts
+        # Gates are immutable and compiled circuits share one object among
+        # equal gates, so each distinct object is checked once.
+        checked = set()
         for g in self.gates:
+            if id(g) in checked:
+                continue
+            checked.add(id(g))
             for q in g.qubits():
                 s = starts.get(q.register)
                 if s is None or not 0 <= q.offset < s[1]:
@@ -288,12 +294,6 @@ class Circuit:
 
     def qubits(self, name: str) -> tuple[QubitRef, ...]:
         return self.register(name).refs()
-
-    def find_role(self, role: str) -> Register | None:
-        for r in self.registers:
-            if r.role == role:
-                return r
-        return None
 
     def append_stage(self, label: str, gates, classical_bits: int | None = None) -> Circuit:
         """Return a new circuit with `gates` appended under a new stage mark."""

@@ -270,20 +270,28 @@ def _ancilla_pool(circuit: Circuit, mcx_mode: str) -> tuple[Circuit, tuple]:
 
 def _cancel_x_pairs(gates: list[Gate]) -> list[Gate]:
     # Adjacent-per-qubit cancellation of bare X pairs, as produced by
-    # consecutive negative-control sandwiches sharing qubits.
+    # consecutive negative-control sandwiches sharing qubits. Qubits are
+    # keyed as (register, offset) pairs, worked out once per gate object.
     out: list = []
-    pending: dict[QubitRef, int] = {}
+    pending: dict[tuple[str, int], int] = {}
+    seen: dict[int, tuple] = {}
     for g in gates:
-        if g.kind == "x" and not g.controls and len(g.targets) == 1:
-            q = g.targets[0]
-            if q in pending:
-                out[pending.pop(q)] = None
+        entry = seen.get(id(g))
+        if entry is None:
+            keys = tuple([(q.register, q.offset) for q in g.qubits()])
+            bare = g.kind == "x" and not g.controls and len(g.targets) == 1
+            entry = seen[id(g)] = (keys[0] if bare else None, keys)
+        bare, keys = entry
+        if bare is not None:
+            if bare in pending:
+                out[pending.pop(bare)] = None
                 continue
-            pending[q] = len(out)
+            pending[bare] = len(out)
             out.append(g)
             continue
-        for q in g.qubits():
-            pending.pop(q, None)
+        if pending:
+            for q in keys:
+                pending.pop(q, None)
         out.append(g)
     return [g for g in out if g is not None]
 
@@ -298,11 +306,17 @@ def lower_to_native(circuit: Circuit, backend, mcx_mode: str = "ccnot_chain") ->
         raise LoweringError(f"mcx_mode must be one of {MCX_MODES}")
     native = set(backend.native_gates)
     circuit, pool = _ancilla_pool(circuit, mcx_mode)
+    # Equal gates lower to one shared expansion of immutable gates. Gate
+    # equality treats 0.0 == -0.0, so the key also holds each parameter's
+    # sign: p(0.0) and p(-0.0) must keep their own rendered angles.
+    memo: dict[tuple, list[Gate]] = {}
 
     def lower(g: Gate) -> list[Gate]:
-        if g.kind == "measure" or g.label in native:
-            return [g]
-        return _expand(g)
+        key = (g, tuple([math.copysign(1.0, a) for a in g.params]))
+        out = memo.get(key)
+        if out is None:
+            out = memo[key] = [g] if g.kind == "measure" or g.label in native else _expand(g)
+        return out
 
     def lower_all(gates) -> list[Gate]:
         out = []

@@ -100,14 +100,20 @@ def qasm_text(circuit: Circuit) -> str:
     creg = "c"
     while any(r.name == creg for r in circuit.registers):
         creg += "_"
-    body = [_statement(circuit, g, creg) for g in circuit.gates]
-
+    # Each distinct gate object is rendered once. The key is identity, not
+    # equality: equal gates may differ in the sign of a zero angle.
+    rendered: dict[int, str] = {}
     preludes = set()
+    body = []
     for g in circuit.gates:
-        if g.kind == "rootx":
-            preludes.add(("cxrt_" if g.controls else "xrt_") + _EXP_NAMES[g.exponent])
-        elif g.kind == "rxx":
-            preludes.add("rxx")
+        text = rendered.get(id(g))
+        if text is None:
+            text = rendered[id(g)] = _statement(circuit, g, creg)
+            if g.kind == "rootx":
+                preludes.add(("cxrt_" if g.controls else "xrt_") + _EXP_NAMES[g.exponent])
+            elif g.kind == "rxx":
+                preludes.add("rxx")
+        body.append(text)
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
     for name in sorted(preludes):
         if name == "rxx":
@@ -301,6 +307,8 @@ def parse_qasm(text: str) -> Circuit:
                     raise QasmError("malformed qreg declaration")
                 if dm.group(1) in qreg_sizes:
                     raise QasmError(f"qreg {dm.group(1)!r} declared twice")
+                if dm.group(1) in creg_names:
+                    raise QasmError(f"qreg {dm.group(1)!r} reuses the name of a creg")
                 registers.append(Register(dm.group(1), int(dm.group(2))))
                 qreg_sizes[dm.group(1)] = registers[-1].size
                 continue
@@ -308,6 +316,10 @@ def parse_qasm(text: str) -> Circuit:
                 dm = _OPERAND.fullmatch(st[4:].strip())
                 if not dm:
                     raise QasmError("malformed creg declaration")
+                if dm.group(1) in creg_names:
+                    raise QasmError(f"creg {dm.group(1)!r} declared twice")
+                if dm.group(1) in qreg_sizes:
+                    raise QasmError(f"creg {dm.group(1)!r} reuses the name of a qreg")
                 creg_base[dm.group(1)] = classical_bits
                 creg_names[dm.group(1)] = int(dm.group(2))
                 classical_bits += int(dm.group(2))
@@ -369,6 +381,7 @@ def parse_qasm(text: str) -> Circuit:
     except ValueError as exc:  # QasmError, CircuitError, or an over-long integer
         raise QasmError(f"{exc} in statement {st!r}") from exc
 
+    del statements, built  # the statement texts and the circuit need not peak together
     return Circuit(tuple(registers), tuple(gates), classical_bits)
 
 

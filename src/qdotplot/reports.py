@@ -9,10 +9,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 from .backends import BackendModel
-from .circuit import Circuit, depth, gate_counts, stage_depths, width
+from .circuit import Circuit, _gate_wires, gate_counts, stage_depths
 from .decompose import lower_to_native
 from .encoder import build_encoder_circuit
 from .errors import ConfigError
@@ -62,6 +63,63 @@ def width_bounds(n: int, d: int) -> tuple[int, int]:
     return (2 * n + 2 * d + 1, 3 * n + 2 * d - 1)
 
 
+def _measure(circuit: Circuit) -> tuple[int, int, dict[str, int], dict[str, int]]:
+    """width, depth, stage_depths and gate_counts of a circuit in one walk.
+
+    The four public functions in `circuit` stay the reference for these
+    numbers. Compiled circuits share one object among equal gates, so the
+    wires (and classical bit) of each distinct gate object are resolved
+    once, and the walk itself only updates levels.
+    """
+    n = circuit.n_qubits
+    starts = circuit._starts
+    gates = circuit.gates
+    distinct = dict(zip(map(id, gates), gates))
+    keys_of: dict[int, tuple[int, ...]] = {}
+    touched: set[int] = set()
+    for i, g in distinct.items():
+        wires = _gate_wires(circuit, starts, g)
+        touched.update(wires)
+        if g.kind == "measure":
+            wires.append(n + g.classical_bit)
+        keys_of[i] = tuple(wires)
+    counts: dict[str, int] = {}
+    for i, uses in Counter(map(id, gates)).items():
+        label = distinct[i].label
+        counts[label] = counts.get(label, 0) + uses
+
+    merged: list[list] = []
+    for label, start, stop in circuit.stage_ranges():
+        if merged and merged[-1][0] == label and merged[-1][2] == start:
+            merged[-1][2] = stop
+        else:
+            merged.append([label, start, stop])
+    # A key's level is the layer of the last gate on it, so the depth is
+    # the largest level at the end. total spans the circuit, level one stage.
+    total = [0] * (n + circuit.classical_bits)
+    per_stage: dict[str, int] = {}
+    for label, start, stop in merged:
+        level = [0] * len(total)
+        for keys in map(keys_of.__getitem__, map(id, gates[start:stop])):
+            if len(keys) == 1:
+                k = keys[0]
+                level[k] += 1
+                total[k] += 1
+            elif len(keys) == 2:
+                a, b = keys
+                la, lb, ta, tb = level[a], level[b], total[a], total[b]
+                level[a] = level[b] = (la if la > lb else lb) + 1
+                total[a] = total[b] = (ta if ta > tb else tb) + 1
+            else:
+                here = 1 + max([level[k] for k in keys])
+                overall = 1 + max([total[k] for k in keys])
+                for k in keys:
+                    level[k] = here
+                    total[k] = overall
+        per_stage[label] = per_stage.get(label, 0) + max(level, default=0)
+    return len(touched), max(total, default=0), per_stage, counts
+
+
 def compile_circuit(
     circuit: Circuit,
     backend: BackendModel,
@@ -80,14 +138,14 @@ def compile_circuit(
             f"{backend.name!r} has {backend.qubit_count}"
         )
     compiled = lowered if backend.all_to_all else route(lowered, backend)
-    total = depth(compiled)
+    n_wires, total, per_stage, counts = _measure(compiled)
     return compiled, ResourceReport(
         backend_name=backend.name,
         mcx_mode=mcx_mode,
-        width=width(compiled),
+        width=n_wires,
         total_depth=total,
-        depth_per_stage=stage_depths(compiled),
-        gate_counts=gate_counts(compiled),
+        depth_per_stage=per_stage,
+        gate_counts=counts,
         estimated_runtime_seconds=estimated_runtime(total, backend.gate_time_seconds),
         final_layout=compiled.final_layout,
         dataset=dataset,

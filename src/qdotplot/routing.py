@@ -58,21 +58,32 @@ def route(circuit: Circuit, backend: BackendModel) -> Circuit:
         )
     adj = backend.adjacency()
     phys = Register("q", backend.qubit_count, "physical")
+    refs = phys.refs()
     l2p = list(range(n_logical))
     p2l: dict[int, int] = {p: l for l, p in enumerate(l2p)}
     swap_native = "swap" in backend.native_gates
 
     out: list[Gate] = []
+    # Memo tables local to this call. Lowering shares one object among equal
+    # gates, so the logical wires and the remapped gate are looked up per
+    # gate object (and the physical wires it lands on). The adjacency is
+    # fixed, so a path depends only on its ends.
+    wires_of: dict[int, list[int]] = {}
+    remapped: dict[tuple, Gate] = {}
+    swaps: dict[tuple[int, int], tuple[Gate, ...]] = {}
+    paths: dict[tuple[int, int], list[int]] = {}
 
     def emit_swap(a: int, b: int):
         # Also updates the placement: whatever logical qubits live at a and
         # b exchange homes. Unoccupied physical qubits swap silently too.
-        if swap_native:
-            out.append(Gate.swap(phys[a], phys[b]))
-        else:
-            out.append(Gate.cx(phys[a], phys[b]))
-            out.append(Gate.cx(phys[b], phys[a]))
-            out.append(Gate.cx(phys[a], phys[b]))
+        gates = swaps.get((a, b))
+        if gates is None:
+            if swap_native:
+                gates = (Gate.swap(refs[a], refs[b]),)
+            else:
+                gates = (Gate.cx(refs[a], refs[b]), Gate.cx(refs[b], refs[a]), Gate.cx(refs[a], refs[b]))
+            swaps[a, b] = gates
+        out.extend(gates)
         la, lb = p2l.get(a), p2l.get(b)
         if la is not None:
             l2p[la] = b
@@ -87,11 +98,11 @@ def route(circuit: Circuit, backend: BackendModel) -> Circuit:
         elif a in p2l:
             del p2l[a]
 
-    def remap(g: Gate) -> Gate:
-        targets = tuple(phys[l2p[circuit.wire(q)]] for q in g.targets)
-        controls = tuple(
-            Control(phys[l2p[circuit.wire(c.qubit)]], c.positive) for c in g.controls
-        )
+    def remap(g: Gate, placed: list[int]) -> Gate:
+        # placed holds the physical wires of g.qubits(): targets, then controls.
+        n = len(g.targets)
+        targets = tuple(refs[p] for p in placed[:n])
+        controls = tuple(Control(refs[p], c.positive) for p, c in zip(placed[n:], g.controls))
         return replace(g, targets=targets, controls=controls)
 
     marks = []
@@ -103,18 +114,27 @@ def route(circuit: Circuit, backend: BackendModel) -> Circuit:
             if circuit.stage_marks:
                 marks.append((len(out), next_range[0]))
             next_range = next(range_iter, None)
-        wires = [circuit.wire(q) for q in g.qubits()]
-        if len(wires) > 2:
-            raise LoweringError(
-                f"route needs gates on at most 2 qubits, got {g.label} on {len(wires)}"
-            )
+        wires = wires_of.get(id(g))
+        if wires is None:
+            wires = wires_of[id(g)] = [circuit.wire(q) for q in g.qubits()]
+            if len(wires) > 2:
+                raise LoweringError(
+                    f"route needs gates on at most 2 qubits, got {g.label} on {len(wires)}"
+                )
         if len(wires) == 2:
             pa, pb = l2p[wires[0]], l2p[wires[1]]
             if pb not in adj[pa]:
-                path = _bfs_path(adj, pa, pb)
+                path = paths.get((pa, pb))
+                if path is None:
+                    path = paths[pa, pb] = _bfs_path(adj, pa, pb)
                 for k in range(len(path) - 2):
                     emit_swap(path[k], path[k + 1])
-        out.append(remap(g))
+        placed = [l2p[w] for w in wires]
+        key = (id(g), *placed)
+        gate = remapped.get(key)
+        if gate is None:
+            gate = remapped[key] = remap(g, placed)
+        out.append(gate)
     while next_range is not None:
         if circuit.stage_marks:
             marks.append((len(out), next_range[0]))

@@ -265,7 +265,7 @@ def statevector_run(
     """
     n = circuit.n_qubits
     if n > max_qubits:
-        raise ValueError(f"{n} qubits exceeds the statevector cap of {max_qubits}")
+        raise ConfigError(f"{n} qubits exceeds the statevector cap of {max_qubits}")
     if not 0 <= initial < (1 << n):
         raise ValueError(f"initial state {initial} out of range for {n} qubits")
     psi = np.zeros(1 << n, dtype=complex)
@@ -285,7 +285,7 @@ def circuit_unitary(circuit: Circuit, max_qubits: int = 12) -> np.ndarray:
     """Dense unitary of a measurement-free circuit (oracle-sized circuits only)."""
     n = circuit.n_qubits
     if n > max_qubits:
-        raise ValueError(f"{n} qubits exceeds the unitary cap of {max_qubits}")
+        raise ConfigError(f"{n} qubits exceeds the unitary cap of {max_qubits}")
     if any(g.kind == "measure" for g in circuit.gates):
         raise ValueError("circuit with measurements has no unitary")
     mat = np.eye(1 << n, dtype=complex)
@@ -356,7 +356,7 @@ def sample(
             eng.apply(g)
         else:
             if len(leaves) >= max_branches:
-                raise ValueError("too many measurement branches to sample")
+                raise ConfigError(f"measurement branches exceed the sampling cap of {max_branches}")
             leaves.append((prob, classical, np.abs(psi) ** 2))
     del psi, eng  # the last 2^n state is not needed while drawing
 

@@ -197,6 +197,19 @@ def test_gate_level_rejections_are_qasm_errors_naming_the_statement():
         parse_qasm("OPENQASM 2.0;\nqreg q[1];\nh q[0]")
 
 
+def test_register_names_are_declared_once():
+    # A second creg of one name used to shift the first out of reach: bit 0
+    # of `c` could no longer be addressed.
+    with pytest.raises(QasmError, match=r"creg 'c' declared twice in statement 'creg c\[1\]'"):
+        parse_qasm("OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\ncreg c[1];\nmeasure q[0] -> c[0];\n")
+    with pytest.raises(QasmError, match=r"creg 'q' reuses the name of a qreg in statement 'creg q\[1\]'"):
+        parse_qasm("OPENQASM 2.0;\nqreg q[1];\ncreg q[1];\n")
+    with pytest.raises(QasmError, match=r"qreg 'c' reuses the name of a creg in statement 'qreg c\[1\]'"):
+        parse_qasm("OPENQASM 2.0;\ncreg c[1];\nqreg c[1];\n")
+    two = parse_qasm("OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\ncreg d[1];\nmeasure q[0] -> d[0];\n")
+    assert two.classical_bits == 2 and two.gates[0].classical_bit == 1
+
+
 def test_ir_still_raises_circuit_errors_directly():
     q = Register("q", 2)
     with pytest.raises(CircuitError, match="appears twice in one gate"):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import embed1q, equal_up_to_phase, mcx_matrix
 from qdotplot import (
     Circuit,
+    ConfigError,
     Control,
     Gate,
     Register,
@@ -162,6 +163,24 @@ def test_statevector_cap():
     # Configurable upward.
     psi, _ = statevector_run(c, max_qubits=25)
     assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-9
+
+
+def test_resource_limits_raise_config_error():
+    # ConfigError (exit 2 in the CLI) subclasses ValueError, so callers
+    # that catch ValueError still catch these.
+    wide = _circuit(25, [Gate.h(_reg(25)[0])])
+    with pytest.raises(ConfigError, match="^25 qubits exceeds the statevector cap of 24$"):
+        statevector_run(wide)
+    with pytest.raises(ConfigError, match="^13 qubits exceeds the unitary cap of 12$"):
+        circuit_unitary(_circuit(13, [Gate.h(_reg(13)[0])]))
+    r = _reg(2)
+    forked = Circuit((r,), classical_bits=2).append_stage("s", [
+        Gate.h(r[0]), Gate.measure(r[0], 0), Gate.h(r[1]), Gate.measure(r[1], 1), Gate.x(r[0]),
+    ])
+    assert sum(sample(forked, 100, max_branches=4).values()) == 100
+    with pytest.raises(ConfigError, match="^measurement branches exceed the sampling cap of 3$"):
+        sample(forked, 100, max_branches=3)
+    assert issubclass(ConfigError, ValueError)
 
 
 def test_unitary_cap_and_measure_rejection():
