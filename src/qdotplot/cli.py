@@ -4,12 +4,14 @@ Verbs mirror the pipeline stages: encode (sequence encoder only), build
 or its other name transpile (full pattern-recognition circuit, lowered and
 routed to a backend), estimate (resource report), simulate (sampled
 histogram of the unlowered circuit, so --mcx-mode does not change it),
-validate (both validation procedures), compare-modes (minimizer on/off
-comparison). --mcx-mode only picks how lowering decomposes
-multi-controlled X gates and how many ancillas it adds. Exit codes:
-0 success, 1 a requested validation failed, 2 configuration error or
-resource limit (circuit wider than the backend, statevector cap, shots
-below 1), 3 internal error.
+validate (build, then both validation procedures on the circuit the run
+built), compare-modes (minimizer on/off comparison). Each run builds its
+circuit once, and every verb that compiles shares one compile step.
+--mcx-mode only picks how lowering decomposes multi-controlled X gates and
+how many ancillas it adds. Exit codes: 0 success, 1 a requested validation
+failed, 2 configuration error or resource limit (circuit wider than the
+backend, a backend with no native path for a needed gate, statevector cap,
+shots below 1, a negative seed), 3 internal error.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from pathlib import Path
 import click
 
 from .backends import load_backend
+from .circuit import Circuit
 from .encoder import (
     build_encoder_circuit,
     build_pattern_circuit,
@@ -29,7 +32,7 @@ from .encoder import (
     k_index,
     layout_for,
 )
-from .errors import ConfigError
+from .errors import ConfigError, LoweringError
 from .qasm import emit_qasm
 from .reports import compile_circuit, compare_encodings, report_to_json, reports_to_csv
 from .sequences import (
@@ -93,32 +96,40 @@ def _outdir(config: RunConfig) -> Path:
     return p
 
 
+def _compile(config: RunConfig, circuit: Circuit, dataset: str):
+    """Lower, route and measure circuit on the configured backend, and write
+    report.json. Returns the compiled circuit, its report and the out dir."""
+    backend = load_backend(config.backend)
+    compiled, report = compile_circuit(circuit, backend, config.mcx_mode, dataset)
+    out = _outdir(config)
+    (out / "report.json").write_text(report_to_json(report) + "\n")
+    return compiled, report, out
+
+
 def run_pipeline(config: RunConfig, validate: bool = False) -> int:
     """ingest -> encode -> build -> lower/route -> estimate, artifacts on disk.
 
-    Returns the process exit code (0, or 1 when a requested validation
-    fails)."""
+    With validate, both validation procedures check the pattern circuit
+    that was just built and compiled. Returns the process exit code (0, or
+    1 when a requested validation fails)."""
     r, q, dataset = _load_pair(config)
-    backend = load_backend(config.backend)
     circuit = build_pattern_circuit(r, q, use_minimizer=config.use_minimizer)
-    compiled, report = compile_circuit(circuit, backend, config.mcx_mode, dataset)
-    out = _outdir(config)
+    compiled, report, out = _compile(config, circuit, dataset)
     emit_qasm(compiled, out / "qpr.qasm")
-    (out / "report.json").write_text(report_to_json(report) + "\n")
     (out / "report.csv").write_text(reports_to_csv([report]))
     status = 0
     if validate:
-        m1 = validate_exhaustive(r, q, config.mcx_mode, config.use_minimizer)
+        m1 = validate_exhaustive(r, q, config.mcx_mode, config.use_minimizer, circuit=circuit)
         (out / "validation_method1.json").write_text(m1.to_json() + "\n")
         m2 = validate_sampling(
-            r, q, shots=config.shots, seed=config.seed,
-            mcx_mode=config.mcx_mode, use_minimizer=config.use_minimizer,
+            r, q, shots=config.shots, seed=config.seed, mcx_mode=config.mcx_mode,
+            use_minimizer=config.use_minimizer, circuit=circuit,
         )
         (out / "validation_method2.json").write_text(m2.to_json() + "\n")
         if not (m1.passed and m2.passed):
             status = 1
     click.echo(
-        f"dataset={dataset} backend={backend.name} mcx_mode={config.mcx_mode} "
+        f"dataset={dataset} backend={report.backend_name} mcx_mode={config.mcx_mode} "
         f"width={report.width} total_depth={report.total_depth}"
         + (
             f" runtime_s={report.estimated_runtime_seconds:.6g}"
@@ -132,7 +143,8 @@ def run_pipeline(config: RunConfig, validate: bool = False) -> int:
 def _common(f):
     f = click.option("--out", "out_dir", default="qdp-out", show_default=True,
                      help="Output directory for artifacts.")(f)
-    f = click.option("--seed", default=DEFAULT_SEED, show_default=True, type=int)(f)
+    f = click.option("--seed", default=DEFAULT_SEED, show_default=True,
+                     type=click.IntRange(min=0))(f)
     f = click.option("--shots", default=100_000, show_default=True, type=int)(f)
     f = click.option("--no-minimize", "no_minimize", is_flag=True,
                      help="Skip cover minimization (brute-force encoder).")(f)
@@ -166,23 +178,21 @@ def _config(kwargs) -> RunConfig:
     )
 
 
-def _run(body) -> None:
-    try:
-        sys.exit(body())
-    except (ConfigError, click.ClickException):
-        raise
-    except Exception as exc:  # surfaced with stage attribution by message
-        click.echo(f"internal error: {exc}", err=True)
-        sys.exit(3)
-
-
 class _Cli(click.Group):
+    """The one error boundary: each verb returns its exit code."""
+
     def invoke(self, ctx):
         try:
-            return super().invoke(ctx)
-        except ConfigError as exc:
+            code = super().invoke(ctx)
+        except (click.ClickException, click.exceptions.Exit, click.Abort):
+            raise
+        except (ConfigError, LoweringError) as exc:
             click.echo(f"configuration error: {exc}", err=True)
             sys.exit(2)
+        except Exception as exc:  # surfaced with stage attribution by message
+            click.echo(f"internal error: {exc}", err=True)
+            sys.exit(3)
+        sys.exit(code)
 
 
 @click.group(cls=_Cli)
@@ -196,28 +206,20 @@ def main():
 def encode(**kwargs):
     """Sequence encoder circuit only (reference sequence)."""
     config = _config(kwargs)
-
-    def body():
-        r, _, dataset = _load_pair(config)
-        backend = load_backend(config.backend)
-        circuit = build_encoder_circuit(r, use_minimizer=config.use_minimizer)
-        compiled, report = compile_circuit(circuit, backend, config.mcx_mode, dataset)
-        out = _outdir(config)
-        emit_qasm(compiled, out / "encode.qasm")
-        (out / "report.json").write_text(report_to_json(report) + "\n")
-        click.echo(f"dataset={dataset} width={report.width} "
-                   f"neqr_depth={report.depth_per_stage.get('neqr', 0)}")
-        return 0
-
-    _run(body)
+    r, _, dataset = _load_pair(config)
+    circuit = build_encoder_circuit(r, use_minimizer=config.use_minimizer)
+    compiled, report, out = _compile(config, circuit, dataset)
+    emit_qasm(compiled, out / "encode.qasm")
+    click.echo(f"dataset={dataset} width={report.width} "
+               f"neqr_depth={report.depth_per_stage.get('neqr', 0)}")
+    return 0
 
 
 @main.command()
 @_common
 def build(**kwargs):
     """Full pattern-recognition circuit, lowered and routed to --backend."""
-    config = _config(kwargs)
-    _run(lambda: run_pipeline(config, validate=False))
+    return run_pipeline(_config(kwargs))
 
 
 @main.command()
@@ -225,19 +227,13 @@ def build(**kwargs):
 def estimate_cmd(**kwargs):
     """Resource report (width, stage depths, gate counts, runtime)."""
     config = _config(kwargs)
-
-    def body():
-        r, q, dataset = _load_pair(config)
-        backend = load_backend(config.backend)
-        circuit = build_pattern_circuit(r, q, use_minimizer=config.use_minimizer)
-        _, report = compile_circuit(circuit, backend, config.mcx_mode, dataset)
-        out = _outdir(config)
-        (out / "report.json").write_text(report_to_json(report) + "\n")
-        (out / "report.csv").write_text(reports_to_csv([report]))
-        click.echo(reports_to_csv([report]).rstrip())
-        return 0
-
-    _run(body)
+    r, q, dataset = _load_pair(config)
+    circuit = build_pattern_circuit(r, q, use_minimizer=config.use_minimizer)
+    _, report, out = _compile(config, circuit, dataset)
+    csv_text = reports_to_csv([report])
+    (out / "report.csv").write_text(csv_text)
+    click.echo(csv_text.rstrip())
+    return 0
 
 
 @main.command()
@@ -245,39 +241,34 @@ def estimate_cmd(**kwargs):
 def simulate(**kwargs):
     """Sample the pattern circuit and write the outcome histogram."""
     config = _config(kwargs)
-
-    def body():
-        r, q, dataset = _load_pair(config)
-        circuit = build_pattern_circuit(r, q, use_minimizer=config.use_minimizer)
-        layout = layout_for(r, q)
-        counts = sample(circuit, config.shots, seed=config.seed)
-        rows = []
-        for key in sorted(counts):
-            v, x, y = decode_outcome(key, layout)
-            rows.append({
-                "v": v, "x": x, "y": y,
-                "k": k_index(x, y, 1 << layout.w),
-                "count": counts[key],
-            })
-        rows.sort(key=lambda row: -row["count"])
-        out = _outdir(config)
-        (out / "histogram.json").write_text(json.dumps(
-            {"dataset": dataset, "shots": config.shots, "seed": config.seed,
-             "outcomes": rows}, indent=2) + "\n")
-        for row in rows[:10]:
-            click.echo(f"v={row['v']} k={row['k']:>4} (x={row['x']}, y={row['y']})"
-                       f"  count={row['count']}")
-        return 0
-
-    _run(body)
+    r, q, dataset = _load_pair(config)
+    circuit = build_pattern_circuit(r, q, use_minimizer=config.use_minimizer)
+    layout = layout_for(r, q)
+    counts = sample(circuit, config.shots, seed=config.seed)
+    rows = []
+    for key in sorted(counts):
+        v, x, y = decode_outcome(key, layout)
+        rows.append({
+            "v": v, "x": x, "y": y,
+            "k": k_index(x, y, 1 << layout.w),
+            "count": counts[key],
+        })
+    rows.sort(key=lambda row: -row["count"])
+    out = _outdir(config)
+    (out / "histogram.json").write_text(json.dumps(
+        {"dataset": dataset, "shots": config.shots, "seed": config.seed,
+         "outcomes": rows}, indent=2) + "\n")
+    for row in rows[:10]:
+        click.echo(f"v={row['v']} k={row['k']:>4} (x={row['x']}, y={row['y']})"
+                   f"  count={row['count']}")
+    return 0
 
 
 @main.command()
 @_common
 def validate(**kwargs):
     """Run both validation procedures; exit 1 on any failure."""
-    config = _config(kwargs)
-    _run(lambda: run_pipeline(config, validate=True))
+    return run_pipeline(_config(kwargs), validate=True)
 
 
 @main.command("compare-modes")
@@ -285,22 +276,18 @@ def validate(**kwargs):
 def compare_modes(**kwargs):
     """Compare the brute-force and minimized reference encoders."""
     config = _config(kwargs)
-
-    def body():
-        r, _, dataset = _load_pair(config)
-        backend = load_backend(config.backend)
-        cmp = compare_encodings(r, backend)
-        out = _outdir(config)
-        (out / "comparison.json").write_text(cmp.to_json() + "\n")
-        pct = "n/a" if cmp.compression_percent is None else f"{cmp.compression_percent:.2f}%"
-        click.echo(f"dataset={dataset}")
-        click.echo(f"encoder gates: brute={cmp.brute_mcx} minimized={cmp.minimized_mcx} "
-                   f"compression={pct}")
-        click.echo(f"chain CCNOTs: brute={cmp.brute_ccnot} minimized={cmp.minimized_ccnot}")
-        click.echo(f"neqr depth:   brute={cmp.brute_depth} minimized={cmp.minimized_depth}")
-        return 0
-
-    _run(body)
+    r, _, dataset = _load_pair(config)
+    backend = load_backend(config.backend)
+    cmp = compare_encodings(r, backend)
+    out = _outdir(config)
+    (out / "comparison.json").write_text(cmp.to_json() + "\n")
+    pct = "n/a" if cmp.compression_percent is None else f"{cmp.compression_percent:.2f}%"
+    click.echo(f"dataset={dataset}")
+    click.echo(f"encoder gates: brute={cmp.brute_mcx} minimized={cmp.minimized_mcx} "
+               f"compression={pct}")
+    click.echo(f"chain CCNOTs: brute={cmp.brute_ccnot} minimized={cmp.minimized_ccnot}")
+    click.echo(f"neqr depth:   brute={cmp.brute_depth} minimized={cmp.minimized_depth}")
+    return 0
 
 
 main.add_command(estimate_cmd, name="estimate")

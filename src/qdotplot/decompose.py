@@ -240,17 +240,18 @@ def u3_ion_network(theta, phi, lam, target) -> list[Gate]:
     ]
 
 
-def _ancilla_pool(circuit: Circuit, mcx_mode: str) -> tuple[Circuit, tuple]:
+def _ancilla_pool(circuit: Circuit, mcx_mode: str) -> tuple[tuple[Register, ...], tuple]:
+    """The circuit's registers, widened by the ancillas mcx_mode needs, and the ancilla pool."""
     biggest = max((len(g.controls) for g in circuit.gates if g.kind == "x"), default=0)
     if biggest < 3:
-        return circuit, ()
+        return circuit.registers, ()
     need = biggest - 2 if mcx_mode == "ccnot_chain" else 1
     pool = []
     for reg in circuit.registers:
         if reg.role == "ancilla":
             pool.extend(reg.refs())
     if len(pool) >= need:
-        return circuit, tuple(pool)
+        return circuit.registers, tuple(pool)
     taken = {r.name for r in circuit.registers}
     name = "anc"
     k = 0
@@ -258,14 +259,7 @@ def _ancilla_pool(circuit: Circuit, mcx_mode: str) -> tuple[Circuit, tuple]:
         k += 1
         name = f"anc{k}"
     extra = Register(name, need - len(pool), "ancilla")
-    widened = Circuit(
-        circuit.registers + (extra,),
-        circuit.gates,
-        circuit.classical_bits,
-        circuit.stage_marks,
-        circuit.final_layout,
-    )
-    return widened, tuple(pool) + extra.refs()
+    return circuit.registers + (extra,), tuple(pool) + extra.refs()
 
 
 def _cancel_x_pairs(gates: list[Gate]) -> list[Gate]:
@@ -305,7 +299,7 @@ def lower_to_native(circuit: Circuit, backend, mcx_mode: str = "ccnot_chain") ->
     if mcx_mode not in MCX_MODES:
         raise LoweringError(f"mcx_mode must be one of {MCX_MODES}")
     native = set(backend.native_gates)
-    circuit, pool = _ancilla_pool(circuit, mcx_mode)
+    registers, pool = _ancilla_pool(circuit, mcx_mode)
     # Equal gates lower to one shared expansion of immutable gates. Gate
     # equality treats 0.0 == -0.0, so the key also holds each parameter's
     # sign: p(0.0) and p(-0.0) must keep their own rendered angles.
@@ -336,7 +330,7 @@ def lower_to_native(circuit: Circuit, backend, mcx_mode: str = "ccnot_chain") ->
             if c == 1:
                 if {"rx", "ry", "rxx"} <= native:
                     return lower_all(cx_ion_network(g.controls[0].qubit, g.targets[0]))
-                raise LoweringError("no native path for cx on this backend")
+                raise LoweringError(f"no native path for cx on backend {backend.name!r}")
             if c == 2:
                 return lower_all(ccx_network(g.controls[0].qubit, g.controls[1].qubit, g.targets[0]))
             if mcx_mode == "ccnot_chain":
@@ -364,29 +358,23 @@ def lower_to_native(circuit: Circuit, backend, mcx_mode: str = "ccnot_chain") ->
         if kind == "u3":
             if {"rx", "ry"} <= native:
                 return lower_all(u3_ion_network(*g.params, g.targets[0]))
-            raise LoweringError("no native path for u3 on this backend")
+            raise LoweringError(f"no native path for u3 on backend {backend.name!r}")
         if kind == "rx":
             if "u3" in native:
                 return lower_all([Gate.u3(g.params[0], -math.pi / 2, math.pi / 2, g.targets[0])])
-            raise LoweringError("no native path for rx on this backend")
+            raise LoweringError(f"no native path for rx on backend {backend.name!r}")
         if kind == "ry":
             if "u3" in native:
                 return lower_all([Gate.u3(g.params[0], 0.0, 0.0, g.targets[0])])
-            raise LoweringError("no native path for ry on this backend")
+            raise LoweringError(f"no native path for ry on backend {backend.name!r}")
         if kind == "rxx":
             return lower_all(rxx_network(g.params[0], *g.targets))
         raise LoweringError(f"cannot lower {g.label}")
 
-    ranges = circuit.stage_ranges()
-    if circuit.stage_marks:
-        marks = []
-        out: list[Gate] = []
-        for label, start, stop in ranges:
-            chunk = _cancel_x_pairs(lower_all(circuit.gates[start:stop]))
-            marks.append((len(out), label))
-            out.extend(chunk)
-        new_marks = tuple(marks)
-    else:
-        out = _cancel_x_pairs(lower_all(circuit.gates))
-        new_marks = ()
-    return Circuit(circuit.registers, tuple(out), circuit.classical_bits, new_marks, circuit.final_layout)
+    marks = []
+    out: list[Gate] = []
+    for label, start, stop in circuit.stage_ranges():
+        marks.append((len(out), label))
+        out.extend(_cancel_x_pairs(lower_all(circuit.gates[start:stop])))
+    new_marks = tuple(marks) if circuit.stage_marks else ()
+    return Circuit(registers, tuple(out), circuit.classical_bits, new_marks, circuit.final_layout)

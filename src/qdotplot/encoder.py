@@ -4,7 +4,7 @@ Register layout, in declaration order: |x> (reference index, w qubits),
 |dr> (reference data, d), |y> (query index, h), |dq> (query data, d),
 |v> (match value, 1). No register is declared for ancillas: lowering
 (decompose.lower_to_native) adds the ones its MCX mode needs. The stages
-are marked "init" (Hadamards or pinned-index X gates), "neqr" (one
+are marked "init" (Hadamards on both index registers), "neqr" (one
 index-controlled encoder per sequence), "dotplot" (d CNOTs computing
 dr XOR dq into dq, then one zero-controlled mark onto v), and "qft"
 (inverse Fourier transform over (y, x) with x as the low-order bits, so a
@@ -49,25 +49,12 @@ def layout_for(r: SymbolSequence, q: SymbolSequence) -> DotplotLayout:
     return DotplotLayout(r.index_bits, q.index_bits, r.d)
 
 
-def init_registers(layout: DotplotLayout, pinned: tuple[int, int] | None = None) -> Circuit:
-    """Declare registers and the init stage.
-
-    Default init puts both index registers in uniform superposition. With
-    pinned=(x_value, y_value) the stage instead prepares that one basis
-    index with X gates, which keeps the circuit Toffoli-simulable.
-    """
+def init_registers(layout: DotplotLayout) -> Circuit:
+    """Declare registers and the init stage, which puts both index registers
+    in uniform superposition."""
     circuit = Circuit(layout.registers())
-    x, y = circuit.register("x"), circuit.register("y")
-    gates = []
-    if pinned is None:
-        gates += [Gate.h(q) for q in x.refs()]
-        gates += [Gate.h(q) for q in y.refs()]
-    else:
-        xv, yv = pinned
-        if not 0 <= xv < (1 << layout.w) or not 0 <= yv < (1 << layout.h):
-            raise ValueError(f"pinned index {pinned} out of range")
-        gates += [Gate.x(x[k]) for k in range(layout.w) if (xv >> k) & 1]
-        gates += [Gate.x(y[k]) for k in range(layout.h) if (yv >> k) & 1]
+    gates = [Gate.h(q) for q in circuit.register("x").refs()]
+    gates += [Gate.h(q) for q in circuit.register("y").refs()]
     return circuit.append_stage("init", gates)
 
 
@@ -76,16 +63,14 @@ def encode_sequence(
     seq: SymbolSequence,
     index_reg: str,
     data_reg: str,
-    use_minimizer: bool = True,
-    table: PlaTable | None = None,
+    table: PlaTable,
 ) -> Circuit:
     """Append the index-controlled value encoder for one sequence.
 
     The data register must still be in |0..0>; every element's code is
     written by multi-controlled X gates keyed on the index register, one
-    gate per (cube, set data bit) after optional cover minimization. A
-    caller that already holds the sequence's table (minimized or not, as it
-    chose) passes it as table, and use_minimizer is then not consulted.
+    gate per (cube, set data bit) of table, the sequence's index -> code
+    table (see sequence_table).
     """
     index = circuit.register(index_reg)
     data = circuit.register(data_reg)
@@ -96,8 +81,6 @@ def encode_sequence(
         )
     if data.size != seq.d:
         raise ValueError(f"register {data_reg!r} holds {data.size} bits but d={seq.d}")
-    if table is None:
-        table = sequence_table(seq, use_minimizer)
     gates = []
     for desc in cubes_to_mcx(table):
         target = data[desc.output_bit]
@@ -134,43 +117,29 @@ def build_dotplot_circuit(
     q: SymbolSequence,
     *,
     use_minimizer: bool = True,
-    pinned: tuple[int, int] | None = None,
 ) -> Circuit:
     """Full match oracle: init, both encoders, XOR, mark. No measurements.
 
     After it runs, v = 1 exactly on index pairs (x, y) with S_R[x] = S_Q[y].
     A self pair (equal codes) shares one table between both encoders.
     """
-    c = init_registers(layout_for(r, q), pinned=pinned)
+    c = init_registers(layout_for(r, q))
     r_table = sequence_table(r, use_minimizer)
     q_table = r_table if q.codes == r.codes else sequence_table(q, use_minimizer)
-    c = encode_sequence(c, r, "x", "dr", table=r_table)
-    c = encode_sequence(c, q, "y", "dq", table=q_table)
+    c = encode_sequence(c, r, "x", "dr", r_table)
+    c = encode_sequence(c, q, "y", "dq", q_table)
     c = quantum_xor(c)
     c = mark_matches(c)
     return c
 
 
-def build_encoder_circuit(
-    seq: SymbolSequence,
-    *,
-    use_minimizer: bool = True,
-    pinned: int | None = None,
-) -> Circuit:
+def build_encoder_circuit(seq: SymbolSequence, *, use_minimizer: bool = True) -> Circuit:
     """Standalone encoder for one sequence: index register, data register,
     init stage, one neqr stage. Used for encoder-only inspection and
     minimizer comparisons."""
-    n = seq.index_bits
-    circuit = Circuit((Register("x", n, "index"), Register("dr", seq.d, "data")))
-    x = circuit.register("x")
-    if pinned is None:
-        init = [Gate.h(q) for q in x.refs()]
-    else:
-        if not 0 <= pinned < (1 << n):
-            raise ValueError(f"pinned index {pinned} out of range")
-        init = [Gate.x(x[k]) for k in range(n) if (pinned >> k) & 1]
-    circuit = circuit.append_stage("init", init)
-    return encode_sequence(circuit, seq, "x", "dr", use_minimizer)
+    circuit = Circuit((Register("x", seq.index_bits, "index"), Register("dr", seq.d, "data")))
+    circuit = circuit.append_stage("init", [Gate.h(q) for q in circuit.register("x").refs()])
+    return encode_sequence(circuit, seq, "x", "dr", sequence_table(seq, use_minimizer))
 
 
 def _inverse_qft_gates(qubits) -> list[Gate]:

@@ -23,6 +23,11 @@ def _is_pow2(n: int) -> bool:
     return n > 0 and n & (n - 1) == 0
 
 
+def _padded_length(n: int) -> int:
+    # the next power of two, at least 2: an index register has >= 1 qubit
+    return max(2, 1 << (n - 1).bit_length())
+
+
 def _bits_for(n_codes: int) -> int:
     # d = ceil(log2(alphabet size)), floor 1
     return max(1, (n_codes - 1).bit_length())
@@ -32,8 +37,8 @@ def _bits_for(n_codes: int) -> int:
 class SymbolSequence:
     """A coded sequence. codes are ints < 2^d; alphabet maps symbol -> code.
 
-    padded_length is just len(codes); it equals 2^ceil(log2(original_length))
-    once pad_pair has run. pad_code is None when no padding was added.
+    padded_length is just len(codes); it equals 2^ceil(log2(original_length)),
+    at least 2, once pad_pair has run. pad_code is None when no padding was added.
     """
 
     codes: tuple[int, ...]
@@ -103,11 +108,12 @@ def pad_pair(r: SymbolSequence, q: SymbolSequence) -> tuple[SymbolSequence, Symb
     The two pad codes differ from each other and appear in neither original
     sequence, so no padded position ever matches a real element or the other
     pad. d grows identically on both sides to cover the larger pad code; a
-    sequence already at a power of two gets no pad symbol.
+    sequence already at a power of two gets no pad symbol, except that a
+    one-symbol sequence pads to two, the least one index qubit addresses.
     """
     used = set(r.codes) | set(q.codes)
-    need_r = not _is_pow2(len(r.codes))
-    need_q = not _is_pow2(len(q.codes))
+    need_r = len(r.codes) != _padded_length(len(r.codes))
+    need_q = len(q.codes) != _padded_length(len(q.codes))
     fresh = (c for c in range(max(used) + 3) if c not in used)
     pad_r = next(fresh) if need_r else None
     pad_q = next(fresh) if need_q else None
@@ -119,10 +125,9 @@ def pad_pair(r: SymbolSequence, q: SymbolSequence) -> tuple[SymbolSequence, Symb
     def _pad(seq: SymbolSequence, pad_code: int | None) -> SymbolSequence:
         if pad_code is None:
             return replace(seq, d=d)
-        target = 1 << (len(seq.codes) - 1).bit_length()
         return replace(
             seq,
-            codes=seq.codes + (pad_code,) * (target - len(seq.codes)),
+            codes=seq.codes + (pad_code,) * (_padded_length(len(seq.codes)) - len(seq.codes)),
             d=d,
             pad_code=pad_code,
         )

@@ -1,16 +1,21 @@
 """Classical dot-plot oracle and the two circuit validation procedures.
 
-Method 1 (exhaustive): pin the index registers to every (x, y) basis pair,
-propagate bits through the match oracle, and compare v against the
-classical plot. In chain mode the circuit is first lowered to
-{x, cx, ccx}, so the Toffoli decomposition itself is under test; the
-single-ancilla lowering produces root-of-X gates a bit-propagation engine
-cannot run, so that mode is checked at the multi-controlled gate level
-(its decomposition is covered by the dense-matrix oracles).
+Both procedures take as the oracle every gate of a given circuit before its
+first measurement: the pattern circuit that a CLI run built and compiled,
+or, when no circuit is given, a fresh build_dotplot_circuit.
 
-Method 2 (sampling): run the full superposed circuit, measure v and both
-index registers, assert every sampled (x, y, v) agrees with the classical
-plot, and chi-square test the (x, y) marginal for uniformity. The sampled
+Method 1 (exhaustive): drop the oracle's init stage, supply every (x, y)
+basis pair as an input, propagate bits through the match oracle, and
+compare v against the classical plot. In chain mode the oracle is first
+lowered to {x, cx, ccx}, so the Toffoli decomposition itself is under
+test; the single-ancilla lowering produces root-of-X gates a
+bit-propagation engine cannot run, so that mode is checked at the
+multi-controlled gate level (its decomposition is covered by the
+dense-matrix oracles).
+
+Method 2 (sampling): run the superposed oracle, measure v and both index
+registers, assert every sampled (x, y, v) agrees with the classical plot,
+and chi-square test the (x, y) marginal for uniformity. The sampled
 circuit is not lowered, so it holds no ancillas and mcx_mode only labels
 the report.
 """
@@ -67,6 +72,16 @@ def _check_mode(mcx_mode: str) -> None:
         raise ValueError(f"mcx_mode must be one of {MCX_MODES}")
 
 
+def _oracle(circuit: Circuit, skip: str | None = None) -> Circuit:
+    """The gates before circuit's first measurement, minus the stages labelled skip."""
+    stop = next((i for i, g in enumerate(circuit.gates) if g.kind == "measure"), len(circuit.gates))
+    oracle = Circuit(circuit.registers)
+    for label, start, end in circuit.stage_ranges():
+        if label != skip and start < stop:
+            oracle = oracle.append_stage(label, circuit.gates[start:min(end, stop)])
+    return oracle
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     method: str
@@ -92,16 +107,16 @@ def validate_exhaustive(
 ) -> ValidationReport:
     """Method 1: bit-exact check of every index pair against the oracle.
 
-    The circuit is built once with both index registers pinned to zero (so
-    the init stage is empty) and each (x, y) pair is supplied as the input
-    basis state of a batched bit-propagation run.
+    Each (x, y) pair is the input basis state of one batched
+    bit-propagation run of the oracle without its init stage.
     """
     _check_mode(mcx_mode)
     plot = classical_dotplot(r, q)
     if circuit is None:
-        circuit = build_dotplot_circuit(r, q, use_minimizer=use_minimizer, pinned=(0, 0))
-        if mcx_mode == "ccnot_chain":
-            circuit = lower_to_native(circuit, TOFFOLI_BACKEND, mcx_mode)
+        circuit = build_dotplot_circuit(r, q, use_minimizer=use_minimizer)
+    circuit = _oracle(circuit, skip="init")
+    if mcx_mode == "ccnot_chain":
+        circuit = lower_to_native(circuit, TOFFOLI_BACKEND, mcx_mode)
     wf, hf = plot.width, plot.height
     x0 = circuit.wire(circuit.register("x")[0])
     y0 = circuit.wire(circuit.register("y")[0])
@@ -153,7 +168,8 @@ def validate_sampling(
     layout = layout_for(r, q)
     if circuit is None:
         circuit = build_dotplot_circuit(r, q, use_minimizer=use_minimizer)
-        circuit = circuit.append_stage("readout", readout_gates(circuit, layout))
+    circuit = _oracle(circuit)
+    circuit = circuit.append_stage("readout", readout_gates(circuit, layout))
     counts = sample(circuit, shots, seed=seed)
     wf, hf = plot.width, plot.height
     cells = np.zeros((hf, wf), dtype=np.int64)

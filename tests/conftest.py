@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qdotplot import SymbolSequence
+from qdotplot import Circuit, SymbolSequence
 
 # -- dense reference operators -----------------------------------------------
 
@@ -124,6 +124,16 @@ def make_sequence(codes, d: int | None = None) -> SymbolSequence:
     if d is None:
         d = max(1, max(codes).bit_length())
     return SymbolSequence(codes, d, len(codes))
+
+
+def drop_stage(circuit: Circuit, label: str) -> Circuit:
+    """circuit without the gates of its stages named label; dropping "init"
+    leaves the index registers free to take basis inputs directly."""
+    out = Circuit(circuit.registers)
+    for name, start, stop in circuit.stage_ranges():
+        if name != label:
+            out = out.append_stage(name, circuit.gates[start:stop])
+    return out
 
 
 def random_codes(rng: np.random.Generator, length: int, d: int) -> tuple[int, ...]:

@@ -7,7 +7,7 @@ import random
 import pytest
 from click.testing import CliRunner
 
-from qdotplot import cli
+from qdotplot import Circuit, cli
 from qdotplot.cli import main
 
 
@@ -192,6 +192,83 @@ def test_simulate_zero_shots_exits_two(runner, seqdir):
     result = runner.invoke(main, _args(seqdir, "simulate", "--shots", "0"))
     assert result.exit_code == 2
     assert "shots must be >= 1" in result.output
+
+
+@pytest.mark.parametrize("verb", ["simulate", "validate"])
+def test_negative_seed_exits_two(runner, seqdir, verb):
+    result = runner.invoke(main, _args(seqdir, verb, "--shots", "100", "--seed", "-1"))
+    assert result.exit_code == 2
+    assert "Invalid value for '--seed': -1 is not in the range x>=0" in result.output
+    assert "internal error" not in result.output
+
+
+def test_backend_without_native_path_exits_two(runner, seqdir):
+    u3only = seqdir / "u3only.json"
+    u3only.write_text(json.dumps({"name": "u3only", "qubit_count": 40,
+                                  "native_gates": ["u3"]}))
+    result = runner.invoke(main, _args(seqdir, "build", "--backend", str(u3only)))
+    assert result.exit_code == 2
+    assert "configuration error: no native path for cx on backend 'u3only'" in result.output
+
+
+def test_one_symbol_sequences_pad_to_two(runner, tmp_path):
+    (tmp_path / "one.txt").write_text("A\n")
+    (tmp_path / "ref.txt").write_text("ACGTTGCA\n")
+    for ref in ("one.txt", "ref.txt"):
+        out = tmp_path / f"out-{ref}"
+        result = runner.invoke(main, [
+            "validate", "--reference", str(tmp_path / ref), "--query",
+            str(tmp_path / "one.txt"), "--shots", "2000", "--out", str(out),
+        ])
+        assert result.exit_code == 0, result.output
+        m1 = json.loads((out / "validation_method1.json").read_text())
+        assert m1["passed"] is True
+        assert m1["details"]["plot_shape"] == [2 if ref == "one.txt" else 8, 2]
+
+
+def _without_mark(build):
+    # The pattern circuit minus its zero-controlled mark onto v, the last
+    # gate before the first measurement: v then never flips.
+    def broken(*args, **kwargs):
+        good = build(*args, **kwargs)
+        mark = next(i for i, g in enumerate(good.gates) if g.kind == "measure") - 1
+        return Circuit(
+            registers=good.registers,
+            gates=good.gates[:mark] + good.gates[mark + 1:],
+            classical_bits=good.classical_bits,
+            stage_marks=tuple((i - (i > mark), l) for i, l in good.stage_marks),
+        )
+
+    return broken
+
+
+@pytest.mark.parametrize("mode", ["chain", "single-ancilla"])
+def test_validate_checks_the_circuit_the_run_built(runner, seqdir, monkeypatch, mode):
+    monkeypatch.setattr(cli, "build_pattern_circuit", _without_mark(cli.build_pattern_circuit))
+    result = runner.invoke(main, _args(seqdir, "validate", "--shots", "2000",
+                                       "--mcx-mode", mode))
+    assert result.exit_code == 1, result.output
+    m1 = json.loads((seqdir / "out" / "validation_method1.json").read_text())
+    m2 = json.loads((seqdir / "out" / "validation_method2.json").read_text())
+    assert not m1["passed"] and m1["mismatches"] > 0
+    assert not m2["passed"] and m2["mismatches"] > 0
+
+
+@pytest.mark.parametrize("mode", ["chain", "single-ancilla"])
+def test_validate_minimizes_once(runner, seqdir, monkeypatch, mode):
+    from qdotplot import d1merge, encoder
+
+    calls = []
+
+    def counting_d1merge(table):
+        calls.append(table)
+        return d1merge(table)
+
+    monkeypatch.setattr(encoder, "d1merge", counting_d1merge)
+    result = runner.invoke(main, _args(seqdir, "validate", "--shots", "2000",
+                                       "--mcx-mode", mode, query=False))
+    assert result.exit_code == 0, result.output
+    assert len(calls) == 1
 
 
 def test_internal_error_exits_three(runner, seqdir, monkeypatch):

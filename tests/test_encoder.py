@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import brute_dot_plot, dft_matrix, make_sequence, random_codes
+from conftest import brute_dot_plot, dft_matrix, drop_stage, make_sequence, random_codes
 from qdotplot import (
     MCX_MODES,
     BackendModel,
@@ -86,12 +86,12 @@ def test_builders_take_no_positional_mode():
 
 @pytest.mark.parametrize("use_minimizer", [False, True])
 def test_encoder_reproduces_every_element(use_minimizer):
-    # Pin each index on the input side and read the data register back.
+    # Supply each index on the input side and read the data register back.
     rng = np.random.default_rng(17)
     for length in (4, 8, 32, 256):
         codes = random_codes(rng, length, 2)
         seq = make_sequence(codes)
-        c = build_encoder_circuit(seq, use_minimizer=use_minimizer, pinned=0)
+        c = drop_stage(build_encoder_circuit(seq, use_minimizer=use_minimizer), "init")
         lowered = lower_to_native(c, TOFFOLI_BACKEND, "ccnot_chain")
         x0 = lowered.wire(lowered.register("x")[0])
         d0 = lowered.wire(lowered.register("dr")[0])
@@ -118,7 +118,7 @@ def test_dotplot_pinned_matches_classical():
     r = make_sequence(random_codes(rng, 8, 2))
     q = make_sequence(random_codes(rng, 4, 2))
     plot = brute_dot_plot(r.codes, q.codes)
-    c = build_dotplot_circuit(r, q, pinned=(0, 0))
+    c = drop_stage(build_dotplot_circuit(r, q), "init")
     lowered = lower_to_native(c, TOFFOLI_BACKEND, "ccnot_chain")
     x0 = lowered.wire(lowered.register("x")[0])
     y0 = lowered.wire(lowered.register("y")[0])
@@ -150,11 +150,6 @@ def test_init_stage_h_or_pinned_x():
     layout = layout_for(SEQ8, SEQ8)
     free = init_registers(layout)
     assert gate_counts(free) == {"h": 6}
-    pinned = init_registers(layout, pinned=(5, 2))
-    assert gate_counts(pinned).get("h", 0) == 0
-    assert gate_counts(pinned).get("x", 0) == bin(5).count("1") + bin(2).count("1")
-    empty = init_registers(layout, pinned=(0, 0))
-    assert len(empty.gates) == 0
 
 
 def test_dotplot_stage_costs():

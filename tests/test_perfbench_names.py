@@ -1,0 +1,22 @@
+"""The benchmark's trace pass wraps the package functions named in
+perfbench/worker.py's LAYERS table by name; each must still exist."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
+
+
+def test_every_traced_layer_name_resolves():
+    spec = importlib.util.spec_from_file_location("perfbench_worker", WORKER)
+    worker = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(worker)
+    missing = [
+        f"qdotplot.{mod_name}.{name}"
+        for groups in worker.LAYERS.values()
+        for mod_name, names in groups
+        for name in names
+        if not callable(getattr(importlib.import_module(f"qdotplot.{mod_name}"), name, None))
+    ]
+    assert not missing

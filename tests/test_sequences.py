@@ -75,6 +75,20 @@ def test_pad_pair_single_sided_padding_keeps_d_small():
     assert pr.d == pq.d == 3
 
 
+def test_pad_pair_pads_one_symbol_to_two():
+    # One index qubit addresses two elements, so a length-1 sequence pads.
+    a = map_alphabet("A", DNA_ALPHABET)
+    pr, pq = pad_pair(a, a)
+    assert pr.codes == (0, pr.pad_code) and pq.codes == (0, pq.pad_code)
+    assert len({0, pr.pad_code, pq.pad_code}) == 3
+    assert pr.index_bits == pq.index_bits == 1
+    r = map_alphabet("ACGTACGT", DNA_ALPHABET)
+    pr, pq = pad_pair(r, a)
+    assert pr.codes == r.codes and pr.pad_code is None
+    assert pq.codes == (0, pq.pad_code) and pq.pad_code not in r.codes
+    assert classical_dotplot(pr, pq).pixels[1].sum() == 0
+
+
 def test_padding_neutrality():
     # Inside the original window the plot is unchanged; outside it is zero.
     r = map_alphabet("GATTA", DNA_ALPHABET)

@@ -13,6 +13,7 @@ from qdotplot import (
     Gate,
     classical_dotplot,
     build_dotplot_circuit,
+    build_pattern_circuit,
     validate_exhaustive,
     validate_sampling,
 )
@@ -52,7 +53,7 @@ def test_exhaustive_passes_on_correct_circuit(mode, use_minimizer):
 
 def test_exhaustive_catches_mutations():
     # Drop the final mark gate: v never flips, every matching cell disagrees.
-    good = build_dotplot_circuit(R8, Q8, pinned=(0, 0))
+    good = build_dotplot_circuit(R8, Q8)
     broken = Circuit(
         registers=good.registers,
         gates=good.gates[:-1],
@@ -68,7 +69,7 @@ def test_exhaustive_catches_mutations():
 
 
 def test_exhaustive_catches_stray_flip():
-    good = build_dotplot_circuit(R8, Q8, pinned=(0, 0))
+    good = build_dotplot_circuit(R8, Q8)
     v = good.register("v")[0]
     broken = good.append_stage("sabotage", [Gate.x(v)])
     rep = validate_exhaustive(R8, Q8, "ccnot_chain", True, circuit=broken)
@@ -160,3 +161,16 @@ def test_unequal_sizes_validate():
     assert rep.passed and rep.checks == 64
     rep2 = validate_sampling(r, q, shots=30_000, seed=6)
     assert rep2.passed
+
+
+@pytest.mark.parametrize("mode", ["ccnot_chain", "single_ancilla"])
+@pytest.mark.parametrize("self_pair", [True, False])
+def test_validators_read_the_pattern_circuit(mode, self_pair):
+    # The CLI hands both validators the pattern circuit it compiled; they
+    # must reach the verdicts and numbers of their own build.
+    q = R8 if self_pair else make_sequence(random_codes(np.random.default_rng(3), 4, 2))
+    pattern = build_pattern_circuit(R8, q)
+    assert validate_exhaustive(R8, q, mode, circuit=pattern) == validate_exhaustive(R8, q, mode)
+    own = validate_sampling(R8, q, shots=3000, seed=2, mcx_mode=mode)
+    assert own.passed
+    assert validate_sampling(R8, q, shots=3000, seed=2, mcx_mode=mode, circuit=pattern) == own
