@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
 from .errors import CircuitError
 
@@ -229,6 +230,10 @@ class Circuit:
     stage_marks is a list of (gate_index, label) pairs; each mark opens a
     stage that runs until the next mark. final_layout is set by the router:
     final_layout[logical_wire] = physical_wire after all inserted swaps.
+
+    wires[i] is the tuple of wire indices of gates[i].qubits(), targets first,
+    resolved (and so checked) once on construction and read by every pass.
+    It is not a field: ==, hash and replace ignore it; replace resolves anew.
     """
 
     registers: tuple[Register, ...]
@@ -248,20 +253,27 @@ class Circuit:
             last = idx
         starts = self._starts
         # Gates are immutable and compiled circuits share one object among
-        # equal gates, so each distinct object is checked once.
-        checked = set()
+        # equal gates, so each distinct object is resolved (and so checked)
+        # once and its uses share one tuple. One loop calls id() once per
+        # gate: two map(id, ...) passes cost more than this loop.
+        resolved: dict[int, tuple[int, ...]] = {}
+        wires = []
         for g in self.gates:
-            if id(g) in checked:
-                continue
-            checked.add(id(g))
-            for q in g.qubits():
-                s = starts.get(q.register)
-                if s is None or not 0 <= q.offset < s[1]:
-                    self.wire(q)  # raises the CircuitError that names the bad reference
-            if g.kind == "measure" and g.classical_bit >= self.classical_bits:
-                raise CircuitError(
-                    f"measure writes bit {g.classical_bit} but circuit has {self.classical_bits}"
-                )
+            found = resolved.get(id(g))
+            if found is None:
+                found = []
+                for q in g.qubits():
+                    s = starts.get(q.register)
+                    if s is None or not 0 <= q.offset < s[1]:
+                        self.wire(q)  # raises the CircuitError that names the bad reference
+                    found.append(s[0] + q.offset)
+                found = resolved[id(g)] = tuple(found)
+                if g.kind == "measure" and g.classical_bit >= self.classical_bits:
+                    raise CircuitError(
+                        f"measure writes bit {g.classical_bit} but circuit has {self.classical_bits}"
+                    )
+            wires.append(found)
+        object.__setattr__(self, "wires", tuple(wires))
 
     @cached_property
     def _starts(self) -> dict[str, tuple[int, int]]:
@@ -325,24 +337,9 @@ class Circuit:
         return out
 
 
-def _gate_wires(circuit: Circuit, starts: dict[str, tuple[int, int]], g: Gate) -> list[int]:
-    """Wire indices of g's qubits, read from circuit._starts without a call per qubit."""
-    wires = []
-    for q in g.qubits():
-        s = starts.get(q.register)
-        if s is None or not 0 <= q.offset < s[1]:
-            circuit.wire(q)  # raises the CircuitError that names the bad reference
-        wires.append(s[0] + q.offset)
-    return wires
-
-
 def width(circuit: Circuit) -> int:
     """Number of qubits touched by at least one gate or measurement."""
-    starts = circuit._starts
-    touched = set()
-    for g in circuit.gates:
-        touched.update(_gate_wires(circuit, starts, g))
-    return len(touched)
+    return len(set(chain.from_iterable(circuit.wires)))
 
 
 def depth(circuit: Circuit, gate_range: tuple[int, int] | None = None) -> int:
@@ -352,13 +349,11 @@ def depth(circuit: Circuit, gate_range: tuple[int, int] | None = None) -> int:
     share a qubit wire or a classical bit.
     """
     start, stop = gate_range if gate_range is not None else (0, len(circuit.gates))
-    starts = circuit._starts
     level: dict[object, int] = {}
     longest = 0
-    for g in circuit.gates[start:stop]:
-        keys = _gate_wires(circuit, starts, g)
+    for g, keys in zip(circuit.gates[start:stop], circuit.wires[start:stop]):
         if g.kind == "measure":
-            keys.append(("c", g.classical_bit))
+            keys += (("c", g.classical_bit),)
         layer = 1 + max([level.get(k, 0) for k in keys])
         for k in keys:
             level[k] = layer

@@ -13,17 +13,18 @@ whitespace/comment freedom) and maps every statement back to the gate kind
 that produced it, so gate counts and depth survive a round trip unchanged.
 Every rejection is a QasmError that names the offending statement.
 
-A gate parameter is a number that float() reads whole (the emitter's repr
-form) or an angle expression, evaluated in double precision without eval:
+A gate parameter is a plain number (the emitter's repr form) or an angle
+expression, evaluated in double precision without eval:
 
     sum     := product (("+" | "-") product)*
     product := signed (("*" | "/") signed)*
     signed  := ("+" | "-")* atom
     atom    := NUMBER | "pi" | "(" sum ")"
 
-NUMBER is a decimal literal such as 3, 0.25, .5 or 1e-3. Anything else,
-such as "**", any other name, division by zero, or a result that is not
-finite (including "inf" and "nan"), raises "cannot evaluate angle".
+NUMBER is an ASCII decimal literal such as 3, 0.25, .5 or 1e-3, as are
+register sizes and offsets. Anything else, such as "**", "1_0", any other
+name, division by zero, or a result that is not finite (including "inf"
+and "nan"), raises "cannot evaluate angle".
 """
 
 from __future__ import annotations
@@ -137,9 +138,9 @@ def emit_qasm(circuit: Circuit, path) -> None:
 # -- parsing ------------------------------------------------------------------
 
 _DELIMITER = re.compile(r"[{};]")
-_HEAD = re.compile(r"(\w+)\s*")
-_OPERAND = re.compile(r"^(\w+)\[(\d+)\]$")
-_MEASURE = re.compile(r"(\S+)\s*->\s*(\w+)\[(\d+)\]")
+_HEAD = re.compile(r"(\w+)\s*", re.ASCII)
+_OPERAND = re.compile(r"^(\w+)\[(\d+)\]$", re.ASCII)
+_MEASURE = re.compile(r"(\S+)\s*->\s*(\w+)\[(\d+)\]", re.ASCII)
 _ANGLE_TOKEN = re.compile(
     r"\s*([0-9]+\.?[0-9]*(?:[eE][-+]?[0-9]+)?|\.[0-9]+(?:[eE][-+]?[0-9]+)?|pi|[-+*/()])"
 )
@@ -201,6 +202,8 @@ def _signed(tokens: list[str], i: int) -> tuple[float, int]:
 def _angle(text: str) -> float:
     """Evaluate one gate parameter (grammar in the module docstring)."""
     try:
+        if not text.isascii() or "_" in text:
+            raise ValueError("float() also reads '_' and non-ASCII digits")
         value = float(text)
     except ValueError:
         try:

@@ -13,7 +13,7 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 from .backends import BackendModel
-from .circuit import Circuit, _gate_wires, gate_counts, stage_depths
+from .circuit import Circuit, gate_counts, stage_depths
 from .decompose import lower_to_native
 from .encoder import build_encoder_circuit
 from .errors import ConfigError
@@ -68,21 +68,12 @@ def _measure(circuit: Circuit) -> tuple[int, int, dict[str, int], dict[str, int]
 
     The four public functions in `circuit` stay the reference for these
     numbers. Compiled circuits share one object among equal gates, so the
-    wires (and classical bit) of each distinct gate object are resolved
-    once, and the walk itself only updates levels.
+    label of each distinct gate object is read once. The walk reads each
+    gate's wires from circuit.wires and only updates levels.
     """
     n = circuit.n_qubits
-    starts = circuit._starts
     gates = circuit.gates
     distinct = dict(zip(map(id, gates), gates))
-    keys_of: dict[int, tuple[int, ...]] = {}
-    touched: set[int] = set()
-    for i, g in distinct.items():
-        wires = _gate_wires(circuit, starts, g)
-        touched.update(wires)
-        if g.kind == "measure":
-            wires.append(n + g.classical_bit)
-        keys_of[i] = tuple(wires)
     counts: dict[str, int] = {}
     for i, uses in Counter(map(id, gates)).items():
         label = distinct[i].label
@@ -94,14 +85,15 @@ def _measure(circuit: Circuit) -> tuple[int, int, dict[str, int], dict[str, int]
             merged[-1][2] = stop
         else:
             merged.append([label, start, stop])
-    # A key's level is the layer of the last gate on it, so the depth is
-    # the largest level at the end. total spans the circuit, level one stage.
+    # Keys are the wires, then classical bit b as key n + b. A key's level
+    # is the layer of the last gate on it, so the depth is the largest level
+    # at the end. total spans the circuit, level one stage.
     total = [0] * (n + circuit.classical_bits)
     per_stage: dict[str, int] = {}
     for label, start, stop in merged:
         level = [0] * len(total)
-        for keys in map(keys_of.__getitem__, map(id, gates[start:stop])):
-            if len(keys) == 1:
+        for g, keys in zip(gates[start:stop], circuit.wires[start:stop]):
+            if len(keys) == 1 and g.kind != "measure":
                 k = keys[0]
                 level[k] += 1
                 total[k] += 1
@@ -111,13 +103,16 @@ def _measure(circuit: Circuit) -> tuple[int, int, dict[str, int], dict[str, int]
                 level[a] = level[b] = (la if la > lb else lb) + 1
                 total[a] = total[b] = (ta if ta > tb else tb) + 1
             else:
+                if g.kind == "measure":
+                    keys += (n + g.classical_bit,)
                 here = 1 + max([level[k] for k in keys])
                 overall = 1 + max([total[k] for k in keys])
                 for k in keys:
                     level[k] = here
                     total[k] = overall
         per_stage[label] = per_stage.get(label, 0) + max(level, default=0)
-    return len(touched), max(total, default=0), per_stage, counts
+    # Each gate leaves the total level of its wires above 0.
+    return n - total[:n].count(0), max(total, default=0), per_stage, counts
 
 
 def compile_circuit(

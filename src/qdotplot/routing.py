@@ -65,10 +65,8 @@ def route(circuit: Circuit, backend: BackendModel) -> Circuit:
 
     out: list[Gate] = []
     # Memo tables local to this call. Lowering shares one object among equal
-    # gates, so the logical wires and the remapped gate are looked up per
-    # gate object (and the physical wires it lands on). The adjacency is
-    # fixed, so a path depends only on its ends.
-    wires_of: dict[int, list[int]] = {}
+    # gates, so the remapped gate is kept per (gate object, physical wires).
+    # The adjacency is fixed, so a path depends only on its ends.
     remapped: dict[tuple, Gate] = {}
     swaps: dict[tuple[int, int], tuple[Gate, ...]] = {}
     paths: dict[tuple[int, int], list[int]] = {}
@@ -106,44 +104,32 @@ def route(circuit: Circuit, backend: BackendModel) -> Circuit:
         return replace(g, targets=targets, controls=controls)
 
     marks = []
-    ranges = circuit.stage_ranges()
-    range_iter = iter(ranges)
-    next_range = next(range_iter, None)
-    for i, g in enumerate(circuit.gates):
-        while next_range is not None and next_range[1] == i:
-            if circuit.stage_marks:
-                marks.append((len(out), next_range[0]))
-            next_range = next(range_iter, None)
-        wires = wires_of.get(id(g))
-        if wires is None:
-            wires = wires_of[id(g)] = [circuit.wire(q) for q in g.qubits()]
-            if len(wires) > 2:
+    for label, start, stop in circuit.stage_ranges():
+        marks.append((len(out), label))
+        for g, wires in zip(circuit.gates[start:stop], circuit.wires[start:stop]):
+            if len(wires) == 2:
+                pa, pb = l2p[wires[0]], l2p[wires[1]]
+                if pb not in adj[pa]:
+                    path = paths.get((pa, pb))
+                    if path is None:
+                        path = paths[pa, pb] = _bfs_path(adj, pa, pb)
+                    for k in range(len(path) - 2):
+                        emit_swap(path[k], path[k + 1])
+            elif len(wires) > 2:
                 raise LoweringError(
                     f"route needs gates on at most 2 qubits, got {g.label} on {len(wires)}"
                 )
-        if len(wires) == 2:
-            pa, pb = l2p[wires[0]], l2p[wires[1]]
-            if pb not in adj[pa]:
-                path = paths.get((pa, pb))
-                if path is None:
-                    path = paths[pa, pb] = _bfs_path(adj, pa, pb)
-                for k in range(len(path) - 2):
-                    emit_swap(path[k], path[k + 1])
-        placed = [l2p[w] for w in wires]
-        key = (id(g), *placed)
-        gate = remapped.get(key)
-        if gate is None:
-            gate = remapped[key] = remap(g, placed)
-        out.append(gate)
-    while next_range is not None:
-        if circuit.stage_marks:
-            marks.append((len(out), next_range[0]))
-        next_range = next(range_iter, None)
+            placed = [l2p[w] for w in wires]
+            key = (id(g), *placed)
+            gate = remapped.get(key)
+            if gate is None:
+                gate = remapped[key] = remap(g, placed)
+            out.append(gate)
 
     return Circuit(
         registers=(phys,),
         gates=tuple(out),
         classical_bits=circuit.classical_bits,
-        stage_marks=tuple(marks),
+        stage_marks=tuple(marks) if circuit.stage_marks else (),
         final_layout=tuple(l2p),
     )

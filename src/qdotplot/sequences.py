@@ -146,7 +146,7 @@ def read_sequence_file(path, alphabet: dict | None = None) -> str:
     p = Path(path)
     try:
         text = p.read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read sequence file {path}: {e}") from e
     lines = text.splitlines()
     if any(ln.startswith(">") for ln in lines):

@@ -37,22 +37,22 @@ class ToffoliState:
 
 def _toffoli_program(circuit: Circuit) -> list:
     prog = []
-    for g in circuit.gates:
+    for g, wires in zip(circuit.gates, circuit.wires):
         if g.kind == "x":
+            n = len(g.targets)
             pos = neg = tgt = 0
-            for c in g.controls:
-                w = circuit.wire(c.qubit)
+            for c, w in zip(g.controls, wires[n:]):
                 if c.positive:
                     pos |= 1 << w
                 else:
                     neg |= 1 << w
-            for t in g.targets:
-                tgt |= 1 << circuit.wire(t)
+            for w in wires[:n]:
+                tgt |= 1 << w
             prog.append(("x", pos, neg, tgt))
         elif g.kind == "swap":
-            prog.append(("swap", circuit.wire(g.targets[0]), circuit.wire(g.targets[1])))
+            prog.append(("swap", wires[0], wires[1]))
         elif g.kind == "measure":
-            prog.append(("measure", circuit.wire(g.targets[0]), g.classical_bit))
+            prog.append(("measure", wires[0], g.classical_bit))
         else:
             raise ValueError(
                 f"Toffoli engine cannot apply {g.label!r}: only X-family, SWAP, "
@@ -158,16 +158,16 @@ class _Engine:
     """Applies gates in place to a complex tensor of shape [2]*n (+ batch axes)."""
 
     def __init__(self, circuit: Circuit, tensor: np.ndarray):
-        self.circuit = circuit
         self.n = circuit.n_qubits
         self.t = tensor
+        self.wires = dict(zip(map(id, circuit.gates), circuit.wires))
 
     def _controlled_view(self, controls):
         idx = [slice(None)] * self.t.ndim
         collapsed = []
-        for c in controls:
-            ax = self.n - 1 - self.circuit.wire(c.qubit)
-            idx[ax] = 1 if c.positive else 0
+        for wire, positive in controls:
+            ax = self.n - 1 - wire
+            idx[ax] = 1 if positive else 0
             collapsed.append(ax)
         return self.t[tuple(idx)], sorted(collapsed)
 
@@ -239,17 +239,19 @@ class _Engine:
         return outcome
 
     def apply(self, g: Gate, rng=None):
+        wires = self.wires[id(g)]
+        n = len(g.targets)
+        controls = [(w, c.positive) for w, c in zip(wires[n:], g.controls)]
         if g.kind == "x":
-            self.apply_x([self.circuit.wire(t) for t in g.targets], g.controls)
+            self.apply_x(wires[:n], controls)
         elif g.kind == "swap":
-            self.apply_swap(self.circuit.wire(g.targets[0]), self.circuit.wire(g.targets[1]))
+            self.apply_swap(wires[0], wires[1])
         elif g.kind == "rxx":
-            self.apply_rxx(g.params[0], self.circuit.wire(g.targets[0]),
-                           self.circuit.wire(g.targets[1]))
+            self.apply_rxx(g.params[0], wires[0], wires[1])
         elif g.kind == "measure":
             raise ValueError("unexpected measure")
         else:
-            self.apply_1q(_matrix_1q(g), self.circuit.wire(g.targets[0]), g.controls)
+            self.apply_1q(_matrix_1q(g), wires[0], controls)
 
 
 def statevector_run(
@@ -273,9 +275,9 @@ def statevector_run(
     eng = _Engine(circuit, psi.reshape([2] * n))
     rng = np.random.default_rng(seed)
     classical = [None] * circuit.classical_bits
-    for g in circuit.gates:
+    for g, wires in zip(circuit.gates, circuit.wires):
         if g.kind == "measure":
-            classical[g.classical_bit] = eng.measure(circuit.wire(g.targets[0]), rng)
+            classical[g.classical_bit] = eng.measure(wires[0], rng)
         else:
             eng.apply(g)
     return Statevector(psi, n), classical
@@ -319,8 +321,8 @@ def sample(
         raise ValueError("circuit has no measurements to sample")
     last_op = max(i for i, g in enumerate(gates) if g.kind != "measure") \
         if any(g.kind != "measure" for g in gates) else -1
-    tail = [(circuit.wire(g.targets[0]), g.classical_bit)
-            for g in gates[last_op + 1:]]
+    tail = [(wires[0], g.classical_bit)
+            for g, wires in zip(gates[last_op + 1:], circuit.wires[last_op + 1:])]
 
     # Depth-first over mid-circuit measurement outcomes, on an explicit stack
     # (a recursive closure would hold every leaf in a reference cycle after
@@ -336,8 +338,7 @@ def sample(
         for i in range(start, last_op + 1):
             g = gates[i]
             if g.kind == "measure":
-                w = circuit.wire(g.targets[0])
-                s0, s1 = eng._slices(eng.t, n - 1 - w)
+                s0, s1 = eng._slices(eng.t, n - 1 - circuit.wires[i][0])
                 p1 = float(np.sum(np.abs(eng.t[s1]) ** 2))
                 outcomes = [(o, p) for o, p in ((0, 1.0 - p1), (1, p1)) if p >= 1e-12]
                 forks = []

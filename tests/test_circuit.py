@@ -1,5 +1,8 @@
 """Circuit IR: wiring, labels, depth, width, stages."""
 
+import dataclasses
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -9,12 +12,19 @@ from qdotplot import (
     CircuitError,
     Control,
     Gate,
+    QubitRef,
     Register,
+    build_pattern_circuit,
+    compile_circuit,
     depth,
     gate_counts,
+    load_backend,
+    parse_qasm,
+    qasm_text,
     stage_depths,
     width,
 )
+from conftest import make_sequence
 
 
 def _regs(*sizes):
@@ -40,6 +50,85 @@ def test_unknown_register_and_offset_rejected():
         c.wire(Register("zz", 1, "x")[0])
     with pytest.raises(CircuitError):
         c.wire(Register("a", 2, "x")[2])
+
+
+def _assert_wires_resolved(c):
+    assert len(c.wires) == len(c.gates)
+    for g, wires in zip(c.gates, c.wires):
+        assert wires == tuple(c.wire(q) for q in g.qubits())
+
+
+def _random_circuit(rng):
+    regs = (Register("a", 3, "x"), Register("b", 1, "y"), Register("c", 4, "z"))
+    refs = [r[k] for r in regs for k in range(r.size)]
+    gates, bits = [], 0
+    for _ in range(rng.randrange(1, 40)):
+        kind = rng.choice(("x", "p", "swap", "rxx", "h", "measure", "repeat"))
+        picked = rng.sample(refs, rng.randrange(2, 6))
+        if kind == "x":
+            n = rng.randrange(1, len(picked))
+            controls = tuple(Control(q, rng.random() < 0.5) for q in picked[n:])
+            gates.append(Gate("x", tuple(picked[:n]), controls))
+        elif kind == "p":
+            gates.append(Gate("p", (picked[0],), (Control(picked[1], False),), params=(0.5,)))
+        elif kind == "swap":
+            gates.append(Gate.swap(picked[0], picked[1]))
+        elif kind == "rxx":
+            gates.append(Gate.rxx(0.25, picked[0], picked[1]))
+        elif kind == "h":
+            gates.append(Gate.h(picked[0]))
+        elif kind == "measure":
+            gates.append(Gate.measure(picked[0], bits))
+            bits += 1
+        elif gates:
+            gates.append(rng.choice(gates))  # the same gate object again
+    return Circuit(regs, tuple(gates), bits)
+
+
+def test_wires_match_wire_of_each_qubit_on_random_circuits():
+    for seed in range(200):
+        _assert_wires_resolved(_random_circuit(random.Random(seed)))
+
+
+def test_wires_match_on_parsed_and_compiled_circuits():
+    r = make_sequence((0, 1, 3, 2, 1, 2, 3, 0), 2)
+    q = make_sequence((2, 0, 3, 3, 0, 1, 0, 2), 2)
+    pattern = build_pattern_circuit(r, q)
+    _assert_wires_resolved(pattern)
+    for backend in ("allsim", "superconducting-53", "ion-40"):
+        for mode in ("ccnot_chain", "single_ancilla"):
+            compiled, _ = compile_circuit(pattern, load_backend(backend), mode)
+            _assert_wires_resolved(compiled)
+            _assert_wires_resolved(parse_qasm(qasm_text(compiled)))
+
+
+def test_uses_of_one_gate_share_one_wire_tuple():
+    a = Register("a", 3, "x")
+    h, cx = Gate.h(a[1]), Gate.cx(a[0], a[2])
+    c = Circuit((a,), (h, cx, h, Gate.x(a[0]), cx)).append_stage("s", (cx, h))
+    assert c.wires[0] is c.wires[2] is c.wires[6]
+    assert c.wires[1] is c.wires[4] is c.wires[5]
+
+
+def test_replace_resolves_wires_anew_and_equality_ignores_them():
+    a, b = Register("a", 2, "x"), Register("b", 2, "y")
+    c = Circuit((a, b), (Gate.cx(a[1], b[0]), Gate.measure(b[1], 0)), 1)
+    assert c.wires == ((2, 1), (3,))
+    flipped = dataclasses.replace(c, registers=(b, a))
+    assert flipped.wires == ((0, 3), (1,))
+    assert "wires" not in {f.name for f in dataclasses.fields(Circuit)}
+    twin = Circuit((a, b), c.gates, 1)
+    assert twin == c and hash(twin) == hash(c)
+
+
+def test_bad_references_raise_when_the_circuit_is_built():
+    a = Register("a", 2, "x")
+    with pytest.raises(CircuitError, match="unknown register 'zz'"):
+        Circuit((a,), (Gate.h(a[0]), Gate.cx(a[0], QubitRef("zz", 0))))
+    with pytest.raises(CircuitError, match="offset 2 out of range for register 'a'"):
+        Circuit((a,), (Gate("x", (a[0],), (Control(a[2], False),)),))
+    with pytest.raises(CircuitError, match="measure writes bit 1 but circuit has 1"):
+        Circuit((a,), (Gate.measure(a[1], 1),), 1)
 
 
 def test_gate_labels_follow_control_count():

@@ -179,6 +179,15 @@ def test_missing_file_exits_two(runner, seqdir):
     assert result.exit_code == 2
 
 
+def test_non_utf8_sequence_file_exits_two(runner, seqdir):
+    bad = seqdir / "bad.txt"
+    bad.write_bytes(b"\xff\xfe\x00AC")
+    result = runner.invoke(main, ["build", "--reference", str(bad), "--out", str(seqdir / "out")])
+    assert result.exit_code == 2
+    assert f"configuration error: cannot read sequence file {bad}: 'utf-8' codec" in result.output
+    assert "internal error" not in result.output
+
+
 def test_circuit_wider_than_all_to_all_backend_exits_two(runner, seqdir):
     tiny = seqdir / "tiny.json"
     tiny.write_text(json.dumps({"name": "tiny", "qubit_count": 4,

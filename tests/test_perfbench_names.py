@@ -3,6 +3,7 @@ perfbench/worker.py's LAYERS table by name; each must still exist."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 WORKER = Path(__file__).resolve().parents[1] / "perfbench" / "worker.py"
@@ -20,3 +21,14 @@ def test_every_traced_layer_name_resolves():
         if not callable(getattr(importlib.import_module(f"qdotplot.{mod_name}"), name, None))
     ]
     assert not missing
+
+
+def test_traced_engine_keeps_its_name_and_signatures():
+    # The trace pass subclasses simulate._Engine and overrides __init__ and apply.
+    from qdotplot import simulate
+
+    init = inspect.signature(simulate._Engine.__init__).parameters
+    apply = inspect.signature(simulate._Engine.apply).parameters
+    assert list(init) == ["self", "circuit", "tensor"]
+    assert list(apply) == ["self", "g", "rng"]
+    assert apply["rng"].default is None

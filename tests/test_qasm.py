@@ -1,6 +1,7 @@
 """OpenQASM 2.0 emission and ingestion."""
 
 import math
+import re
 import time
 from fractions import Fraction
 
@@ -195,6 +196,14 @@ def test_gate_level_rejections_are_qasm_errors_naming_the_statement():
         parse_qasm("OPENQASM 2.0;\nqreg q[0];\n")
     with pytest.raises(QasmError, match="trailing unterminated statement"):
         parse_qasm("OPENQASM 2.0;\nqreg q[1];\nh q[0]")
+    # float() and a Unicode \d also read "_" separators and non-ASCII digits.
+    for statement, error in (("u1(1_0) q[0]", "cannot evaluate angle '1_0'"),
+                             ("u1(\u0661) q[0]", "cannot evaluate angle '\u0661'"),
+                             ("h q[\u0661]", "malformed operand"),
+                             ("qreg r[\u0662]", "malformed qreg declaration")):
+        named = re.escape(error) + ".* in statement " + re.escape(repr(statement))
+        with pytest.raises(QasmError, match=named):
+            parse_qasm(f"OPENQASM 2.0;\nqreg q[2];\n{statement};\n")
 
 
 def test_register_names_are_declared_once():
@@ -240,6 +249,10 @@ def _statement(draw):
 @given(st.lists(_statement(), max_size=8), st.booleans())
 @example(["cx q[0],q[0]"], True)
 @example(["u1(1e999) q[0]"], True)
+@example(["u1(1_0) q[0]"], True)
+@example(["u1(\u0661) q[0]"], True)
+@example(["h q[\u0661]"], True)
+@example(["qreg q[\u0662]"], True)
 def test_fuzz_near_valid_programs_parse_or_raise_qasm_error(statements, terminate):
     text = "OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[3];\ncreg c[2];\n" + ";\n".join(statements)
     if terminate and statements:
