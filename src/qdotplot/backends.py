@@ -74,7 +74,10 @@ def _from_dict(raw: dict, fallback_name: str = "backend") -> BackendModel:
     # File schema: name, qubit_count, native_gates, coupling_map (a list of
     # pairs or the string "all"), gate_time_ns (optional).
     try:
-        gates = tuple(_GATE_ALIASES.get(g, g) for g in raw["native_gates"])
+        natives = raw["native_gates"]
+        if not isinstance(natives, list) or not all(isinstance(g, str) for g in natives):
+            raise ConfigError("native_gates must be a list of gate names")
+        gates = tuple(_GATE_ALIASES.get(g, g) for g in natives)
         coupling = raw.get("coupling_map", "all")
         if coupling == "all" or coupling is None:
             coupling = None
@@ -114,7 +117,11 @@ def load_backend(source) -> BackendModel:
         return _from_dict(json.loads(preset.read_text()), fallback_name=source)
     path = Path(source)
     if path.is_file():
-        return _from_dict(json.loads(path.read_text()), fallback_name=path.stem)
+        try:
+            raw = json.loads(path.read_text())
+        except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
+            raise ConfigError(f"cannot read backend file {path}: {exc}") from exc
+        return _from_dict(raw, fallback_name=path.stem)
     raise ConfigError(
         f"unknown backend {source!r}; presets are {', '.join(builtin_backend_names())}"
     )

@@ -27,8 +27,8 @@ ROOT_EXPONENTS = frozenset(
     Fraction(s, d) for s in (1, -1) for d in (2, 4, 8)
 )
 
-# Gate kinds whose controlled forms are representable directly in the IR.
-_CONTROLLABLE = frozenset({"x", "p", "rootx"})
+# The kinds that take controls, with the labels of their exact forms by control count.
+_EXACT_LABELS = {"x": ("x", "cx", "ccx"), "p": ("p", "cp"), "rootx": ("rootx", "crootx")}
 _PARAM_COUNT = {"p": 1, "u2": 2, "u3": 3, "rx": 1, "ry": 1, "rxx": 1}
 _TARGET_COUNT = {"swap": 2, "rxx": 2}
 
@@ -107,7 +107,7 @@ class Gate:
                 raise CircuitError("x gate needs at least one target")
         elif len(targets) != want:
             raise CircuitError(f"{kind} gate takes {want} target(s), got {len(targets)}")
-        if controls and kind not in _CONTROLLABLE:
+        if controls and kind not in _EXACT_LABELS:
             raise CircuitError(f"{kind} gate cannot carry controls")
         if len(self.params) != _PARAM_COUNT.get(kind, 0):
             raise CircuitError(f"{kind} gate takes {_PARAM_COUNT.get(kind, 0)} parameter(s)")
@@ -139,22 +139,17 @@ class Gate:
 
     @property
     def label(self) -> str:
-        """Reporting name: distinguishes x/cx/ccx/mcx and p/cp by control count."""
-        n = len(self.controls)
-        if self.kind == "x":
-            if n == 0:
-                return "x"
-            if all(c.positive for c in self.controls):
-                if n == 1:
-                    return "cx"
-                if n == 2:
-                    return "ccx"
-            return "mcx"
-        if self.kind == "p":
-            return "p" if n == 0 else ("cp" if n == 1 else "mcp")
-        if self.kind == "rootx":
-            return "rootx" if n == 0 else "crootx"
-        return self.kind
+        """Reporting name of exactly one form: x/cx/ccx, p/cp and rootx/crootx
+        have one target and only positive controls; every other controlled
+        or multi-target form of those kinds is mcx, mcp or mcrootx."""
+        kind, controls = self.kind, self.controls
+        exact = _EXACT_LABELS.get(kind)
+        if exact is None:
+            return kind
+        if (len(controls) < len(exact) and len(self.targets) == 1
+                and all(c.positive for c in controls)):
+            return exact[len(controls)]
+        return "mc" + kind
 
     # -- constructors ------------------------------------------------------
 

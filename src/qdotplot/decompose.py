@@ -16,6 +16,7 @@ gate is in the backend's native set, preserving stage marks.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 from .circuit import Circuit, Control, Gate, QubitRef, Register
@@ -38,13 +39,7 @@ def rewrite_negative_controls(gate: Gate) -> list[Gate]:
     flips = [Gate.x(c.qubit) for c in gate.controls if not c.positive]
     if not flips:
         return [gate]
-    positive = Gate(
-        gate.kind,
-        gate.targets,
-        tuple(Control(c.qubit, True) for c in gate.controls),
-        gate.params,
-        gate.exponent,
-    )
+    positive = replace(gate, controls=tuple(Control(c.qubit) for c in gate.controls))
     return flips + [positive] + list(reversed(flips))
 
 
@@ -320,9 +315,9 @@ def lower_to_native(circuit: Circuit, backend, mcx_mode: str = "ccnot_chain") ->
 
     def _expand(g: Gate) -> list[Gate]:
         kind, c = g.kind, len(g.controls)
+        if any(not ctl.positive for ctl in g.controls):
+            return lower_all(rewrite_negative_controls(g))
         if kind == "x":
-            if any(not ctl.positive for ctl in g.controls):
-                return lower_all(rewrite_negative_controls(g))
             if len(g.targets) > 1:
                 return lower_all(Gate(kind, (t,), g.controls) for t in g.targets)
             if c == 0:
@@ -339,16 +334,14 @@ def lower_to_native(circuit: Circuit, backend, mcx_mode: str = "ccnot_chain") ->
         if kind == "p":
             if c == 0:
                 return lower_all([Gate.u3(0.0, 0.0, g.params[0], g.targets[0])])
-            if c == 1 and g.controls[0].positive:
+            if c == 1:
                 return lower_all(cphase_network(g.params[0], g.controls[0].qubit, g.targets[0]))
-            raise LoweringError(f"cannot lower {g.label}")
         if kind == "rootx":
             s = float(g.exponent)
             if c == 0:
                 return lower_all([Gate.u3(math.pi * s, -math.pi / 2, math.pi / 2, g.targets[0])])
-            if c == 1 and g.controls[0].positive:
+            if c == 1:
                 return lower_all(crootx_network(g.exponent, g.controls[0].qubit, g.targets[0]))
-            raise LoweringError(f"cannot lower {g.label}")
         if kind == "swap":
             return lower_all(swap_network(*g.targets))
         if kind == "h":

@@ -1,17 +1,17 @@
 """OpenQASM 2.0 emission and strict re-ingestion.
 
-The emitter handles circuits already lowered to QASM-expressible gates:
-h, x, cx, ccx, swap, u1/u2/u3, rx, ry, cu1 and measure, plus three kinds
-that get gate-definition preludes: root-of-X (xrt_*), controlled
-root-of-X (cxrt_*), and rxx. Multi-controlled or negative-control gates
-must be lowered first. Output is byte-stable: fixed statement order, one
-canonical float form (repr), preludes emitted in sorted order only when
-used.
+One table declares the dialect: each QASM name with the IR gate it stands
+for; a second holds the definitions of the names qelib1.inc lacks (rxx,
+xrt_*, cxrt_*). The emitter writes each gate under its one name, plus the
+definitions it used, sorted; a gate with no name (multi-controlled,
+multi-target, negative control) raises QasmError. Output is byte-stable:
+fixed statement order, one canonical float form (repr).
 
-The parser accepts exactly the grammar the emitter produces (plus
-whitespace/comment freedom) and maps every statement back to the gate kind
-that produced it, so gate counts and depth survive a round trip unchanged.
-Every rejection is a QasmError that names the offending statement.
+The parser reads the same table, plus p and cp, the other spellings of u1
+and cu1 (and whitespace/comment freedom). It skips exactly the definitions
+of the second table and maps every statement back to the gate that
+produced it, so counts, depth and bytes survive a round trip. Every
+rejection is a QasmError that names the offending statement.
 
 A gate parameter is a plain number (the emitter's repr form) or an angle
 expression, evaluated in double precision without eval:
@@ -34,66 +34,83 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
-from .circuit import Circuit, Gate, QubitRef, Register
+from .circuit import ROOT_EXPONENTS, Circuit, Control, Gate, QubitRef, Register
 from .errors import QasmError
 
-_EXP_NAMES = {
-    Fraction(1, 2): "p2", Fraction(-1, 2): "m2",
-    Fraction(1, 4): "p4", Fraction(-1, 4): "m4",
-    Fraction(1, 8): "p8", Fraction(-1, 8): "m8",
-}
-_NAME_EXPS = {v: k for k, v in _EXP_NAMES.items()}
+# The xrt_/cxrt_ tag of each root exponent the IR admits: p2 is +1/2, m8 is -1/8.
+_ROOT_TAGS = {e: ("p" if e > 0 else "m") + str(e.denominator) for e in ROOT_EXPONENTS}
 
 
 def _f(x: float) -> str:
     return repr(float(x))
 
 
-def _xrt_def(exponent: Fraction) -> str:
-    name = f"xrt_{_EXP_NAMES[exponent]}"
+def _xrt_def(tag: str, exponent: Fraction) -> str:
     s = math.pi * float(exponent)
-    return (f"gate {name} a {{ u3({_f(s)},{_f(-math.pi / 2)},{_f(math.pi / 2)}) a; }}")
+    return f"gate xrt_{tag} a {{ u3({_f(s)},{_f(-math.pi / 2)},{_f(math.pi / 2)}) a; }}"
 
 
-def _cxrt_def(exponent: Fraction) -> str:
-    name = f"cxrt_{_EXP_NAMES[exponent]}"
+def _cxrt_def(tag: str, exponent: Fraction) -> str:
     g = math.pi * float(exponent)
     half = math.pi / 2
     return (
-        f"gate {name} a,b {{ "
+        f"gate cxrt_{tag} a,b {{ "
         f"u1({_f(g / 2)}) a; u1({_f(half)}) b; cx a,b; "
         f"u3({_f(-g / 2)},0,0) b; cx a,b; u3({_f(g / 2)},{_f(-half)},0) b; }}"
     )
 
 
-_RXX_DEF = "gate rxx(theta) a,b { h a; h b; cx a,b; u1(theta) b; cx a,b; h b; h a; }"
+# The dialect: QASM name -> (IR kind, controls, operands, parameters, root
+# exponent), controls first among the operands. The parser also reads p and
+# cp, the other spellings of u1 and cu1.
+_DIALECT = {
+    "h": ("h", 0, 1, 0, None),
+    "x": ("x", 0, 1, 0, None),
+    "cx": ("x", 1, 2, 0, None),
+    "ccx": ("x", 2, 3, 0, None),
+    "swap": ("swap", 0, 2, 0, None),
+    "u1": ("p", 0, 1, 1, None),
+    "cu1": ("p", 1, 2, 1, None),
+    "u2": ("u2", 0, 1, 2, None),
+    "u3": ("u3", 0, 1, 3, None),
+    "rx": ("rx", 0, 1, 1, None),
+    "ry": ("ry", 0, 1, 1, None),
+    "rxx": ("rxx", 0, 2, 1, None),
+    **{f"xrt_{tag}": ("rootx", 0, 1, 0, e) for e, tag in _ROOT_TAGS.items()},
+    **{f"cxrt_{tag}": ("rootx", 1, 2, 0, e) for e, tag in _ROOT_TAGS.items()},
+}
+_PARSED = {**_DIALECT, "p": _DIALECT["u1"], "cp": _DIALECT["cu1"]}
+
+# The gate definitions of the names that qelib1.inc lacks.
+_DEFINITIONS = {
+    "rxx": "gate rxx(theta) a,b { h a; h b; cx a,b; u1(theta) b; cx a,b; h b; h a; }",
+    **{f"xrt_{tag}": _xrt_def(tag, e) for e, tag in _ROOT_TAGS.items()},
+    **{f"cxrt_{tag}": _cxrt_def(tag, e) for e, tag in _ROOT_TAGS.items()},
+}
 
 
-def _statement(circuit: Circuit, g: Gate, creg: str) -> str:
-    def q(ref: QubitRef) -> str:
-        return f"{ref.register}[{ref.offset}]"
+def _gate(row: tuple, operands: list[QubitRef], angles: list[float]) -> Gate:
+    kind, controls, _, _, exponent = row
+    return Gate(kind, tuple(operands[controls:]), tuple([Control(q) for q in operands[:controls]]),
+                tuple(angles), exponent)
 
-    kind, label = g.kind, g.label
-    operands = [c.qubit for c in g.controls] + list(g.targets)
-    ops = ",".join(q(r) for r in operands)
-    if kind == "measure":
-        return f"measure {q(g.targets[0])} -> {creg}[{g.classical_bit}];"
-    if label in ("x", "cx", "ccx", "h", "swap"):
-        return f"{label} {ops};"
-    if label == "p":
-        return f"u1({_f(g.params[0])}) {ops};"
-    if label == "cp":
-        return f"cu1({_f(g.params[0])}) {ops};"
-    if label == "rootx":
-        return f"xrt_{_EXP_NAMES[g.exponent]} {ops};"
-    if label == "crootx" and g.controls[0].positive:
-        return f"cxrt_{_EXP_NAMES[g.exponent]} {ops};"
-    if kind in ("u2", "u3", "rx", "ry", "rxx"):
-        params = ",".join(_f(p) for p in g.params)
-        return f"{kind}({params}) {ops};"
-    raise QasmError(
-        f"gate {label!r} has no OpenQASM 2.0 form; lower the circuit first"
-    )
+
+# The emitter's lookup, (label, root exponent) -> name, from each row's gate.
+_NAMES = {(_gate(row, Register("q", 3).refs()[:row[2]], [0.0] * row[3]).label, row[4]): name
+          for name, row in _DIALECT.items()}
+
+
+def _statement(g: Gate, creg: str, used: set[str]) -> str:
+    if g.kind == "measure":
+        q = g.targets[0]
+        return f"measure {q.register}[{q.offset}] -> {creg}[{g.classical_bit}];"
+    name = _NAMES.get((g.label, g.exponent))
+    if name is None:
+        raise QasmError(f"gate {g.label!r} has no OpenQASM 2.0 form; lower the circuit first")
+    used.add(name)
+    params = f"({','.join(_f(a) for a in g.params)})" if g.params else ""
+    ops = ",".join(f"{q.register}[{q.offset}]" for q in [c.qubit for c in g.controls] + list(g.targets))
+    return f"{name}{params} {ops};"
 
 
 def qasm_text(circuit: Circuit) -> str:
@@ -104,25 +121,15 @@ def qasm_text(circuit: Circuit) -> str:
     # Each distinct gate object is rendered once. The key is identity, not
     # equality: equal gates may differ in the sign of a zero angle.
     rendered: dict[int, str] = {}
-    preludes = set()
+    used: set[str] = set()
     body = []
     for g in circuit.gates:
         text = rendered.get(id(g))
         if text is None:
-            text = rendered[id(g)] = _statement(circuit, g, creg)
-            if g.kind == "rootx":
-                preludes.add(("cxrt_" if g.controls else "xrt_") + _EXP_NAMES[g.exponent])
-            elif g.kind == "rxx":
-                preludes.add("rxx")
+            text = rendered[id(g)] = _statement(g, creg, used)
         body.append(text)
     lines = ["OPENQASM 2.0;", 'include "qelib1.inc";']
-    for name in sorted(preludes):
-        if name == "rxx":
-            lines.append(_RXX_DEF)
-        elif name.startswith("xrt_"):
-            lines.append(_xrt_def(_NAME_EXPS[name[4:]]))
-        else:
-            lines.append(_cxrt_def(_NAME_EXPS[name[5:]]))
+    lines.extend(_DEFINITIONS[name] for name in sorted(used) if name in _DEFINITIONS)
     for r in circuit.registers:
         lines.append(f"qreg {r.name}[{r.size}];")
     if circuit.classical_bits:
@@ -242,8 +249,8 @@ def _split_statements(text: str) -> list[str]:
 def parse_qasm(text: str) -> Circuit:
     """Parse a program in the emitter's dialect back into a Circuit.
 
-    Gate-definition preludes are recognized by name (xrt_*, cxrt_*, rxx)
-    and skipped; their uses are mapped back to the originating gate kinds.
+    The gate definitions the emitter writes are recognized by name and
+    skipped; their uses are mapped back to the originating gate kinds.
     """
     statements = _split_statements(re.sub(r"//[^\n]*", "", text))
 
@@ -292,7 +299,7 @@ def parse_qasm(text: str) -> Circuit:
                 continue
             if st.startswith("gate "):
                 name = st.split()[1].split("(")[0]
-                if name == "rxx" or name[:4] == "xrt_" or name[:5] == "cxrt_":
+                if name in _DEFINITIONS:
                     continue
                 raise QasmError(f"unsupported gate definition {name!r}")
             m = _HEAD.match(st)
@@ -345,42 +352,11 @@ def parse_qasm(text: str) -> Circuit:
                         value = angle_values[a] = _angle(a)
                     angles.append(value)
 
-            if head == "h" and len(operands) == 1:
-                gate = Gate.h(operands[0])
-            elif head == "x" and len(operands) == 1:
-                gate = Gate.x(operands[0])
-            elif head == "cx" and len(operands) == 2:
-                gate = Gate.cx(operands[0], operands[1])
-            elif head == "ccx" and len(operands) == 3:
-                gate = Gate.ccx(operands[0], operands[1], operands[2])
-            elif head == "swap" and len(operands) == 2:
-                gate = Gate.swap(operands[0], operands[1])
-            elif head in ("u1", "p") and len(operands) == 1 and len(angles) == 1:
-                gate = Gate.phase(angles[0], operands[0])
-            elif head in ("cu1", "cp") and len(operands) == 2 and len(angles) == 1:
-                gate = Gate.cphase(angles[0], operands[0], operands[1])
-            elif head == "u2" and len(operands) == 1 and len(angles) == 2:
-                gate = Gate.u2(angles[0], angles[1], operands[0])
-            elif head == "u3" and len(operands) == 1 and len(angles) == 3:
-                gate = Gate.u3(angles[0], angles[1], angles[2], operands[0])
-            elif head == "rx" and len(operands) == 1 and len(angles) == 1:
-                gate = Gate.rx(angles[0], operands[0])
-            elif head == "ry" and len(operands) == 1 and len(angles) == 1:
-                gate = Gate.ry(angles[0], operands[0])
-            elif head == "rxx" and len(operands) == 2 and len(angles) == 1:
-                gate = Gate.rxx(angles[0], operands[0], operands[1])
-            elif head[:4] == "xrt_" and len(operands) == 1:
-                if head[4:] not in _NAME_EXPS:
-                    raise QasmError(f"unknown root gate {head!r}")
-                gate = Gate.root_x(_NAME_EXPS[head[4:]], operands[0])
-            elif head[:5] == "cxrt_" and len(operands) == 2:
-                if head[5:] not in _NAME_EXPS:
-                    raise QasmError(f"unknown root gate {head!r}")
-                gate = Gate.root_x(_NAME_EXPS[head[5:]], operands[1], control=operands[0])
-            else:
+            row = _PARSED.get(head)
+            if row is None or len(operands) != row[2] or len(angles) != row[3]:
                 raise QasmError("unsupported gate or operand count")
+            gate = built[st] = _gate(row, operands, angles)
             gates.append(gate)
-            built[st] = gate
     except ValueError as exc:  # QasmError, CircuitError, or an over-long integer
         raise QasmError(f"{exc} in statement {st!r}") from exc
 

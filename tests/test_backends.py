@@ -112,6 +112,13 @@ def test_validation_rejects_bad_scalars():
         load_backend({"name": "t", "qubit_count": 2, "native_gates": []})
 
 
+def test_native_gates_must_be_a_list_of_names():
+    # A string used to be read as its characters: "cx" became {"c", "x"}.
+    for natives in ("cx", ["cx", 3], {"cx": 1}):
+        with pytest.raises(ConfigError, match="native_gates must be a list of gate names"):
+            load_backend({"name": "t", "qubit_count": 2, "native_gates": natives})
+
+
 def test_adjacency_symmetric_sorted():
     b = load_backend(
         {

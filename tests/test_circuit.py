@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -141,6 +142,14 @@ def test_gate_labels_follow_control_count():
     assert Gate("x", (b,), (Control(a, False),)).label == "mcx"
     assert Gate.phase(0.5, a).label == "p"
     assert Gate.cphase(0.5, a, b).label == "cp"
+    # Each of x/cx/ccx, p/cp and rootx/crootx names only its exact form:
+    # one target, all controls positive.
+    assert Gate("p", (b,), (Control(a, False),), (0.5,)).label == "mcp"
+    assert Gate.root_x(Fraction(1, 2), b, control=a).label == "crootx"
+    assert Gate("rootx", (b,), (Control(a, False),), exponent=Fraction(1, 2)).label == "mcrootx"
+    assert Gate("rootx", (c,), (Control(a), Control(b)), exponent=Fraction(1, 2)).label == "mcrootx"
+    assert Gate("x", (a, b)).label == "mcx"
+    assert Gate("x", (b, c), (Control(a),)).label == "mcx"
 
 
 def test_gate_rejects_duplicate_qubits_and_bad_params():

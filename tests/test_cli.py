@@ -188,6 +188,19 @@ def test_non_utf8_sequence_file_exits_two(runner, seqdir):
     assert "internal error" not in result.output
 
 
+@pytest.mark.parametrize("content, error", [
+    (b"not json", "Expecting value: line 1 column 1 (char 0)"),
+    (b"\xff\xfe", "'utf-8' codec can't decode byte 0xff"),
+])
+def test_unreadable_backend_file_exits_two(runner, seqdir, content, error):
+    bad = seqdir / "bad.json"
+    bad.write_bytes(content)
+    result = runner.invoke(main, _args(seqdir, "build", "--backend", str(bad)))
+    assert result.exit_code == 2
+    assert f"configuration error: cannot read backend file {bad}: {error}" in result.output
+    assert "internal error" not in result.output
+
+
 def test_circuit_wider_than_all_to_all_backend_exits_two(runner, seqdir):
     tiny = seqdir / "tiny.json"
     tiny.write_text(json.dumps({"name": "tiny", "qubit_count": 4,

@@ -24,6 +24,7 @@ from qdotplot import (
     decompose_mcx_chain,
     decompose_mcx_single_ancilla,
     gate_counts,
+    load_backend,
     lower_to_native,
     rewrite_negative_controls,
     width,
@@ -292,6 +293,17 @@ def test_unloweable_gate_raises():
     bare = BackendModel(name="bare", qubit_count=4, native_gates=("x", "cx"))
     with pytest.raises(LoweringError):
         lower_to_native(c, bare, "ccnot_chain")
+
+
+@pytest.mark.parametrize("backend", ["allsim", "superconducting-53", "ion-40"])
+def test_two_control_rootx_cannot_be_lowered(backend):
+    # allsim's crootx used to admit it, and the emitter then wrote a
+    # three-operand cxrt_p2 that the parser rejects.
+    r = _r(3)
+    gate = Gate("rootx", (r[2],), (Control(r[0]), Control(r[1])), exponent=Fraction(1, 2))
+    c = Circuit(registers=(r,)).append_stage("s", [gate])
+    with pytest.raises(LoweringError, match="cannot lower mcrootx"):
+        lower_to_native(c, load_backend(backend))
 
 
 def test_measure_passes_through_lowering():

@@ -13,10 +13,12 @@ from hypothesis import strategies as st
 from qdotplot import (
     Circuit,
     CircuitError,
+    Control,
     Gate,
     QasmError,
     Register,
     build_pattern_circuit,
+    builtin_backend_names,
     circuit_unitary,
     compile_circuit,
     depth,
@@ -286,3 +288,71 @@ def test_round_trip_equals_lowered_pattern_circuit(backend):
         (g.name, g.size) for g in compiled.registers
     ]
     assert back.classical_bits == compiled.classical_bits
+
+
+def _api_forms():
+    a, b, c = Register("q", 3).refs()
+    return {
+        "negative-cp": Gate("p", (b,), (Control(a, False),), (0.5,)),
+        "negative-crootx": Gate("rootx", (b,), (Control(a, False),), exponent=Fraction(1, 2)),
+        "two-target-x": Gate("x", (a, b)),
+        "two-target-cx": Gate("x", (b, c), (Control(a),)),
+    }
+
+
+@pytest.mark.parametrize("form", sorted(_api_forms()))
+def test_api_built_forms_compile_to_qasm_with_their_unitary(form):
+    # Each form once reached the emitter unlowered: a negative-control cp
+    # was written as a positive cu1, and the others failed to emit or to
+    # parse back.
+    source = Circuit(registers=(Register("q", 3),)).append_stage("s", [_api_forms()[form]])
+    compiled, _ = compile_circuit(source, load_backend("allsim"))
+    back = parse_qasm(qasm_text(compiled))
+    assert equal_up_to_phase(circuit_unitary(back), circuit_unitary(source), tol=1e-12)
+
+
+# -- the dialect table --------------------------------------------------------
+
+_ROOT_TAGS = ("p2", "m2", "p4", "m4", "p8", "m8")
+_DIALECT_LINES = (
+    "h q[0];", "x q[0];", "cx q[0],q[1];", "ccx q[0],q[1],q[2];", "swap q[0],q[1];",
+    "u1(0.5) q[0];", "cu1(-0.25) q[0],q[1];", "u2(0.5,-0.25) q[0];", "u3(0.5,-0.25,1.5) q[0];",
+    "rx(0.5) q[0];", "ry(-1.5) q[0];", "rxx(0.75) q[0],q[1];",
+    *(f"xrt_{tag} q[0];" for tag in _ROOT_TAGS),
+    *(f"cxrt_{tag} q[0],q[1];" for tag in _ROOT_TAGS),
+)
+
+
+def _program(line: str) -> str:
+    return f"OPENQASM 2.0;\nqreg q[3];\n{line}\n"
+
+
+@pytest.mark.parametrize("line", _DIALECT_LINES)
+def test_every_dialect_name_round_trips(line):
+    text = qasm_text(parse_qasm(_program(line)))
+    assert text.splitlines()[-1] == line
+    assert qasm_text(parse_qasm(text)) == text
+
+
+def test_p_and_cp_are_read_as_u1_and_cu1():
+    text = qasm_text(parse_qasm(_program("p(0.5) q[0];\ncp(-0.25) q[0],q[1];")))
+    assert text.splitlines()[-2:] == ["u1(0.5) q[0];", "cu1(-0.25) q[0],q[1];"]
+
+
+def test_every_preset_native_gate_has_a_qasm_name():
+    expressible = set()
+    for line in _DIALECT_LINES:
+        expressible |= set(gate_counts(parse_qasm(_program(line))))
+    for name in builtin_backend_names():
+        assert set(load_backend(name).native_gates) <= expressible, name
+
+
+def test_names_and_counts_outside_the_table_are_rejected():
+    for statement, error in (("xrt_q9 q[0]", "unsupported gate or operand count"),
+                             ("gate xrt_q9 a { x a; }", "unsupported gate definition 'xrt_q9'"),
+                             ("h(0.5) q[0]", "unsupported gate or operand count"),
+                             ("cx(1) q[0],q[1]", "unsupported gate or operand count"),
+                             ("cp(0.5) q[0]", "unsupported gate or operand count")):
+        named = re.escape(error) + ".* in statement " + re.escape(repr(statement))
+        with pytest.raises(QasmError, match=named):
+            parse_qasm(f"OPENQASM 2.0;\nqreg q[2];\n{statement};\n")
