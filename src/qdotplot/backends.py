@@ -16,6 +16,7 @@ load so the rest of the package only ever sees one spelling.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -84,14 +85,17 @@ def _from_dict(raw: dict, fallback_name: str = "backend") -> BackendModel:
         else:
             coupling = tuple((int(a), int(b)) for a, b in coupling)
         gate_time_ns = raw.get("gate_time_ns")
-        if gate_time_ns is not None and float(gate_time_ns) <= 0:
-            raise ConfigError("gate_time_ns must be positive")
+        if gate_time_ns is not None:
+            gate_time_ns = float(gate_time_ns)
+            # json reads the literals NaN and Infinity; neither is a gate time.
+            if not (math.isfinite(gate_time_ns) and gate_time_ns > 0):
+                raise ConfigError("gate_time_ns must be a positive finite number")
         return BackendModel(
             name=str(raw.get("name", fallback_name)),
             qubit_count=int(raw["qubit_count"]),
             native_gates=gates,
             coupling_map=coupling,
-            gate_time_seconds=None if gate_time_ns is None else float(gate_time_ns) * 1e-9,
+            gate_time_seconds=None if gate_time_ns is None else gate_time_ns * 1e-9,
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"malformed backend description: {exc}") from exc

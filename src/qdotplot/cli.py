@@ -2,16 +2,18 @@
 
 Verbs mirror the pipeline stages: encode (sequence encoder only), build
 or its other name transpile (full pattern-recognition circuit, lowered and
-routed to a backend), estimate (resource report), simulate (sampled
-histogram of the unlowered circuit, so --mcx-mode does not change it),
+routed to a backend), estimate (resource report), simulate (histogram
+drawn from the exact readout distribution of the unlowered circuit, see
+simulate.sample_pattern, so --mcx-mode does not change it),
 validate (build, then both validation procedures on the circuit the run
 built), compare-modes (minimizer on/off comparison). Each run builds its
 circuit once, and every verb that compiles shares one compile step.
 --mcx-mode only picks how lowering decomposes multi-controlled X gates and
 how many ancillas it adds. Exit codes: 0 success, 1 a requested validation
 failed, 2 configuration error or resource limit (circuit wider than the
-backend, a backend with no native path for a needed gate, statevector cap,
-shots below 1, a negative seed), 3 internal error.
+backend, a backend with no native path for a needed gate, the statevector
+cap of validate, the plot-cell cap of simulate, shots below 1, a negative
+seed), 3 internal error.
 """
 
 from __future__ import annotations
@@ -25,13 +27,7 @@ import click
 
 from .backends import load_backend
 from .circuit import Circuit
-from .encoder import (
-    build_encoder_circuit,
-    build_pattern_circuit,
-    decode_outcome,
-    k_index,
-    layout_for,
-)
+from .encoder import build_encoder_circuit, build_pattern_circuit, layout_for
 from .errors import ConfigError, LoweringError
 from .qasm import emit_qasm
 from .reports import compile_circuit, compare_encodings, report_to_json, reports_to_csv
@@ -42,7 +38,7 @@ from .sequences import (
     pad_pair,
     read_sequence_file,
 )
-from .simulate import sample
+from .simulate import sample_pattern
 from .validate import validate_exhaustive, validate_sampling
 
 _MODE_FLAGS = {"chain": "ccnot_chain", "single-ancilla": "single_ancilla"}
@@ -239,21 +235,16 @@ def estimate_cmd(**kwargs):
 @main.command()
 @_common
 def simulate(**kwargs):
-    """Sample the pattern circuit and write the outcome histogram."""
+    """Sample the pattern circuit's exact readout; write the histogram."""
     config = _config(kwargs)
     r, q, dataset = _load_pair(config)
     circuit = build_pattern_circuit(r, q, use_minimizer=config.use_minimizer)
-    layout = layout_for(r, q)
-    counts = sample(circuit, config.shots, seed=config.seed)
-    rows = []
-    for key in sorted(counts):
-        v, x, y = decode_outcome(key, layout)
-        rows.append({
-            "v": v, "x": x, "y": y,
-            "k": k_index(x, y, 1 << layout.w),
-            "count": counts[key],
-        })
-    rows.sort(key=lambda row: -row["count"])
+    counts = sample_pattern(circuit, config.shots, seed=config.seed)
+    width = 1 << layout_for(r, q).w
+    vs, ks = counts.nonzero()  # in (v, k) order
+    rows = [{"v": v, "x": k % width, "y": k // width, "k": k, "count": n}
+            for v, k, n in zip(vs.tolist(), ks.tolist(), counts[vs, ks].tolist())]
+    rows.sort(key=lambda row: -row["count"])  # stable: ties keep (v, k) order
     out = _outdir(config)
     (out / "histogram.json").write_text(json.dumps(
         {"dataset": dataset, "shots": config.shots, "seed": config.seed,

@@ -216,6 +216,16 @@ def build_pattern_circuit(
     return c.append_stage("readout", readout_gates(c, layout, ("x", "y")))
 
 
+def oracle_circuit(circuit: Circuit, skip: str | None = None) -> Circuit:
+    """The gates before circuit's first measurement, minus the stages labelled skip."""
+    stop = next((i for i, g in enumerate(circuit.gates) if g.kind == "measure"), len(circuit.gates))
+    oracle = Circuit(circuit.registers)
+    for label, start, end in circuit.stage_ranges():
+        if label != skip and start < stop:
+            oracle = oracle.append_stage(label, circuit.gates[start:min(end, stop)])
+    return oracle
+
+
 def decode_outcome(key: tuple, layout: DotplotLayout) -> tuple[int, int, int]:
     """Map a sampled classical tuple to (v, x, y)."""
     bits = readout_bits(layout)

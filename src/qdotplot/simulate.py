@@ -1,4 +1,5 @@
-"""Execution engines: bit-exact Toffoli propagation and dense statevectors.
+"""Execution engines: bit-exact Toffoli propagation, dense statevectors, and
+the exact readout of pattern circuits.
 
 The Toffoli engine tracks one classical bit per qubit and applies only
 X-family gates (any control polarity), SWAP, and Measure; anything that can
@@ -6,7 +7,9 @@ create superposition is rejected. The statevector engine holds all 2^n
 amplitudes and applies gates as in-place amplitude updates on a [2]*n view;
 wire q maps to tensor axis n-1-q so that wire 0 is the least significant bit
 of the basis index. Mid-circuit measurement collapses the state using the
-seeded generator.
+seeded generator. A pattern circuit (encoder.build_pattern_circuit) is read
+out without a statevector: its oracle runs on the Toffoli engine once per
+plot cell and an FFT stands in for the inverse QFT (pattern_distribution).
 """
 
 from __future__ import annotations
@@ -18,9 +21,11 @@ from fractions import Fraction
 import numpy as np
 
 from .circuit import Circuit, Gate
+from .encoder import DotplotLayout, _inverse_qft_gates, oracle_circuit, readout_gates
 from .errors import ConfigError
 
 DEFAULT_QUBIT_CAP = 24
+READOUT_CELL_CAP = 1 << 20
 
 
 # -- Toffoli engine ---------------------------------------------------------
@@ -94,12 +99,15 @@ def toffoli_run_batch(circuit: Circuit, initials: np.ndarray) -> tuple[np.ndarra
         raise ValueError("batched Toffoli run capped at 63 qubits")
     bits = np.asarray(initials, dtype=np.uint64).copy()
     classical = np.full((bits.shape[0], circuit.classical_bits), -1, dtype=np.int8)
+    controls = np.empty_like(bits)
+    fire = np.empty(bits.shape, dtype=bool)
     for op in _toffoli_program(circuit):
         if op[0] == "x":
+            # Fires where every positive control is 1 and every negative one 0.
             _, pos, neg, tgt = op
-            pos, neg, tgt = np.uint64(pos), np.uint64(neg), np.uint64(tgt)
-            fire = ((bits & pos) == pos) & ((bits & neg) == 0)
-            bits[fire] ^= tgt
+            np.bitwise_and(bits, np.uint64(pos | neg), out=controls)
+            np.equal(controls, np.uint64(pos), out=fire)
+            np.bitwise_xor(bits, np.uint64(tgt), out=bits, where=fire)
         elif op[0] == "swap":
             _, a, b = op
             diff = ((bits >> np.uint64(a)) ^ (bits >> np.uint64(b))) & np.uint64(1)
@@ -379,6 +387,75 @@ def sample(
             key = tuple(bits)
             counts[key] = counts.get(key, 0) + int(f)
     return counts
+
+
+# -- exact readout of pattern circuits ----------------------------------------
+
+def pattern_distribution(circuit: Circuit) -> np.ndarray:
+    """Exact readout distribution P[v, k] of a pattern circuit, shape (2, W*H).
+
+    circuit must be as build_pattern_circuit builds it, and the stages this
+    function stands in for are checked gate for gate (ValueError if not):
+    the init stage is one h on each x and y qubit, the first measurement
+    is v into bit 0, and the inverse QFT over x||y and the x, y readout
+    follow it. The oracle between them (the gates before that measurement,
+    minus init) runs on the Toffoli engine once per (x, y) basis input. The
+    cells that leave one value on every other wire form one group, and the
+    inverse QFT reads a group out as the DFT of its indicator over
+    j = y*W + x, so
+    P(v, k) = (WH)^-2 * sum over the groups holding v of |DFT(1[group])[k]|^2.
+    """
+    x = circuit.register("x").refs()
+    y = circuit.register("y").refs()
+    w, h = len(x), len(y)
+    cells = 1 << (w + h)
+    if cells > READOUT_CELL_CAP:
+        raise ConfigError(f"{cells} plot cells exceed the readout cap of {READOUT_CELL_CAP}")
+    gates = circuit.gates
+    stop = next((i for i, g in enumerate(gates) if g.kind == "measure"), len(gates))
+    hadamards = tuple(Gate.h(q) for q in x + y)
+    init = [(s, e) for label, s, e in circuit.stage_ranges() if label == "init" and s < stop]
+    if init != [(0, len(hadamards))] or gates[:len(hadamards)] != hadamards:
+        raise ValueError("pattern circuit must open with one h on each x and y qubit")
+    v = circuit.register("v")[0]
+    if gates[stop:stop + 1] != (Gate.measure(v, 0),):
+        raise ValueError("the first measurement of a pattern circuit must read v into bit 0")
+    layout = DotplotLayout(w, h, circuit.register("dr").size)
+    if gates[stop + 1:] != (*_inverse_qft_gates(x + y), *readout_gates(circuit, layout, ("x", "y"))):
+        raise ValueError("a pattern circuit must end with the inverse QFT over x and y "
+                         "and their readout")
+
+    x0, y0 = np.uint64(circuit.wire(x[0])), np.uint64(circuit.wire(y[0]))
+    xmask, ymask = np.uint64((1 << w) - 1), np.uint64((1 << h) - 1)
+    j = np.arange(cells, dtype=np.uint64)
+    inputs = ((j & xmask) << x0) | ((j >> np.uint64(w)) << y0)
+    bits, _ = toffoli_run_batch(oracle_circuit(circuit, skip="init"), inputs)
+    # The oracle permutes basis states, so each output is one cell of one group.
+    out_j = (((bits >> y0) & ymask) << np.uint64(w)) | ((bits >> x0) & xmask)
+    keys, group = np.unique(bits & ~((xmask << x0) | (ymask << y0)), return_inverse=True)
+    v_wire = circuit.wire(v)
+    rfft = np.fft.rfft  # numpy imports its fft module on first use, not with the CLI
+    half = np.zeros((2, cells // 2 + 1))
+    indicator = np.empty(cells)
+    for g, key in enumerate(keys.tolist()):
+        indicator[:] = 0.0
+        indicator[out_j[group == g]] = 1.0
+        spectrum = rfft(indicator)
+        half[(key >> v_wire) & 1] += spectrum.real ** 2 + spectrum.imag ** 2
+    # A real input's power spectrum is symmetric: |F[k]| = |F[WH - k]|.
+    p = np.concatenate((half, half[:, -2:0:-1]), axis=1)
+    # By Parseval the sum is (WH)^2; dividing by it also absorbs rounding.
+    return p / p.sum()
+
+
+def sample_pattern(circuit: Circuit, shots: int, seed: int = 0) -> np.ndarray:
+    """Counts over (v, k), shape (2, W*H): shots draws from
+    pattern_distribution(circuit) with the seeded generator. Past
+    READOUT_CELL_CAP plot cells, raises ConfigError."""
+    if shots < 1:
+        raise ConfigError(f"shots must be >= 1, got {shots}")
+    p = pattern_distribution(circuit)
+    return np.random.default_rng(seed).multinomial(shots, p.ravel()).reshape(p.shape)
 
 
 def states_equal(a, b, tol: float = 1e-10) -> bool:

@@ -30,7 +30,14 @@ import numpy as np
 from .backends import BackendModel
 from .circuit import Circuit
 from .decompose import MCX_MODES, lower_to_native
-from .encoder import build_dotplot_circuit, decode_outcome, layout_for, readout_gates
+from .encoder import (
+    build_dotplot_circuit,
+    decode_outcome,
+    layout_for,
+    oracle_circuit,
+    readout_gates,
+)
+from .errors import ConfigError
 from .sequences import SymbolSequence
 from .simulate import sample, toffoli_run_batch
 
@@ -69,17 +76,7 @@ def classical_dotplot(r: SymbolSequence, q: SymbolSequence) -> DotPlot:
 
 def _check_mode(mcx_mode: str) -> None:
     if mcx_mode not in MCX_MODES:
-        raise ValueError(f"mcx_mode must be one of {MCX_MODES}")
-
-
-def _oracle(circuit: Circuit, skip: str | None = None) -> Circuit:
-    """The gates before circuit's first measurement, minus the stages labelled skip."""
-    stop = next((i for i, g in enumerate(circuit.gates) if g.kind == "measure"), len(circuit.gates))
-    oracle = Circuit(circuit.registers)
-    for label, start, end in circuit.stage_ranges():
-        if label != skip and start < stop:
-            oracle = oracle.append_stage(label, circuit.gates[start:min(end, stop)])
-    return oracle
+        raise ConfigError(f"mcx_mode must be one of {MCX_MODES}")
 
 
 @dataclass(frozen=True)
@@ -114,7 +111,7 @@ def validate_exhaustive(
     plot = classical_dotplot(r, q)
     if circuit is None:
         circuit = build_dotplot_circuit(r, q, use_minimizer=use_minimizer)
-    circuit = _oracle(circuit, skip="init")
+    circuit = oracle_circuit(circuit, skip="init")
     if mcx_mode == "ccnot_chain":
         circuit = lower_to_native(circuit, TOFFOLI_BACKEND, mcx_mode)
     wf, hf = plot.width, plot.height
@@ -168,7 +165,7 @@ def validate_sampling(
     layout = layout_for(r, q)
     if circuit is None:
         circuit = build_dotplot_circuit(r, q, use_minimizer=use_minimizer)
-    circuit = _oracle(circuit)
+    circuit = oracle_circuit(circuit)
     circuit = circuit.append_stage("readout", readout_gates(circuit, layout))
     counts = sample(circuit, shots, seed=seed)
     wf, hf = plot.width, plot.height

@@ -2,11 +2,16 @@
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import qdotplot
 from qdotplot import Circuit, cli
 from qdotplot.cli import main
 
@@ -329,7 +334,9 @@ def test_simulate_histogram_ignores_mcx_mode(runner, seqdir):
 
 def test_simulate_256_by_64_fits_the_statevector_cap(runner, tmp_path):
     # 8 + 2 + 6 + 2 + 1 = 19 qubits; lowering's six chain ancillas would
-    # make it 25, past the cap of 24, but simulate never lowers.
+    # make it 25. simulate never lowers, and it reads the circuit out by
+    # bit propagation and an FFT, so no qubit cap applies to it at all
+    # (see the 25-qubit test below).
     rng = random.Random(256)
     (tmp_path / "ref.txt").write_text(_dna(rng, 256) + "\n")
     (tmp_path / "qry.txt").write_text(_dna(rng, 64) + "\n")
@@ -341,6 +348,61 @@ def test_simulate_256_by_64_fits_the_statevector_cap(runner, tmp_path):
     assert result.exit_code == 0, result.output
     hist = json.loads((tmp_path / "out" / "histogram.json").read_text())
     assert sum(o["count"] for o in hist["outcomes"]) == 1000
+
+
+def test_simulate_25_qubits_exits_zero(runner, tmp_path):
+    # 8 + 4 + 8 + 4 + 1 = 25 qubits: one past the statevector cap of 24.
+    rng = random.Random(25)
+    letters = "ACDEFGHIKLMNPQRS"
+    for name in ("ref.txt", "qry.txt"):
+        seq = letters + "".join(rng.choice(letters) for _ in range(240))
+        (tmp_path / name).write_text(seq + "\n")
+    result = runner.invoke(main, [
+        "simulate", "--reference", str(tmp_path / "ref.txt"),
+        "--query", str(tmp_path / "qry.txt"), "--shots", "1000",
+        "--out", str(tmp_path / "out"),
+    ])
+    assert result.exit_code == 0, result.output
+    hist = json.loads((tmp_path / "out" / "histogram.json").read_text())
+    assert sum(o["count"] for o in hist["outcomes"]) == 1000
+    assert all(o["k"] == o["y"] * 256 + o["x"] for o in hist["outcomes"])
+
+
+def test_simulate_past_the_cell_cap_exits_two(runner, tmp_path):
+    (tmp_path / "ref.txt").write_text("A" * 2048 + "\n")
+    (tmp_path / "qry.txt").write_text("A" * 1024 + "\n")
+    result = runner.invoke(main, [
+        "simulate", "--reference", str(tmp_path / "ref.txt"),
+        "--query", str(tmp_path / "qry.txt"), "--shots", "100",
+        "--out", str(tmp_path / "out"),
+    ])
+    assert result.exit_code == 2
+    assert ("configuration error: 2097152 plot cells exceed the readout cap of 1048576"
+            in result.output)
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+def test_non_finite_gate_time_exits_two(runner, seqdir, literal):
+    backend = seqdir / "backend.json"
+    backend.write_text('{"name": "nanb", "qubit_count": 40, '
+                       '"native_gates": ["rx", "ry", "rxx"], "gate_time_ns": %s}' % literal)
+    result = runner.invoke(main, _args(seqdir, "estimate", "--backend", str(backend)))
+    assert result.exit_code == 2, result.output
+    assert "gate_time_ns must be a positive finite number" in result.output
+    assert not (seqdir / "out" / "report.json").exists()
+
+
+def test_cli_import_loads_neither_scipy_nor_numpy_fft():
+    # Both load on first use (the sampling validator, the exact readout), so
+    # starting the CLI stays as cheap as importing numpy and click.
+    src = str(Path(qdotplot.__file__).resolve().parents[1])
+    code = ("import sys, qdotplot.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+            "or m.startswith('numpy.fft')))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 # -- golden artifacts ------------------------------------------------------------
@@ -402,9 +464,9 @@ GOLDEN = {
         "estimate/report.json":
             "e596b1614223a7577d2f95d54aac5a0c75df6a0d80cbdb86f2d9439f04e6727e",
         "simulate-chain/histogram.json":
-            "bc9dc4895d8e7983f47ea03ff750a1ce96b46282689c5f819b6bbf86b729751b",
+            "ab5707a4125930e71ae616b69dff53bce04049658ee4934aee24c9d3939a1fc4",
         "simulate-single/histogram.json":
-            "bc9dc4895d8e7983f47ea03ff750a1ce96b46282689c5f819b6bbf86b729751b",
+            "ab5707a4125930e71ae616b69dff53bce04049658ee4934aee24c9d3939a1fc4",
         "transpile-ion40/qpr.qasm":
             "62daac00e977ba0813aff2a2f163906799a3c1c8940d81db70bceea04434aafb",
         "transpile-ion40/report.csv":
@@ -454,9 +516,9 @@ GOLDEN = {
         "estimate/report.json":
             "4264aae8103e72ab223ba8d2373a26ead40ac320b96b62ec3e7ab99a497d7002",
         "simulate-chain/histogram.json":
-            "26d66745f46cea17342c04feafa3f76054d584d13a0d325061a2902552ae1585",
+            "1a39373d38fd1af291a2eaadff25a741a675cbbabe2491b26df363c739ae22e1",
         "simulate-single/histogram.json":
-            "26d66745f46cea17342c04feafa3f76054d584d13a0d325061a2902552ae1585",
+            "1a39373d38fd1af291a2eaadff25a741a675cbbabe2491b26df363c739ae22e1",
         "transpile-ion40/qpr.qasm":
             "d65a9a2d134b13422c885ae338d27f1b59a50b8921964e4fb80461270b41a938",
         "transpile-ion40/report.csv":

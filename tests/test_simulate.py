@@ -1,6 +1,7 @@
 """Simulation engines: bit propagation, dense statevector, sampling."""
 
 import gc
+import random
 
 import numpy as np
 import pytest
@@ -9,19 +10,26 @@ from hypothesis import strategies as st
 
 from conftest import embed1q, equal_up_to_phase, mcx_matrix
 from qdotplot import (
+    ALPHABET_PRESETS,
     Circuit,
     ConfigError,
     Control,
     Gate,
     Register,
     Statevector,
+    build_pattern_circuit,
     circuit_unitary,
+    map_alphabet,
+    pad_pair,
+    pattern_distribution,
     sample,
+    sample_pattern,
     statevector_run,
     states_equal,
     toffoli_run,
     toffoli_run_batch,
 )
+from qdotplot.simulate import _Engine
 
 
 def _circuit(n, gates):
@@ -315,3 +323,108 @@ def test_sample_leaves_no_reference_cycle():
     finally:
         gc.enable()
     assert set(counts) == {(0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1)}
+
+
+# -- exact readout of pattern circuits ------------------------------------------
+
+
+def _dna(rng: random.Random, n: int) -> str:
+    return "".join(rng.choice("ACGT") for _ in range(n))
+
+
+def _pattern(ref: str, qry: str) -> Circuit:
+    dna = ALPHABET_PRESETS["dna"]
+    return build_pattern_circuit(*pad_pair(map_alphabet(ref, dna), map_alphabet(qry, dna)))
+
+
+def _golden_pair(seed: int, ref_len: int, qry_len: int) -> Circuit:
+    # The DNA pairs the CLI golden-hash runs draw.
+    rng = random.Random(seed)
+    return _pattern(_dna(rng, ref_len), _dna(rng, qry_len))
+
+
+def _dense_readout(circuit: Circuit) -> np.ndarray:
+    """P[v, k] from the dense engine: run the gates before the first
+    measurement, project on each v, run the qft stage, and take the x/y
+    marginal at k = y*W + x."""
+    gates = circuit.gates
+    stop = next(i for i, g in enumerate(gates) if g.kind == "measure")
+    psi, _ = statevector_run(Circuit(circuit.registers, gates=gates[:stop]))
+    (qft,) = [Circuit(circuit.registers, gates=gates[s:e])
+              for label, s, e in circuit.stage_ranges() if label == "qft"]
+    n = circuit.n_qubits
+    w, h = circuit.register("x").size, circuit.register("y").size
+    basis = np.arange(1 << n)
+    x = (basis >> circuit.wire(circuit.register("x")[0])) & ((1 << w) - 1)
+    y = (basis >> circuit.wire(circuit.register("y")[0])) & ((1 << h) - 1)
+    v = (basis >> circuit.wire(circuit.register("v")[0])) & 1
+    p = np.zeros((2, 1 << (w + h)))
+    for value in (0, 1):
+        state = np.where(v == value, psi.amplitudes, 0)
+        engine = _Engine(qft, state.reshape([2] * n))
+        for g in qft.gates:
+            engine.apply(g)
+        p[value] = np.bincount((y << w) | x, weights=np.abs(state) ** 2, minlength=p.shape[1])
+    return p
+
+
+@pytest.mark.parametrize("circuit_of", [
+    lambda: _golden_pair(1, 8, 16),
+    lambda: _golden_pair(2, 16, 12),
+    lambda: _pattern(*[_dna(random.Random(64), 64)] * 2),
+], ids=["golden-1", "golden-2", "self-64"])
+def test_pattern_distribution_matches_the_dense_engine(circuit_of):
+    circuit = circuit_of()
+    assert circuit.n_qubits <= 20
+    p = pattern_distribution(circuit)
+    dense = _dense_readout(circuit)
+    assert p.shape == dense.shape
+    assert np.abs(p - dense).max() < 1e-10
+
+
+def test_sample_pattern_deterministic_per_seed():
+    circuit = _golden_pair(2, 16, 12)
+    a = sample_pattern(circuit, 5000, seed=7)
+    b = sample_pattern(circuit, 5000, seed=7)
+    c = sample_pattern(circuit, 5000, seed=8)
+    assert a.shape == (2, 256)
+    assert a.sum() == 5000
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, c)
+    # Counts land only where the exact distribution allows them.
+    assert a[pattern_distribution(circuit) < 1e-12].sum() == 0
+
+
+def _with_gate(circuit: Circuit, index: int, gate: Gate) -> Circuit:
+    """circuit with gate inserted before gates[index], stage marks kept."""
+    gates = circuit.gates
+    return Circuit(
+        registers=circuit.registers,
+        gates=gates[:index] + (gate,) + gates[index:],
+        classical_bits=circuit.classical_bits,
+        stage_marks=tuple((i + (i > index), label) for i, label in circuit.stage_marks),
+    )
+
+
+def test_sample_pattern_rejects_other_circuits():
+    circuit = _golden_pair(1, 8, 16)
+    x0 = circuit.register("x")[0]
+    extra = circuit.append_stage("readout", [Gate.h(x0)])
+    with pytest.raises(ValueError, match="inverse QFT"):
+        sample_pattern(extra, 100)
+    stop = next(i for i, g in enumerate(circuit.gates) if g.kind == "measure")
+    superposed = _with_gate(circuit, stop, Gate.h(circuit.register("dr")[0]))
+    with pytest.raises(ValueError, match="cannot apply 'h'"):
+        sample_pattern(superposed, 100)
+    no_init = _with_gate(circuit, 0, Gate.x(x0))
+    with pytest.raises(ValueError, match="one h on each x and y qubit"):
+        sample_pattern(no_init, 100)
+
+
+def test_sample_pattern_limits_raise_config_error():
+    circuit = _golden_pair(1, 8, 16)
+    with pytest.raises(ConfigError, match="shots must be >= 1"):
+        sample_pattern(circuit, 0)
+    wide = build_pattern_circuit(*pad_pair(map_alphabet("A" * 2048), map_alphabet("A" * 1024)))
+    with pytest.raises(ConfigError, match="^2097152 plot cells exceed the readout cap of 1048576$"):
+        sample_pattern(wide, 100)

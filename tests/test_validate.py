@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from conftest import brute_dot_plot, make_sequence, random_codes
 from qdotplot import (
     Circuit,
+    ConfigError,
     Gate,
     classical_dotplot,
     build_dotplot_circuit,
@@ -151,6 +152,15 @@ def test_validators_reject_unknown_mcx_mode():
     with pytest.raises(ValueError, match="mcx_mode"):
         validate_exhaustive(R8, Q8, "ccnot")
     with pytest.raises(ValueError, match="mcx_mode"):
+        validate_sampling(R8, Q8, shots=10, mcx_mode="ccnot")
+
+
+def test_unknown_mcx_mode_is_a_config_error():
+    # ConfigError is a ValueError, so the checks above hold as well; the
+    # CLI maps it to exit code 2.
+    with pytest.raises(ConfigError, match="mcx_mode must be one of"):
+        validate_exhaustive(R8, Q8, "ccnot")
+    with pytest.raises(ConfigError, match="mcx_mode must be one of"):
         validate_sampling(R8, Q8, shots=10, mcx_mode="ccnot")
 
 
