@@ -299,8 +299,15 @@ class Circuit:
                 return r
         raise CircuitError(f"unknown register {name!r}")
 
-    def qubits(self, name: str) -> tuple[QubitRef, ...]:
-        return self.register(name).refs()
+    def ancilla_register(self, size: int) -> Register:
+        """A new ancilla register named anc, anc1, anc2, ...: the first name no register takes."""
+        taken = {r.name for r in self.registers}
+        name = "anc"
+        k = 0
+        while name in taken:
+            k += 1
+            name = f"anc{k}"
+        return Register(name, size, "ancilla")
 
     def append_stage(self, label: str, gates, classical_bits: int | None = None) -> Circuit:
         """Return a new circuit with `gates` appended under a new stage mark."""

@@ -38,7 +38,7 @@ from .sequences import (
     pad_pair,
     read_sequence_file,
 )
-from .simulate import sample_pattern
+from .simulate import check_qubit_cap, sample_pattern
 from .validate import validate_exhaustive, validate_sampling
 
 _MODE_FLAGS = {"chain": "ccnot_chain", "single-ancilla": "single_ancilla"}
@@ -106,10 +106,12 @@ def run_pipeline(config: RunConfig, validate: bool = False) -> int:
     """ingest -> encode -> build -> lower/route -> estimate, artifacts on disk.
 
     With validate, both validation procedures check the pattern circuit
-    that was just built and compiled. Returns the process exit code (0, or
-    1 when a requested validation fails)."""
+    that was just built and compiled, whose statevector cap is checked first.
+    Returns the process exit code (0, or 1 when a requested validation fails)."""
     r, q, dataset = _load_pair(config)
     circuit = build_pattern_circuit(r, q, use_minimizer=config.use_minimizer)
+    if validate:
+        check_qubit_cap(circuit.n_qubits)
     compiled, report, out = _compile(config, circuit, dataset)
     emit_qasm(compiled, out / "qpr.qasm")
     (out / "report.csv").write_text(reports_to_csv([report]))

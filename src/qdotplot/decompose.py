@@ -247,13 +247,7 @@ def _ancilla_pool(circuit: Circuit, mcx_mode: str) -> tuple[tuple[Register, ...]
             pool.extend(reg.refs())
     if len(pool) >= need:
         return circuit.registers, tuple(pool)
-    taken = {r.name for r in circuit.registers}
-    name = "anc"
-    k = 0
-    while name in taken:
-        k += 1
-        name = f"anc{k}"
-    extra = Register(name, need - len(pool), "ancilla")
+    extra = circuit.ancilla_register(need - len(pool))
     return circuit.registers + (extra,), tuple(pool) + extra.refs()
 
 

@@ -59,8 +59,10 @@ def route(circuit: Circuit, backend: BackendModel) -> Circuit:
     adj = backend.adjacency()
     phys = Register("q", backend.qubit_count, "physical")
     refs = phys.refs()
-    l2p = list(range(n_logical))
-    p2l: dict[int, int] = {p: l for l, p in enumerate(l2p)}
+    # The placement is two full permutations of the physical qubits: logical
+    # ids from n_logical up stand for the unoccupied ones.
+    l2p = list(range(backend.qubit_count))
+    p2l = list(range(backend.qubit_count))
     swap_native = "swap" in backend.native_gates
 
     out: list[Gate] = []
@@ -72,8 +74,7 @@ def route(circuit: Circuit, backend: BackendModel) -> Circuit:
     paths: dict[tuple[int, int], list[int]] = {}
 
     def emit_swap(a: int, b: int):
-        # Also updates the placement: whatever logical qubits live at a and
-        # b exchange homes. Unoccupied physical qubits swap silently too.
+        # Also updates the placement: the logical qubits at a and b exchange homes.
         gates = swaps.get((a, b))
         if gates is None:
             if swap_native:
@@ -82,19 +83,9 @@ def route(circuit: Circuit, backend: BackendModel) -> Circuit:
                 gates = (Gate.cx(refs[a], refs[b]), Gate.cx(refs[b], refs[a]), Gate.cx(refs[a], refs[b]))
             swaps[a, b] = gates
         out.extend(gates)
-        la, lb = p2l.get(a), p2l.get(b)
-        if la is not None:
-            l2p[la] = b
-        if lb is not None:
-            l2p[lb] = a
-        if la is not None:
-            p2l[b] = la
-        elif b in p2l:
-            del p2l[b]
-        if lb is not None:
-            p2l[a] = lb
-        elif a in p2l:
-            del p2l[a]
+        la, lb = p2l[a], p2l[b]
+        p2l[a], p2l[b] = lb, la
+        l2p[la], l2p[lb] = b, a
 
     def remap(g: Gate, placed: list[int]) -> Gate:
         # placed holds the physical wires of g.qubits(): targets, then controls.
@@ -131,5 +122,5 @@ def route(circuit: Circuit, backend: BackendModel) -> Circuit:
         gates=tuple(out),
         classical_bits=circuit.classical_bits,
         stage_marks=tuple(marks) if circuit.stage_marks else (),
-        final_layout=tuple(l2p),
+        final_layout=tuple(l2p[:n_logical]),
     )

@@ -6,10 +6,11 @@ X-family gates (any control polarity), SWAP, and Measure; anything that can
 create superposition is rejected. The statevector engine holds all 2^n
 amplitudes and applies gates as in-place amplitude updates on a [2]*n view;
 wire q maps to tensor axis n-1-q so that wire 0 is the least significant bit
-of the basis index. Mid-circuit measurement collapses the state using the
-seeded generator. A pattern circuit (encoder.build_pattern_circuit) is read
-out without a statevector: its oracle runs on the Toffoli engine once per
-plot cell and an FFT stands in for the inverse QFT (pattern_distribution).
+of the basis index. statevector_run collapses the state at each measure;
+sample defers mid-circuit measurements and draws from one dense pass. A
+pattern circuit (encoder.build_pattern_circuit) is read out without a
+statevector: its oracle runs on the Toffoli engine once per plot cell
+(run_cells) and an FFT stands in for the inverse QFT (pattern_distribution).
 """
 
 from __future__ import annotations
@@ -26,6 +27,12 @@ from .errors import ConfigError
 
 DEFAULT_QUBIT_CAP = 24
 READOUT_CELL_CAP = 1 << 20
+
+
+def check_qubit_cap(n: int, cap: int = DEFAULT_QUBIT_CAP, engine: str = "statevector") -> None:
+    """Raise ConfigError when a dense engine would hold more than cap qubits."""
+    if n > cap:
+        raise ConfigError(f"{n} qubits exceeds the {engine} cap of {cap}")
 
 
 # -- Toffoli engine ---------------------------------------------------------
@@ -116,6 +123,18 @@ def toffoli_run_batch(circuit: Circuit, initials: np.ndarray) -> tuple[np.ndarra
             _, w, cbit = op
             classical[:, cbit] = ((bits >> np.uint64(w)) & np.uint64(1)).astype(np.int8)
     return bits, classical
+
+
+def run_cells(oracle: Circuit) -> np.ndarray:
+    """The basis state oracle leaves for each plot cell, in cell order
+    j = y*W + x: the input holds x on register x, y on register y and 0 on
+    every other wire."""
+    w, h = oracle.register("x").size, oracle.register("y").size
+    x0 = np.uint64(oracle.wire(oracle.register("x")[0]))
+    y0 = np.uint64(oracle.wire(oracle.register("y")[0]))
+    j = np.arange(1 << (w + h), dtype=np.uint64)
+    inputs = ((j & np.uint64((1 << w) - 1)) << x0) | ((j >> np.uint64(w)) << y0)
+    return toffoli_run_batch(oracle, inputs)[0]
 
 
 # -- statevector engine -----------------------------------------------------
@@ -274,8 +293,7 @@ def statevector_run(
     collapse the state in place.
     """
     n = circuit.n_qubits
-    if n > max_qubits:
-        raise ConfigError(f"{n} qubits exceeds the statevector cap of {max_qubits}")
+    check_qubit_cap(n, max_qubits)
     if not 0 <= initial < (1 << n):
         raise ValueError(f"initial state {initial} out of range for {n} qubits")
     psi = np.zeros(1 << n, dtype=complex)
@@ -294,8 +312,7 @@ def statevector_run(
 def circuit_unitary(circuit: Circuit, max_qubits: int = 12) -> np.ndarray:
     """Dense unitary of a measurement-free circuit (oracle-sized circuits only)."""
     n = circuit.n_qubits
-    if n > max_qubits:
-        raise ConfigError(f"{n} qubits exceeds the unitary cap of {max_qubits}")
+    check_qubit_cap(n, max_qubits, "unitary")
     if any(g.kind == "measure" for g in circuit.gates):
         raise ValueError("circuit with measurements has no unitary")
     mat = np.eye(1 << n, dtype=complex)
@@ -310,82 +327,51 @@ def sample(
     shots: int,
     seed: int = 0,
     max_qubits: int = DEFAULT_QUBIT_CAP,
-    max_branches: int = 1024,
 ) -> dict[tuple, int]:
-    """Histogram over classical bit tuples (index = classical bit).
+    """Histogram over classical bit tuples (index = classical bit), drawn
+    from the final distribution of one dense pass.
 
-    Trailing measurements are sampled from the final distribution in one
-    pass. A measurement followed by more gates forks the simulation into
-    its 0 and 1 branches instead of rerunning per shot, so the histogram is
-    drawn from the exact joint distribution.
+    Measurement is deferred: each measure with gates after it becomes a cx
+    onto a fresh ancilla wire (counted toward max_qubits), measured at the
+    end in program order before the trailing measures, so a later write to
+    the same bit still wins.
     """
     if shots < 1:
         raise ConfigError(f"shots must be >= 1, got {shots}")
-    n = circuit.n_qubits
-    if n > max_qubits:
-        raise ConfigError(f"{n} qubits exceeds the statevector cap of {max_qubits}")
     gates = circuit.gates
     if not any(g.kind == "measure" for g in gates):
         raise ValueError("circuit has no measurements to sample")
-    last_op = max(i for i, g in enumerate(gates) if g.kind != "measure") \
-        if any(g.kind != "measure" for g in gates) else -1
-    tail = [(wires[0], g.classical_bit)
-            for g, wires in zip(gates[last_op + 1:], circuit.wires[last_op + 1:])]
-
-    # Depth-first over mid-circuit measurement outcomes, on an explicit stack
-    # (a recursive closure would hold every leaf in a reference cycle after
-    # return). Each leaf carries its path probability, the classical bits
-    # fixed so far, and the final distribution over basis states.
-    leaves: list[tuple[float, tuple, np.ndarray]] = []
+    # The trailing measurements start at stop.
+    stop = max((i + 1 for i, g in enumerate(gates) if g.kind != "measure"), default=0)
+    mid = [i for i in range(stop) if gates[i].kind == "measure"]
+    check_qubit_cap(circuit.n_qubits + len(mid), max_qubits)
+    if mid:
+        anc = circuit.ancilla_register(len(mid))
+        fresh = dict(zip(mid, anc.refs()))
+        body = [Gate.cx(g.targets[0], fresh[i]) if i in fresh else g
+                for i, g in enumerate(gates[:stop])]
+        deferred = [Gate.measure(fresh[i], gates[i].classical_bit) for i in mid]
+        circuit = Circuit(circuit.registers + (anc,), (*body, *deferred, *gates[stop:]),
+                          circuit.classical_bits)
+    n = circuit.n_qubits
     psi = np.zeros(1 << n, dtype=complex)
     psi[0] = 1.0
-    pending = [(psi, 0, 1.0, (None,) * circuit.classical_bits)]
-    while pending:
-        psi, start, prob, classical = pending.pop()
-        eng = _Engine(circuit, psi.reshape([2] * n))
-        for i in range(start, last_op + 1):
-            g = gates[i]
-            if g.kind == "measure":
-                s0, s1 = eng._slices(eng.t, n - 1 - circuit.wires[i][0])
-                p1 = float(np.sum(np.abs(eng.t[s1]) ** 2))
-                outcomes = [(o, p) for o, p in ((0, 1.0 - p1), (1, p1)) if p >= 1e-12]
-                forks = []
-                for k, (outcome, p) in enumerate(outcomes):
-                    # The last outcome takes psi itself; the others take copies.
-                    fork = psi if k == len(outcomes) - 1 else psi.copy()
-                    view = fork.reshape([2] * n)
-                    view[s0 if outcome else s1] = 0.0
-                    keep = s1 if outcome else s0
-                    view[keep] = view[keep] / math.sqrt(p)
-                    bits = list(classical)
-                    bits[g.classical_bit] = outcome
-                    forks.append((fork, i + 1, prob * p, tuple(bits)))
-                pending.extend(reversed(forks))  # outcome 0 is explored first
-                break
-            eng.apply(g)
-        else:
-            if len(leaves) >= max_branches:
-                raise ConfigError(f"measurement branches exceed the sampling cap of {max_branches}")
-            leaves.append((prob, classical, np.abs(psi) ** 2))
-    del psi, eng  # the last 2^n state is not needed while drawing
-
-    rng = np.random.default_rng(seed)
-    weights = np.array([p for p, _, _ in leaves])
-    weights = weights / weights.sum()
-    per_leaf = rng.multinomial(shots, weights)
+    eng = _Engine(circuit, psi.reshape([2] * n))
+    for g in circuit.gates[:stop]:
+        eng.apply(g)
+    dist = np.abs(psi) ** 2
+    del psi, eng  # the 2^n amplitudes are not needed while drawing
+    dist /= dist.sum()
+    drawn = np.random.default_rng(seed).choice(len(dist), size=shots, p=dist)
+    tail = [(wires[0], g.classical_bit)
+            for g, wires in zip(circuit.gates[stop:], circuit.wires[stop:])]
     counts: dict[tuple, int] = {}
-    for (prob, classical, dist), k in zip(leaves, per_leaf):
-        if k == 0:
-            continue
-        dist = dist / dist.sum()
-        drawn = rng.choice(len(dist), size=k, p=dist)
-        basis, freq = np.unique(drawn, return_counts=True)
-        for state, f in zip(basis, freq):
-            bits = list(classical)
-            for w, cbit in tail:
-                bits[cbit] = (int(state) >> w) & 1
-            key = tuple(bits)
-            counts[key] = counts.get(key, 0) + int(f)
+    for state, f in zip(*np.unique(drawn, return_counts=True)):
+        bits = [None] * circuit.classical_bits
+        for w, cbit in tail:
+            bits[cbit] = (int(state) >> w) & 1
+        key = tuple(bits)
+        counts[key] = counts.get(key, 0) + int(f)
     return counts
 
 
@@ -425,11 +411,9 @@ def pattern_distribution(circuit: Circuit) -> np.ndarray:
         raise ValueError("a pattern circuit must end with the inverse QFT over x and y "
                          "and their readout")
 
+    bits = run_cells(oracle_circuit(circuit, skip="init"))
     x0, y0 = np.uint64(circuit.wire(x[0])), np.uint64(circuit.wire(y[0]))
     xmask, ymask = np.uint64((1 << w) - 1), np.uint64((1 << h) - 1)
-    j = np.arange(cells, dtype=np.uint64)
-    inputs = ((j & xmask) << x0) | ((j >> np.uint64(w)) << y0)
-    bits, _ = toffoli_run_batch(oracle_circuit(circuit, skip="init"), inputs)
     # The oracle permutes basis states, so each output is one cell of one group.
     out_j = (((bits >> y0) & ymask) << np.uint64(w)) | ((bits >> x0) & xmask)
     keys, group = np.unique(bits & ~((xmask << x0) | (ymask << y0)), return_inverse=True)

@@ -39,7 +39,7 @@ from .encoder import (
 )
 from .errors import ConfigError
 from .sequences import SymbolSequence
-from .simulate import sample, toffoli_run_batch
+from .simulate import run_cells, sample
 
 # Wide virtual target whose native set a bit-propagation engine can run.
 TOFFOLI_BACKEND = BackendModel(
@@ -105,7 +105,7 @@ def validate_exhaustive(
     """Method 1: bit-exact check of every index pair against the oracle.
 
     Each (x, y) pair is the input basis state of one batched
-    bit-propagation run of the oracle without its init stage.
+    bit-propagation run (run_cells) of the oracle without its init stage.
     """
     _check_mode(mcx_mode)
     plot = classical_dotplot(r, q)
@@ -115,15 +115,8 @@ def validate_exhaustive(
     if mcx_mode == "ccnot_chain":
         circuit = lower_to_native(circuit, TOFFOLI_BACKEND, mcx_mode)
     wf, hf = plot.width, plot.height
-    x0 = circuit.wire(circuit.register("x")[0])
-    y0 = circuit.wire(circuit.register("y")[0])
     v0 = circuit.wire(circuit.register("v")[0])
-    ys, xs = np.mgrid[0:hf, 0:wf]
-    initials = (xs.astype(np.uint64) << np.uint64(x0)) | (
-        ys.astype(np.uint64) << np.uint64(y0)
-    )
-    bits, _ = toffoli_run_batch(circuit, initials.ravel())
-    got = ((bits >> np.uint64(v0)) & np.uint64(1)).astype(np.uint8)
+    got = ((run_cells(circuit) >> np.uint64(v0)) & np.uint64(1)).astype(np.uint8)
     want = plot.pixels.ravel()
     bad = np.nonzero(got != want)[0]
     first = None

@@ -368,6 +368,23 @@ def test_simulate_25_qubits_exits_zero(runner, tmp_path):
     assert all(o["k"] == o["y"] * 256 + o["x"] for o in hist["outcomes"])
 
 
+def test_validate_past_the_statevector_cap_exits_two_before_writing(runner, tmp_path):
+    # The 25-qubit pair above: method 2's cap is checked before the run
+    # compiles, validates or writes anything.
+    rng = random.Random(25)
+    letters = "ACDEFGHIKLMNPQRS"
+    for name in ("ref.txt", "qry.txt"):
+        seq = letters + "".join(rng.choice(letters) for _ in range(240))
+        (tmp_path / name).write_text(seq + "\n")
+    result = runner.invoke(main, [
+        "validate", "--reference", str(tmp_path / "ref.txt"),
+        "--query", str(tmp_path / "qry.txt"), "--out", str(tmp_path / "out"),
+    ])
+    assert result.exit_code == 2, result.output
+    assert "configuration error: 25 qubits exceeds the statevector cap of 24" in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_past_the_cell_cap_exits_two(runner, tmp_path):
     (tmp_path / "ref.txt").write_text("A" * 2048 + "\n")
     (tmp_path / "qry.txt").write_text("A" * 1024 + "\n")

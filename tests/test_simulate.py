@@ -19,6 +19,7 @@ from qdotplot import (
     Statevector,
     build_pattern_circuit,
     circuit_unitary,
+    lower_to_native,
     map_alphabet,
     pad_pair,
     pattern_distribution,
@@ -29,7 +30,9 @@ from qdotplot import (
     toffoli_run,
     toffoli_run_batch,
 )
-from qdotplot.simulate import _Engine
+from qdotplot.encoder import oracle_circuit
+from qdotplot.simulate import _Engine, run_cells
+from qdotplot.validate import TOFFOLI_BACKEND
 
 
 def _circuit(n, gates):
@@ -173,7 +176,7 @@ def test_statevector_cap():
     assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-9
 
 
-def test_resource_limits_raise_config_error():
+def test_resource_limits_raise_config_error(monkeypatch):
     # ConfigError (exit 2 in the CLI) subclasses ValueError, so callers
     # that catch ValueError still catch these.
     wide = _circuit(25, [Gate.h(_reg(25)[0])])
@@ -181,13 +184,18 @@ def test_resource_limits_raise_config_error():
         statevector_run(wide)
     with pytest.raises(ConfigError, match="^13 qubits exceeds the unitary cap of 12$"):
         circuit_unitary(_circuit(13, [Gate.h(_reg(13)[0])]))
-    r = _reg(2)
-    forked = Circuit((r,), classical_bits=2).append_stage("s", [
-        Gate.h(r[0]), Gate.measure(r[0], 0), Gate.h(r[1]), Gate.measure(r[1], 1), Gate.x(r[0]),
-    ])
-    assert sum(sample(forked, 100, max_branches=4).values()) == 100
-    with pytest.raises(ConfigError, match="^measurement branches exceed the sampling cap of 3$"):
-        sample(forked, 100, max_branches=3)
+    # The wire a mid-circuit measurement is deferred onto counts toward the
+    # cap, and the cap is checked before the state is allocated.
+    r = _reg(24)
+    deferred = _circuit(24, [Gate.h(r[0]), Gate.measure(r[0], 0), Gate.x(r[0])])
+
+    def no_state(*args, **kwargs):
+        raise AssertionError("the state was allocated before the cap was checked")
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "zeros", no_state)
+        with pytest.raises(ConfigError, match="^25 qubits exceeds the statevector cap of 24$"):
+            sample(deferred, 100)
     assert issubclass(ConfigError, ValueError)
 
 
@@ -293,6 +301,73 @@ def test_midcircuit_branching_probabilities():
     assert abs(first_one - 20000) < 900
 
 
+def _projected_distribution(circuit: Circuit) -> dict:
+    """Exact P(classical tuple) by explicit collapse: the unitary of each
+    segment between measurements (circuit_unitary), then the projector of
+    each outcome, over every outcome sequence. A later write to a bit wins."""
+    n = circuit.n_qubits
+    start = np.zeros(1 << n, dtype=complex)
+    start[0] = 1.0
+    branches = [(start, (None,) * circuit.classical_bits)]
+    segment = []
+    for g, wires in zip(circuit.gates, circuit.wires):
+        if g.kind != "measure":
+            segment.append(g)
+            continue
+        u = circuit_unitary(Circuit(circuit.registers, gates=tuple(segment)))
+        segment = []
+        bit = (np.arange(1 << n) >> wires[0]) & 1
+        grown = []
+        for psi, key in branches:
+            psi = u @ psi
+            for outcome in (0, 1):
+                projected = np.where(bit == outcome, psi, 0)
+                if np.vdot(projected, projected).real > 1e-15:
+                    k = list(key)
+                    k[g.classical_bit] = outcome
+                    grown.append((projected, tuple(k)))
+        branches = grown
+    probs: dict = {}
+    for psi, key in branches:
+        probs[key] = probs.get(key, 0.0) + np.vdot(psi, psi).real
+    return probs
+
+
+def _interleaved_circuit(seed: int, n: int) -> Circuit:
+    # Random h/u3/cx layers, each followed by a measurement of a wire that
+    # a later gate acts on, then every wire measured into bits 0..n-1. The
+    # third mid-circuit measurement rewrites the first one's bit, and the
+    # last one writes bit 0, which the trailing measurement then rewrites.
+    rng = np.random.default_rng(seed)
+    r = _reg(n)
+    gates = []
+    for bit in (n, n + 1, n, 0):
+        for _ in range(3):
+            w = int(rng.integers(n))
+            pick = rng.integers(3)
+            if pick == 0:
+                gates.append(Gate.h(r[w]))
+            elif pick == 1:
+                gates.append(Gate.u3(*rng.uniform(-np.pi, np.pi, size=3), r[w]))
+            else:
+                gates.append(Gate.cx(r[w], r[(w + 1) % n]))
+        w = int(rng.integers(n))
+        gates.append(Gate.measure(r[w], bit))
+        gates.append(Gate.u3(*rng.uniform(-np.pi, np.pi, size=3), r[w]))
+    gates += [Gate.measure(r[i], i) for i in range(n)]
+    return Circuit((r,), classical_bits=n + 2).append_stage("s", gates)
+
+
+@pytest.mark.parametrize("seed, n", [(1, 2), (2, 3), (3, 4), (4, 4)])
+def test_sample_matches_explicit_collapse(seed, n):
+    circuit = _interleaved_circuit(seed, n)
+    exact = _projected_distribution(circuit)
+    shots = 200_000
+    counts = sample(circuit, shots, seed=seed)
+    assert set(counts) <= set(exact)
+    assert max(abs(counts.get(k, 0) / shots - p) for k, p in exact.items()) < 0.01
+
+
 def test_sample_requires_measurements():
     r = _reg(1)
     with pytest.raises(ValueError, match="no measurements"):
@@ -366,6 +441,23 @@ def _dense_readout(circuit: Circuit) -> np.ndarray:
             engine.apply(g)
         p[value] = np.bincount((y << w) | x, weights=np.abs(state) ** 2, minlength=p.shape[1])
     return p
+
+
+@pytest.mark.parametrize("mcx_mode", ["ccnot_chain", "single_ancilla"])
+@pytest.mark.parametrize("pair", [(1, 8, 16), (2, 16, 12)], ids=["golden-1", "golden-2"])
+def test_run_cells_matches_toffoli_run_per_cell(pair, mcx_mode):
+    # The oracles method 1 propagates: lowered to Toffolis in chain mode,
+    # unlowered in single-ancilla mode.
+    oracle = oracle_circuit(_golden_pair(*pair), skip="init")
+    if mcx_mode == "ccnot_chain":
+        oracle = lower_to_native(oracle, TOFFOLI_BACKEND, mcx_mode)
+    w = oracle.register("x").size
+    x0, y0 = oracle.wire(oracle.register("x")[0]), oracle.wire(oracle.register("y")[0])
+    cells = run_cells(oracle)
+    assert len(cells) == 1 << (w + oracle.register("y").size)
+    for j, bits in enumerate(cells.tolist()):
+        x, y = j & ((1 << w) - 1), j >> w
+        assert bits == toffoli_run(oracle, (x << x0) | (y << y0)).bits
 
 
 @pytest.mark.parametrize("circuit_of", [
