@@ -14,10 +14,12 @@ classical bit.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
+from operator import attrgetter
 
 from .errors import CircuitError
 
@@ -27,10 +29,21 @@ ROOT_EXPONENTS = frozenset(
     Fraction(s, d) for s in (1, -1) for d in (2, 4, 8)
 )
 
-# The kinds that take controls, with the labels of their exact forms by control count.
-_EXACT_LABELS = {"x": ("x", "cx", "ccx"), "p": ("p", "cp"), "rootx": ("rootx", "crootx")}
-_PARAM_COUNT = {"p": 1, "u2": 2, "u3": 3, "rx": 1, "ry": 1, "rxx": 1}
-_TARGET_COUNT = {"swap": 2, "rxx": 2}
+# kind -> (target count, parameter count, labels of its exact forms by control
+# count). x takes any number of targets; only kinds with labels take controls.
+# Any other kind is a plain one-target gate.
+_SHAPES = {
+    "x": (None, 0, ("x", "cx", "ccx")),
+    "p": (1, 1, ("p", "cp")),
+    "rootx": (1, 0, ("rootx", "crootx")),
+    "swap": (2, 0, None),
+    "rxx": (2, 1, None),
+    "u2": (1, 2, None),
+    "u3": (1, 3, None),
+    "rx": (1, 1, None),
+    "ry": (1, 1, None),
+}
+_PLAIN = (1, 0, None)
 
 
 @dataclass(frozen=True)
@@ -58,13 +71,13 @@ class Register:
         return tuple(QubitRef(self.name, k) for k in range(self.size))
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class QubitRef:
     register: str
     offset: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Control:
     """A control qubit with polarity. positive=False fires on |0>."""
 
@@ -82,14 +95,18 @@ def _as_control(spec) -> Control:
     raise CircuitError(f"cannot interpret {spec!r} as a control")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Gate:
     """One gate application.
 
     kind is the base family ("x" covers X through multi-controlled X; "p" is
-    the phase family); the `label` property derives the reporting name from
-    the control list, so a CNOT is structurally an "x" with one positive
-    control and is counted as "cx".
+    the phase family). label is the reporting name of exactly one form,
+    fixed at construction from the kind, targets and controls: x/cx/ccx,
+    p/cp and rootx/crootx have one target and only positive controls; every
+    other controlled or multi-target form of those kinds is mcx, mcp or
+    mcrootx. So a CNOT is structurally an "x" with one positive control and
+    is counted as "cx". label takes no part in ==, hash or repr, and
+    dataclasses.replace computes it anew.
     """
 
     kind: str
@@ -98,20 +115,32 @@ class Gate:
     params: tuple[float, ...] = ()
     exponent: Fraction | None = None
     classical_bit: int | None = None
+    label: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        kind, targets, controls = self.kind, self.targets, self.controls
-        want = _TARGET_COUNT.get(kind, 1)
-        if kind == "x":
+        kind, targets, controls, params = self.kind, self.targets, self.controls, self.params
+        want, n_params, exact = _SHAPES.get(kind, _PLAIN)
+        if want is None:
             if not targets:
                 raise CircuitError("x gate needs at least one target")
         elif len(targets) != want:
             raise CircuitError(f"{kind} gate takes {want} target(s), got {len(targets)}")
-        if controls and kind not in _EXACT_LABELS:
-            raise CircuitError(f"{kind} gate cannot carry controls")
-        if len(self.params) != _PARAM_COUNT.get(kind, 0):
-            raise CircuitError(f"{kind} gate takes {_PARAM_COUNT.get(kind, 0)} parameter(s)")
-        for a in self.params:
+        if exact is None:
+            if controls:
+                raise CircuitError(f"{kind} gate cannot carry controls")
+            label = kind
+        else:
+            label = "mc" + kind
+            if len(targets) == 1 and len(controls) < len(exact):
+                for c in controls:
+                    if not c.positive:
+                        break
+                else:
+                    label = exact[len(controls)]
+        object.__setattr__(self, "label", label)
+        if len(params) != n_params:
+            raise CircuitError(f"{kind} gate takes {n_params} parameter(s)")
+        for a in params:
             if not math.isfinite(a):
                 raise CircuitError("gate parameters must be finite")
         if kind == "rootx":
@@ -136,20 +165,6 @@ class Gate:
         if not self.controls:
             return self.targets
         return self.targets + tuple([c.qubit for c in self.controls])
-
-    @property
-    def label(self) -> str:
-        """Reporting name of exactly one form: x/cx/ccx, p/cp and rootx/crootx
-        have one target and only positive controls; every other controlled
-        or multi-target form of those kinds is mcx, mcp or mcrootx."""
-        kind, controls = self.kind, self.controls
-        exact = _EXACT_LABELS.get(kind)
-        if exact is None:
-            return kind
-        if (len(controls) < len(exact) and len(self.targets) == 1
-                and all(c.positive for c in controls)):
-            return exact[len(controls)]
-        return "mc" + kind
 
     # -- constructors ------------------------------------------------------
 
@@ -351,26 +366,30 @@ def depth(circuit: Circuit, gate_range: tuple[int, int] | None = None) -> int:
     share a qubit wire or a classical bit.
     """
     start, stop = gate_range if gate_range is not None else (0, len(circuit.gates))
-    level: dict[object, int] = {}
-    longest = 0
+    # level[k] is the layer of the last gate on key k, where wire w is key w
+    # and classical bit b is key n + b; levels only grow, so the depth is
+    # the largest level at the end.
+    n = circuit.n_qubits
+    level = [0] * (n + circuit.classical_bits)
     for g, keys in zip(circuit.gates[start:stop], circuit.wires[start:stop]):
         if g.kind == "measure":
-            keys += (("c", g.classical_bit),)
-        layer = 1 + max([level.get(k, 0) for k in keys])
-        for k in keys:
-            level[k] = layer
-        if layer > longest:
-            longest = layer
-    return longest
+            keys += (n + g.classical_bit,)
+        if len(keys) == 1:
+            level[keys[0]] += 1
+        elif len(keys) == 2:
+            a, b = keys
+            la, lb = level[a], level[b]
+            level[a] = level[b] = (la if la > lb else lb) + 1
+        else:
+            layer = 1 + max([level[k] for k in keys])
+            for k in keys:
+                level[k] = layer
+    return max(level, default=0)
 
 
 def gate_counts(circuit: Circuit) -> dict[str, int]:
     """Multiset of gate labels; values sum to len(circuit.gates)."""
-    counts: dict[str, int] = {}
-    for g in circuit.gates:
-        label = g.label
-        counts[label] = counts.get(label, 0) + 1
-    return counts
+    return dict(Counter(map(attrgetter("label"), circuit.gates)))
 
 
 def stage_depths(circuit: Circuit) -> dict[str, int]:

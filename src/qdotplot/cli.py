@@ -234,6 +234,21 @@ def estimate_cmd(**kwargs):
     return 0
 
 
+_OUTCOME = ('    {\n      "v": %d,\n      "x": %d,\n      "y": %d,\n      "k": %d,\n'
+            '      "count": %d\n    }')
+
+
+def _histogram_json(header: dict, rows) -> str:
+    """The bytes of json.dumps({**header, "outcomes": [...]}, indent=2) + "\n",
+    each outcome an object of the ints v, x, y, k, count. The rows are
+    formatted directly: with indent set, json.dumps runs its pure-Python
+    encoder, which is slow on thousands of rows."""
+    lines = [f"  {json.dumps(key)}: {json.dumps(value)}" for key, value in header.items()]
+    outcomes = ",\n".join([_OUTCOME % row for row in rows])
+    lines.append(f'  "outcomes": [\n{outcomes}\n  ]' if rows else '  "outcomes": []')
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
 @main.command()
 @_common
 def simulate(**kwargs):
@@ -244,16 +259,14 @@ def simulate(**kwargs):
     counts = sample_pattern(circuit, config.shots, seed=config.seed)
     width = 1 << layout_for(r, q).w
     vs, ks = counts.nonzero()  # in (v, k) order
-    rows = [{"v": v, "x": k % width, "y": k // width, "k": k, "count": n}
+    rows = [(v, k % width, k // width, k, n)
             for v, k, n in zip(vs.tolist(), ks.tolist(), counts[vs, ks].tolist())]
-    rows.sort(key=lambda row: -row["count"])  # stable: ties keep (v, k) order
+    rows.sort(key=lambda row: -row[4])  # stable: ties keep (v, k) order
     out = _outdir(config)
-    (out / "histogram.json").write_text(json.dumps(
-        {"dataset": dataset, "shots": config.shots, "seed": config.seed,
-         "outcomes": rows}, indent=2) + "\n")
-    for row in rows[:10]:
-        click.echo(f"v={row['v']} k={row['k']:>4} (x={row['x']}, y={row['y']})"
-                   f"  count={row['count']}")
+    (out / "histogram.json").write_text(
+        _histogram_json({"dataset": dataset, "shots": config.shots, "seed": config.seed}, rows))
+    for v, x, y, k, n in rows[:10]:
+        click.echo(f"v={v} k={k:>4} (x={x}, y={y})  count={n}")
     return 0
 
 

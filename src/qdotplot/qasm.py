@@ -13,6 +13,15 @@ of the second table and maps every statement back to the gate that
 produced it, so counts, depth and bytes survive a round trip. Every
 rejection is a QasmError that names the offending statement.
 
+Statements are read in one pass. Braces open only gate definitions, so a
+brace-aware scan splits the text up to its last brace, and the body after
+it is cut at each ';' with str.split. One pattern reads the head, the
+parameters (up to the last ')') and the operand text of each statement.
+Work is shared by text within one parse: a repeated statement reuses its
+Gate, and each distinct (name, operand text) pair is resolved and checked
+once, its target and control tuples then shared by every gate that names
+those operands.
+
 A gate parameter is a plain number (the emitter's repr form) or an angle
 expression, evaluated in double precision without eval:
 
@@ -31,7 +40,9 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from .circuit import ROOT_EXPONENTS, Circuit, Control, Gate, QubitRef, Register
@@ -89,15 +100,11 @@ _DEFINITIONS = {
 }
 
 
-def _gate(row: tuple, operands: list[QubitRef], angles: list[float]) -> Gate:
-    kind, controls, _, _, exponent = row
-    return Gate(kind, tuple(operands[controls:]), tuple([Control(q) for q in operands[:controls]]),
-                tuple(angles), exponent)
-
-
 # The emitter's lookup, (label, root exponent) -> name, from each row's gate.
-_NAMES = {(_gate(row, Register("q", 3).refs()[:row[2]], [0.0] * row[3]).label, row[4]): name
-          for name, row in _DIALECT.items()}
+_Q = Register("q", 3).refs()
+_NAMES = {(Gate(kind, _Q[controls:operands], tuple(map(Control, _Q[:controls])),
+                (0.0,) * n_params, exponent).label, exponent): name
+          for name, (kind, controls, operands, n_params, exponent) in _DIALECT.items()}
 
 
 def _statement(g: Gate, creg: str, used: set[str]) -> str:
@@ -144,8 +151,11 @@ def emit_qasm(circuit: Circuit, path) -> None:
 
 # -- parsing ------------------------------------------------------------------
 
+_COMMENT = re.compile(r"//[^\n]*")
 _DELIMITER = re.compile(r"[{};]")
-_HEAD = re.compile(r"(\w+)\s*", re.ASCII)
+# head, then the parameters (greedy, to the last ')', so angles may nest),
+# then the operand text.
+_STATEMENT = re.compile(r"(\w+)\s*(?:\((.*)\))?\s*(.*)", re.ASCII | re.DOTALL)
 _OPERAND = re.compile(r"^(\w+)\[(\d+)\]$", re.ASCII)
 _MEASURE = re.compile(r"(\S+)\s*->\s*(\w+)\[(\d+)\]", re.ASCII)
 _ANGLE_TOKEN = re.compile(
@@ -206,34 +216,49 @@ def _signed(tokens: list[str], i: int) -> tuple[float, int]:
     return (-value if negate else value), i + 1
 
 
-def _angle(text: str) -> float:
-    """Evaluate one gate parameter (grammar in the module docstring)."""
+def _angle(text: str, memo: dict[str, float]) -> float:
+    """Evaluate one gate parameter (grammar in the module docstring).
+
+    A plain number is read by float(); each expression is evaluated once
+    and its value kept in memo.
+    """
     try:
         if not text.isascii() or "_" in text:
             raise ValueError("float() also reads '_' and non-ASCII digits")
         value = float(text)
     except ValueError:
-        try:
-            tokens = _angle_tokens(text)
-            value, end = _sum(tokens, 0)
-            if end != len(tokens):
-                raise ValueError("trailing tokens")
-        except (ValueError, ZeroDivisionError, RecursionError):
-            raise QasmError(f"cannot evaluate angle {text.strip()!r}") from None
+        value = memo.get(text)
+        if value is None:
+            try:
+                tokens = _angle_tokens(text)
+                value, end = _sum(tokens, 0)
+                if end != len(tokens):
+                    raise ValueError("trailing tokens")
+            except (ValueError, ZeroDivisionError, RecursionError):
+                raise QasmError(f"cannot evaluate angle {text.strip()!r}") from None
+            memo[text] = value
     if not math.isfinite(value):
         raise QasmError(f"cannot evaluate angle {text.strip()!r}")
     return value
 
 
-def _split_statements(text: str) -> list[str]:
-    """Split on top-level ';', keeping each braced gate body whole."""
+def _split_statements(text: str) -> Iterator[str]:
+    """Split on top-level ';', keeping each braced gate body whole.
+
+    Braces belong only to gate definitions, so the brace-aware scan stops
+    at the last brace and the text after it is cut with str.split. Prefix
+    statements come back stripped, body pieces as cut.
+    """
+    end = max(text.rfind("{"), text.rfind("}")) + 1
     statements = []
     start = depth = 0
-    for m in _DELIMITER.finditer(text):
+    for m in _DELIMITER.finditer(text, 0, end):
         ch = m.group()
         if ch == "{":
             depth += 1
         elif ch == "}":
+            if depth == 0:
+                raise QasmError(f"unmatched '}}' in statement {text[start:m.end()].strip()!r}")
             depth -= 1
             if depth == 0:
                 statements.append(text[start:m.end()].strip())
@@ -241,9 +266,13 @@ def _split_statements(text: str) -> list[str]:
         elif depth == 0:
             statements.append(text[start:m.start()].strip())
             start = m.end()
-    if text[start:].strip():
+    if depth:
         raise QasmError(f"trailing unterminated statement {text[start:].strip()!r}")
-    return statements
+    body = text[end:].split(";")
+    tail = body.pop().strip()
+    if tail:
+        raise QasmError(f"trailing unterminated statement {tail!r}")
+    return chain(statements, body)  # no copy of the body's list
 
 
 def parse_qasm(text: str) -> Circuit:
@@ -252,7 +281,10 @@ def parse_qasm(text: str) -> Circuit:
     The gate definitions the emitter writes are recognized by name and
     skipped; their uses are mapped back to the originating gate kinds.
     """
-    statements = _split_statements(re.sub(r"//[^\n]*", "", text))
+    if "//" in text:
+        text = _COMMENT.sub("", text)
+    statements = _split_statements(text)
+    del text  # the statements hold every byte that is still needed
 
     registers: list[Register] = []
     qreg_sizes: dict[str, int] = {}
@@ -260,12 +292,15 @@ def parse_qasm(text: str) -> Circuit:
     creg_base: dict[str, int] = {}
     classical_bits = 0
     gates: list[Gate] = []
-    # Each distinct gate statement, operand token and angle text is checked
-    # once per parse. A repeated statement reuses its (immutable) Gate, and
-    # every gate on a wire shares one QubitRef.
+    # Work is done once per distinct text, in dicts local to this call: a
+    # repeated statement reuses its (immutable) Gate; each (name, operand
+    # text) pair is resolved and checked once and its target and control
+    # tuples are shared by every gate with those operands; each operand
+    # token and angle expression is read once.
     built: dict[str, Gate] = {}
+    operand_sets: dict[tuple[str, str], tuple[int, tuple, tuple]] = {}
     refs: dict[str, QubitRef] = {}
-    angle_values: dict[str, float] = {}
+    expressions: dict[str, float] = {}
 
     def qubit(tok: str) -> QubitRef:
         ref = refs.get(tok)
@@ -283,7 +318,12 @@ def parse_qasm(text: str) -> Circuit:
 
     header_seen = False
     try:
-        for st in statements:
+        for raw in statements:
+            gate = built.get(raw)
+            if gate is not None:
+                gates.append(gate)
+                continue
+            st = raw.strip()
             if not st:
                 continue
             if not header_seen:
@@ -291,26 +331,21 @@ def parse_qasm(text: str) -> Circuit:
                     header_seen = True
                     continue
                 raise QasmError("program must start with OPENQASM 2.0;")
-            gate = built.get(st)
-            if gate is not None:
-                gates.append(gate)
-                continue
-            if st.startswith("include"):
-                continue
-            if st.startswith("gate "):
-                name = st.split()[1].split("(")[0]
-                if name in _DEFINITIONS:
+            m = _STATEMENT.match(st)
+            head, params, rest = m.groups() if m else (None, None, "")
+            row = _PARSED.get(head)
+            if row is None:
+                if st.startswith("include"):
                     continue
-                raise QasmError(f"unsupported gate definition {name!r}")
-            m = _HEAD.match(st)
-            if not m:
-                raise QasmError("cannot parse statement")
-            head, params, rest = m.group(1), None, st[m.end():]
-            if rest[:1] == "(":
-                close = rest.rfind(")")  # operands never hold one, so angles may nest
-                if close < 0:
-                    raise QasmError("unclosed parameter list")
-                params, rest = rest[1:close], rest[close + 1:].lstrip()
+                if st.startswith("gate "):
+                    name = st.split()[1].split("(")[0]
+                    if name in _DEFINITIONS:
+                        continue
+                    raise QasmError(f"unsupported gate definition {name!r}")
+                if not m:
+                    raise QasmError("cannot parse statement")
+            if params is None and rest[:1] == "(":
+                raise QasmError("unclosed parameter list")
             if head == "qreg":
                 dm = _OPERAND.fullmatch(st[4:].strip())
                 if not dm:
@@ -341,21 +376,20 @@ def parse_qasm(text: str) -> Circuit:
                 cname, cbit = dm.group(2), int(dm.group(3))
                 if cname not in creg_names or cbit >= creg_names[cname]:
                     raise QasmError(f"unknown classical bit {cname}[{cbit}]")
-                gates.append(Gate.measure(qubit(dm.group(1)), creg_base[cname] + cbit))
+                gate = built[raw] = Gate.measure(qubit(dm.group(1)), creg_base[cname] + cbit)
+                gates.append(gate)
                 continue
-            operands = [qubit(tok) for tok in rest.split(",")] if rest else []
-            angles = []
-            if params:
-                for a in params.split(","):
-                    value = angle_values.get(a)
-                    if value is None:
-                        value = angle_values[a] = _angle(a)
-                    angles.append(value)
-
-            row = _PARSED.get(head)
-            if row is None or len(operands) != row[2] or len(angles) != row[3]:
+            shared = operand_sets.get((head, rest))
+            if shared is None:
+                operands = [qubit(tok) for tok in rest.split(",")] if rest else []
+                c = row[1] if row else 0
+                shared = operand_sets[head, rest] = (
+                    len(operands), tuple(operands[c:]), tuple([Control(q) for q in operands[:c]]))
+            n_operands, targets, controls = shared
+            angles = tuple([_angle(a, expressions) for a in params.split(",")]) if params else ()
+            if row is None or n_operands != row[2] or len(angles) != row[3]:
                 raise QasmError("unsupported gate or operand count")
-            gate = built[st] = _gate(row, operands, angles)
+            gate = built[raw] = Gate(row[0], targets, controls, angles, row[4])
             gates.append(gate)
     except ValueError as exc:  # QasmError, CircuitError, or an over-long integer
         raise QasmError(f"{exc} in statement {st!r}") from exc

@@ -9,7 +9,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 from .backends import BackendModel
@@ -66,18 +65,14 @@ def width_bounds(n: int, d: int) -> tuple[int, int]:
 def _measure(circuit: Circuit) -> tuple[int, int, dict[str, int], dict[str, int]]:
     """width, depth, stage_depths and gate_counts of a circuit in one walk.
 
-    The four public functions in `circuit` stay the reference for these
-    numbers. Compiled circuits share one object among equal gates, so the
-    label of each distinct gate object is read once. The walk reads each
-    gate's wires from circuit.wires and only updates levels.
+    The public width, depth and stage_depths in `circuit` stay the
+    reference for the first three numbers; the gate counts are
+    circuit.gate_counts itself. The walk reads each gate's wires from
+    circuit.wires and only updates levels.
     """
     n = circuit.n_qubits
     gates = circuit.gates
-    distinct = dict(zip(map(id, gates), gates))
-    counts: dict[str, int] = {}
-    for i, uses in Counter(map(id, gates)).items():
-        label = distinct[i].label
-        counts[label] = counts.get(label, 0) + uses
+    counts = gate_counts(circuit)
 
     merged: list[list] = []
     for label, start, stop in circuit.stage_ranges():

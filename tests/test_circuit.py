@@ -310,3 +310,91 @@ def test_stage_marks_must_be_ordered():
 def test_duplicate_register_names_rejected():
     with pytest.raises(CircuitError):
         Circuit(registers=(Register("a", 1, "x"), Register("a", 2, "y")))
+
+
+def test_label_is_fixed_at_construction_and_left_out_of_eq_hash_and_repr():
+    a, b, c = Register("q", 3).refs()
+    cx = Gate.cx(a, b)
+    label = {f.name: f for f in dataclasses.fields(Gate)}["label"]
+    assert not label.init and not label.compare and not label.repr
+    assert "label" not in repr(cx)
+    twin = Gate.cx(a, b)
+    object.__setattr__(twin, "label", "other")
+    assert twin == cx and hash(twin) == hash(cx)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cx.label = "ccx"
+    ccx = dataclasses.replace(cx, controls=(Control(a), Control(c)))
+    assert ccx.label == "ccx" and cx.label == "cx"
+    assert dataclasses.replace(cx, controls=(Control(a, False),)).label == "mcx"
+    assert dataclasses.replace(ccx, controls=()).label == "x"
+
+
+def _dict_depth(circuit, gate_range=None):
+    # Reference: levels in a dict keyed by wire and by ("c", bit).
+    start, stop = gate_range if gate_range is not None else (0, len(circuit.gates))
+    level, longest = {}, 0
+    for g in circuit.gates[start:stop]:
+        keys = [circuit.wire(q) for q in g.qubits()]
+        if g.kind == "measure":
+            keys.append(("c", g.classical_bit))
+        layer = 1 + max(level.get(k, 0) for k in keys)
+        for k in keys:
+            level[k] = layer
+        longest = max(longest, layer)
+    return longest
+
+
+def _dict_stage_depths(circuit):
+    merged = []
+    for label, start, stop in circuit.stage_ranges():
+        if merged and merged[-1][0] == label and merged[-1][2] == start:
+            merged[-1][2] = stop
+        else:
+            merged.append([label, start, stop])
+    out = {}
+    for label, start, stop in merged:
+        out[label] = out.get(label, 0) + _dict_depth(circuit, (start, stop))
+    return out
+
+
+def _staged_random_circuit(rng):
+    regs = (Register("a", 3, "x"), Register("b", 4, "y"))
+    refs = [r[k] for r in regs for k in range(r.size)]
+    bits = rng.randrange(1, 4)
+    c = Circuit(regs, (), bits)
+    for _ in range(rng.randrange(0, 6)):
+        gates = []
+        for _ in range(rng.randrange(0, 12)):
+            picked = rng.sample(refs, 5)
+            kind = rng.choice(("h", "cx", "ccx", "mcx", "swap", "measure", "measure"))
+            if kind == "h":
+                gates.append(Gate.h(picked[0]))
+            elif kind == "cx":
+                gates.append(Gate.cx(picked[0], picked[1]))
+            elif kind == "ccx":
+                gates.append(Gate.ccx(picked[0], picked[1], picked[2]))
+            elif kind == "mcx":
+                gates.append(Gate.mcx(picked[:4], picked[4]))
+            elif kind == "swap":
+                gates.append(Gate.swap(picked[0], picked[1]))
+            else:  # few bits, so measures often write the same one
+                gates.append(Gate.measure(picked[0], rng.randrange(bits)))
+        c = c.append_stage(rng.choice(("s", "t", "")), gates)
+    return c
+
+
+def test_depth_and_stage_depths_match_a_dict_keyed_reference():
+    for seed in range(300):
+        rng = random.Random(seed)
+        c = _staged_random_circuit(rng)
+        assert depth(c) == _dict_depth(c)
+        assert stage_depths(c) == _dict_stage_depths(c)
+        for _ in range(3):
+            start = rng.randrange(len(c.gates) + 1)
+            stop = rng.randrange(start, len(c.gates) + 1)
+            assert depth(c, (start, stop)) == _dict_depth(c, (start, stop))
+    r = Register("r", 3)
+    same_bit = Circuit((r,), (Gate.measure(r[0], 0), Gate.ccx(r[0], r[1], r[2]),
+                              Gate.measure(r[2], 0), Gate.measure(r[1], 1)), 2)
+    assert depth(same_bit) == _dict_depth(same_bit) == 3
+    assert depth(same_bit, (2, 4)) == 1

@@ -121,6 +121,17 @@ def test_simulate_histogram(runner, seqdir):
         assert o["k"] == o["y"] * 8 + o["x"]
 
 
+def test_histogram_rows_are_written_as_json_dumps_writes_them():
+    rng = random.Random(3)
+    for header in ({"dataset": 'ref "\u00e9" vs qry', "shots": 7, "seed": 0},
+                   {"dataset": None, "shots": 1, "seed": 11}):
+        for n in (0, 1, 40):
+            rows = [tuple(rng.randrange(10**6) for _ in range(5)) for _ in range(n)]
+            outcomes = [dict(zip(("v", "x", "y", "k", "count"), row)) for row in rows]
+            expected = json.dumps({**header, "outcomes": outcomes}, indent=2) + "\n"
+            assert cli._histogram_json(header, rows) == expected
+
+
 def test_validate_exits_zero_and_writes_reports(runner, seqdir):
     result = runner.invoke(
         main, _args(seqdir, "validate", "--shots", "20000", "--seed", "11")

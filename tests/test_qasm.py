@@ -1,6 +1,7 @@
 """OpenQASM 2.0 emission and ingestion."""
 
 import math
+import random
 import re
 import time
 from fractions import Fraction
@@ -16,6 +17,7 @@ from qdotplot import (
     Control,
     Gate,
     QasmError,
+    QubitRef,
     Register,
     build_pattern_circuit,
     builtin_backend_names,
@@ -356,3 +358,112 @@ def test_names_and_counts_outside_the_table_are_rejected():
         named = re.escape(error) + ".* in statement " + re.escape(repr(statement))
         with pytest.raises(QasmError, match=named):
             parse_qasm(f"OPENQASM 2.0;\nqreg q[2];\n{statement};\n")
+
+
+# -- statement splitting ------------------------------------------------------
+
+_RXX_DEF = "gate rxx(theta) a,b { h a; h b; cx a,b; u1(theta) b; cx a,b; h b; h a; }"
+
+
+def test_statement_straight_after_a_closing_brace():
+    c = parse_qasm(f"OPENQASM 2.0;\n{_RXX_DEF}qreg q[2];rxx(0.5) q[0],q[1];")
+    assert [(r.name, r.size) for r in c.registers] == [("q", 2)]
+    assert gate_counts(c) == {"rxx": 1}
+    # Definitions between statements, each closed by its brace alone.
+    c = parse_qasm(f"OPENQASM 2.0;\nqreg q[2];\nh q[0];{_RXX_DEF}x q[1];{_RXX_DEF}\n"
+                   "rxx(0.5) q[0],q[1];\n")
+    assert [g.label for g in c.gates] == ["h", "x", "rxx"]
+
+
+def test_unbalanced_braces_are_rejected():
+    with pytest.raises(QasmError, match=r"unmatched '\}' in statement 'h q\[0\] \}'"):
+        parse_qasm("OPENQASM 2.0;\nqreg q[1];\nh q[0] }\nx q[0];\n")
+    with pytest.raises(QasmError, match=r"unmatched '\}' in statement '\}'"):
+        parse_qasm("OPENQASM 2.0;\nqreg q[1];\nh q[0]; }\nx q[0];\n")
+    with pytest.raises(QasmError, match=r"unmatched '\}'"):
+        parse_qasm(f"OPENQASM 2.0;\n{_RXX_DEF} }}\nqreg q[1];\n")
+    with pytest.raises(QasmError, match=r"trailing unterminated statement 'gate rxx\(theta\) a,b \{ h a;"):
+        parse_qasm("OPENQASM 2.0;\nqreg q[2];\ngate rxx(theta) a,b { h a; h b;\nh q[0];\n")
+    with pytest.raises(QasmError, match="trailing unterminated statement 'x q\\[0\\]'"):
+        parse_qasm(f"OPENQASM 2.0;\n{_RXX_DEF}\nqreg q[1];\nh q[0];\nx q[0]\n")
+
+
+def test_braces_and_semicolons_inside_comments_are_ignored():
+    text = ("// header } ; {\nOPENQASM 2.0; // ; }\n"
+            f"{_RXX_DEF} // {{ unclosed\nqreg q[2]; // }}\n"
+            "h q[0]; // ; x q[1];\ncx q[0],\n// }\nq[1];\n")
+    c = parse_qasm(text)
+    assert [g.label for g in c.gates] == ["h", "cx"]
+
+
+def test_definitions_followed_by_a_long_body():
+    q = Register("q", 4)
+    rng = random.Random(5)
+    gates = []
+    for _ in range(3000):
+        a, b = rng.sample(q.refs(), 2)
+        gates.append(rng.choice((Gate.rxx(rng.uniform(-3, 3), a, b), Gate.cx(a, b),
+                                 Gate.root_x(Fraction(-1, 8), a), Gate.h(a))))
+    c = Circuit((q,), tuple(gates))
+    text = qasm_text(c)
+    assert text.count("gate ") == 2
+    assert parse_qasm(text) == c
+
+
+def test_errors_name_the_stripped_statement():
+    for program, statement in (
+        ("OPENQASM 2.0;\nqreg q[2];\n  \n\t frob q[0] \n ;\n", "frob q[0]"),
+        (f"OPENQASM 2.0;\nqreg q[2];\n  cx q[1],\n  q[1]  ;\n{_RXX_DEF}\n", "cx q[1],\n  q[1]"),
+        (f"OPENQASM 2.0;\n{_RXX_DEF}\nqreg q[2];\n\n  u1(pi**2)  q[0]\n;\n", "u1(pi**2)  q[0]"),
+        (f"OPENQASM 2.0;\n{_RXX_DEF}\n  qreg q[2] ;\n  qreg q[1]  ;\n", "qreg q[1]"),
+    ):
+        with pytest.raises(QasmError, match=re.escape(f" in statement {statement!r}") + "$"):
+            parse_qasm(program)
+
+
+def test_gates_with_one_operand_text_share_their_tuples():
+    c = parse_qasm("OPENQASM 2.0;\nqreg q[2];\nu1(0.1) q[0];\nu1(0.2) q[0];\n"
+                   "cu1(0.1) q[1],q[0];\ncu1(0.3) q[1],q[0];\ncu1(0.1) q[1],q[0];\n")
+    u1a, u1b, cu1a, cu1b, cu1c = c.gates
+    assert u1a.targets is u1b.targets
+    assert cu1a.targets is cu1b.targets and cu1a.controls is cu1b.controls
+    assert cu1c is cu1a  # a repeated statement reuses its gate
+    assert cu1a.controls == (Control(QubitRef("q", 1)),)
+
+
+def _every_name_circuit(rng):
+    q, r = Register("q", 3), Register("r", 2)
+    refs = q.refs() + r.refs()
+
+    def angle():
+        return rng.choice((rng.uniform(-math.pi, math.pi), rng.uniform(-1e-9, 1e-9),
+                           rng.uniform(-1e6, 1e6), 0.0, -0.0))
+
+    makers = [
+        lambda a, b, c: Gate.h(a), lambda a, b, c: Gate.x(a),
+        lambda a, b, c: Gate.cx(a, b), lambda a, b, c: Gate.ccx(a, b, c),
+        lambda a, b, c: Gate.swap(a, b), lambda a, b, c: Gate.phase(angle(), a),
+        lambda a, b, c: Gate.cphase(angle(), a, b), lambda a, b, c: Gate.u2(angle(), angle(), a),
+        lambda a, b, c: Gate.u3(angle(), angle(), angle(), a), lambda a, b, c: Gate.rx(angle(), a),
+        lambda a, b, c: Gate.ry(angle(), a), lambda a, b, c: Gate.rxx(angle(), a, b),
+    ]
+    for e in sorted({Fraction(s, d) for s in (1, -1) for d in (2, 4, 8)}):
+        makers.append(lambda a, b, c, e=e: Gate.root_x(e, a))
+        makers.append(lambda a, b, c, e=e: Gate.root_x(e, a, control=b))
+    gates = [make(*refs[:3]) for make in makers]  # every name at least once
+    for _ in range(400):
+        gates.append(rng.choice(makers)(*rng.sample(refs, 3)))
+    bits = 4
+    gates += [Gate.measure(rng.choice(refs), rng.randrange(bits)) for _ in range(6)]
+    rng.shuffle(gates)
+    return Circuit((q, r), tuple(gates), bits)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_seeded_program_of_every_dialect_name_round_trips(seed):
+    c = _every_name_circuit(random.Random(seed))
+    text = qasm_text(c)
+    heads = {line.split("(")[0].split()[0] for line in text.splitlines()[2:]
+             if not line.startswith(("gate ", "qreg ", "creg ", "measure "))}
+    assert heads == {line.split("(")[0].split()[0] for line in _DIALECT_LINES}
+    assert parse_qasm(text) == c
