@@ -8,7 +8,8 @@ wire 0 is the least significant bit of a basis-state integer.
 Metrics follow transpiler conventions: width counts only wires touched by at
 least one gate, depth is the critical path where every gate (measurements
 included) costs one step and two gates conflict iff they share a qubit or a
-classical bit.
+classical bit. One ASAP level walk (_levels) gives every depth: depth,
+stage_depths and the resource report of reports.compile_circuit.
 """
 
 from __future__ import annotations
@@ -324,15 +325,14 @@ class Circuit:
             name = f"anc{k}"
         return Register(name, size, "ancilla")
 
-    def append_stage(self, label: str, gates, classical_bits: int | None = None) -> Circuit:
-        """Return a new circuit with `gates` appended under a new stage mark."""
+    def append_stage(self, label: str, gates) -> Circuit:
+        """Return a new circuit with `gates` appended under a new stage mark,
+        its classical bits grown to hold every bit a measure writes."""
         gates = tuple(gates)
         bits = self.classical_bits
         for g in gates:
             if g.kind == "measure":
                 bits = max(bits, g.classical_bit + 1)
-        if classical_bits is not None:
-            bits = max(bits, classical_bits)
         return replace(
             self,
             gates=self.gates + gates,
@@ -359,6 +359,51 @@ def width(circuit: Circuit) -> int:
     return len(set(chain.from_iterable(circuit.wires)))
 
 
+def _levels(circuit: Circuit, ranges) -> tuple[list[int], dict[str, int]]:
+    """One ASAP level walk over (label, start, stop) gate index ranges.
+
+    Contiguous ranges sharing a label merge into one (the two sequence
+    encoders mark "neqr" twice on disjoint wires, so their joint depth is
+    the parallel depth); disjoint repeats of a label add up. Returns the
+    level of every key after all ranges (wire w is key w, classical bit b
+    is key n + b), where a key's level is the layer of the last gate on it,
+    and the depth of each label measured alone.
+    """
+    merged: list[list] = []
+    for label, start, stop in ranges:
+        if merged and merged[-1][0] == label and merged[-1][2] == start:
+            merged[-1][2] = stop
+        else:
+            merged.append([label, start, stop])
+    n = circuit.n_qubits
+    gates, wires = circuit.gates, circuit.wires
+    # total spans all ranges, level one merged range.
+    total = [0] * (n + circuit.classical_bits)
+    per_label: dict[str, int] = {}
+    for label, start, stop in merged:
+        level = [0] * len(total)
+        for g, keys in zip(gates[start:stop], wires[start:stop]):
+            if g.kind == "measure":
+                keys += (n + g.classical_bit,)
+            if len(keys) == 1:
+                k = keys[0]
+                level[k] += 1
+                total[k] += 1
+            elif len(keys) == 2:
+                a, b = keys
+                la, lb, ta, tb = level[a], level[b], total[a], total[b]
+                level[a] = level[b] = (la if la > lb else lb) + 1
+                total[a] = total[b] = (ta if ta > tb else tb) + 1
+            else:
+                here = 1 + max([level[k] for k in keys])
+                overall = 1 + max([total[k] for k in keys])
+                for k in keys:
+                    level[k] = here
+                    total[k] = overall
+        per_label[label] = per_label.get(label, 0) + max(level, default=0)
+    return total, per_label
+
+
 def depth(circuit: Circuit, gate_range: tuple[int, int] | None = None) -> int:
     """Critical-path length over a gate index range (default: whole circuit).
 
@@ -366,25 +411,7 @@ def depth(circuit: Circuit, gate_range: tuple[int, int] | None = None) -> int:
     share a qubit wire or a classical bit.
     """
     start, stop = gate_range if gate_range is not None else (0, len(circuit.gates))
-    # level[k] is the layer of the last gate on key k, where wire w is key w
-    # and classical bit b is key n + b; levels only grow, so the depth is
-    # the largest level at the end.
-    n = circuit.n_qubits
-    level = [0] * (n + circuit.classical_bits)
-    for g, keys in zip(circuit.gates[start:stop], circuit.wires[start:stop]):
-        if g.kind == "measure":
-            keys += (n + g.classical_bit,)
-        if len(keys) == 1:
-            level[keys[0]] += 1
-        elif len(keys) == 2:
-            a, b = keys
-            la, lb = level[a], level[b]
-            level[a] = level[b] = (la if la > lb else lb) + 1
-        else:
-            layer = 1 + max([level[k] for k in keys])
-            for k in keys:
-                level[k] = layer
-    return max(level, default=0)
+    return max(_levels(circuit, (("", start, stop),))[0], default=0)
 
 
 def gate_counts(circuit: Circuit) -> dict[str, int]:
@@ -393,19 +420,6 @@ def gate_counts(circuit: Circuit) -> dict[str, int]:
 
 
 def stage_depths(circuit: Circuit) -> dict[str, int]:
-    """Depth per stage label.
-
-    Contiguous ranges sharing a label are merged before measuring (the two
-    sequence encoders mark "neqr" twice but act on disjoint wires, so their
-    joint depth is the parallel depth). Disjoint repeats of a label add up.
-    """
-    merged: list[tuple[str, int, int]] = []
-    for label, start, stop in circuit.stage_ranges():
-        if merged and merged[-1][0] == label and merged[-1][2] == start:
-            merged[-1] = (label, merged[-1][1], stop)
-        else:
-            merged.append((label, start, stop))
-    out: dict[str, int] = {}
-    for label, start, stop in merged:
-        out[label] = out.get(label, 0) + depth(circuit, (start, stop))
-    return out
+    """Depth per stage label: contiguous ranges sharing a label are measured
+    as one, disjoint repeats of a label add up (see _levels)."""
+    return _levels(circuit, circuit.stage_ranges())[1]

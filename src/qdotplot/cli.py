@@ -6,8 +6,10 @@ routed to a backend), estimate (resource report), simulate (histogram
 drawn from the exact readout distribution of the unlowered circuit, see
 simulate.sample_pattern, so --mcx-mode does not change it),
 validate (build, then both validation procedures on the circuit the run
-built), compare-modes (minimizer on/off comparison). Each run builds its
-circuit once, and every verb that compiles shares one compile step.
+built), compare-modes (minimizer on/off comparison of the reference
+encoder, always compiled in chain mode). Each run builds its circuit once,
+and every verb that compiles shares one compile step. Every verb loads
+--backend, simulate too, though it runs the unlowered circuit.
 --mcx-mode only picks how lowering decomposes multi-controlled X gates and
 how many ancillas it adds. Exit codes: 0 success, 1 a requested validation
 failed, 2 configuration error or resource limit (circuit wider than the
@@ -254,6 +256,7 @@ def _histogram_json(header: dict, rows) -> str:
 def simulate(**kwargs):
     """Sample the pattern circuit's exact readout; write the histogram."""
     config = _config(kwargs)
+    load_backend(config.backend)  # a bad --backend exits 2 here too
     r, q, dataset = _load_pair(config)
     circuit = build_pattern_circuit(r, q, use_minimizer=config.use_minimizer)
     counts = sample_pattern(circuit, config.shots, seed=config.seed)
@@ -280,7 +283,10 @@ def validate(**kwargs):
 @main.command("compare-modes")
 @_common
 def compare_modes(**kwargs):
-    """Compare the brute-force and minimized reference encoders."""
+    """Compare the brute-force and minimized reference encoders.
+
+    Both are compiled in chain mode on --backend, routed where it is
+    coupled; the CCNOT line counts the ccx gates left after compiling."""
     config = _config(kwargs)
     r, _, dataset = _load_pair(config)
     backend = load_backend(config.backend)

@@ -370,6 +370,8 @@ def parse_qasm(text: str) -> Circuit:
                 classical_bits += int(dm.group(2))
                 continue
             if head == "measure":
+                if params is not None:
+                    raise QasmError("unsupported gate or operand count")
                 dm = _MEASURE.fullmatch(rest)
                 if not dm:
                     raise QasmError("malformed measure")

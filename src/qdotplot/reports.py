@@ -1,7 +1,10 @@
 """Resource accounting: width, per-stage depth, gate counts, runtime.
 
-The runtime model is deliberately coarse: total critical-path depth times
-one uniform gate time. Backends without a time constant yield no runtime.
+compile_circuit is the one compile path; its width and depths come from
+one pass of circuit's level walk over the compiled circuit, the same walk
+behind circuit.depth and circuit.stage_depths. The runtime model is
+deliberately coarse: total critical-path depth times one uniform gate
+time. Backends without a time constant yield no runtime.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ import json
 from dataclasses import asdict, dataclass, field
 
 from .backends import BackendModel
-from .circuit import Circuit, gate_counts, stage_depths
+from .circuit import Circuit, _levels, gate_counts
 from .decompose import lower_to_native
 from .encoder import build_encoder_circuit
 from .errors import ConfigError
@@ -62,54 +65,6 @@ def width_bounds(n: int, d: int) -> tuple[int, int]:
     return (2 * n + 2 * d + 1, 3 * n + 2 * d - 1)
 
 
-def _measure(circuit: Circuit) -> tuple[int, int, dict[str, int], dict[str, int]]:
-    """width, depth, stage_depths and gate_counts of a circuit in one walk.
-
-    The public width, depth and stage_depths in `circuit` stay the
-    reference for the first three numbers; the gate counts are
-    circuit.gate_counts itself. The walk reads each gate's wires from
-    circuit.wires and only updates levels.
-    """
-    n = circuit.n_qubits
-    gates = circuit.gates
-    counts = gate_counts(circuit)
-
-    merged: list[list] = []
-    for label, start, stop in circuit.stage_ranges():
-        if merged and merged[-1][0] == label and merged[-1][2] == start:
-            merged[-1][2] = stop
-        else:
-            merged.append([label, start, stop])
-    # Keys are the wires, then classical bit b as key n + b. A key's level
-    # is the layer of the last gate on it, so the depth is the largest level
-    # at the end. total spans the circuit, level one stage.
-    total = [0] * (n + circuit.classical_bits)
-    per_stage: dict[str, int] = {}
-    for label, start, stop in merged:
-        level = [0] * len(total)
-        for g, keys in zip(gates[start:stop], circuit.wires[start:stop]):
-            if len(keys) == 1 and g.kind != "measure":
-                k = keys[0]
-                level[k] += 1
-                total[k] += 1
-            elif len(keys) == 2:
-                a, b = keys
-                la, lb, ta, tb = level[a], level[b], total[a], total[b]
-                level[a] = level[b] = (la if la > lb else lb) + 1
-                total[a] = total[b] = (ta if ta > tb else tb) + 1
-            else:
-                if g.kind == "measure":
-                    keys += (n + g.classical_bit,)
-                here = 1 + max([level[k] for k in keys])
-                overall = 1 + max([total[k] for k in keys])
-                for k in keys:
-                    level[k] = here
-                    total[k] = overall
-        per_stage[label] = per_stage.get(label, 0) + max(level, default=0)
-    # Each gate leaves the total level of its wires above 0.
-    return n - total[:n].count(0), max(total, default=0), per_stage, counts
-
-
 def compile_circuit(
     circuit: Circuit,
     backend: BackendModel,
@@ -128,14 +83,16 @@ def compile_circuit(
             f"{backend.name!r} has {backend.qubit_count}"
         )
     compiled = lowered if backend.all_to_all else route(lowered, backend)
-    n_wires, total, per_stage, counts = _measure(compiled)
+    levels, per_stage = _levels(compiled, compiled.stage_ranges())
+    n = compiled.n_qubits
+    total = max(levels, default=0)
     return compiled, ResourceReport(
         backend_name=backend.name,
         mcx_mode=mcx_mode,
-        width=n_wires,
+        width=n - levels[:n].count(0),  # each gate leaves its wires' levels above 0
         total_depth=total,
         depth_per_stage=per_stage,
-        gate_counts=counts,
+        gate_counts=gate_counts(compiled),
         estimated_runtime_seconds=estimated_runtime(total, backend.gate_time_seconds),
         final_layout=compiled.final_layout,
         dataset=dataset,
@@ -203,16 +160,19 @@ def _neqr_stats(seq: SymbolSequence, backend, use_minimizer: bool):
     c = build_encoder_circuit(seq, use_minimizer=use_minimizer)
     counts = gate_counts(c)
     mcx = sum(v for k, v in counts.items() if k in ("cx", "ccx", "mcx", "x"))
-    lowered = lower_to_native(c, backend, "ccnot_chain")
-    ccnot = gate_counts(lowered).get("ccx", 0)
-    return mcx, ccnot, stage_depths(lowered).get("neqr", 0)
+    report = estimate(c, backend, "ccnot_chain")
+    return mcx, report.gate_counts.get("ccx", 0), report.depth_per_stage.get("neqr", 0)
 
 
 def compare_encodings(seq: SymbolSequence, backend) -> EncodingComparison:
     """Build one sequence's encoder with and without the minimizer.
 
-    compression_percent = 100 * (1 - minimized/brute) over encoder gate
-    counts; None when the brute encoding is empty (all-zero sequence).
+    Each encoder is compiled by estimate in chain mode, so it is width
+    checked, and routed on coupled backends. The CCNOT counts are the ccx
+    gates left after compiling (0 where ccx is not native); the depths are
+    the compiled "neqr" stage depths. compression_percent =
+    100 * (1 - minimized/brute) over encoder gate counts; None when the
+    brute encoding is empty (all-zero sequence).
     """
     b_mcx, b_ccnot, b_depth = _neqr_stats(seq, backend, use_minimizer=False)
     m_mcx, m_ccnot, m_depth = _neqr_stats(seq, backend, use_minimizer=True)

@@ -47,6 +47,8 @@ TOFFOLI_BACKEND = BackendModel(
     qubit_count=63,
     native_gates=("x", "cx", "ccx", "swap"),
 )
+# Method 2 fails when the chi-square p-value is at or below this level.
+SIGNIFICANCE = 0.001
 
 
 @dataclass(frozen=True)
@@ -144,14 +146,13 @@ def validate_sampling(
     seed: int = 11,
     mcx_mode: str = "ccnot_chain",
     use_minimizer: bool = True,
-    significance: float = 0.001,
     circuit: Circuit | None = None,
 ) -> ValidationReport:
     """Method 2: sampled check of the superposed circuit.
 
     Fails if any sampled (x, y, v) disagrees with the classical plot or if
-    the chi-square p-value of the (x, y) marginal drops to the significance
-    level or below.
+    the chi-square p-value of the (x, y) marginal drops to SIGNIFICANCE or
+    below.
     """
     _check_mode(mcx_mode)
     plot = classical_dotplot(r, q)
@@ -180,7 +181,7 @@ def validate_sampling(
     from scipy.stats import chi2
 
     p_value = float(chi2.sf(stat, dof))
-    uniform_ok = p_value > significance
+    uniform_ok = p_value > SIGNIFICANCE
     return ValidationReport(
         method="sampling",
         passed=mismatches == 0 and uniform_ok,

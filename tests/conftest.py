@@ -136,6 +136,38 @@ def drop_stage(circuit: Circuit, label: str) -> Circuit:
     return out
 
 
+def dict_depth(circuit: Circuit, gate_range=None) -> int:
+    """ASAP depth with levels in a dict keyed by wire and by ("c", bit),
+    each gate's wires looked up by Circuit.wire rather than read from
+    Circuit.wires."""
+    start, stop = gate_range if gate_range is not None else (0, len(circuit.gates))
+    level, longest = {}, 0
+    for g in circuit.gates[start:stop]:
+        keys = [circuit.wire(q) for q in g.qubits()]
+        if g.kind == "measure":
+            keys.append(("c", g.classical_bit))
+        layer = 1 + max(level.get(k, 0) for k in keys)
+        for k in keys:
+            level[k] = layer
+        longest = max(longest, layer)
+    return longest
+
+
+def dict_stage_depths(circuit: Circuit) -> dict:
+    """Depth per stage label: contiguous ranges of a label merge, disjoint
+    ones add up."""
+    merged = []
+    for label, start, stop in circuit.stage_ranges():
+        if merged and merged[-1][0] == label and merged[-1][2] == start:
+            merged[-1][2] = stop
+        else:
+            merged.append([label, start, stop])
+    out = {}
+    for label, start, stop in merged:
+        out[label] = out.get(label, 0) + dict_depth(circuit, (start, stop))
+    return out
+
+
 def random_codes(rng: np.random.Generator, length: int, d: int) -> tuple[int, ...]:
     """Random codes spanning all d bits (max code present, not all zero)."""
     codes = rng.integers(0, 1 << d, size=length).tolist()

@@ -25,7 +25,7 @@ from qdotplot import (
     stage_depths,
     width,
 )
-from conftest import make_sequence
+from conftest import dict_depth, dict_stage_depths, make_sequence
 
 
 def _regs(*sizes):
@@ -329,34 +329,6 @@ def test_label_is_fixed_at_construction_and_left_out_of_eq_hash_and_repr():
     assert dataclasses.replace(ccx, controls=()).label == "x"
 
 
-def _dict_depth(circuit, gate_range=None):
-    # Reference: levels in a dict keyed by wire and by ("c", bit).
-    start, stop = gate_range if gate_range is not None else (0, len(circuit.gates))
-    level, longest = {}, 0
-    for g in circuit.gates[start:stop]:
-        keys = [circuit.wire(q) for q in g.qubits()]
-        if g.kind == "measure":
-            keys.append(("c", g.classical_bit))
-        layer = 1 + max(level.get(k, 0) for k in keys)
-        for k in keys:
-            level[k] = layer
-        longest = max(longest, layer)
-    return longest
-
-
-def _dict_stage_depths(circuit):
-    merged = []
-    for label, start, stop in circuit.stage_ranges():
-        if merged and merged[-1][0] == label and merged[-1][2] == start:
-            merged[-1][2] = stop
-        else:
-            merged.append([label, start, stop])
-    out = {}
-    for label, start, stop in merged:
-        out[label] = out.get(label, 0) + _dict_depth(circuit, (start, stop))
-    return out
-
-
 def _staged_random_circuit(rng):
     regs = (Register("a", 3, "x"), Register("b", 4, "y"))
     refs = [r[k] for r in regs for k in range(r.size)]
@@ -387,14 +359,14 @@ def test_depth_and_stage_depths_match_a_dict_keyed_reference():
     for seed in range(300):
         rng = random.Random(seed)
         c = _staged_random_circuit(rng)
-        assert depth(c) == _dict_depth(c)
-        assert stage_depths(c) == _dict_stage_depths(c)
+        assert depth(c) == dict_depth(c)
+        assert stage_depths(c) == dict_stage_depths(c)
         for _ in range(3):
             start = rng.randrange(len(c.gates) + 1)
             stop = rng.randrange(start, len(c.gates) + 1)
-            assert depth(c, (start, stop)) == _dict_depth(c, (start, stop))
+            assert depth(c, (start, stop)) == dict_depth(c, (start, stop))
     r = Register("r", 3)
     same_bit = Circuit((r,), (Gate.measure(r[0], 0), Gate.ccx(r[0], r[1], r[2]),
                               Gate.measure(r[2], 0), Gate.measure(r[1], 1)), 2)
-    assert depth(same_bit) == _dict_depth(same_bit) == 3
+    assert depth(same_bit) == dict_depth(same_bit) == 3
     assert depth(same_bit, (2, 4)) == 1

@@ -170,6 +170,35 @@ def test_compare_modes_output(runner, seqdir):
     assert "compression=" in result.output
 
 
+def test_compare_modes_depth_is_the_compiled_encode_depth(runner, tmp_path):
+    # On a coupled backend both verbs route the encoder before measuring it.
+    (tmp_path / "ref.txt").write_text("ACGTTGCAAGTC\n")
+    ref = ["--reference", str(tmp_path / "ref.txt"), "--backend", "superconducting-53"]
+    compared = runner.invoke(main, ["compare-modes", *ref, "--out", str(tmp_path / "cmp")])
+    assert compared.exit_code == 0, compared.output
+    cmp = json.loads((tmp_path / "cmp" / "comparison.json").read_text())
+    encoded = runner.invoke(main, ["encode", *ref, "--out", str(tmp_path / "enc")])
+    assert encoded.exit_code == 0, encoded.output
+    report = json.loads((tmp_path / "enc" / "report.json").read_text())
+    assert report["final_layout"] is not None
+    neqr = report["depth_per_stage"]["neqr"]
+    assert cmp["minimized_depth"] == neqr
+    assert f"minimized={neqr}\n" in compared.output
+    assert cmp["minimized_ccnot"] == 0  # ccx is not native there
+
+
+def test_compare_modes_on_a_too_small_backend_exits_two(runner, tmp_path):
+    (tmp_path / "ref.txt").write_text("ACGTTGCAACGTGGCA\n")
+    five = tmp_path / "five.json"
+    five.write_text(json.dumps({"name": "five", "qubit_count": 5,
+                                "native_gates": ["x", "cx", "ccx", "h", "p", "swap"]}))
+    result = runner.invoke(main, ["compare-modes", "--reference", str(tmp_path / "ref.txt"),
+                                  "--backend", str(five), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert "configuration error: circuit needs 8 qubits but backend 'five' has 5" in result.output
+    assert not (tmp_path / "out" / "comparison.json").exists()
+
+
 def test_help_shows_compare_modes_summary_in_full(runner):
     # Click cuts a command's short help at its first period.
     result = runner.invoke(main, ["--help"])
@@ -181,6 +210,19 @@ def test_unknown_backend_exits_two(runner, seqdir):
     result = runner.invoke(main, _args(seqdir, "build", "--backend", "nope"))
     assert result.exit_code == 2
     assert "configuration error" in result.output
+
+
+def test_simulate_unknown_backend_exits_two(runner, seqdir):
+    result = runner.invoke(main, _args(seqdir, "simulate", "--shots", "100",
+                                       "--backend", "no-such-backend"))
+    assert result.exit_code == 2
+    assert "configuration error: unknown backend 'no-such-backend'" in result.output
+    bad = seqdir / "bad.json"
+    bad.write_text("not json")
+    result = runner.invoke(main, _args(seqdir, "simulate", "--shots", "100", "--backend", str(bad)))
+    assert result.exit_code == 2
+    assert f"configuration error: cannot read backend file {bad}" in result.output
+    assert not (seqdir / "out").exists()
 
 
 def test_bad_alphabet_exits_two(runner, seqdir):

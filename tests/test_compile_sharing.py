@@ -3,8 +3,9 @@
 Lowering, routing, measuring and emitting work once per distinct gate and
 share immutable gate objects between equal gates. These tests pin what that
 must not change: the sign of a zero angle, every number of the resource
-report (checked against the public metric functions, which walk the circuit
-on their own), and the sharing itself.
+report (checked against the public metric functions, and its depths against
+dict-keyed references that walk the circuit on their own), and the sharing
+itself.
 """
 
 import random
@@ -12,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from conftest import make_sequence, random_codes
+from conftest import dict_depth, dict_stage_depths, make_sequence, random_codes
 from qdotplot import (
     MCX_MODES,
     Circuit,
@@ -114,12 +115,19 @@ def _seeded_circuits():
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("mode", MCX_MODES)
 def test_one_walk_report_matches_public_metrics(backend, mode):
+    # The report, depth and stage_depths share one level walk, so the
+    # depths are also checked against the dict-keyed references.
     be = load_backend(backend)
     for name, circuit in _seeded_circuits():
         compiled, report = compile_circuit(circuit, be, mode)
+        if name == "pattern":
+            assert any(g.kind == "measure" for g in compiled.gates)
+            assert (compiled.final_layout is None) == be.all_to_all
         assert report.width == width(compiled), name
-        assert report.total_depth == depth(compiled), name
-        assert list(report.depth_per_stage.items()) == list(stage_depths(compiled).items()), name
+        assert report.total_depth == depth(compiled) == dict_depth(compiled), name
+        per_stage = list(report.depth_per_stage.items())
+        assert per_stage == list(stage_depths(compiled).items()), name
+        assert per_stage == list(dict_stage_depths(compiled).items()), name
         assert list(report.gate_counts.items()) == list(gate_counts(compiled).items()), name
 
 

@@ -354,10 +354,12 @@ def test_names_and_counts_outside_the_table_are_rejected():
                              ("gate xrt_q9 a { x a; }", "unsupported gate definition 'xrt_q9'"),
                              ("h(0.5) q[0]", "unsupported gate or operand count"),
                              ("cx(1) q[0],q[1]", "unsupported gate or operand count"),
-                             ("cp(0.5) q[0]", "unsupported gate or operand count")):
+                             ("cp(0.5) q[0]", "unsupported gate or operand count"),
+                             ("measure(0.5) q[0] -> c[0]", "unsupported gate or operand count"),
+                             ("measure() q[0] -> c[0]", "unsupported gate or operand count")):
         named = re.escape(error) + ".* in statement " + re.escape(repr(statement))
         with pytest.raises(QasmError, match=named):
-            parse_qasm(f"OPENQASM 2.0;\nqreg q[2];\n{statement};\n")
+            parse_qasm(f"OPENQASM 2.0;\nqreg q[2];\ncreg c[1];\n{statement};\n")
 
 
 # -- statement splitting ------------------------------------------------------
