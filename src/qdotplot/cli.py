@@ -140,28 +140,42 @@ def run_pipeline(config: RunConfig, validate: bool = False) -> int:
     return status
 
 
-def _common(f):
-    f = click.option("--out", "out_dir", default="qdp-out", show_default=True,
-                     help="Output directory for artifacts.")(f)
-    f = click.option("--seed", default=DEFAULT_SEED, show_default=True,
-                     type=click.IntRange(min=0))(f)
-    f = click.option("--shots", default=100_000, show_default=True, type=int)(f)
-    f = click.option("--no-minimize", "no_minimize", is_flag=True,
-                     help="Skip cover minimization (brute-force encoder).")(f)
-    f = click.option("--mcx-mode", "mcx_mode", default="chain", show_default=True,
-                     type=click.Choice(sorted(_MODE_FLAGS)),
-                     help="Multi-controlled X lowering strategy.")(f)
-    f = click.option("--backend", default="allsim", show_default=True,
-                     help="Preset name or backend JSON path.")(f)
-    f = click.option("--alphabet", default="auto", show_default=True,
-                     help="'auto' or a preset name (dna).")(f)
-    f = click.option("--query", "query_path", default=None,
-                     type=click.Path(exists=True, dir_okay=False),
-                     help="Query sequence file; omit to self-align.")(f)
-    f = click.option("--reference", "reference_path", required=True,
-                     type=click.Path(exists=True, dir_okay=False),
-                     help="Reference sequence file (FASTA or raw).")(f)
-    return f
+def _apply(options):
+    """Decorate a verb with options, listed in --help in the given order."""
+    def decorate(f):
+        for option in reversed(options):
+            f = option(f)
+        return f
+    return decorate
+
+
+# These and --out are named like the RunConfig fields they set, so a verb
+# that takes only them builds its RunConfig from its arguments directly.
+_PAIR_OPTIONS = (
+    click.option("--reference", "reference_path", required=True,
+                 type=click.Path(exists=True, dir_okay=False),
+                 help="Reference sequence file (FASTA or raw)."),
+    click.option("--query", "query_path", default=None,
+                 type=click.Path(exists=True, dir_okay=False),
+                 help="Query sequence file; omit to self-align."),
+    click.option("--alphabet", default="auto", show_default=True,
+                 help="'auto' or a preset name (dna)."),
+    click.option("--backend", default="allsim", show_default=True,
+                 help="Preset name or backend JSON path."),
+)
+_RUN_OPTIONS = (
+    click.option("--mcx-mode", "mcx_mode", default="chain", show_default=True,
+                 type=click.Choice(sorted(_MODE_FLAGS)),
+                 help="Multi-controlled X lowering strategy."),
+    click.option("--no-minimize", "no_minimize", is_flag=True,
+                 help="Skip cover minimization (brute-force encoder)."),
+    click.option("--shots", default=100_000, show_default=True, type=int),
+    click.option("--seed", default=DEFAULT_SEED, show_default=True,
+                 type=click.IntRange(min=0)),
+)
+_OUT_OPTION = click.option("--out", "out_dir", default="qdp-out", show_default=True,
+                           help="Output directory for artifacts.")
+_common = _apply((*_PAIR_OPTIONS, *_RUN_OPTIONS, _OUT_OPTION))
 
 
 def _config(kwargs) -> RunConfig:
@@ -281,13 +295,13 @@ def validate(**kwargs):
 
 
 @main.command("compare-modes")
-@_common
+@_apply((*_PAIR_OPTIONS, _OUT_OPTION))
 def compare_modes(**kwargs):
     """Compare the brute-force and minimized reference encoders.
 
     Both are compiled in chain mode on --backend, routed where it is
     coupled; the CCNOT line counts the ccx gates left after compiling."""
-    config = _config(kwargs)
+    config = RunConfig(**kwargs)
     r, _, dataset = _load_pair(config)
     backend = load_backend(config.backend)
     cmp = compare_encodings(r, backend)

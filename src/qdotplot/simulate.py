@@ -1,15 +1,21 @@
-"""Execution engines: bit-exact Toffoli propagation, dense statevectors, and
-the exact readout of pattern circuits.
+"""Execution engines: bit-plane Toffoli propagation, dense statevectors,
+and the exact readout of pattern circuits.
 
-The Toffoli engine tracks one classical bit per qubit and applies only
-X-family gates (any control polarity), SWAP, and Measure; anything that can
-create superposition is rejected. The statevector engine holds all 2^n
+The Toffoli engine applies only X-family gates (any control polarity),
+SWAP, and Measure; anything that can create superposition is rejected. It
+runs many basis inputs at once on bit-planes (_propagate): one packed
+uint64 plane per wire, 64 inputs a word, where an X gate XORs the AND of
+its control planes into each target. run_cells runs an oracle on every plot
+cell, whose x and y planes are the bit patterns of the cell index;
+toffoli_run_batch packs given states into planes and unpacks the result;
+toffoli_run is the scalar reference. The statevector engine holds all 2^n
 amplitudes and applies gates as in-place amplitude updates on a [2]*n view;
-wire q maps to tensor axis n-1-q so that wire 0 is the least significant bit
-of the basis index. statevector_run collapses the state at each measure;
-sample defers mid-circuit measurements and draws from one dense pass. A
+wire q maps to tensor axis n-1-q so that wire 0 is the least significant
+bit of the basis index. statevector_run collapses the state at each
+measure; sample defers mid-circuit measurements, draws from one dense pass
+over the support of its distribution, and tallies the draws in numpy. A
 pattern circuit (encoder.build_pattern_circuit) is read out without a
-statevector: its oracle runs on the Toffoli engine once per plot cell
+statevector: its oracle runs once on the planes of all plot cells
 (run_cells) and an FFT stands in for the inverse QFT (pattern_distribution).
 """
 
@@ -37,6 +43,15 @@ def check_qubit_cap(n: int, cap: int = DEFAULT_QUBIT_CAP, engine: str = "stateve
 
 # -- Toffoli engine ---------------------------------------------------------
 
+# A bit-plane holds one wire's bit for many inputs: input i sits at bit
+# i % 64 of word i // 64, little-endian, so np.packbits/np.unpackbits with
+# bitorder="little" read and write it byte for byte.
+_WORD = np.dtype("<u8")
+# Bit k < 6 of the input index repeats in every word of its plane: bit c
+# of _LOW_INDEX_WORDS[k] is bit k of c.
+_LOW_INDEX_WORDS = [np.uint64(sum(1 << c for c in range(64) if c >> k & 1)) for k in range(6)]
+
+
 @dataclass
 class ToffoliState:
     n_qubits: int
@@ -48,33 +63,33 @@ class ToffoliState:
 
 
 def _toffoli_program(circuit: Circuit) -> list:
-    prog = []
+    """One op per gate: ("x", positive control wires, negative control
+    wires, target wires), ("swap", a, b) or ("measure", wire, bit). The
+    uses of one gate object share its op."""
+    ops = {}
     for g, wires in zip(circuit.gates, circuit.wires):
+        if id(g) in ops:
+            continue
         if g.kind == "x":
             n = len(g.targets)
-            pos = neg = tgt = 0
-            for c, w in zip(g.controls, wires[n:]):
-                if c.positive:
-                    pos |= 1 << w
-                else:
-                    neg |= 1 << w
-            for w in wires[:n]:
-                tgt |= 1 << w
-            prog.append(("x", pos, neg, tgt))
+            controls = tuple(zip(g.controls, wires[n:]))
+            ops[id(g)] = ("x", tuple(w for c, w in controls if c.positive),
+                          tuple(w for c, w in controls if not c.positive), wires[:n])
         elif g.kind == "swap":
-            prog.append(("swap", wires[0], wires[1]))
+            ops[id(g)] = ("swap", wires[0], wires[1])
         elif g.kind == "measure":
-            prog.append(("measure", wires[0], g.classical_bit))
+            ops[id(g)] = ("measure", wires[0], g.classical_bit)
         else:
             raise ValueError(
                 f"Toffoli engine cannot apply {g.label!r}: only X-family, SWAP, "
                 "and Measure preserve basis states"
             )
-    return prog
+    return [ops[id(g)] for g in circuit.gates]
 
 
 def toffoli_run(circuit: Circuit, initial: int = 0) -> ToffoliState:
-    """Propagate a basis state through an X/SWAP/Measure circuit."""
+    """Propagate one basis state through an X/SWAP/Measure circuit (the
+    scalar reference of the bit-plane engine)."""
     n = circuit.n_qubits
     if not 0 <= initial < (1 << n):
         raise ValueError(f"initial state {initial} out of range for {n} qubits")
@@ -83,8 +98,9 @@ def toffoli_run(circuit: Circuit, initial: int = 0) -> ToffoliState:
     for op in _toffoli_program(circuit):
         if op[0] == "x":
             _, pos, neg, tgt = op
-            if (bits & pos) == pos and (bits & neg) == 0:
-                bits ^= tgt
+            if all(bits >> w & 1 for w in pos) and not any(bits >> w & 1 for w in neg):
+                for w in tgt:
+                    bits ^= 1 << w
         elif op[0] == "swap":
             _, a, b = op
             diff = ((bits >> a) ^ (bits >> b)) & 1
@@ -95,46 +111,97 @@ def toffoli_run(circuit: Circuit, initial: int = 0) -> ToffoliState:
     return ToffoliState(n, bits, classical)
 
 
-def toffoli_run_batch(circuit: Circuit, initials: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized Toffoli propagation of many basis states at once.
+def _propagate(circuit: Circuit, planes: np.ndarray) -> dict[int, np.ndarray]:
+    """Run circuit in place on planes, one bit-plane per wire, 64 inputs a
+    word (the bitslice technique: Biham, "A fast new DES implementation in
+    software", FSE 1997). An X gate XORs the AND of its control planes into
+    each target, a negative control complemented; a SWAP exchanges two
+    planes. Returns, for each classical bit that a measurement writes, a
+    copy of the plane its last measurement read."""
+    rows = list(planes)  # views: indexing a list is cheaper than an array
+    fire = np.empty(planes.shape[1], planes.dtype)
+    classical = {}
+    for op in _toffoli_program(circuit):
+        if op[0] == "x":
+            _, pos, neg, tgt = op
+            if not (pos or neg):
+                for w in tgt:
+                    np.invert(rows[w], out=rows[w])
+                continue
+            if neg:
+                # NOT a AND NOT b == NOT (a OR b)
+                np.copyto(fire, rows[neg[0]])
+                for w in neg[1:]:
+                    fire |= rows[w]
+                flip = np.invert(fire, out=fire)
+            else:
+                flip, pos = rows[pos[0]], pos[1:]
+            for w in pos:
+                flip = np.bitwise_and(flip, rows[w], out=fire)
+            for w in tgt:
+                rows[w] ^= flip
+        elif op[0] == "swap":
+            _, a, b = op
+            np.copyto(fire, rows[a])
+            np.copyto(rows[a], rows[b])
+            np.copyto(rows[b], fire)
+        else:
+            _, w, cbit = op
+            classical[cbit] = rows[w].copy()
+    return classical
 
-    Returns (final bitmasks, classical bit matrix of shape (batch, cbits)).
-    Capped at 63 wires so states fit in uint64.
+
+def unpack_planes(planes, wires, count: int) -> np.ndarray:
+    """For each of count inputs, one uint64 whose bit k is that input's bit
+    on planes[wires[k]] (planes: an array of planes, or a dict of them)."""
+    out = np.zeros(count, dtype=np.uint64)
+    for k, w in enumerate(wires):
+        bits = np.unpackbits(planes[w].view(np.uint8), count=count, bitorder="little")
+        out |= bits.astype(np.uint64) << np.uint64(k)
+    return out
+
+
+def toffoli_run_batch(circuit: Circuit, initials: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Toffoli propagation of many basis states at once, on bit-planes.
+
+    Returns (final bitmasks, classical bit matrix of shape (batch, cbits)),
+    where a classical bit that no measurement writes reads -1. Capped at 63
+    wires so states fit in uint64.
     """
     n = circuit.n_qubits
     if n > 63:
         raise ValueError("batched Toffoli run capped at 63 qubits")
-    bits = np.asarray(initials, dtype=np.uint64).copy()
-    classical = np.full((bits.shape[0], circuit.classical_bits), -1, dtype=np.int8)
-    controls = np.empty_like(bits)
-    fire = np.empty(bits.shape, dtype=bool)
-    for op in _toffoli_program(circuit):
-        if op[0] == "x":
-            # Fires where every positive control is 1 and every negative one 0.
-            _, pos, neg, tgt = op
-            np.bitwise_and(bits, np.uint64(pos | neg), out=controls)
-            np.equal(controls, np.uint64(pos), out=fire)
-            np.bitwise_xor(bits, np.uint64(tgt), out=bits, where=fire)
-        elif op[0] == "swap":
-            _, a, b = op
-            diff = ((bits >> np.uint64(a)) ^ (bits >> np.uint64(b))) & np.uint64(1)
-            bits ^= (diff << np.uint64(a)) | (diff << np.uint64(b))
-        else:
-            _, w, cbit = op
-            classical[:, cbit] = ((bits >> np.uint64(w)) & np.uint64(1)).astype(np.int8)
+    initials = np.asarray(initials, dtype=np.uint64)
+    count = initials.shape[0]
+    planes = np.zeros((n, 8 * -(-count // 64)), dtype=np.uint8)
+    for w in range(n):
+        packed = np.packbits((initials >> np.uint64(w)) & np.uint64(1) == 1, bitorder="little")
+        planes[w, :packed.size] = packed
+    planes = planes.view(_WORD)
+    measured = _propagate(circuit, planes)
+    # No gate touches a bit above wire n - 1, so it passes through.
+    bits = unpack_planes(planes, range(n), count) | (initials >> np.uint64(n) << np.uint64(n))
+    classical = np.full((count, circuit.classical_bits), -1, dtype=np.int8)
+    for cbit in measured:
+        classical[:, cbit] = unpack_planes(measured, [cbit], count)
     return bits, classical
 
 
 def run_cells(oracle: Circuit) -> np.ndarray:
-    """The basis state oracle leaves for each plot cell, in cell order
-    j = y*W + x: the input holds x on register x, y on register y and 0 on
-    every other wire."""
-    w, h = oracle.register("x").size, oracle.register("y").size
-    x0 = np.uint64(oracle.wire(oracle.register("x")[0]))
-    y0 = np.uint64(oracle.wire(oracle.register("y")[0]))
-    j = np.arange(1 << (w + h), dtype=np.uint64)
-    inputs = ((j & np.uint64((1 << w) - 1)) << x0) | ((j >> np.uint64(w)) << y0)
-    return toffoli_run_batch(oracle, inputs)[0]
+    """Bit-planes of the basis state oracle leaves for each plot cell, shape
+    (n_qubits, words): row w holds wire w for every cell j = y*W + x, as
+    unpack_planes reads it. The input holds x on register x, y on register
+    y and 0 on every other wire, so the x and y planes start as the bit
+    patterns of j."""
+    index = [oracle.wire(q) for q in oracle.register("x").refs() + oracle.register("y").refs()]
+    words = -(-(1 << len(index)) // 64)
+    planes = np.zeros((oracle.n_qubits, words), dtype=_WORD)
+    word = np.arange(words, dtype=_WORD)
+    for k, w in enumerate(index):
+        # Bit k >= 6 of j is constant over a word: all ones where word bit k - 6 is set.
+        planes[w] = _LOW_INDEX_WORDS[k] if k < 6 else -((word >> np.uint64(k - 6)) & np.uint64(1))
+    _propagate(oracle, planes)
+    return planes
 
 
 # -- statevector engine -----------------------------------------------------
@@ -322,19 +389,18 @@ def circuit_unitary(circuit: Circuit, max_qubits: int = 12) -> np.ndarray:
     return mat
 
 
-def sample(
+def _draw(
     circuit: Circuit,
     shots: int,
     seed: int = 0,
     max_qubits: int = DEFAULT_QUBIT_CAP,
-) -> dict[tuple, int]:
-    """Histogram over classical bit tuples (index = classical bit), drawn
-    from the final distribution of one dense pass.
+) -> tuple[dict, np.ndarray, np.ndarray]:
+    """Draw shots basis states from circuit's final distribution, in one
+    dense pass (see sample for the deferral of mid-circuit measurements).
 
-    Measurement is deferred: each measure with gates after it becomes a cx
-    onto a fresh ancilla wire (counted toward max_qubits), measured at the
-    end in program order before the trailing measures, so a later write to
-    the same bit still wins.
+    Returns (wire, states, counts): wire[b] is the wire that the last
+    measurement writing classical bit b reads, states the distinct states
+    drawn, ascending, and counts[i] how often states[i] was drawn.
     """
     if shots < 1:
         raise ConfigError(f"shots must be >= 1, got {shots}")
@@ -362,17 +428,45 @@ def sample(
     dist = np.abs(psi) ** 2
     del psi, eng  # the 2^n amplitudes are not needed while drawing
     dist /= dist.sum()
-    drawn = np.random.default_rng(seed).choice(len(dist), size=shots, p=dist)
-    tail = [(wires[0], g.classical_bit)
-            for g, wires in zip(circuit.gates[stop:], circuit.wires[stop:])]
-    counts: dict[tuple, int] = {}
-    for state, f in zip(*np.unique(drawn, return_counts=True)):
-        bits = [None] * circuit.classical_bits
-        for w, cbit in tail:
-            bits[cbit] = (int(state) >> w) & 1
-        key = tuple(bits)
-        counts[key] = counts.get(key, 0) + int(f)
-    return counts
+    # Drawing over the support alone gives the draws of a draw over all of
+    # dist: the partial sums at the support positions are the same, so
+    # the same uniforms land on the same states.
+    support = np.flatnonzero(dist)
+    drawn = np.random.default_rng(seed).choice(len(support), size=shots, p=dist[support])
+    counts = np.bincount(drawn, minlength=support.size)
+    hit = np.flatnonzero(counts)
+    # A later write to a bit wins.
+    wire = {g.classical_bit: wires[0]
+            for g, wires in zip(circuit.gates[stop:], circuit.wires[stop:])}
+    return wire, support[hit], counts[hit]
+
+
+def sample(
+    circuit: Circuit,
+    shots: int,
+    seed: int = 0,
+    max_qubits: int = DEFAULT_QUBIT_CAP,
+) -> dict[tuple, int]:
+    """Histogram over classical bit tuples (index = classical bit), drawn
+    from the final distribution of one dense pass.
+
+    Measurement is deferred: each measure with gates after it becomes a cx
+    onto a fresh ancilla wire (counted toward max_qubits), measured at the
+    end in program order before the trailing measures, so a later write to
+    the same bit still wins.
+    """
+    wire, states, counts = _draw(circuit, shots, seed, max_qubits)
+    # States that agree on the measured wires give one outcome, listed in
+    # the order the ascending states first show it.
+    measured = states & sum(1 << w for w in set(wire.values()))
+    keys, first, group = np.unique(measured, return_index=True, return_inverse=True)
+    totals = np.zeros(keys.size, dtype=np.int64)
+    np.add.at(totals, group, counts)
+    order = np.argsort(first)
+    table = np.full((keys.size, circuit.classical_bits), None, dtype=object)
+    for cbit, w in wire.items():
+        table[:, cbit] = ((keys[order] >> w) & 1).tolist()
+    return dict(zip(map(tuple, table.tolist()), totals[order].tolist()))
 
 
 # -- exact readout of pattern circuits ----------------------------------------
@@ -385,7 +479,8 @@ def pattern_distribution(circuit: Circuit) -> np.ndarray:
     the init stage is one h on each x and y qubit, the first measurement
     is v into bit 0, and the inverse QFT over x||y and the x, y readout
     follow it. The oracle between them (the gates before that measurement,
-    minus init) runs on the Toffoli engine once per (x, y) basis input. The
+    minus init) runs on the bit-plane engine over every (x, y) basis input
+    at once (run_cells). The
     cells that leave one value on every other wire form one group, and the
     inverse QFT reads a group out as the DFT of its indicator over
     j = y*W + x, so
@@ -411,13 +506,15 @@ def pattern_distribution(circuit: Circuit) -> np.ndarray:
         raise ValueError("a pattern circuit must end with the inverse QFT over x and y "
                          "and their readout")
 
-    bits = run_cells(oracle_circuit(circuit, skip="init"))
-    x0, y0 = np.uint64(circuit.wire(x[0])), np.uint64(circuit.wire(y[0]))
-    xmask, ymask = np.uint64((1 << w) - 1), np.uint64((1 << h) - 1)
-    # The oracle permutes basis states, so each output is one cell of one group.
-    out_j = (((bits >> y0) & ymask) << np.uint64(w)) | ((bits >> x0) & xmask)
-    keys, group = np.unique(bits & ~((xmask << x0) | (ymask << y0)), return_inverse=True)
-    v_wire = circuit.wire(v)
+    planes = run_cells(oracle_circuit(circuit, skip="init"))
+    index = [circuit.wire(q) for q in x + y]
+    rest = [wire for wire in range(circuit.n_qubits) if wire not in index]
+    # The oracle permutes basis states, so each output is one cell of one
+    # group. A key lists the other wires in wire order, so the groups sort
+    # as the states they leave do.
+    out_j = unpack_planes(planes, index, cells)
+    keys, group = np.unique(unpack_planes(planes, rest, cells), return_inverse=True)
+    v_bit = rest.index(circuit.wire(v))
     rfft = np.fft.rfft  # numpy imports its fft module on first use, not with the CLI
     half = np.zeros((2, cells // 2 + 1))
     indicator = np.empty(cells)
@@ -425,7 +522,7 @@ def pattern_distribution(circuit: Circuit) -> np.ndarray:
         indicator[:] = 0.0
         indicator[out_j[group == g]] = 1.0
         spectrum = rfft(indicator)
-        half[(key >> v_wire) & 1] += spectrum.real ** 2 + spectrum.imag ** 2
+        half[(key >> v_bit) & 1] += spectrum.real ** 2 + spectrum.imag ** 2
     # A real input's power spectrum is symmetric: |F[k]| = |F[WH - k]|.
     p = np.concatenate((half, half[:, -2:0:-1]), axis=1)
     # By Parseval the sum is (WH)^2; dividing by it also absorbs rounding.

@@ -5,19 +5,21 @@ first measurement: the pattern circuit that a CLI run built and compiled,
 or, when no circuit is given, a fresh build_dotplot_circuit.
 
 Method 1 (exhaustive): drop the oracle's init stage, supply every (x, y)
-basis pair as an input, propagate bits through the match oracle, and
-compare v against the classical plot. In chain mode the oracle is first
-lowered to {x, cx, ccx}, so the Toffoli decomposition itself is under
-test; the single-ancilla lowering produces root-of-X gates a
-bit-propagation engine cannot run, so that mode is checked at the
-multi-controlled gate level (its decomposition is covered by the
-dense-matrix oracles).
+basis pair as an input, propagate bits through the match oracle on
+bit-planes (simulate.run_cells), and compare the v plane against the
+classical plot. In chain mode the oracle is first lowered to {x, cx, ccx},
+so the Toffoli decomposition itself is under test; the single-ancilla
+lowering produces root-of-X gates a bit-propagation engine cannot run, so
+that mode is checked at the multi-controlled gate level (its decomposition
+is covered by the dense-matrix oracles).
 
 Method 2 (sampling): run the superposed oracle, measure v and both index
 registers, assert every sampled (x, y, v) agrees with the classical plot,
-and chi-square test the (x, y) marginal for uniformity. The sampled
-circuit is not lowered, so it holds no ancillas and mcx_mode only labels
-the report.
+and chi-square test the (x, y) marginal for uniformity. The shots come
+from the dense draw behind simulate.sample and are tallied per distinct
+basis state in numpy; the first counterexample is the mismatching outcome
+whose classical bit tuple sorts first. The sampled circuit is not lowered,
+so it holds no ancillas and mcx_mode only labels the report.
 """
 
 from __future__ import annotations
@@ -32,14 +34,14 @@ from .circuit import Circuit
 from .decompose import MCX_MODES, lower_to_native
 from .encoder import (
     build_dotplot_circuit,
-    decode_outcome,
     layout_for,
     oracle_circuit,
+    readout_bits,
     readout_gates,
 )
 from .errors import ConfigError
 from .sequences import SymbolSequence
-from .simulate import run_cells, sample
+from .simulate import _draw, run_cells, unpack_planes
 
 # Wide virtual target whose native set a bit-propagation engine can run.
 TOFFOLI_BACKEND = BackendModel(
@@ -118,7 +120,7 @@ def validate_exhaustive(
         circuit = lower_to_native(circuit, TOFFOLI_BACKEND, mcx_mode)
     wf, hf = plot.width, plot.height
     v0 = circuit.wire(circuit.register("v")[0])
-    got = ((run_cells(circuit) >> np.uint64(v0)) & np.uint64(1)).astype(np.uint8)
+    got = unpack_planes(run_cells(circuit), [v0], wf * hf).astype(np.uint8)
     want = plot.pixels.ravel()
     bad = np.nonzero(got != want)[0]
     first = None
@@ -161,19 +163,25 @@ def validate_sampling(
         circuit = build_dotplot_circuit(r, q, use_minimizer=use_minimizer)
     circuit = oracle_circuit(circuit)
     circuit = circuit.append_stage("readout", readout_gates(circuit, layout))
-    counts = sample(circuit, shots, seed=seed)
+    wire, states, counts = _draw(circuit, shots, seed)
+    # One column per classical bit, in the order sorted() compares bit tuples.
+    bit = {b: (states >> wire[b]) & 1 for b in sorted(wire)}
+    slots = readout_bits(layout)
+    v = bit[slots["v"]]
+    xv = sum((bit[b] << i for i, b in enumerate(slots["x"])), np.zeros_like(states))
+    yv = sum((bit[b] << j for j, b in enumerate(slots["y"])), np.zeros_like(states))
     wf, hf = plot.width, plot.height
     cells = np.zeros((hf, wf), dtype=np.int64)
-    mismatches = 0
+    np.add.at(cells, (yv, xv), counts)
+    want = plot.pixels[yv, xv]
+    bad = np.flatnonzero(v != want)
+    mismatches = int(counts[bad].sum())
     first = None
-    for key in sorted(counts):
-        n = counts[key]
-        v, xv, yv = decode_outcome(key, layout)
-        cells[yv, xv] += n
-        if v != plot.pixel(xv, yv):
-            mismatches += n
-            if first is None:
-                first = (xv, yv, v, plot.pixel(xv, yv))
+    if bad.size:
+        # The mismatching outcome whose bit tuple sorts first; lexsort's
+        # last key is its primary one.
+        k = bad[np.lexsort([col[bad] for col in reversed(bit.values())])[0]]
+        first = (int(xv[k]), int(yv[k]), int(v[k]), int(want[k]))
     expected = shots / (wf * hf)
     stat = float(((cells - expected) ** 2 / expected).sum())
     dof = wf * hf - 1

@@ -199,6 +199,17 @@ def test_compare_modes_on_a_too_small_backend_exits_two(runner, tmp_path):
     assert not (tmp_path / "out" / "comparison.json").exists()
 
 
+@pytest.mark.parametrize("flag", [
+    ["--mcx-mode", "single-ancilla"], ["--shots", "10"], ["--seed", "3"], ["--no-minimize"],
+])
+def test_compare_modes_rejects_the_options_it_does_not_read(runner, seqdir, flag):
+    # It always compares both encoders in chain mode and samples nothing.
+    result = runner.invoke(main, _args(seqdir, "compare-modes", *flag, query=False))
+    assert result.exit_code == 2
+    assert f"No such option '{flag[0]}'" in result.output
+    assert not (seqdir / "out").exists()
+
+
 def test_help_shows_compare_modes_summary_in_full(runner):
     # Click cuts a command's short help at its first period.
     result = runner.invoke(main, ["--help"])

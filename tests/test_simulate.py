@@ -1,6 +1,7 @@
 """Simulation engines: bit propagation, dense statevector, sampling."""
 
 import gc
+import hashlib
 import random
 
 import numpy as np
@@ -31,7 +32,7 @@ from qdotplot import (
     toffoli_run_batch,
 )
 from qdotplot.encoder import oracle_circuit
-from qdotplot.simulate import _Engine, run_cells
+from qdotplot.simulate import _Engine, run_cells, unpack_planes
 from qdotplot.validate import TOFFOLI_BACKEND
 
 
@@ -96,6 +97,43 @@ def test_toffoli_batch_agrees_with_scalar():
         single = toffoli_run(c, i)
         assert bits[i] == single.bits
         assert classical[i, 0] == single.classical[0]
+
+
+def _random_basis_circuit(rng: np.random.Generator, n: int, cbits: int) -> Circuit:
+    # X with 0-3 controls of either polarity and 1-2 targets, SWAPs, and
+    # measures into the first cbits - 1 bits only, so the last bit is never
+    # written (-1 from the batch engine, None from toffoli_run).
+    r = _reg(n)
+    gates = []
+    for _ in range(60):
+        pick = rng.integers(4)
+        wires = [r[int(w)] for w in rng.permutation(n)]
+        if pick == 0:
+            gates.append(Gate.swap(wires[0], wires[1]))
+        elif pick == 1:
+            gates.append(Gate.measure(wires[0], int(rng.integers(cbits - 1))))
+        else:
+            k = int(rng.integers(min(4, n - 1)))
+            t = 1 + int(rng.integers(min(2, n - k)))
+            controls = tuple(Control(q, bool(rng.integers(2))) for q in wires[t:t + k])
+            gates.append(Gate("x", tuple(wires[:t]), controls))
+    return Circuit((r,), classical_bits=cbits).append_stage("s", gates)
+
+
+@pytest.mark.parametrize("batch", [1, 3, 64, 100])
+def test_bit_planes_match_toffoli_run_input_by_input(batch):
+    rng = np.random.default_rng(batch)
+    for n in (2, 5, 9):
+        c = _random_basis_circuit(rng, n, 3)
+        assert {g.label for g in c.gates} >= {"swap", "measure", "x", "mcx"}
+        initials = rng.integers(1 << n, size=batch).astype(np.uint64)
+        bits, classical = toffoli_run_batch(c, initials)
+        assert bits.shape == (batch,) and classical.shape == (batch, 3)
+        for i, start in enumerate(initials.tolist()):
+            single = toffoli_run(c, start)
+            assert int(bits[i]) == single.bits
+            assert classical[i].tolist() == [-1 if b is None else b for b in single.classical]
+        assert (classical[:, 2] == -1).all()
 
 
 # -- statevector engine -------------------------------------------------------
@@ -301,6 +339,51 @@ def test_midcircuit_branching_probabilities():
     assert abs(first_one - 20000) < 900
 
 
+def test_sample_draws_are_pinned():
+    # Pinned draw for draw, as a draw over the full distribution gives them;
+    # dict order is the order the ascending states first show each outcome.
+    r = _reg(2)
+    bell = _circuit(
+        2,
+        [Gate.h(r[0]), Gate.cx(r[0], r[1]), Gate.measure(r[0], 0), Gate.measure(r[1], 1)],
+    )
+    assert list(sample(bell, 1000, seed=7).items()) == [((0, 0), 502), ((1, 1), 498)]
+    # Bit 0 is measured mid-circuit, then written again by the last measure;
+    # bit 2 is never written.
+    deferred = Circuit((r,), classical_bits=3).append_stage("s", [
+        Gate.h(r[0]), Gate.cx(r[0], r[1]), Gate.measure(r[0], 0), Gate.h(r[0]), Gate.x(r[1]),
+        Gate.measure(r[1], 1), Gate.measure(r[0], 0)])
+    assert list(sample(deferred, 1000, seed=3).items()) == [
+        ((0, 1, None), 253), ((1, 1, None), 249), ((0, 0, None), 268), ((1, 0, None), 230)]
+    rng = random.Random(12)
+    pattern = _pattern(_dna(rng, 16), _dna(rng, 8))
+    assert pattern.n_qubits == 12
+    counts = sample(pattern, 4000, seed=2)
+    assert len(counts) == 249 and sum(counts.values()) == 4000
+    assert list(counts.items())[:3] == [
+        ((0, 0, 0, 0, 0, 0, 0, 0), 238), ((0, 1, 0, 0, 0, 0, 0, 0), 41),
+        ((0, 1, 1, 0, 0, 0, 0, 0), 95)]
+    digest = hashlib.sha256(repr(list(counts.items())).encode()).hexdigest()
+    assert digest == "5ac0822c7dcef251d66e3466f5c42a9506f51c00066377250edd877025614efe"
+
+
+def test_support_draw_equals_the_full_draw():
+    # sample draws over the nonzero entries of its distribution only; numpy's
+    # Generator.choice must give the same states for the same seed.
+    rng = np.random.default_rng(0)
+    for trial in range(300):
+        p = rng.random(int(rng.integers(1, 300))) ** 3
+        p[rng.random(p.size) < rng.random()] = 0.0
+        if not p.any():
+            p[int(rng.integers(p.size))] = 1.0
+        p /= p.sum()
+        shots = int(rng.integers(1, 5000))
+        full = np.random.default_rng(trial).choice(p.size, size=shots, p=p)
+        support = np.flatnonzero(p)
+        drawn = np.random.default_rng(trial).choice(support.size, size=shots, p=p[support])
+        assert np.array_equal(support[drawn], full), trial
+
+
 def _projected_distribution(circuit: Circuit) -> dict:
     """Exact P(classical tuple) by explicit collapse: the unitary of each
     segment between measurements (circuit_unitary), then the projector of
@@ -451,10 +534,10 @@ def test_run_cells_matches_toffoli_run_per_cell(pair, mcx_mode):
     oracle = oracle_circuit(_golden_pair(*pair), skip="init")
     if mcx_mode == "ccnot_chain":
         oracle = lower_to_native(oracle, TOFFOLI_BACKEND, mcx_mode)
-    w = oracle.register("x").size
+    w, h = oracle.register("x").size, oracle.register("y").size
     x0, y0 = oracle.wire(oracle.register("x")[0]), oracle.wire(oracle.register("y")[0])
-    cells = run_cells(oracle)
-    assert len(cells) == 1 << (w + oracle.register("y").size)
+    cells = unpack_planes(run_cells(oracle), range(oracle.n_qubits), 1 << (w + h))
+    assert len(cells) == 1 << (w + h)
     for j, bits in enumerate(cells.tolist()):
         x, y = j & ((1 << w) - 1), j >> w
         assert bits == toffoli_run(oracle, (x << x0) | (y << y0)).bits

@@ -184,3 +184,82 @@ def test_validators_read_the_pattern_circuit(mode, self_pair):
     own = validate_sampling(R8, q, shots=3000, seed=2, mcx_mode=mode)
     assert own.passed
     assert validate_sampling(R8, q, shots=3000, seed=2, mcx_mode=mode, circuit=pattern) == own
+
+
+def _tally_by_key(r, q, shots, seed, circuit):
+    """Method 2 as a per-key loop over sample's histogram: the scalar
+    reference of validate_sampling's numpy tally."""
+    from scipy.stats import chi2
+
+    from qdotplot import ValidationReport, decode_outcome, layout_for, sample
+    from qdotplot.encoder import oracle_circuit, readout_gates
+
+    plot = classical_dotplot(r, q)
+    layout = layout_for(r, q)
+    circuit = oracle_circuit(circuit)
+    counts = sample(circuit.append_stage("readout", readout_gates(circuit, layout)), shots, seed=seed)
+    wf, hf = plot.width, plot.height
+    cells = np.zeros((hf, wf), dtype=np.int64)
+    mismatches = 0
+    first = None
+    for key in sorted(counts):
+        n = counts[key]
+        v, xv, yv = decode_outcome(key, layout)
+        cells[yv, xv] += n
+        if v != plot.pixel(xv, yv):
+            mismatches += n
+            if first is None:
+                first = (xv, yv, v, plot.pixel(xv, yv))
+    expected = shots / (wf * hf)
+    stat = float(((cells - expected) ** 2 / expected).sum())
+    p_value = float(chi2.sf(stat, wf * hf - 1))
+    return ValidationReport(
+        method="sampling",
+        passed=mismatches == 0 and p_value > 0.001,
+        checks=shots,
+        mismatches=mismatches,
+        first_counterexample=first,
+        details={
+            "mcx_mode": "ccnot_chain",
+            "use_minimizer": True,
+            "plot_shape": [wf, hf],
+            "chi2_statistic": stat,
+            "chi2_dof": wf * hf - 1,
+            "chi2_p_value": p_value,
+            "min_cell_count": int(cells.min()),
+            "shots": shots,
+            "seed": seed,
+        },
+    )
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sampling_tally_matches_a_per_key_loop_on_broken_oracles(seed):
+    rng = np.random.default_rng(seed)
+    r = make_sequence(random_codes(rng, 8, 2))
+    q = make_sequence(random_codes(rng, 4, 2))
+    good = build_dotplot_circuit(r, q)
+    v = good.register("v")[0]
+    xs, ys = good.register("x").refs(), good.register("y").refs()
+    cx, cy = int(rng.integers(1 << len(xs))), int(rng.integers(1 << len(ys)))
+    # Controls that select the one cell (cx, cy).
+    cell = [(b, bool(cx >> i & 1)) for i, b in enumerate(xs)]
+    cell += [(b, bool(cy >> j & 1)) for j, b in enumerate(ys)]
+    mutations = {
+        "one cell": [Gate.mcx(cell, v)],
+        "one x bit": [Gate.cx(xs[0], v)],
+        "every cell": [Gate.x(v)],
+        "untouched": [],
+    }
+    for name, extra in mutations.items():
+        broken = good.append_stage("sabotage", extra) if extra else good
+        for shots in (1, 7, 3000):
+            got = validate_sampling(r, q, shots, seed=seed, circuit=broken)
+            want = _tally_by_key(r, q, shots, seed, broken)
+            assert got.to_json() == want.to_json(), (name, shots)
+            assert got.mismatches == want.mismatches
+            assert got.first_counterexample == want.first_counterexample
+            assert got.details["min_cell_count"] == want.details["min_cell_count"]
+            assert got.details["chi2_statistic"] == want.details["chi2_statistic"]
+        if name != "untouched":
+            assert not got.passed and got.mismatches > 0, name
