@@ -35,12 +35,9 @@ from .encoder import (
     build_pattern_circuit,
     decode_outcome,
     encode_sequence,
-    init_registers,
     inverse_qft,
     k_index,
     layout_for,
-    mark_matches,
-    quantum_xor,
     readout_bits,
 )
 from .errors import CircuitError, ConfigError, LoweringError, QasmError
@@ -149,19 +146,16 @@ __all__ = [
     "evaluate_all",
     "functional_equal",
     "gate_counts",
-    "init_registers",
     "inverse_qft",
     "k_index",
     "layout_for",
     "load_backend",
     "lower_to_native",
     "map_alphabet",
-    "mark_matches",
     "pad_pair",
     "parse_qasm",
     "pattern_distribution",
     "qasm_text",
-    "quantum_xor",
     "read_pla",
     "read_qasm",
     "read_sequence_file",

@@ -239,8 +239,10 @@ class Circuit:
     """An ordered gate list over declared registers, with stage bookmarks.
 
     stage_marks is a list of (gate_index, label) pairs; each mark opens a
-    stage that runs until the next mark. final_layout is set by the router:
-    final_layout[logical_wire] = physical_wire after all inserted swaps.
+    stage that runs until the next mark. Only append_stages writes marks:
+    builders and passes make each circuit once, from its list of stages.
+    final_layout is set by the router: final_layout[logical_wire] =
+    physical_wire after all inserted swaps.
 
     wires[i] is the tuple of wire indices of gates[i].qubits(), targets first,
     resolved (and so checked) once on construction and read by every pass.
@@ -325,20 +327,25 @@ class Circuit:
             name = f"anc{k}"
         return Register(name, size, "ancilla")
 
+    def append_stages(self, stages) -> Circuit:
+        """Return a new circuit with each (label, gates) stage appended under
+        its own mark, its classical bits grown to hold every bit a measure
+        writes. A "" stage that opens a circuit with no gates and no marks
+        stays unmarked, as stage_ranges reads unmarked leading gates as ""."""
+        gates = list(self.gates)
+        marks = list(self.stage_marks)
+        for label, stage in stages:
+            if label or gates or marks:
+                marks.append((len(gates), label))
+            gates.extend(stage)
+        # Old gates' bits are below classical_bits already.
+        top = max([g.classical_bit for g in gates if g.kind == "measure"], default=-1)
+        bits = max(self.classical_bits, top + 1)
+        return replace(self, gates=tuple(gates), classical_bits=bits, stage_marks=tuple(marks))
+
     def append_stage(self, label: str, gates) -> Circuit:
-        """Return a new circuit with `gates` appended under a new stage mark,
-        its classical bits grown to hold every bit a measure writes."""
-        gates = tuple(gates)
-        bits = self.classical_bits
-        for g in gates:
-            if g.kind == "measure":
-                bits = max(bits, g.classical_bit + 1)
-        return replace(
-            self,
-            gates=self.gates + gates,
-            classical_bits=bits,
-            stage_marks=self.stage_marks + ((len(self.gates), label),),
-        )
+        """append_stages of the one stage (label, gates)."""
+        return self.append_stages([(label, gates)])
 
     def stage_ranges(self) -> list[tuple[str, int, int]]:
         """(label, start, stop) per mark; unmarked leading gates get label ''."""

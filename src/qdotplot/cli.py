@@ -11,11 +11,14 @@ encoder, always compiled in chain mode). Each run builds its circuit once,
 and every verb that compiles shares one compile step. Every verb loads
 --backend, simulate too, though it runs the unlowered circuit.
 --mcx-mode only picks how lowering decomposes multi-controlled X gates and
-how many ancillas it adds. Exit codes: 0 success, 1 a requested validation
-failed, 2 configuration error or resource limit (circuit wider than the
-backend, a backend with no native path for a needed gate, the statevector
-cap of validate, the plot-cell cap of simulate, shots below 1, a negative
-seed), 3 internal error.
+how many ancillas it adds. Each verb takes only the options it reads:
+--shots and --seed exist only on validate and simulate; simulate also
+takes --mcx-mode, which it ignores. Exit codes: 0 success, 1 a requested
+validation failed, 2 configuration error or resource limit (an --out that
+cannot be made a directory, circuit wider than the backend, a backend with
+no native path for a needed gate, the statevector cap of validate, the
+plot-cell cap of simulate, shots below 1, a negative seed), 3 internal
+error.
 """
 
 from __future__ import annotations
@@ -90,7 +93,10 @@ def _load_pair(config: RunConfig) -> tuple[SymbolSequence, SymbolSequence, str]:
 
 def _outdir(config: RunConfig) -> Path:
     p = Path(config.out_dir)
-    p.mkdir(parents=True, exist_ok=True)
+    try:
+        p.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {p}: {exc.strerror}") from exc
     return p
 
 
@@ -149,8 +155,8 @@ def _apply(options):
     return decorate
 
 
-# These and --out are named like the RunConfig fields they set, so a verb
-# that takes only them builds its RunConfig from its arguments directly.
+# Every option is named like the RunConfig field it sets, so each verb builds
+# its RunConfig from its arguments directly, and takes only the options it reads.
 _PAIR_OPTIONS = (
     click.option("--reference", "reference_path", required=True,
                  type=click.Path(exists=True, dir_okay=False),
@@ -163,33 +169,23 @@ _PAIR_OPTIONS = (
     click.option("--backend", default="allsim", show_default=True,
                  help="Preset name or backend JSON path."),
 )
-_RUN_OPTIONS = (
-    click.option("--mcx-mode", "mcx_mode", default="chain", show_default=True,
+_BUILD_OPTIONS = (
+    click.option("--mcx-mode", default="chain", show_default=True,
                  type=click.Choice(sorted(_MODE_FLAGS)),
+                 callback=lambda ctx, param, value: _MODE_FLAGS[value],
                  help="Multi-controlled X lowering strategy."),
-    click.option("--no-minimize", "no_minimize", is_flag=True,
+    click.option("--no-minimize", "use_minimizer", flag_value=False, default=True,
                  help="Skip cover minimization (brute-force encoder)."),
+)
+_SAMPLE_OPTIONS = (
     click.option("--shots", default=100_000, show_default=True, type=int),
     click.option("--seed", default=DEFAULT_SEED, show_default=True,
                  type=click.IntRange(min=0)),
 )
 _OUT_OPTION = click.option("--out", "out_dir", default="qdp-out", show_default=True,
                            help="Output directory for artifacts.")
-_common = _apply((*_PAIR_OPTIONS, *_RUN_OPTIONS, _OUT_OPTION))
-
-
-def _config(kwargs) -> RunConfig:
-    return RunConfig(
-        reference_path=kwargs["reference_path"],
-        query_path=kwargs["query_path"],
-        alphabet=kwargs["alphabet"],
-        mcx_mode=_MODE_FLAGS[kwargs["mcx_mode"]],
-        backend=kwargs["backend"],
-        use_minimizer=not kwargs["no_minimize"],
-        out_dir=kwargs["out_dir"],
-        seed=kwargs["seed"],
-        shots=kwargs["shots"],
-    )
+_build_options = _apply((*_PAIR_OPTIONS, *_BUILD_OPTIONS, _OUT_OPTION))
+_sample_options = _apply((*_PAIR_OPTIONS, *_BUILD_OPTIONS, *_SAMPLE_OPTIONS, _OUT_OPTION))
 
 
 class _Cli(click.Group):
@@ -216,10 +212,10 @@ def main():
 
 
 @main.command()
-@_common
+@_build_options
 def encode(**kwargs):
     """Sequence encoder circuit only (reference sequence)."""
-    config = _config(kwargs)
+    config = RunConfig(**kwargs)
     r, _, dataset = _load_pair(config)
     circuit = build_encoder_circuit(r, use_minimizer=config.use_minimizer)
     compiled, report, out = _compile(config, circuit, dataset)
@@ -230,17 +226,17 @@ def encode(**kwargs):
 
 
 @main.command()
-@_common
+@_build_options
 def build(**kwargs):
     """Full pattern-recognition circuit, lowered and routed to --backend."""
-    return run_pipeline(_config(kwargs))
+    return run_pipeline(RunConfig(**kwargs))
 
 
 @main.command()
-@_common
+@_build_options
 def estimate_cmd(**kwargs):
     """Resource report (width, stage depths, gate counts, runtime)."""
-    config = _config(kwargs)
+    config = RunConfig(**kwargs)
     r, q, dataset = _load_pair(config)
     circuit = build_pattern_circuit(r, q, use_minimizer=config.use_minimizer)
     _, report, out = _compile(config, circuit, dataset)
@@ -266,10 +262,10 @@ def _histogram_json(header: dict, rows) -> str:
 
 
 @main.command()
-@_common
+@_sample_options
 def simulate(**kwargs):
     """Sample the pattern circuit's exact readout; write the histogram."""
-    config = _config(kwargs)
+    config = RunConfig(**kwargs)
     load_backend(config.backend)  # a bad --backend exits 2 here too
     r, q, dataset = _load_pair(config)
     circuit = build_pattern_circuit(r, q, use_minimizer=config.use_minimizer)
@@ -288,10 +284,10 @@ def simulate(**kwargs):
 
 
 @main.command()
-@_common
+@_sample_options
 def validate(**kwargs):
     """Run both validation procedures; exit 1 on any failure."""
-    return run_pipeline(_config(kwargs), validate=True)
+    return run_pipeline(RunConfig(**kwargs), validate=True)
 
 
 @main.command("compare-modes")

@@ -282,8 +282,8 @@ def _cancel_x_pairs(gates: list[Gate]) -> list[Gate]:
 def lower_to_native(circuit: Circuit, backend, mcx_mode: str = "ccnot_chain") -> Circuit:
     """Rewrite every gate into the backend's native set.
 
-    Stage marks are preserved; X pairs produced by adjacent
-    negative-control rewrites are cancelled within each stage.
+    Stage labels are kept (an unmarked circuit stays unmarked); X pairs
+    produced by adjacent negative-control rewrites cancel within each stage.
     """
     if mcx_mode not in MCX_MODES:
         raise LoweringError(f"mcx_mode must be one of {MCX_MODES}")
@@ -358,10 +358,8 @@ def lower_to_native(circuit: Circuit, backend, mcx_mode: str = "ccnot_chain") ->
             return lower_all(rxx_network(g.params[0], *g.targets))
         raise LoweringError(f"cannot lower {g.label}")
 
-    marks = []
-    out: list[Gate] = []
-    for label, start, stop in circuit.stage_ranges():
-        marks.append((len(out), label))
-        out.extend(_cancel_x_pairs(lower_all(circuit.gates[start:stop])))
-    new_marks = tuple(marks) if circuit.stage_marks else ()
-    return Circuit(registers, tuple(out), circuit.classical_bits, new_marks, circuit.final_layout)
+    lowered = Circuit(registers, (), circuit.classical_bits, (), circuit.final_layout)
+    return lowered.append_stages(
+        (label, _cancel_x_pairs(lower_all(circuit.gates[start:stop])))
+        for label, start, stop in circuit.stage_ranges()
+    )

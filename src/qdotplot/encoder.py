@@ -3,12 +3,14 @@
 Register layout, in declaration order: |x> (reference index, w qubits),
 |dr> (reference data, d), |y> (query index, h), |dq> (query data, d),
 |v> (match value, 1). No register is declared for ancillas: lowering
-(decompose.lower_to_native) adds the ones its MCX mode needs. The stages
-are marked "init" (Hadamards on both index registers), "neqr" (one
-index-controlled encoder per sequence), "dotplot" (d CNOTs computing
-dr XOR dq into dq, then one zero-controlled mark onto v), and "qft"
-(inverse Fourier transform over (y, x) with x as the low-order bits, so a
-measured transform index k decomposes as k = y*W + x).
+(decompose.lower_to_native) adds the ones its MCX mode needs. Each builder
+lists its stages as (label, gates) pairs and makes its circuit once, with
+Circuit.append_stages. The stages are marked "init" (Hadamards on both
+index registers), "neqr" (one index-controlled encoder per sequence),
+"dotplot" (d CNOTs computing dr XOR dq into dq, then one zero-controlled
+mark onto v, then in the pattern circuit the measure of v), "qft" (inverse
+Fourier transform over (y, x) with x as the low-order bits, so a measured
+transform index k decomposes as k = y*W + x) and "readout".
 """
 
 from __future__ import annotations
@@ -49,38 +51,22 @@ def layout_for(r: SymbolSequence, q: SymbolSequence) -> DotplotLayout:
     return DotplotLayout(r.index_bits, q.index_bits, r.d)
 
 
-def init_registers(layout: DotplotLayout) -> Circuit:
-    """Declare registers and the init stage, which puts both index registers
-    in uniform superposition."""
-    circuit = Circuit(layout.registers())
-    gates = [Gate.h(q) for q in circuit.register("x").refs()]
-    gates += [Gate.h(q) for q in circuit.register("y").refs()]
-    return circuit.append_stage("init", gates)
-
-
-def encode_sequence(
-    circuit: Circuit,
-    seq: SymbolSequence,
-    index_reg: str,
-    data_reg: str,
-    table: PlaTable,
-) -> Circuit:
-    """Append the index-controlled value encoder for one sequence.
+def encode_sequence(seq: SymbolSequence, index: Register, data: Register,
+                    table: PlaTable) -> list[Gate]:
+    """The index-controlled value encoder for one sequence.
 
     The data register must still be in |0..0>; every element's code is
     written by multi-controlled X gates keyed on the index register, one
     gate per (cube, set data bit) of table, the sequence's index -> code
     table (see sequence_table).
     """
-    index = circuit.register(index_reg)
-    data = circuit.register(data_reg)
     if (1 << index.size) != len(seq.codes):
         raise ValueError(
-            f"register {index_reg!r} indexes {1 << index.size} elements "
+            f"register {index.name!r} indexes {1 << index.size} elements "
             f"but sequence has {len(seq.codes)}"
         )
     if data.size != seq.d:
-        raise ValueError(f"register {data_reg!r} holds {data.size} bits but d={seq.d}")
+        raise ValueError(f"register {data.name!r} holds {data.size} bits but d={seq.d}")
     gates = []
     for desc in cubes_to_mcx(table):
         target = data[desc.output_bit]
@@ -89,7 +75,7 @@ def encode_sequence(
             gates.append(Gate.mcx(controls, target))
         else:
             gates.append(Gate.x(target))
-    return circuit.append_stage("neqr", gates)
+    return gates
 
 
 def sequence_table(seq: SymbolSequence, use_minimizer: bool = True) -> PlaTable:
@@ -98,18 +84,21 @@ def sequence_table(seq: SymbolSequence, use_minimizer: bool = True) -> PlaTable:
     return d1merge(table) if use_minimizer else table
 
 
-def quantum_xor(circuit: Circuit, src: str = "dr", dst: str = "dq") -> Circuit:
-    """Append bitwise XOR of src into dst: d CNOTs, stage "dotplot"."""
-    a, b = circuit.register(src), circuit.register(dst)
-    if a.size != b.size:
-        raise ValueError("xor registers must have equal size")
-    return circuit.append_stage("dotplot", [Gate.cx(a[k], b[k]) for k in range(a.size)])
-
-def mark_matches(circuit: Circuit, data: str = "dq", value: str = "v") -> Circuit:
-    """Append the zero-controlled mark: v flips iff every data bit is 0."""
-    d = circuit.register(data)
-    controls = [Control(d[k], positive=False) for k in range(d.size)]
-    return circuit.append_stage("dotplot", [Gate.mcx(controls, circuit.register(value)[0])])
+def _oracle_stages(circuit: Circuit, r: SymbolSequence, q: SymbolSequence,
+                   use_minimizer: bool) -> list[tuple[str, list[Gate]]]:
+    # The match oracle over circuit's registers: init, one encoder per
+    # sequence, the XOR of dr into dq, then the zero-controlled mark of v.
+    # A self pair (equal codes) shares one table between both encoders.
+    x, dr, y, dq, v = (circuit.register(name) for name in ("x", "dr", "y", "dq", "v"))
+    r_table = sequence_table(r, use_minimizer)
+    q_table = r_table if q.codes == r.codes else sequence_table(q, use_minimizer)
+    return [
+        ("init", [Gate.h(k) for k in x.refs() + y.refs()]),
+        ("neqr", encode_sequence(r, x, dr, r_table)),
+        ("neqr", encode_sequence(q, y, dq, q_table)),
+        ("dotplot", [Gate.cx(dr[k], dq[k]) for k in range(dr.size)]),
+        ("dotplot", [Gate.mcx([Control(dq[k], positive=False) for k in range(dq.size)], v[0])]),
+    ]
 
 
 def build_dotplot_circuit(
@@ -121,25 +110,20 @@ def build_dotplot_circuit(
     """Full match oracle: init, both encoders, XOR, mark. No measurements.
 
     After it runs, v = 1 exactly on index pairs (x, y) with S_R[x] = S_Q[y].
-    A self pair (equal codes) shares one table between both encoders.
     """
-    c = init_registers(layout_for(r, q))
-    r_table = sequence_table(r, use_minimizer)
-    q_table = r_table if q.codes == r.codes else sequence_table(q, use_minimizer)
-    c = encode_sequence(c, r, "x", "dr", r_table)
-    c = encode_sequence(c, q, "y", "dq", q_table)
-    c = quantum_xor(c)
-    c = mark_matches(c)
-    return c
+    circuit = Circuit(layout_for(r, q).registers())
+    return circuit.append_stages(_oracle_stages(circuit, r, q, use_minimizer))
 
 
 def build_encoder_circuit(seq: SymbolSequence, *, use_minimizer: bool = True) -> Circuit:
     """Standalone encoder for one sequence: index register, data register,
     init stage, one neqr stage. Used for encoder-only inspection and
     minimizer comparisons."""
-    circuit = Circuit((Register("x", seq.index_bits, "index"), Register("dr", seq.d, "data")))
-    circuit = circuit.append_stage("init", [Gate.h(q) for q in circuit.register("x").refs()])
-    return encode_sequence(circuit, seq, "x", "dr", sequence_table(seq, use_minimizer))
+    x, dr = Register("x", seq.index_bits, "index"), Register("dr", seq.d, "data")
+    return Circuit((x, dr)).append_stages([
+        ("init", [Gate.h(k) for k in x.refs()]),
+        ("neqr", encode_sequence(seq, x, dr, sequence_table(seq, use_minimizer))),
+    ])
 
 
 def _inverse_qft_gates(qubits) -> list[Gate]:
@@ -210,20 +194,23 @@ def build_pattern_circuit(
     over (y, x) then concentrates structured plots onto few k values.
     """
     layout = layout_for(r, q)
-    c = build_dotplot_circuit(r, q, use_minimizer=use_minimizer)
-    c = c.append_stage("dotplot", readout_gates(c, layout, ("v",)))
-    c = inverse_qft(c, c.register("x").refs() + c.register("y").refs())
-    return c.append_stage("readout", readout_gates(c, layout, ("x", "y")))
+    circuit = Circuit(layout.registers())
+    return circuit.append_stages([
+        *_oracle_stages(circuit, r, q, use_minimizer),
+        ("dotplot", readout_gates(circuit, layout, ("v",))),
+        ("qft", _inverse_qft_gates(circuit.register("x").refs() + circuit.register("y").refs())),
+        ("readout", readout_gates(circuit, layout, ("x", "y"))),
+    ])
 
 
 def oracle_circuit(circuit: Circuit, skip: str | None = None) -> Circuit:
     """The gates before circuit's first measurement, minus the stages labelled skip."""
     stop = next((i for i, g in enumerate(circuit.gates) if g.kind == "measure"), len(circuit.gates))
-    oracle = Circuit(circuit.registers)
-    for label, start, end in circuit.stage_ranges():
-        if label != skip and start < stop:
-            oracle = oracle.append_stage(label, circuit.gates[start:min(end, stop)])
-    return oracle
+    return Circuit(circuit.registers).append_stages(
+        (label, circuit.gates[start:min(end, stop)])
+        for label, start, end in circuit.stage_ranges()
+        if label != skip and start < stop
+    )
 
 
 def decode_outcome(key: tuple, layout: DotplotLayout) -> tuple[int, int, int]:

@@ -6,6 +6,7 @@ qubits it moves one operand along a BFS shortest path with SWAP gates,
 greedy and deterministic (lowest-index tie-break). The final placement is
 recorded on the returned circuit so downstream consumers can undo the
 permutation; measurement gates follow their logical qubit automatically.
+Swaps join the stage of the gate that needs them, under the input's labels.
 """
 
 from __future__ import annotations
@@ -65,7 +66,6 @@ def route(circuit: Circuit, backend: BackendModel) -> Circuit:
     p2l = list(range(backend.qubit_count))
     swap_native = "swap" in backend.native_gates
 
-    out: list[Gate] = []
     # Memo tables local to this call. Lowering shares one object among equal
     # gates, so the remapped gate is kept per (gate object, physical wires).
     # The adjacency is fixed, so a path depends only on its ends.
@@ -73,8 +73,9 @@ def route(circuit: Circuit, backend: BackendModel) -> Circuit:
     swaps: dict[tuple[int, int], tuple[Gate, ...]] = {}
     paths: dict[tuple[int, int], list[int]] = {}
 
-    def emit_swap(a: int, b: int):
-        # Also updates the placement: the logical qubits at a and b exchange homes.
+    def emit_swap(out: list[Gate], a: int, b: int):
+        # Appends the swap to out and updates the placement: the logical
+        # qubits at a and b exchange homes.
         gates = swaps.get((a, b))
         if gates is None:
             if swap_native:
@@ -94,9 +95,10 @@ def route(circuit: Circuit, backend: BackendModel) -> Circuit:
         controls = tuple(Control(refs[p], c.positive) for p, c in zip(placed[n:], g.controls))
         return replace(g, targets=targets, controls=controls)
 
-    marks = []
+    stages = []
     for label, start, stop in circuit.stage_ranges():
-        marks.append((len(out), label))
+        out: list[Gate] = []
+        stages.append((label, out))
         for g, wires in zip(circuit.gates[start:stop], circuit.wires[start:stop]):
             if len(wires) == 2:
                 pa, pb = l2p[wires[0]], l2p[wires[1]]
@@ -105,7 +107,7 @@ def route(circuit: Circuit, backend: BackendModel) -> Circuit:
                     if path is None:
                         path = paths[pa, pb] = _bfs_path(adj, pa, pb)
                     for k in range(len(path) - 2):
-                        emit_swap(path[k], path[k + 1])
+                        emit_swap(out, path[k], path[k + 1])
             elif len(wires) > 2:
                 raise LoweringError(
                     f"route needs gates on at most 2 qubits, got {g.label} on {len(wires)}"
@@ -117,10 +119,5 @@ def route(circuit: Circuit, backend: BackendModel) -> Circuit:
                 gate = remapped[key] = remap(g, placed)
             out.append(gate)
 
-    return Circuit(
-        registers=(phys,),
-        gates=tuple(out),
-        classical_bits=circuit.classical_bits,
-        stage_marks=tuple(marks) if circuit.stage_marks else (),
-        final_layout=tuple(l2p[:n_logical]),
-    )
+    routed = Circuit((phys,), (), circuit.classical_bits, (), tuple(l2p[:n_logical]))
+    return routed.append_stages(stages)

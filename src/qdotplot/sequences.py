@@ -37,8 +37,8 @@ def _bits_for(n_codes: int) -> int:
 class SymbolSequence:
     """A coded sequence. codes are ints < 2^d; alphabet maps symbol -> code.
 
-    padded_length is just len(codes); it equals 2^ceil(log2(original_length)),
-    at least 2, once pad_pair has run. pad_code is None when no padding was added.
+    len(codes) is 2^ceil(log2(original_length)), at least 2, once pad_pair
+    has run. pad_code is None when no padding was added.
     """
 
     codes: tuple[int, ...]
@@ -55,10 +55,6 @@ class SymbolSequence:
         for i, c in enumerate(self.codes):
             if not 0 <= c < (1 << self.d):
                 raise ValueError(f"code {c} at position {i} does not fit in {self.d} bits")
-
-    @property
-    def padded_length(self) -> int:
-        return len(self.codes)
 
     @property
     def is_padded(self) -> bool:

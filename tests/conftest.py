@@ -9,10 +9,12 @@ the least significant bit of a basis index.
 
 from __future__ import annotations
 
+import random
+
 import numpy as np
 import pytest
 
-from qdotplot import Circuit, SymbolSequence
+from qdotplot import Circuit, Control, Gate, Register, SymbolSequence, build_pattern_circuit
 
 # -- dense reference operators -----------------------------------------------
 
@@ -129,11 +131,11 @@ def make_sequence(codes, d: int | None = None) -> SymbolSequence:
 def drop_stage(circuit: Circuit, label: str) -> Circuit:
     """circuit without the gates of its stages named label; dropping "init"
     leaves the index registers free to take basis inputs directly."""
-    out = Circuit(circuit.registers)
-    for name, start, stop in circuit.stage_ranges():
-        if name != label:
-            out = out.append_stage(name, circuit.gates[start:stop])
-    return out
+    return Circuit(circuit.registers).append_stages(
+        (name, circuit.gates[start:stop])
+        for name, start, stop in circuit.stage_ranges()
+        if name != label
+    )
 
 
 def dict_depth(circuit: Circuit, gate_range=None) -> int:
@@ -173,6 +175,59 @@ def random_codes(rng: np.random.Generator, length: int, d: int) -> tuple[int, ..
     codes = rng.integers(0, 1 << d, size=length).tolist()
     codes[int(rng.integers(length))] = (1 << d) - 1
     return tuple(int(c) for c in codes)
+
+
+def random_circuit(rng: random.Random, marks: bool) -> Circuit:
+    """Seeded mix of every lowerable kind, with measures, on two registers.
+
+    With marks, labels repeat both back to back (merged into one stage) and
+    apart (summed), and some stages are empty.
+    """
+    a, b = Register("a", 4), Register("b", 3)
+    qubits = a.refs() + b.refs()
+    gates = []
+    for _ in range(60):
+        kind = rng.choice(("h", "x", "cx", "mcx", "p", "cp", "swap", "rootx", "u3", "measure"))
+        w = rng.sample(qubits, 5)
+        if kind == "h":
+            gates.append(Gate.h(w[0]))
+        elif kind == "x":
+            gates.append(Gate.x(w[0]))
+        elif kind == "cx":
+            gates.append(Gate.cx(w[0], w[1]))
+        elif kind == "mcx":
+            ctl = [Control(q, rng.random() < 0.7) for q in w[1:rng.randint(2, 5)]]
+            gates.append(Gate.mcx(ctl, w[0]))
+        elif kind == "p":
+            gates.append(Gate.phase(rng.choice((0.0, -0.0, 0.3)), w[0]))
+        elif kind == "cp":
+            gates.append(Gate.cphase(rng.choice((-0.0, 1.1)), w[0], w[1]))
+        elif kind == "swap":
+            gates.append(Gate.swap(w[0], w[1]))
+        elif kind == "rootx":
+            gates.append(Gate.root_x(rng.choice((0.5, -0.25)), w[0], control=w[1]))
+        elif kind == "u3":
+            gates.append(Gate.u3(0.2, -0.0, 0.7, w[0]))
+        else:
+            gates.append(Gate.measure(w[0], rng.randrange(3)))
+    stage_marks = ()
+    if marks:
+        cuts = sorted(rng.choices(range(len(gates) + 1), k=6))
+        stage_marks = tuple((i, rng.choice("st")) for i in cuts)
+    return Circuit((a, b), tuple(gates), 3, stage_marks)
+
+
+def seeded_circuits():
+    """(name, circuit) pairs: a pattern circuit, marked and unmarked random
+    circuits, and two empty ones."""
+    r = make_sequence(random_codes(np.random.default_rng(61), 16, 2), 2)
+    q = make_sequence(random_codes(np.random.default_rng(62), 16, 2), 2)
+    yield "pattern", build_pattern_circuit(r, q)  # marks and measures
+    for seed in range(3):
+        yield f"marked-{seed}", random_circuit(random.Random(seed), marks=True)
+        yield f"unmarked-{seed}", random_circuit(random.Random(100 + seed), marks=False)
+    yield "empty", Circuit((Register("q", 2),))
+    yield "empty-marked", Circuit((Register("q", 2),), stage_marks=((0, "s"), (0, "s")))
 
 
 @pytest.fixture

@@ -4,6 +4,7 @@ import dataclasses
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,17 +16,22 @@ from qdotplot import (
     Gate,
     QubitRef,
     Register,
+    build_dotplot_circuit,
+    build_encoder_circuit,
     build_pattern_circuit,
     compile_circuit,
     depth,
     gate_counts,
     load_backend,
+    lower_to_native,
     parse_qasm,
     qasm_text,
+    route,
     stage_depths,
     width,
 )
-from conftest import dict_depth, dict_stage_depths, make_sequence
+from qdotplot.encoder import oracle_circuit
+from conftest import dict_depth, dict_stage_depths, make_sequence, random_codes
 
 
 def _regs(*sizes):
@@ -299,6 +305,95 @@ def test_append_stage_grows_classical_bits():
     r = Register("r", 1, "x")
     c = Circuit(registers=(r,)).append_stage("m", [Gate.measure(r[0], 4)])
     assert c.classical_bits == 5
+
+
+def _chained_append(circuit, stages):
+    # Reference: one new Circuit per stage, each adding one mark and growing
+    # the classical bits, except that a "" stage opening a circuit with no
+    # gates and no marks leaves no mark.
+    for label, gates in stages:
+        gates = tuple(gates)
+        bits = circuit.classical_bits
+        for g in gates:
+            if g.kind == "measure":
+                bits = max(bits, g.classical_bit + 1)
+        marks = circuit.stage_marks
+        if label or circuit.gates or circuit.stage_marks:
+            marks += ((len(circuit.gates), label),)
+        circuit = Circuit(circuit.registers, circuit.gates + gates, bits, marks,
+                          circuit.final_layout)
+    return circuit
+
+
+def test_append_stages_matches_chained_appends():
+    rng = random.Random(15)
+    regs = _regs(2, 3)
+    qubits = regs[0].refs() + regs[1].refs()
+
+    def gate():
+        a, b = rng.sample(qubits, 2)
+        kind = rng.choice(("h", "cx", "measure"))
+        if kind == "h":
+            return Gate.h(a)
+        return Gate.cx(a, b) if kind == "cx" else Gate.measure(a, rng.randrange(6))
+
+    for _ in range(300):
+        start = Circuit(regs, classical_bits=rng.randrange(3),
+                        final_layout=rng.choice((None, (1, 0))))
+        if rng.random() < 0.5:
+            start = _chained_append(start, [(rng.choice(("", "a")), [gate()])])
+        stages = [(rng.choice(("", "", "a", "b")), [gate() for _ in range(rng.randrange(4))])
+                  for _ in range(rng.randrange(5))]
+        got, want = start.append_stages(iter(stages)), _chained_append(start, stages)
+        # == compares registers, gates, classical_bits, marks and final_layout.
+        assert got == want
+        assert got.wires == want.wires
+        assert got.stage_ranges() == want.stage_ranges()
+        if len(stages) == 1:
+            assert start.append_stage(*stages[0]) == want
+
+
+def test_a_leading_empty_label_leaves_no_mark():
+    r = Register("r", 2)
+    h0, h1 = Gate.h(r[0]), Gate.h(r[1])
+    bare = Circuit((r,))
+    assert bare.append_stages([("", [h0])]).stage_marks == ()
+    assert bare.append_stages([("", []), ("", [h0])]).stage_marks == ()
+    c = bare.append_stages([("", [h0]), ("s", [h1])])
+    assert c.stage_marks == ((1, "s"),)
+    assert c.stage_ranges() == [("", 0, 1), ("s", 1, 2)]
+    # Once the circuit holds a gate or a mark, "" is marked like any label.
+    assert bare.append_stages([("", [h0]), ("", [h1])]).stage_marks == ((1, ""),)
+    assert bare.append_stage("s", []).append_stage("", [h0]).stage_marks == ((0, "s"), (0, ""))
+    assert bare.append_stage("s", [h0]).stage_marks == ((0, "s"),)
+
+
+def test_each_builder_and_pass_walks_its_gates_once(monkeypatch):
+    walks = []
+    post_init = Circuit.__post_init__
+
+    def counting(self):
+        if self.gates:
+            walks.append(len(self.gates))
+        post_init(self)
+
+    monkeypatch.setattr(Circuit, "__post_init__", counting)
+
+    def walked_once(fn, *args):
+        walks.clear()
+        out = fn(*args)
+        assert walks == [len(out.gates)], fn.__name__
+        return out
+
+    r = make_sequence(random_codes(np.random.default_rng(61), 16, 2), 2)
+    q = make_sequence(random_codes(np.random.default_rng(62), 16, 2), 2)
+    sc53 = load_backend("superconducting-53")
+    pattern = walked_once(build_pattern_circuit, r, q)
+    walked_once(build_dotplot_circuit, r, q)
+    walked_once(build_encoder_circuit, r)
+    walked_once(oracle_circuit, pattern, "init")
+    for mode in ("ccnot_chain", "single_ancilla"):
+        walked_once(route, walked_once(lower_to_native, pattern, sc53, mode), sc53)
 
 
 def test_stage_marks_must_be_ordered():

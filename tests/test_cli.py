@@ -199,15 +199,60 @@ def test_compare_modes_on_a_too_small_backend_exits_two(runner, tmp_path):
     assert not (tmp_path / "out" / "comparison.json").exists()
 
 
-@pytest.mark.parametrize("flag", [
-    ["--mcx-mode", "single-ancilla"], ["--shots", "10"], ["--seed", "3"], ["--no-minimize"],
-])
-def test_compare_modes_rejects_the_options_it_does_not_read(runner, seqdir, flag):
-    # It always compares both encoders in chain mode and samples nothing.
-    result = runner.invoke(main, _args(seqdir, "compare-modes", *flag, query=False))
-    assert result.exit_code == 2
-    assert f"No such option '{flag[0]}'" in result.output
-    assert not (seqdir / "out").exists()
+# verb -> every option it takes besides --reference: only the ones it reads.
+_PAIR_OPTIONS = ("--query", "--alphabet", "--backend", "--out")
+_BUILD_OPTIONS = (*_PAIR_OPTIONS, "--mcx-mode", "--no-minimize")
+VERB_OPTIONS = {
+    "encode": _BUILD_OPTIONS,
+    "build": _BUILD_OPTIONS,
+    "transpile": _BUILD_OPTIONS,
+    "estimate": _BUILD_OPTIONS,
+    # simulate ignores --mcx-mode, but the benchmark passes it.
+    "simulate": (*_BUILD_OPTIONS, "--shots", "--seed"),
+    "validate": (*_BUILD_OPTIONS, "--shots", "--seed"),
+    # compare-modes always compares both encoders in chain mode, sampling nothing.
+    "compare-modes": _PAIR_OPTIONS,
+}
+# A valid argument list for each option that _args does not already pass.
+_OPTION_ARGS = {
+    "--alphabet": ["--alphabet", "dna"],
+    "--backend": ["--backend", "allsim"],
+    "--mcx-mode": ["--mcx-mode", "single-ancilla"],
+    "--no-minimize": ["--no-minimize"],
+    "--shots": ["--shots", "10"],
+    "--seed": ["--seed", "3"],
+}
+
+
+def test_the_verb_table_lists_every_verb_and_option():
+    assert set(VERB_OPTIONS) == set(main.commands)
+    assert set(_OPTION_ARGS) | {"--query", "--out"} == set().union(*VERB_OPTIONS.values())
+    for verb, taken in VERB_OPTIONS.items():
+        opts = [o for param in main.commands[verb].params for o in param.opts]
+        assert sorted(opts) == sorted(("--reference", *taken)), verb
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_OPTIONS))
+def test_each_verb_rejects_the_options_it_does_not_read(runner, seqdir, verb):
+    for option, args in _OPTION_ARGS.items():
+        if option in VERB_OPTIONS[verb]:
+            continue
+        result = runner.invoke(main, _args(seqdir, verb, *args, query=False))
+        assert result.exit_code == 2, (verb, option)
+        assert f"No such option '{option}'" in result.output
+        assert not (seqdir / "out").exists()
+
+
+@pytest.mark.parametrize("extra", ["", "sub"])
+def test_out_that_cannot_be_a_directory_exits_two(runner, seqdir, extra):
+    afile = seqdir / "afile"
+    afile.write_text("")
+    out = afile / extra if extra else afile
+    result = runner.invoke(main, ["build", "--reference", str(seqdir / "ref.txt"),
+                                  "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"configuration error: cannot create output directory {out}: " in result.output
+    assert "internal error" not in result.output
 
 
 def test_help_shows_compare_modes_summary_in_full(runner):
@@ -515,11 +560,14 @@ def _golden_hashes(root, seed: int) -> dict:
     (root / "ref.txt").write_text(_dna(rng, ref_len) + "\n")
     (root / "qry.txt").write_text(_dna(rng, qry_len) + "\n")
     pair = ["--reference", str(root / "ref.txt"), "--query", str(root / "qry.txt"),
-            "--alphabet", "dna", "--shots", "4000", "--seed", str(seed)]
+            "--alphabet", "dna"]
     hashes = {}
     for name, *verb in _GOLDEN_RUNS:
         out = root / name
-        result = CliRunner().invoke(main, [*verb, *pair, "--out", str(out)])
+        sampling = []
+        if "--shots" in VERB_OPTIONS[verb[0]]:
+            sampling = ["--shots", "4000", "--seed", str(seed)]
+        result = CliRunner().invoke(main, [*verb, *pair, *sampling, "--out", str(out)])
         assert result.exit_code == 0, (name, result.output)
         for path in sorted(out.iterdir()):
             hashes[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()

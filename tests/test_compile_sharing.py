@@ -10,14 +10,12 @@ itself.
 
 import random
 
-import numpy as np
 import pytest
 
-from conftest import dict_depth, dict_stage_depths, make_sequence, random_codes
+from conftest import dict_depth, dict_stage_depths, make_sequence, seeded_circuits
 from qdotplot import (
     MCX_MODES,
     Circuit,
-    Control,
     Gate,
     Register,
     build_pattern_circuit,
@@ -61,64 +59,13 @@ def test_signed_zero_angles_survive_lowering_and_emission(backend):
     assert qasm_text(compiled).splitlines()[2:] == SIGNED_ZERO_LINES[backend]
 
 
-def _random_circuit(rng: random.Random, marks: bool) -> Circuit:
-    """Seeded mix of every lowerable kind, with measures, on two registers.
-
-    With marks, labels repeat both back to back (merged into one stage) and
-    apart (summed), and some stages are empty.
-    """
-    a, b = Register("a", 4), Register("b", 3)
-    qubits = a.refs() + b.refs()
-    gates = []
-    for _ in range(60):
-        kind = rng.choice(("h", "x", "cx", "mcx", "p", "cp", "swap", "rootx", "u3", "measure"))
-        w = rng.sample(qubits, 5)
-        if kind == "h":
-            gates.append(Gate.h(w[0]))
-        elif kind == "x":
-            gates.append(Gate.x(w[0]))
-        elif kind == "cx":
-            gates.append(Gate.cx(w[0], w[1]))
-        elif kind == "mcx":
-            ctl = [Control(q, rng.random() < 0.7) for q in w[1:rng.randint(2, 5)]]
-            gates.append(Gate.mcx(ctl, w[0]))
-        elif kind == "p":
-            gates.append(Gate.phase(rng.choice((0.0, -0.0, 0.3)), w[0]))
-        elif kind == "cp":
-            gates.append(Gate.cphase(rng.choice((-0.0, 1.1)), w[0], w[1]))
-        elif kind == "swap":
-            gates.append(Gate.swap(w[0], w[1]))
-        elif kind == "rootx":
-            gates.append(Gate.root_x(rng.choice((0.5, -0.25)), w[0], control=w[1]))
-        elif kind == "u3":
-            gates.append(Gate.u3(0.2, -0.0, 0.7, w[0]))
-        else:
-            gates.append(Gate.measure(w[0], rng.randrange(3)))
-    stage_marks = ()
-    if marks:
-        cuts = sorted(rng.choices(range(len(gates) + 1), k=6))
-        stage_marks = tuple((i, rng.choice("st")) for i in cuts)
-    return Circuit((a, b), tuple(gates), 3, stage_marks)
-
-
-def _seeded_circuits():
-    r = make_sequence(random_codes(np.random.default_rng(61), 16, 2), 2)
-    q = make_sequence(random_codes(np.random.default_rng(62), 16, 2), 2)
-    yield "pattern", build_pattern_circuit(r, q)  # marks and measures
-    for seed in range(3):
-        yield f"marked-{seed}", _random_circuit(random.Random(seed), marks=True)
-        yield f"unmarked-{seed}", _random_circuit(random.Random(100 + seed), marks=False)
-    yield "empty", Circuit((Register("q", 2),))
-    yield "empty-marked", Circuit((Register("q", 2),), stage_marks=((0, "s"), (0, "s")))
-
-
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("mode", MCX_MODES)
 def test_one_walk_report_matches_public_metrics(backend, mode):
     # The report, depth and stage_depths share one level walk, so the
     # depths are also checked against the dict-keyed references.
     be = load_backend(backend)
-    for name, circuit in _seeded_circuits():
+    for name, circuit in seeded_circuits():
         compiled, report = compile_circuit(circuit, be, mode)
         if name == "pattern":
             assert any(g.kind == "measure" for g in compiled.gates)

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import (
     equal_up_to_phase,
+    seeded_circuits,
     mcx_matrix,
     phase_matrix,
     root_x_matrix,
@@ -14,6 +15,7 @@ from conftest import (
     swap_matrix,
 )
 from qdotplot import (
+    MCX_MODES,
     BackendModel,
     Circuit,
     Control,
@@ -259,6 +261,15 @@ def test_lowering_preserves_stage_marks():
     lowered = lower_to_native(c, SC_SET, "ccnot_chain")
     after = [label for label, _, _ in lowered.stage_ranges()]
     assert before == after
+    # An unmarked circuit stays unmarked; a marked one keeps its labels in order.
+    for backend in (ALLSIM, SC_SET, ION_SET):
+        for mode in MCX_MODES:
+            for name, circuit in seeded_circuits():
+                lowered = lower_to_native(circuit, backend, mode)
+                if not circuit.stage_marks:
+                    assert lowered.stage_marks == (), name
+                labels = [label for label, _, _ in circuit.stage_ranges()]
+                assert [label for label, _, _ in lowered.stage_ranges()] == labels, name
 
 
 def test_lowering_allocates_ancillas_when_missing():

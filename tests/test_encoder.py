@@ -17,7 +17,6 @@ from qdotplot import (
     d1merge,
     decode_outcome,
     gate_counts,
-    init_registers,
     inverse_qft,
     k_index,
     layout_for,
@@ -147,9 +146,12 @@ def test_self_pair_minimizes_one_table(monkeypatch):
 
 
 def test_init_stage_h_or_pinned_x():
-    layout = layout_for(SEQ8, SEQ8)
-    free = init_registers(layout)
-    assert gate_counts(free) == {"h": 6}
+    c = build_dotplot_circuit(SEQ8, SEQ8)
+    (start, stop), = [(s, e) for label, s, e in c.stage_ranges() if label == "init"]
+    assert start == 0
+    init = c.gates[start:stop]
+    assert [g.label for g in init] == ["h"] * 6
+    assert [g.targets[0] for g in init] == list(c.register("x").refs() + c.register("y").refs())
 
 
 def test_dotplot_stage_costs():

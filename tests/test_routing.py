@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import seeded_circuits
 from qdotplot import (
+    MCX_MODES,
     BackendModel,
     Circuit,
     Gate,
@@ -13,6 +15,8 @@ from qdotplot import (
     Register,
     circuit_unitary,
     gate_counts,
+    load_backend,
+    lower_to_native,
     route,
     statevector_run,
 )
@@ -124,6 +128,16 @@ def test_routing_preserves_stage_marks():
     )
     routed = route(c, LINE5)
     assert [label for label, _, _ in routed.stage_ranges()] == ["a", "b"]
+    # An unmarked circuit stays unmarked; a marked one keeps its labels in order.
+    sc53 = load_backend("superconducting-53")
+    for mode in MCX_MODES:
+        for name, circuit in seeded_circuits():
+            lowered = lower_to_native(circuit, sc53, mode)
+            routed = route(lowered, sc53)
+            if not circuit.stage_marks:
+                assert routed.stage_marks == (), name
+            labels = [label for label, _, _ in lowered.stage_ranges()]
+            assert [label for label, _, _ in routed.stage_ranges()] == labels, name
 
 
 def test_routing_rejects_wide_gates():
