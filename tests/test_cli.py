@@ -243,6 +243,17 @@ def test_each_verb_rejects_the_options_it_does_not_read(runner, seqdir, verb):
         assert not (seqdir / "out").exists()
 
 
+@pytest.mark.parametrize("flag", [
+    ["--mcx-mode", "single-ancilla"], ["--shots", "10"], ["--seed", "3"], ["--no-minimize"],
+])
+def test_compare_modes_rejects_the_options_it_does_not_read(runner, seqdir, flag):
+    # It always compares both encoders in chain mode and samples nothing.
+    result = runner.invoke(main, _args(seqdir, "compare-modes", *flag, query=False))
+    assert result.exit_code == 2
+    assert f"No such option '{flag[0]}'" in result.output
+    assert not (seqdir / "out").exists()
+
+
 @pytest.mark.parametrize("extra", ["", "sub"])
 def test_out_that_cannot_be_a_directory_exits_two(runner, seqdir, extra):
     afile = seqdir / "afile"
