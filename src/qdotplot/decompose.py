@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 from .circuit import Circuit, Control, Gate, QubitRef, Register
 from .errors import CircuitError, LoweringError
@@ -25,44 +26,53 @@ from .errors import CircuitError, LoweringError
 MCX_MODES = ("ccnot_chain", "single_ancilla")
 
 
-def _positive_x(gate: Gate) -> tuple[list[QubitRef], QubitRef]:
+def _x_target(gate: Gate) -> QubitRef:
     if gate.kind != "x" or len(gate.targets) != 1:
         raise CircuitError("expected a single-target x-family gate")
-    if any(not c.positive for c in gate.controls):
-        raise CircuitError("negative controls must be rewritten first")
-    return [c.qubit for c in gate.controls], gate.targets[0]
+    return gate.targets[0]
 
 
-def rewrite_negative_controls(gate: Gate) -> list[Gate]:
-    """Sandwich every negative control between X gates, yielding an
-    all-positive gate of the same kind."""
-    flips = [Gate.x(c.qubit) for c in gate.controls if not c.positive]
-    if not flips:
+def rewrite_negative_controls(gate: Gate, core=None, x=Gate.x) -> list[Gate]:
+    """Sandwich every negative control between X gates (each built by x),
+    around an all-positive gate of the same kind, or around core(control
+    qubits): the gates that stand for it, so it is never built."""
+    flips = [x(c.qubit) for c in gate.controls if not c.positive]
+    if core is not None:
+        middle = core([c.qubit for c in gate.controls])
+    elif not flips:
         return [gate]
-    positive = replace(gate, controls=tuple(Control(c.qubit) for c in gate.controls))
-    return flips + [positive] + list(reversed(flips))
+    else:
+        middle = [replace(gate, controls=tuple(Control(c.qubit) for c in gate.controls))]
+    return flips + middle + flips[::-1]
 
 
-def decompose_mcx_chain(gate: Gate, ancillas) -> list[Gate]:
+def _chain_ladder(controls, ancillas, target, ccx=Gate.ccx) -> list[Gate]:
+    """The 2(c-2)+1 Toffolis of a c-control X on qubits, c >= 3, laddering
+    the partial AND through c-2 clean ancillas; ccx builds each."""
+    up = [ccx(controls[0], controls[1], ancillas[0])]
+    for k in range(len(controls) - 3):
+        up.append(ccx(controls[k + 2], ancillas[k], ancillas[k + 1]))
+    return up + [ccx(controls[-1], ancillas[-1], target)] + up[::-1]
+
+
+def decompose_mcx_chain(gate: Gate, ancillas, ladder=_chain_ladder, x=Gate.x) -> list[Gate]:
     """c-control X -> 2(c-2)+1 Toffolis through c-2 clean ancillas.
 
-    The ancillas must start in |0> and are returned to |0>.
+    The ancillas must start in |0> and are returned to |0>. The ladder,
+    ladder(control qubits, ancillas, target), goes inside the X pairs (each
+    built by x) of any negative control; lower_to_native passes cached ones.
     """
-    controls, target = _positive_x(gate)
-    c = len(controls)
+    target = _x_target(gate)
+    c = len(gate.controls)
     if c <= 2:
-        return [gate]
+        return rewrite_negative_controls(gate, x=x)
     ancillas = list(ancillas)[: c - 2]
     if len(ancillas) < c - 2:
         raise CircuitError(f"{c}-control chain needs {c - 2} ancillas")
-    used = set(controls) | {target}
-    if used & set(ancillas):
+    used = {(q.register, q.offset) for q in gate.qubits()}  # no QubitRef hash calls
+    if any((a.register, a.offset) in used for a in ancillas):
         raise CircuitError("ancillas overlap the gate's own qubits")
-    ladder = [Gate.ccx(controls[0], controls[1], ancillas[0])]
-    for k in range(c - 3):
-        ladder.append(Gate.ccx(controls[k + 2], ancillas[k], ancillas[k + 1]))
-    middle = Gate.ccx(controls[-1], ancillas[-1], target)
-    return ladder + [middle] + list(reversed(ladder))
+    return rewrite_negative_controls(gate, lambda controls: ladder(controls, ancillas, target), x)
 
 
 def _gray_root_network(c0, c1, c2, target, exponent: Fraction) -> list[Gate]:
@@ -130,19 +140,23 @@ def decompose_mcx_single_ancilla(gate: Gate, ancilla: QubitRef) -> list[Gate]:
     Splitting the controls as A = first ceil(c/2), B = rest + ancilla and
     echoing A B A B cancels any stale ancilla value, so the ancilla may be
     dirty. Gates of at most two controls pass through; three or four
-    control pieces expand over controlled roots of X.
+    control pieces expand over controlled roots of X. Negative controls
+    get X pairs around the echo.
     """
-    controls, target = _positive_x(gate)
-    c = len(controls)
+    target = _x_target(gate)
+    c = len(gate.controls)
     if c <= 2:
-        return [gate]
-    if ancilla in set(controls) | {target}:
+        return rewrite_negative_controls(gate)
+    if ancilla in {ctl.qubit for ctl in gate.controls} | {target}:
         raise CircuitError("ancilla overlaps the gate's own qubits")
-    half = (c + 1) // 2
-    first, rest = controls[:half], controls[half:]
-    a = _mcx_borrowed(first, ancilla, rest + [target])
-    b = _mcx_borrowed(rest + [ancilla], target, first)
-    return a + b + a + b
+
+    def echo(controls):
+        first, rest = controls[:(c + 1) // 2], controls[(c + 1) // 2:]
+        a = _mcx_borrowed(first, ancilla, rest + [target])
+        b = _mcx_borrowed(rest + [ancilla], target, first)
+        return a + b + a + b
+
+    return rewrite_negative_controls(gate, echo)
 
 
 def ccx_network(a, b, target) -> list[Gate]:
@@ -284,6 +298,10 @@ def lower_to_native(circuit: Circuit, backend, mcx_mode: str = "ccnot_chain") ->
 
     Stage labels are kept (an unmarked circuit stays unmarked); X pairs
     produced by adjacent negative-control rewrites cancel within each stage.
+    Equal gates share one lowering, at one memo hash per gate. Flip X gates
+    and chain-ladder Toffolis come from a piece cache local to the call:
+    each distinct piece is built and lowered once, then found by identity,
+    and each distinct ladder (target and control qubits) is built once.
     """
     if mcx_mode not in MCX_MODES:
         raise LoweringError(f"mcx_mode must be one of {MCX_MODES}")
@@ -293,24 +311,52 @@ def lower_to_native(circuit: Circuit, backend, mcx_mode: str = "ccnot_chain") ->
     # equality treats 0.0 == -0.0, so the key also holds each parameter's
     # sign: p(0.0) and p(-0.0) must keep their own rendered angles.
     memo: dict[tuple, list[Gate]] = {}
+    # Pieces by their qubits' (register, offset) pairs (one for an X, three
+    # for a Toffoli), and id(piece) -> its lowering: the cache keeps every
+    # piece alive, so no other object takes its id during the call.
+    pieces: dict[tuple, Gate] = {}
+    known: dict[int, list[Gate]] = {}
 
     def lower(g: Gate) -> list[Gate]:
-        key = (g, tuple([math.copysign(1.0, a) for a in g.params]))
-        out = memo.get(key)
-        if out is None:
-            out = memo[key] = [g] if g.kind == "measure" or g.label in native else _expand(g)
+        out = []
+        found = memo.setdefault((g, tuple([math.copysign(1.0, a) for a in g.params])), out)
+        if found is not out:
+            return found
+        out += [g] if g.kind == "measure" or g.label in native else _expand(g)
         return out
 
     def lower_all(gates) -> list[Gate]:
         out = []
         for g in gates:
-            out.extend(lower(g))
+            found = known.get(id(g))
+            out += lower(g) if found is None else found
+        return out
+
+    def piece(make, *qubits) -> Gate:
+        key = tuple([(q.register, q.offset) for q in qubits])
+        g = pieces.get(key)
+        if g is None:
+            g = pieces[key] = make(*qubits)
+            known[id(g)] = lower(g)
+        return g
+
+    x_piece, ccx_piece = partial(piece, Gate.x), partial(piece, Gate.ccx)
+    ladders: dict[tuple, list[Gate]] = {}
+
+    def ladder(controls, ancillas, target) -> list[Gate]:
+        # Ancillas are pool[: c - 2], so the qubits of the gate fix them.
+        key = tuple([(q.register, q.offset) for q in (target, *controls)])
+        out = ladders.get(key)
+        if out is None:
+            out = ladders[key] = _chain_ladder(controls, ancillas, target, ccx_piece)
         return out
 
     def _expand(g: Gate) -> list[Gate]:
         kind, c = g.kind, len(g.controls)
+        if kind == "x" and c > 2 and len(g.targets) == 1 and mcx_mode == "ccnot_chain":
+            return lower_all(decompose_mcx_chain(g, pool[: c - 2], ladder, x_piece))
         if any(not ctl.positive for ctl in g.controls):
-            return lower_all(rewrite_negative_controls(g))
+            return lower_all(rewrite_negative_controls(g, x=x_piece))
         if kind == "x":
             if len(g.targets) > 1:
                 return lower_all(Gate(kind, (t,), g.controls) for t in g.targets)
@@ -322,8 +368,6 @@ def lower_to_native(circuit: Circuit, backend, mcx_mode: str = "ccnot_chain") ->
                 raise LoweringError(f"no native path for cx on backend {backend.name!r}")
             if c == 2:
                 return lower_all(ccx_network(g.controls[0].qubit, g.controls[1].qubit, g.targets[0]))
-            if mcx_mode == "ccnot_chain":
-                return lower_all(decompose_mcx_chain(g, pool[: c - 2]))
             return lower_all(decompose_mcx_single_ancilla(g, pool[0]))
         if kind == "p":
             if c == 0:

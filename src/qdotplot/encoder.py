@@ -67,15 +67,13 @@ def encode_sequence(seq: SymbolSequence, index: Register, data: Register,
         )
     if data.size != seq.d:
         raise ValueError(f"register {data.name!r} holds {data.size} bits but d={seq.d}")
-    gates = []
-    for desc in cubes_to_mcx(table):
-        target = data[desc.output_bit]
-        if desc.controls:
-            controls = [Control(index[bit], positive) for bit, positive in desc.controls]
-            gates.append(Gate.mcx(controls, target))
-        else:
-            gates.append(Gate.x(target))
-    return gates
+    # Each Control (per index bit and polarity) and each data-bit ref is
+    # built once here, and every gate shares it.
+    targets = data.refs()
+    control = {(bit, positive): Control(ref, positive)
+               for bit, ref in enumerate(index.refs()) for positive in (False, True)}
+    return [Gate("x", (targets[desc.output_bit],), tuple([control[c] for c in desc.controls]))
+            for desc in cubes_to_mcx(table)]
 
 
 def sequence_table(seq: SymbolSequence, use_minimizer: bool = True) -> PlaTable:

@@ -5,13 +5,16 @@ term, inputs over {0, 1, -} (MSB first), outputs over {0, 1}. Tables built
 from a sequence have one minterm row per index whose element is nonzero; the
 minimizer is an exhaustive distance-1 merge (equal outputs only) plus
 subsumption, run to a fixpoint, which is the quick-merge mode of classic
-two-level minimizers. Subsumption works on integer (care, value) masks: a
-cube is covered by another with the same outputs whose care mask is a
-proper subset of its own and agrees with it there. Cubes are grouped by
-care mask, and a merged table holds only a few dozen distinct masks, so each
-cube costs a few set lookups instead of a scan of every other cube. Cube
-lists convert 1:1 into multi-controlled-X descriptors, one gate per (cube,
-set output bit).
+two-level minimizers. Both passes work on integer (care, value) masks,
+care marking the non-dash positions and value the 1s. A merge partner at
+a cared bit has the same outputs and care mask and a value that differs in
+that bit alone, so each try is one dict lookup on (outputs, care, value XOR
+bit). A cube is subsumed by another with the same outputs whose care mask
+is a proper subset of its own and agrees with it there. Cubes are grouped
+by care mask, and a merged table holds only a few dozen distinct masks, so
+each cube costs a few set lookups instead of a scan of every other cube.
+Cube lists convert 1:1 into multi-controlled-X descriptors, one gate per
+(cube, set output bit).
 """
 
 from __future__ import annotations
@@ -90,51 +93,51 @@ def build_pla(codes, d: int) -> PlaTable:
     return PlaTable(n, d, tuple(cubes))
 
 
+_CARE = str.maketrans("01-", "110")
+
+
+def _masks(ins: str) -> tuple[int, int]:
+    # care = the non-dash positions, value = the 1 positions, MSB first. A
+    # table with no inputs has empty cubes, which mean (0, 0).
+    return int(ins.translate(_CARE) or "0", 2), int(ins.replace("-", "0") or "0", 2)
+
+
 def _merge_pass(cubes: list[tuple[str, str]]) -> tuple[list[tuple[str, str]], bool]:
-    # One deterministic sweep: cubes in lex order; each unconsumed cube merges
-    # with the first earlier-indexed partner at distance 1 with equal outputs.
-    index: dict[tuple, list[int]] = {}
-    for i, (ins, outs) in enumerate(cubes):
-        for p, lit in enumerate(ins):
-            if lit != "-":
-                index.setdefault((outs, p, ins[:p], ins[p + 1:]), []).append(i)
+    # One deterministic sweep over distinct cubes in lex order: each
+    # unconsumed cube merges with the first unconsumed partner at distance 1
+    # with equal outputs, trying its cared positions MSB first. The partner at
+    # a cared bit is the one cube with the same outputs and care mask whose
+    # value differs in that bit alone, so it is a single dict lookup.
+    keys = [(outs, *_masks(ins)) for ins, outs in cubes]
+    where = {key: i for i, key in enumerate(keys)}
     consumed = [False] * len(cubes)
     out = []
     changed = False
     for i, (ins, outs) in enumerate(cubes):
         if consumed[i]:
             continue
-        hit = None
+        consumed[i] = True
+        _, care, value = keys[i]
+        n = len(ins)
         for p, lit in enumerate(ins):
             if lit == "-":
                 continue
-            for j in index.get((outs, p, ins[:p], ins[p + 1:]), ()):
-                if j != i and not consumed[j] and cubes[j][0][p] not in ("-", lit):
-                    hit = (j, p)
-                    break
-            if hit:
+            j = where.get((outs, care, value ^ (1 << (n - 1 - p))))
+            if j is not None and not consumed[j]:
+                consumed[j] = True
+                out.append((ins[:p] + "-" + ins[p + 1:], outs))
+                changed = True
                 break
-        consumed[i] = True
-        if hit:
-            j, p = hit
-            consumed[j] = True
-            out.append((ins[:p] + "-" + ins[p + 1:], outs))
-            changed = True
         else:
             out.append((ins, outs))
     deduped = sorted(set(out))
     return deduped, changed or len(deduped) < len(cubes)
 
 
-_CARE = str.maketrans("01-", "110")
-
-
 def _subsume_pass(cubes: list[tuple[str, str]]) -> tuple[list[tuple[str, str]], bool]:
-    # care = non-dash positions, value = the 1 positions. (c', v') covers
-    # (c, v) when c' is a proper subset of c and v & c' == v'; a cube with an
-    # equal care mask that agreed would be the same cube.
-    masks = [(int(ins.translate(_CARE), 2), int(ins.replace("-", "0"), 2))
-             for ins, _ in cubes]
+    # (c', v') covers (c, v) when c' is a proper subset of c and v & c' == v';
+    # a cube with an equal care mask that agreed would be the same cube.
+    masks = [_masks(ins) for ins, _ in cubes]
     groups: dict[str, dict[int, set[int]]] = {}
     for (_, outs), (care, value) in zip(cubes, masks):
         groups.setdefault(outs, {}).setdefault(care, set()).add(value)
@@ -177,13 +180,8 @@ def evaluate_all(table: PlaTable) -> np.ndarray:
     values = np.arange(1 << n, dtype=np.int64)
     out = np.zeros(1 << n, dtype=np.int64)
     for c in table.cubes:
-        care = val = 0
-        for p, lit in enumerate(c.inputs):
-            if lit != "-":
-                care |= 1 << (n - 1 - p)
-                if lit == "1":
-                    val |= 1 << (n - 1 - p)
-        out[(values & care) == val] |= int(c.outputs, 2)
+        care, value = _masks(c.inputs)
+        out[(values & care) == value] |= int(c.outputs, 2)
     return out
 
 

@@ -1,5 +1,7 @@
 """Gate lowering: MCX decompositions, primitive networks, native-set rewrites."""
 
+import hashlib
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -28,6 +30,7 @@ from qdotplot import (
     gate_counts,
     load_backend,
     lower_to_native,
+    qasm_text,
     rewrite_negative_controls,
     width,
 )
@@ -169,6 +172,22 @@ def test_single_ancilla_decomposition_dirty_on_full_space(c):
     # Full-space equality: holds for every ancilla basis state (dirty ancilla).
     want = mcx_matrix(n, [(i, True) for i in range(c)], c)
     assert equal_up_to_phase(got, want, tol=1e-10)
+
+
+@pytest.mark.parametrize("c", range(3, 6))
+def test_decompositions_take_negative_controls(c):
+    # Both decompositions put an X pair around each negative control.
+    _, regs, ctrl, tgt, anc = _mcx_gate(c, c - 2, "chain")
+    polarity = [(k, k % 2 == 0) for k in range(c)]
+    gate = Gate.mcx([Control(ctrl[k], positive) for k, positive in polarity], tgt[0])
+    circuit = Circuit(registers=regs)
+    chain = circuit.append_stage("s", decompose_mcx_chain(gate, [anc[i] for i in range(c - 2)]))
+    single = circuit.append_stage("s", decompose_mcx_single_ancilla(gate, anc[0]))
+    want = mcx_matrix(chain.n_qubits, polarity, c)
+    cols = [s for s in range(1 << chain.n_qubits) if (s >> (c + 1)) == 0]
+    assert np.max(np.abs(circuit_unitary(chain)[:, cols] - want[:, cols])) < 1e-10
+    assert equal_up_to_phase(circuit_unitary(single), want, tol=1e-10)
+    assert gate_counts(chain) == {"ccx": 2 * (c - 2) + 1, "x": 2 * (c // 2)}
 
 
 def test_single_ancilla_touches_only_one_ancilla():
@@ -322,3 +341,53 @@ def test_measure_passes_through_lowering():
     c = Circuit(registers=(r,)).append_stage("s", [Gate.h(r[0]), Gate.measure(r[0], 0)])
     lowered = lower_to_native(c, SC_SET, "ccnot_chain")
     assert gate_counts(lowered).get("measure", 0) == 1
+
+
+# -- piece cache: each flip and ladder Toffoli built once ----------------------
+
+
+def _seeded_encoder(seed=16, n_gates=64):
+    """An encoder-shaped circuit: X gates onto two data bits, each with 10 to
+    12 mixed-polarity controls on a 12-bit index register. Every control
+    gets a fresh QubitRef, so pieces are shared by value, not by object."""
+    rng = random.Random(seed)
+    x, d = Register("x", 12, "index"), Register("d", 2, "data")
+    gates = []
+    for _ in range(n_gates):
+        bits = sorted(rng.sample(range(12), rng.randint(10, 12)), reverse=True)
+        controls = [Control(x[b], rng.random() < 0.5) for b in bits]
+        gates.append(Gate.mcx(controls, d[rng.randrange(2)]))
+    return Circuit((x, d)).append_stage("neqr", gates)
+
+
+def test_chain_lowering_builds_no_gate_twice(monkeypatch):
+    circuit = _seeded_encoder()
+    built = []
+    post_init = Gate.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(Gate, "__post_init__", counted)
+    lowered = lower_to_native(circuit, load_backend("allsim"), "ccnot_chain")
+    monkeypatch.undo()
+    assert built
+    assert len(built) <= len(set(lowered.gates))
+
+
+# sha256 of qasm_text(lower_to_native(_seeded_encoder(), backend, mode)), as
+# the lowering wrote it before the piece cache: the cache changes no byte.
+SEEDED_ENCODER_DIGESTS = {
+    ("allsim", "ccnot_chain"): "dce3df2d3f15bc2f530b93a030be2aa192f1a46452ede4e8e93bc6426ce34db5",
+    ("allsim", "single_ancilla"): "f7937371dafcd5ff830c0bffac3da6b2d7636e440a02eff3f10196427452839b",
+    ("superconducting-53", "ccnot_chain"): "21c72575cd123583ee6b7e4def6b666ddbf85b4f5c4ffe33d847983ac8772e15",
+    ("ion-40", "ccnot_chain"): "04f676129fa74da1bbafb8b47bca2953043eb82e543cf66125d39da53e7eb410",
+}
+
+
+@pytest.mark.parametrize("backend,mode", sorted(SEEDED_ENCODER_DIGESTS))
+def test_seeded_encoder_lowering_digest(backend, mode):
+    lowered = lower_to_native(_seeded_encoder(), load_backend(backend), mode)
+    digest = hashlib.sha256(qasm_text(lowered).encode()).hexdigest()
+    assert digest == SEEDED_ENCODER_DIGESTS[backend, mode]

@@ -20,7 +20,7 @@ from qdotplot import (
     read_pla,
     write_pla,
 )
-from qdotplot.logic import _subsume_pass
+from qdotplot.logic import _merge_pass, _subsume_pass
 
 # The worked example used throughout: an 8-element sequence over a 4-symbol
 # alphabet whose nonzero table rows and minimized cover are known by hand.
@@ -240,3 +240,78 @@ def test_d1merge_long_sequence_budget():
     d1merge(table)
     elapsed = time.perf_counter() - start
     assert elapsed < 1.5, f"d1merge of 4096 rows took {elapsed:.3f}s, budget 1.5s"
+
+
+# -- integer-keyed merge sweep against the string-keyed sweep ------------------
+
+
+def _merge_pass_by_strings(cubes):
+    """The merge sweep keyed on sliced strings: each unconsumed cube, in
+    order, merges with the first unconsumed cube that has equal outputs and
+    the opposite literal at one of its cared positions (MSB first), and
+    equal literals everywhere else."""
+    index = {}
+    for i, (ins, outs) in enumerate(cubes):
+        for p, lit in enumerate(ins):
+            if lit != "-":
+                index.setdefault((outs, p, ins[:p], ins[p + 1:]), []).append(i)
+    consumed = [False] * len(cubes)
+    out = []
+    changed = False
+    for i, (ins, outs) in enumerate(cubes):
+        if consumed[i]:
+            continue
+        hit = None
+        for p, lit in enumerate(ins):
+            if lit == "-":
+                continue
+            for j in index.get((outs, p, ins[:p], ins[p + 1:]), ()):
+                if j != i and not consumed[j] and cubes[j][0][p] not in ("-", lit):
+                    hit = (j, p)
+                    break
+            if hit:
+                break
+        consumed[i] = True
+        if hit:
+            j, p = hit
+            consumed[j] = True
+            out.append((ins[:p] + "-" + ins[p + 1:], outs))
+            changed = True
+        else:
+            out.append((ins, outs))
+    deduped = sorted(set(out))
+    return deduped, changed or len(deduped) < len(cubes)
+
+
+def _assert_merge_passes_agree(table):
+    # Walk d1merge's fixpoint loop and compare every merge pass on its input.
+    cubes = sorted(set((c.inputs, c.outputs) for c in table.cubes))
+    passes = 0
+    while True:
+        any_change = False
+        while True:
+            got = _merge_pass(cubes)
+            assert got == _merge_pass_by_strings(cubes)
+            passes += 1
+            cubes, changed = got
+            any_change |= changed
+            if not changed:
+                break
+        cubes, changed = _subsume_pass(cubes)
+        if not (any_change or changed):
+            return passes
+
+
+@given(pla_tables())
+@settings(max_examples=300, deadline=None)
+def test_merge_pass_matches_string_keyed_sweep(table):
+    _assert_merge_passes_agree(table)
+
+
+def test_merge_pass_matches_string_keyed_sweep_on_long_sequence():
+    assert _assert_merge_passes_agree(_long_dna_table()) > 1
+
+
+def test_d1merge_of_a_table_without_inputs():
+    table = read_pla(".i 0\n.o 2\n01\n11\n.e\n")
+    assert d1merge(table) == table
