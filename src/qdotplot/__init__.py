@@ -33,10 +33,8 @@ from .encoder import (
     build_dotplot_circuit,
     build_encoder_circuit,
     build_pattern_circuit,
-    decode_outcome,
     encode_sequence,
-    inverse_qft,
-    k_index,
+    inverse_qft_gates,
     layout_for,
     readout_bits,
 )
@@ -50,8 +48,6 @@ from .logic import (
     d1merge,
     evaluate_all,
     functional_equal,
-    read_pla,
-    write_pla,
 )
 from .qasm import emit_qasm, parse_qasm, qasm_text, read_qasm
 from .reports import (
@@ -76,14 +72,11 @@ from .sequences import (
     read_sequence_file,
 )
 from .simulate import (
-    Statevector,
-    ToffoliState,
     circuit_unitary,
     pattern_distribution,
     sample,
     sample_pattern,
     statevector_run,
-    states_equal,
     toffoli_run,
     toffoli_run_batch,
 )
@@ -119,9 +112,7 @@ __all__ = [
     "QubitRef",
     "Register",
     "ResourceReport",
-    "Statevector",
     "SymbolSequence",
-    "ToffoliState",
     "ValidationReport",
     "build_dotplot_circuit",
     "build_encoder_circuit",
@@ -135,7 +126,6 @@ __all__ = [
     "compile_circuit",
     "cubes_to_mcx",
     "d1merge",
-    "decode_outcome",
     "decompose_mcx_chain",
     "decompose_mcx_single_ancilla",
     "depth",
@@ -146,8 +136,7 @@ __all__ = [
     "evaluate_all",
     "functional_equal",
     "gate_counts",
-    "inverse_qft",
-    "k_index",
+    "inverse_qft_gates",
     "layout_for",
     "load_backend",
     "lower_to_native",
@@ -156,7 +145,6 @@ __all__ = [
     "parse_qasm",
     "pattern_distribution",
     "qasm_text",
-    "read_pla",
     "read_qasm",
     "read_sequence_file",
     "readout_bits",
@@ -168,12 +156,10 @@ __all__ = [
     "sample_pattern",
     "stage_depths",
     "statevector_run",
-    "states_equal",
     "toffoli_run",
     "toffoli_run_batch",
     "validate_exhaustive",
     "validate_sampling",
     "width",
     "width_bounds",
-    "write_pla",
 ]

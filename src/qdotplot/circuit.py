@@ -343,10 +343,6 @@ class Circuit:
         bits = max(self.classical_bits, top + 1)
         return replace(self, gates=tuple(gates), classical_bits=bits, stage_marks=tuple(marks))
 
-    def append_stage(self, label: str, gates) -> Circuit:
-        """append_stages of the one stage (label, gates)."""
-        return self.append_stages([(label, gates)])
-
     def stage_ranges(self) -> list[tuple[str, int, int]]:
         """(label, start, stop) per mark; unmarked leading gates get label ''."""
         out = []

@@ -124,9 +124,12 @@ def build_encoder_circuit(seq: SymbolSequence, *, use_minimizer: bool = True) ->
     ])
 
 
-def _inverse_qft_gates(qubits) -> list[Gate]:
+def inverse_qft_gates(qubits) -> list[Gate]:
+    """The inverse Fourier transform over qubits (LSB first): n Hadamards,
+    n(n-1)/2 controlled phases with angles -pi/2^k, and floor(n/2)
+    terminal swaps."""
     # Adjoint of the textbook transform cascade, relabeled so the bit-order
-    # reversal swaps land at the end. qubits[0] is the least significant bit.
+    # reversal swaps land at the end.
     n = len(qubits)
     fwd = []
     for j in reversed(range(n)):
@@ -143,20 +146,6 @@ def _inverse_qft_gates(qubits) -> list[Gate]:
     for i in range(n // 2):
         gates.append(Gate.swap(qubits[i], qubits[n - 1 - i]))
     return gates
-
-
-def inverse_qft(circuit: Circuit, qubits) -> Circuit:
-    """Append the inverse Fourier transform over the given qubits (LSB first).
-
-    n Hadamards, n(n-1)/2 controlled phases with angles -pi/2^k, and
-    floor(n/2) terminal swaps.
-    """
-    return circuit.append_stage("qft", _inverse_qft_gates(tuple(qubits)))
-
-
-def k_index(x: int, y: int, width: int) -> int:
-    """Transform-domain index of plot cell (x, y): k = y*W + x."""
-    return y * width + x
 
 
 def readout_bits(layout: DotplotLayout) -> dict:
@@ -196,7 +185,7 @@ def build_pattern_circuit(
     return circuit.append_stages([
         *_oracle_stages(circuit, r, q, use_minimizer),
         ("dotplot", readout_gates(circuit, layout, ("v",))),
-        ("qft", _inverse_qft_gates(circuit.register("x").refs() + circuit.register("y").refs())),
+        ("qft", inverse_qft_gates(circuit.register("x").refs() + circuit.register("y").refs())),
         ("readout", readout_gates(circuit, layout, ("x", "y"))),
     ])
 
@@ -210,11 +199,3 @@ def oracle_circuit(circuit: Circuit, skip: str | None = None) -> Circuit:
         if label != skip and start < stop
     )
 
-
-def decode_outcome(key: tuple, layout: DotplotLayout) -> tuple[int, int, int]:
-    """Map a sampled classical tuple to (v, x, y)."""
-    bits = readout_bits(layout)
-    v = key[bits["v"]]
-    x = sum((key[b] & 1) << i for i, b in enumerate(bits["x"]))
-    y = sum((key[b] & 1) << j for j, b in enumerate(bits["y"]))
-    return v, x, y

@@ -14,7 +14,8 @@ is a proper subset of its own and agrees with it there. Cubes are grouped
 by care mask, and a merged table holds only a few dozen distinct masks, so
 each cube costs a few set lookups instead of a scan of every other cube.
 Cube lists convert 1:1 into multi-controlled-X descriptors, one gate per
-(cube, set output bit).
+(cube, set output bit). Tables live in memory only: no PLA text is read or
+written.
 """
 
 from __future__ import annotations
@@ -212,49 +213,3 @@ def cubes_to_mcx(table: PlaTable) -> tuple[McxDescriptor, ...]:
                 out.append(McxDescriptor(controls, d - 1 - p))
     return tuple(out)
 
-
-def write_pla(table: PlaTable) -> str:
-    lines = [f".i {table.n_inputs}", f".o {table.n_outputs}", f".p {len(table.cubes)}"]
-    lines += [f"{c.inputs} {c.outputs}" for c in table.cubes]
-    lines.append(".e")
-    return "\n".join(lines) + "\n"
-
-
-def read_pla(text: str) -> PlaTable:
-    n_inputs = n_outputs = None
-    declared = None
-    cubes = []
-    ended = False
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if ended:
-            raise ValueError(f"line {lineno}: content after .e")
-        if line.startswith("."):
-            parts = line.split()
-            if parts[0] == ".i":
-                n_inputs = int(parts[1])
-            elif parts[0] == ".o":
-                n_outputs = int(parts[1])
-            elif parts[0] == ".p":
-                declared = int(parts[1])
-            elif parts[0] == ".e":
-                ended = True
-            else:
-                raise ValueError(f"line {lineno}: unsupported directive {parts[0]!r}")
-            continue
-        if n_inputs is None or n_outputs is None:
-            raise ValueError(f"line {lineno}: cube before .i/.o header")
-        parts = line.split()
-        if len(parts) != 2 and not (n_inputs == 0 and len(parts) == 1):
-            raise ValueError(f"line {lineno}: expected '<inputs> <outputs>'")
-        ins, outs = ("", parts[0]) if len(parts) == 1 else (parts[0], parts[1])
-        if len(ins) != n_inputs or len(outs) != n_outputs:
-            raise ValueError(f"line {lineno}: cube width does not match header")
-        cubes.append(Cube(ins, outs))
-    if n_inputs is None or n_outputs is None or not ended:
-        raise ValueError("PLA text needs .i, .o, and .e")
-    if declared is not None and declared != len(cubes):
-        raise ValueError(f".p declares {declared} cubes but {len(cubes)} present")
-    return PlaTable(n_inputs, n_outputs, tuple(cubes))

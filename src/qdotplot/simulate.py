@@ -8,27 +8,28 @@ uint64 plane per wire, 64 inputs a word, where an X gate XORs the AND of
 its control planes into each target. run_cells runs an oracle on every plot
 cell, whose x and y planes are the bit patterns of the cell index;
 toffoli_run_batch packs given states into planes and unpacks the result;
-toffoli_run is the scalar reference. The statevector engine holds all 2^n
-amplitudes and applies gates as in-place amplitude updates on a [2]*n view;
-wire q maps to tensor axis n-1-q so that wire 0 is the least significant
-bit of the basis index. statevector_run collapses the state at each
-measure; sample defers mid-circuit measurements, draws from one dense pass
-over the support of its distribution, and tallies the draws in numpy. A
-pattern circuit (encoder.build_pattern_circuit) is read out without a
-statevector: its oracle runs once on the planes of all plot cells
-(run_cells) and an FFT stands in for the inverse QFT (pattern_distribution).
+toffoli_run is the scalar reference, returning (bits, classical) for one
+state. The statevector engine holds all 2^n amplitudes and applies gates
+as in-place amplitude updates on a [2]*n view; wire q maps to tensor axis
+n-1-q so that wire 0 is the least significant bit of the basis index.
+statevector_run returns (amplitudes, classical) and collapses the state
+at each measure; sample defers mid-circuit measurements, draws from one
+dense pass over the support of its distribution, and tallies the draws in
+numpy. A pattern circuit (encoder.build_pattern_circuit) is read out
+without a statevector: its oracle runs once on the planes of all plot
+cells (run_cells) and an FFT stands in for the inverse QFT
+(pattern_distribution).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .circuit import Circuit, Gate
-from .encoder import DotplotLayout, _inverse_qft_gates, oracle_circuit, readout_gates
+from .encoder import DotplotLayout, inverse_qft_gates, oracle_circuit, readout_gates
 from .errors import ConfigError
 
 DEFAULT_QUBIT_CAP = 24
@@ -50,16 +51,6 @@ _WORD = np.dtype("<u8")
 # Bit k < 6 of the input index repeats in every word of its plane: bit c
 # of _LOW_INDEX_WORDS[k] is bit k of c.
 _LOW_INDEX_WORDS = [np.uint64(sum(1 << c for c in range(64) if c >> k & 1)) for k in range(6)]
-
-
-@dataclass
-class ToffoliState:
-    n_qubits: int
-    bits: int
-    classical: list
-
-    def bit(self, wire: int) -> int:
-        return (self.bits >> wire) & 1
 
 
 def _toffoli_program(circuit: Circuit) -> list:
@@ -87,9 +78,10 @@ def _toffoli_program(circuit: Circuit) -> list:
     return [ops[id(g)] for g in circuit.gates]
 
 
-def toffoli_run(circuit: Circuit, initial: int = 0) -> ToffoliState:
+def toffoli_run(circuit: Circuit, initial: int = 0) -> tuple[int, list]:
     """Propagate one basis state through an X/SWAP/Measure circuit (the
-    scalar reference of the bit-plane engine)."""
+    scalar reference of the bit-plane engine). Returns (final bitmask,
+    classical bit list), where a bit that no measurement writes is None."""
     n = circuit.n_qubits
     if not 0 <= initial < (1 << n):
         raise ValueError(f"initial state {initial} out of range for {n} qubits")
@@ -108,7 +100,7 @@ def toffoli_run(circuit: Circuit, initial: int = 0) -> ToffoliState:
         else:
             _, w, cbit = op
             classical[cbit] = (bits >> w) & 1
-    return ToffoliState(n, bits, classical)
+    return bits, classical
 
 
 def _propagate(circuit: Circuit, planes: np.ndarray) -> dict[int, np.ndarray]:
@@ -206,14 +198,6 @@ def run_cells(oracle: Circuit) -> np.ndarray:
 
 # -- statevector engine -----------------------------------------------------
 
-@dataclass
-class Statevector:
-    """Dense amplitudes; basis index bit q is wire q (wire 0 least significant)."""
-
-    amplitudes: np.ndarray
-    n_qubits: int
-
-
 def _u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
     c, s = math.cos(theta / 2), math.sin(theta / 2)
     return np.array(
@@ -246,6 +230,16 @@ def _matrix_1q(g: Gate) -> np.ndarray:
     if g.kind == "ry":
         return _u3_matrix(g.params[0], 0.0, 0.0)
     raise ValueError(f"no single-qubit matrix for {g.kind!r}")
+
+
+_SWAP = np.eye(4)[[0, 2, 1, 3]]
+
+
+def _matrix_2q(g: Gate) -> np.ndarray:
+    if g.kind == "swap":
+        return _SWAP
+    c, s = math.cos(g.params[0] / 2), -1j * math.sin(g.params[0] / 2)
+    return np.array([[c, 0, 0, s], [0, c, s, 0], [0, s, c, 0], [s, 0, 0, c]])
 
 
 class _Engine:
@@ -292,35 +286,17 @@ class _Engine:
             view[s0] = view[s1]
             view[s1] = tmp
 
-    def apply_swap(self, w1: int, w2: int):
+    def apply_2q(self, m: np.ndarray, w1: int, w2: int):
+        """Apply the 4x4 matrix m, whose row index is 2*bit(w1) + bit(w2)."""
         a1, a2 = self.n - 1 - w1, self.n - 1 - w2
-        i01 = [slice(None)] * self.t.ndim
-        i10 = [slice(None)] * self.t.ndim
-        i01[a1], i01[a2] = 0, 1
-        i10[a1], i10[a2] = 1, 0
-        i01, i10 = tuple(i01), tuple(i10)
-        tmp = self.t[i01].copy()
-        self.t[i01] = self.t[i10]
-        self.t[i10] = tmp
-
-    def apply_rxx(self, theta: float, w1: int, w2: int):
-        c = math.cos(theta / 2)
-        s = -1j * math.sin(theta / 2)
-        a1, a2 = self.n - 1 - w1, self.n - 1 - w2
-        blocks = {}
-        for b1 in (0, 1):
-            for b2 in (0, 1):
-                idx = [slice(None)] * self.t.ndim
-                idx[a1], idx[a2] = b1, b2
-                blocks[b1, b2] = tuple(idx)
-        b00 = self.t[blocks[0, 0]].copy()
-        b01 = self.t[blocks[0, 1]].copy()
-        b10 = self.t[blocks[1, 0]].copy()
-        b11 = self.t[blocks[1, 1]].copy()
-        self.t[blocks[0, 0]] = c * b00 + s * b11
-        self.t[blocks[0, 1]] = c * b01 + s * b10
-        self.t[blocks[1, 0]] = c * b10 + s * b01
-        self.t[blocks[1, 1]] = c * b11 + s * b00
+        blocks = []
+        for b in range(4):
+            idx = [slice(None)] * self.t.ndim
+            idx[a1], idx[a2] = b >> 1, b & 1
+            blocks.append(tuple(idx))
+        old = [self.t[i].copy() for i in blocks]
+        for row, i in zip(m, blocks):
+            self.t[i] = sum(c * b for c, b in zip(row, old) if c)
 
     def measure(self, wire: int, rng) -> int:
         s0, s1 = self._slices(self.t, self.n - 1 - wire)
@@ -338,10 +314,8 @@ class _Engine:
         controls = [(w, c.positive) for w, c in zip(wires[n:], g.controls)]
         if g.kind == "x":
             self.apply_x(wires[:n], controls)
-        elif g.kind == "swap":
-            self.apply_swap(wires[0], wires[1])
-        elif g.kind == "rxx":
-            self.apply_rxx(g.params[0], wires[0], wires[1])
+        elif g.kind in ("swap", "rxx"):
+            self.apply_2q(_matrix_2q(g), wires[0], wires[1])
         elif g.kind == "measure":
             raise ValueError("unexpected measure")
         else:
@@ -353,8 +327,9 @@ def statevector_run(
     seed: int = 0,
     initial: int = 0,
     max_qubits: int = DEFAULT_QUBIT_CAP,
-) -> tuple[Statevector, list]:
-    """Dense simulation; returns the final state and the classical bit list.
+) -> tuple[np.ndarray, list]:
+    """Dense simulation; returns the final amplitudes (basis index bit q is
+    wire q) and the classical bit list.
 
     Measurements sample the target's marginal with the seeded generator and
     collapse the state in place.
@@ -373,7 +348,7 @@ def statevector_run(
             classical[g.classical_bit] = eng.measure(wires[0], rng)
         else:
             eng.apply(g)
-    return Statevector(psi, n), classical
+    return psi, classical
 
 
 def circuit_unitary(circuit: Circuit, max_qubits: int = 12) -> np.ndarray:
@@ -502,7 +477,7 @@ def pattern_distribution(circuit: Circuit) -> np.ndarray:
     if gates[stop:stop + 1] != (Gate.measure(v, 0),):
         raise ValueError("the first measurement of a pattern circuit must read v into bit 0")
     layout = DotplotLayout(w, h, circuit.register("dr").size)
-    if gates[stop + 1:] != (*_inverse_qft_gates(x + y), *readout_gates(circuit, layout, ("x", "y"))):
+    if gates[stop + 1:] != (*inverse_qft_gates(x + y), *readout_gates(circuit, layout, ("x", "y"))):
         raise ValueError("a pattern circuit must end with the inverse QFT over x and y "
                          "and their readout")
 
@@ -538,25 +513,3 @@ def sample_pattern(circuit: Circuit, shots: int, seed: int = 0) -> np.ndarray:
     p = pattern_distribution(circuit)
     return np.random.default_rng(seed).multinomial(shots, p.ravel()).reshape(p.shape)
 
-
-def states_equal(a, b, tol: float = 1e-10) -> bool:
-    """Equality up to global phase of two vectors, Statevectors or matrices.
-
-    Arrays of different shapes are never equal.
-    """
-    if isinstance(a, Statevector):
-        a = a.amplitudes
-    if isinstance(b, Statevector):
-        b = b.amplitudes
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        return False
-    a, b = a.ravel(), b.ravel()
-    k = int(np.argmax(np.abs(a)))
-    if abs(a[k]) < tol:
-        return bool(np.allclose(a, b, atol=tol))
-    phase = b[k] / a[k]
-    if abs(abs(phase) - 1.0) > tol:
-        return False
-    return bool(np.allclose(a * phase, b, atol=tol))

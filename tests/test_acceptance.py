@@ -37,7 +37,7 @@ from qdotplot import (
     depth,
     estimated_runtime,
     gate_counts,
-    inverse_qft,
+    inverse_qft_gates,
     layout_for,
     load_backend,
     lower_to_native,
@@ -87,7 +87,7 @@ def _mcx_circuit(descriptors, n_inputs, n_outputs):
         )
         for g in descriptors
     ]
-    return c.append_stage("synth", gates)
+    return c.append_stages([("synth", gates)])
 
 
 def _chain_ccnots(descriptors, n_inputs, n_outputs):
@@ -219,10 +219,10 @@ def test_criterion_06_sampling_validation_and_amplitudes():
         x0 = probe.wire(probe.register("x")[0])
         y0 = probe.wire(probe.register("y")[0])
         v0 = probe.wire(probe.register("v")[0])
-        nonzero = np.nonzero(np.abs(psi.amplitudes) > 1e-12)[0]
+        nonzero = np.nonzero(np.abs(psi) > 1e-12)[0]
         assert len(nonzero) == 16
         for s in nonzero:
-            assert abs(abs(psi.amplitudes[s]) - 0.25) < 1e-10
+            assert abs(abs(psi[s]) - 0.25) < 1e-10
             assert (s >> v0) & 1 == plot[(s >> y0) & 3, (s >> x0) & 3]
 
 
@@ -234,9 +234,9 @@ def test_criterion_07_mcx_decompositions():
         for c in range(1, 7):
             idx = Register("idx", c, "index")
             val = Register("val", 1, "value")
-            base = Circuit(registers=(idx, val)).append_stage(
-                "s", [Gate.mcx([idx[i] for i in range(c)], val[0])]
-            )
+            base = Circuit(registers=(idx, val)).append_stages([
+                ("s", [Gate.mcx([idx[i] for i in range(c)], val[0])]),
+            ])
 
             chain = lower_to_native(base, TOFFOLI_BACKEND, "ccnot_chain")
             n = chain.n_qubits
@@ -263,16 +263,17 @@ def test_criterion_08_inverse_qft():
     with _budget(30.0):
         for m in range(1, 7):
             reg = Register("k", m, "index")
-            circuit = inverse_qft(Circuit(registers=(reg,)), [reg[i] for i in range(m)])
-            got = circuit_unitary(circuit)
+            qft = ("qft", inverse_qft_gates([reg[i] for i in range(m)]))
+            got = circuit_unitary(Circuit(registers=(reg,)).append_stages([qft]))
             want = np.conj(dft_matrix(m)).T
             assert np.max(np.abs(got - want)) < 1e-10
 
-            uniform = Circuit(registers=(reg,)).append_stage(
-                "init", [Gate.h(reg[i]) for i in range(m)]
-            )
-            psi, _ = statevector_run(inverse_qft(uniform, [reg[i] for i in range(m)]))
-            assert abs(psi.amplitudes[0]) ** 2 > 1 - 1e-9
+            uniform = Circuit(registers=(reg,)).append_stages([
+                ("init", [Gate.h(reg[i]) for i in range(m)]),
+                qft,
+            ])
+            psi, _ = statevector_run(uniform)
+            assert abs(psi[0]) ** 2 > 1 - 1e-9
 
 
 def test_criterion_09_runtime_arithmetic():

@@ -56,7 +56,7 @@ TOFFOLI_SET = BackendModel(name="test-toff", qubit_count=16, native_gates=("x", 
 
 def _unitary_of(gates, n):
     r = Register("r", n, "x")
-    c = Circuit(registers=(r,)).append_stage("s", list(gates))
+    c = Circuit(registers=(r,)).append_stages([("s", list(gates))])
     return circuit_unitary(c)
 
 
@@ -145,7 +145,7 @@ def test_chain_decomposition_unitary_and_count(c):
     gate, regs, ctrl, tgt, anc = _mcx_gate(c, n_anc, "chain")
     circuit = Circuit(registers=regs)
     gates = decompose_mcx_chain(gate, [anc[i] for i in range(n_anc)] if n_anc else [])
-    lowered = circuit.append_stage("s", gates)
+    lowered = circuit.append_stages([("s", gates)])
     got = circuit_unitary(lowered)
     n = lowered.n_qubits
     want = mcx_matrix(n, [(i, True) for i in range(c)], c)
@@ -166,7 +166,7 @@ def test_single_ancilla_decomposition_dirty_on_full_space(c):
     gate, regs, ctrl, tgt, anc = _mcx_gate(c, 1, "single")
     circuit = Circuit(registers=regs)
     gates = decompose_mcx_single_ancilla(gate, anc[0])
-    lowered = circuit.append_stage("s", gates)
+    lowered = circuit.append_stages([("s", gates)])
     got = circuit_unitary(lowered)
     n = lowered.n_qubits
     # Full-space equality: holds for every ancilla basis state (dirty ancilla).
@@ -181,8 +181,8 @@ def test_decompositions_take_negative_controls(c):
     polarity = [(k, k % 2 == 0) for k in range(c)]
     gate = Gate.mcx([Control(ctrl[k], positive) for k, positive in polarity], tgt[0])
     circuit = Circuit(registers=regs)
-    chain = circuit.append_stage("s", decompose_mcx_chain(gate, [anc[i] for i in range(c - 2)]))
-    single = circuit.append_stage("s", decompose_mcx_single_ancilla(gate, anc[0]))
+    chain = circuit.append_stages([("s", decompose_mcx_chain(gate, [anc[i] for i in range(c - 2)]))])
+    single = circuit.append_stages([("s", decompose_mcx_single_ancilla(gate, anc[0]))])
     want = mcx_matrix(chain.n_qubits, polarity, c)
     cols = [s for s in range(1 << chain.n_qubits) if (s >> (c + 1)) == 0]
     assert np.max(np.abs(circuit_unitary(chain)[:, cols] - want[:, cols])) < 1e-10
@@ -193,7 +193,7 @@ def test_decompositions_take_negative_controls(c):
 def test_single_ancilla_touches_only_one_ancilla():
     gate, regs, ctrl, tgt, anc = _mcx_gate(5, 1, "single")
     circuit = Circuit(registers=regs)
-    lowered = circuit.append_stage("s", decompose_mcx_single_ancilla(gate, anc[0]))
+    lowered = circuit.append_stages([("s", decompose_mcx_single_ancilla(gate, anc[0]))])
     assert width(lowered) == 7  # 5 controls + target + 1 ancilla
 
 
@@ -202,7 +202,7 @@ def test_negative_control_rewrite():
     gate = Gate.mcx([Control(r[0], False), Control(r[1], True)], r[2])
     gates = rewrite_negative_controls(gate)
     assert all(cc.positive for g in gates for cc in g.controls)
-    c = Circuit(registers=(r,)).append_stage("s", gates)
+    c = Circuit(registers=(r,)).append_stages([("s", gates)])
     assert equal_up_to_phase(
         circuit_unitary(c), mcx_matrix(3, [(0, False), (1, True)], 2)
     )
@@ -216,9 +216,8 @@ def test_negative_control_rewrite():
 def _mixed_circuit():
     r = Register("r", 4, "x")
     anc = Register("anc", 2, "ancilla")
-    return Circuit(registers=(r, anc)).append_stage(
-        "s",
-        [
+    return Circuit(registers=(r, anc)).append_stages([
+        ("s", [
             Gate.h(r[0]),
             Gate.x(r[1]),
             Gate.mcx([Control(r[0], True), Control(r[1], False), r[2]], r[3]),
@@ -227,8 +226,8 @@ def _mixed_circuit():
             Gate.phase(-0.9, r[2]),
             Gate.root_x(Fraction(1, 2), r[1]),
             Gate.ccx(r[0], r[2], r[1]),
-        ],
-    )
+        ]),
+    ])
 
 
 def _clean_columns(n, anc_wires):
@@ -259,14 +258,13 @@ def test_lowering_preserves_semantics(backend, mode):
 def test_lowering_to_toffoli_set_keeps_basis_gates_exact():
     r = Register("r", 4, "x")
     anc = Register("anc", 2, "ancilla")
-    c = Circuit(registers=(r, anc)).append_stage(
-        "s",
-        [
+    c = Circuit(registers=(r, anc)).append_stages([
+        ("s", [
             Gate.x(r[0]),
             Gate.mcx([Control(r[0], True), Control(r[1], False), r[2]], r[3]),
             Gate.cx(r[3], r[1]),
-        ],
-    )
+        ]),
+    ])
     lowered = lower_to_native(c, TOFFOLI_SET, "ccnot_chain")
     assert set(gate_counts(lowered)) <= {"x", "cx", "ccx", "swap"}
     got, want = circuit_unitary(lowered), circuit_unitary(c)
@@ -293,9 +291,9 @@ def test_lowering_preserves_stage_marks():
 
 def test_lowering_allocates_ancillas_when_missing():
     r = Register("r", 5, "x")
-    c = Circuit(registers=(r,)).append_stage(
-        "s", [Gate.mcx([r[0], r[1], r[2], r[3]], r[4])]
-    )
+    c = Circuit(registers=(r,)).append_stages([
+        ("s", [Gate.mcx([r[0], r[1], r[2], r[3]], r[4])]),
+    ])
     lowered = lower_to_native(c, TOFFOLI_SET, "ccnot_chain")
     assert lowered.n_qubits == 5 + 2  # c-2 fresh clean ancillas
     single = lower_to_native(c, ALLSIM, "single_ancilla")
@@ -304,22 +302,22 @@ def test_lowering_allocates_ancillas_when_missing():
 
 def test_adjacent_x_pairs_cancel():
     r = _r(2)
-    c = Circuit(registers=(r,)).append_stage(
-        "s", [Gate.x(r[0]), Gate.x(r[0]), Gate.cx(r[0], r[1])]
-    )
+    c = Circuit(registers=(r,)).append_stages([
+        ("s", [Gate.x(r[0]), Gate.x(r[0]), Gate.cx(r[0], r[1])]),
+    ])
     lowered = lower_to_native(c, TOFFOLI_SET, "ccnot_chain")
     assert gate_counts(lowered) == {"cx": 1}
     # An intervening gate on the same wire blocks cancellation.
-    c2 = Circuit(registers=(r,)).append_stage(
-        "s", [Gate.x(r[0]), Gate.cx(r[0], r[1]), Gate.x(r[0])]
-    )
+    c2 = Circuit(registers=(r,)).append_stages([
+        ("s", [Gate.x(r[0]), Gate.cx(r[0], r[1]), Gate.x(r[0])]),
+    ])
     lowered2 = lower_to_native(c2, TOFFOLI_SET, "ccnot_chain")
     assert gate_counts(lowered2).get("x", 0) == 2
 
 
 def test_unloweable_gate_raises():
     r = _r(1)
-    c = Circuit(registers=(r,)).append_stage("s", [Gate.h(r[0])])
+    c = Circuit(registers=(r,)).append_stages([("s", [Gate.h(r[0])])])
     bare = BackendModel(name="bare", qubit_count=4, native_gates=("x", "cx"))
     with pytest.raises(LoweringError):
         lower_to_native(c, bare, "ccnot_chain")
@@ -331,14 +329,14 @@ def test_two_control_rootx_cannot_be_lowered(backend):
     # three-operand cxrt_p2 that the parser rejects.
     r = _r(3)
     gate = Gate("rootx", (r[2],), (Control(r[0]), Control(r[1])), exponent=Fraction(1, 2))
-    c = Circuit(registers=(r,)).append_stage("s", [gate])
+    c = Circuit(registers=(r,)).append_stages([("s", [gate])])
     with pytest.raises(LoweringError, match="cannot lower mcrootx"):
         lower_to_native(c, load_backend(backend))
 
 
 def test_measure_passes_through_lowering():
     r = _r(1)
-    c = Circuit(registers=(r,)).append_stage("s", [Gate.h(r[0]), Gate.measure(r[0], 0)])
+    c = Circuit(registers=(r,)).append_stages([("s", [Gate.h(r[0]), Gate.measure(r[0], 0)])])
     lowered = lower_to_native(c, SC_SET, "ccnot_chain")
     assert gate_counts(lowered).get("measure", 0) == 1
 
@@ -357,7 +355,7 @@ def _seeded_encoder(seed=16, n_gates=64):
         bits = sorted(rng.sample(range(12), rng.randint(10, 12)), reverse=True)
         controls = [Control(x[b], rng.random() < 0.5) for b in bits]
         gates.append(Gate.mcx(controls, d[rng.randrange(2)]))
-    return Circuit((x, d)).append_stage("neqr", gates)
+    return Circuit((x, d)).append_stages([("neqr", gates)])
 
 
 def test_chain_lowering_builds_no_gate_twice(monkeypatch):

@@ -17,8 +17,6 @@ from qdotplot import (
     d1merge,
     evaluate_all,
     functional_equal,
-    read_pla,
-    write_pla,
 )
 from qdotplot.logic import _merge_pass, _subsume_pass
 
@@ -170,23 +168,6 @@ def test_d1merge_matches_exhaustive_evaluation_against_sequence():
         assert np.array_equal(evaluate_all(merged), want)
 
 
-def test_pla_text_round_trip():
-    table = d1merge(build_pla(SEQ8, 2))
-    text = write_pla(table)
-    back = read_pla(text)
-    assert back == table
-    assert ".i 3" in text and ".o 2" in text and text.endswith(".e\n")
-
-
-def test_read_pla_rejects_malformed():
-    with pytest.raises(ValueError):
-        read_pla(".i 2\n.o 1\n01 1\n")  # missing .e
-    with pytest.raises(ValueError):
-        read_pla(".i 2\n.o 1\n011 1\n.e\n")  # width mismatch
-    with pytest.raises(ValueError):
-        read_pla(".i 2\n.o 1\n.p 2\n01 1\n.e\n")  # wrong declared count
-
-
 def test_cube_validation():
     with pytest.raises(ValueError):
         Cube("01", "00")  # no output bit set
@@ -228,7 +209,10 @@ def _long_dna_table():
 def test_d1merge_long_sequence_golden():
     # Digest of the minimized cover as the all-pairs subsumption produced it;
     # the emitted circuits depend on every byte of it.
-    text = write_pla(d1merge(_long_dna_table()))
+    table = d1merge(_long_dna_table())
+    rows = [f".i {table.n_inputs}", f".o {table.n_outputs}", f".p {len(table.cubes)}"]
+    rows += [f"{c.inputs} {c.outputs}" for c in table.cubes]
+    text = "\n".join(rows + [".e"]) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "025cd42c2b2ab83db03693d98ede2462d70325c76bc00a35fdaccc13a9d184c1"
     )
@@ -313,5 +297,5 @@ def test_merge_pass_matches_string_keyed_sweep_on_long_sequence():
 
 
 def test_d1merge_of_a_table_without_inputs():
-    table = read_pla(".i 0\n.o 2\n01\n11\n.e\n")
+    table = PlaTable(0, 2, (Cube("", "01"), Cube("", "11")))
     assert d1merge(table) == table

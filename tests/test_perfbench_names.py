@@ -32,3 +32,11 @@ def test_traced_engine_keeps_its_name_and_signatures():
     assert list(init) == ["self", "circuit", "tensor"]
     assert list(apply) == ["self", "g", "rng"]
     assert apply["rng"].default is None
+
+
+def test_traced_engines_take_the_circuit_first():
+    # The count pass reads args[0] of each traced simulate entry point as a circuit.
+    from qdotplot import simulate
+
+    for name in ("sample", "statevector_run", "toffoli_run", "toffoli_run_batch"):
+        assert next(iter(inspect.signature(getattr(simulate, name)).parameters)) == "circuit", name

@@ -39,9 +39,8 @@ def _rich_circuit():
     b = Register("b", 2, "y")
     return (
         Circuit(registers=(a, b))
-        .append_stage(
-            "s",
-            [
+        .append_stages([
+            ("s", [
                 Gate.h(a[0]),
                 Gate.x(a[1]),
                 Gate.cx(a[0], b[0]),
@@ -56,9 +55,9 @@ def _rich_circuit():
                 Gate.rxx(0.75, a[0], b[1]),
                 Gate.root_x(Fraction(1, 2), a[0]),
                 Gate.root_x(Fraction(-1, 4), a[1], control=b[0]),
-            ],
-        )
-        .append_stage("m", [Gate.measure(a[0], 0), Gate.measure(b[1], 1)])
+            ]),
+        ])
+        .append_stages([("m", [Gate.measure(a[0], 0), Gate.measure(b[1], 1)])])
     )
 
 
@@ -83,15 +82,14 @@ def test_round_trip_preserves_counts_depth_and_bytes():
 
 def test_round_trip_preserves_semantics():
     a = Register("a", 3, "x")
-    c = Circuit(registers=(a,)).append_stage(
-        "s",
-        [
+    c = Circuit(registers=(a,)).append_stages([
+        ("s", [
             Gate.h(a[0]),
             Gate.cphase(0.7, a[0], a[1]),
             Gate.root_x(Fraction(1, 4), a[2], control=a[1]),
             Gate.ccx(a[0], a[1], a[2]),
-        ],
-    )
+        ]),
+    ])
     back = parse_qasm(qasm_text(c))
     assert equal_up_to_phase(circuit_unitary(back), circuit_unitary(c), tol=1e-12)
 
@@ -145,7 +143,7 @@ def test_parse_rejects_bad_input():
 
 def test_gate_counts_unaffected_by_angle_formatting():
     a = Register("a", 1, "x")
-    c = Circuit(registers=(a,)).append_stage("s", [Gate.phase(1 / 3, a[0])])
+    c = Circuit(registers=(a,)).append_stages([("s", [Gate.phase(1 / 3, a[0])])])
     back = parse_qasm(qasm_text(c))
     assert back.gates[0].params[0] == pytest.approx(1 / 3, abs=0)
 
@@ -307,7 +305,7 @@ def test_api_built_forms_compile_to_qasm_with_their_unitary(form):
     # Each form once reached the emitter unlowered: a negative-control cp
     # was written as a positive cu1, and the others failed to emit or to
     # parse back.
-    source = Circuit(registers=(Register("q", 3),)).append_stage("s", [_api_forms()[form]])
+    source = Circuit(registers=(Register("q", 3),)).append_stages([("s", [_api_forms()[form]])])
     compiled, _ = compile_circuit(source, load_backend("allsim"))
     back = parse_qasm(qasm_text(compiled))
     assert equal_up_to_phase(circuit_unitary(back), circuit_unitary(source), tol=1e-12)

@@ -37,7 +37,7 @@ ALL2ALL = BackendModel(name="a2a", qubit_count=5, native_gates=("u3", "cx"))
 
 
 def _circ(n, gates):
-    return Circuit(registers=(Register("r", n, "x"),)).append_stage("s", gates)
+    return Circuit(registers=(Register("r", n, "x"),)).append_stages([("s", gates)])
 
 
 def test_identity_on_all_to_all():
@@ -123,8 +123,8 @@ def test_routing_preserves_stage_marks():
     r = Register("r", 5, "x")
     c = (
         Circuit(registers=(Register("r", 5, "x"),))
-        .append_stage("a", [Gate.cx(r[0], r[4])])
-        .append_stage("b", [Gate.cx(r[4], r[0])])
+        .append_stages([("a", [Gate.cx(r[0], r[4])])])
+        .append_stages([("b", [Gate.cx(r[4], r[0])])])
     )
     routed = route(c, LINE5)
     assert [label for label, _, _ in routed.stage_ranges()] == ["a", "b"]
@@ -155,9 +155,9 @@ def test_routing_rejects_oversized_circuits():
 
 def test_measure_targets_remap():
     r = Register("r", 5, "x")
-    c = Circuit(registers=(r,)).append_stage(
-        "s", [Gate.cx(r[0], r[4]), Gate.measure(r[4], 0)]
-    )
+    c = Circuit(registers=(r,)).append_stages([
+        ("s", [Gate.cx(r[0], r[4]), Gate.measure(r[4], 0)]),
+    ])
     routed = route(c, LINE5)
     psi_want, cl_want = statevector_run(c, seed=3)
     psi_got, cl_got = statevector_run(routed, seed=3)

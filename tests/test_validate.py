@@ -1,6 +1,10 @@
 """Validation procedures: exhaustive bit-level and sampled statistical."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_dot_plot, make_sequence, random_codes
+import qdotplot
 from qdotplot import (
     Circuit,
     ConfigError,
@@ -72,7 +77,7 @@ def test_exhaustive_catches_mutations():
 def test_exhaustive_catches_stray_flip():
     good = build_dotplot_circuit(R8, Q8)
     v = good.register("v")[0]
-    broken = good.append_stage("sabotage", [Gate.x(v)])
+    broken = good.append_stages([("sabotage", [Gate.x(v)])])
     rep = validate_exhaustive(R8, Q8, "ccnot_chain", True, circuit=broken)
     assert not rep.passed
     assert rep.mismatches == 64  # inverted plot disagrees everywhere
@@ -98,7 +103,7 @@ def _measured_oracle(r, q):
     x, y = c.register("x"), c.register("y")
     readout += [Gate.measure(x[i], bits["x"][i]) for i in range(layout.w)]
     readout += [Gate.measure(y[j], bits["y"][j]) for j in range(layout.h)]
-    return c.append_stage("readout", readout)
+    return c.append_stages([("readout", readout)])
 
 
 def test_sampling_catches_value_mutation():
@@ -191,20 +196,23 @@ def _tally_by_key(r, q, shots, seed, circuit):
     reference of validate_sampling's numpy tally."""
     from scipy.stats import chi2
 
-    from qdotplot import ValidationReport, decode_outcome, layout_for, sample
+    from qdotplot import ValidationReport, layout_for, readout_bits, sample
     from qdotplot.encoder import oracle_circuit, readout_gates
 
     plot = classical_dotplot(r, q)
     layout = layout_for(r, q)
+    slots = readout_bits(layout)
     circuit = oracle_circuit(circuit)
-    counts = sample(circuit.append_stage("readout", readout_gates(circuit, layout)), shots, seed=seed)
+    counts = sample(circuit.append_stages([("readout", readout_gates(circuit, layout))]), shots, seed=seed)
     wf, hf = plot.width, plot.height
     cells = np.zeros((hf, wf), dtype=np.int64)
     mismatches = 0
     first = None
     for key in sorted(counts):
         n = counts[key]
-        v, xv, yv = decode_outcome(key, layout)
+        v = key[slots["v"]]
+        xv = sum(key[b] << i for i, b in enumerate(slots["x"]))
+        yv = sum(key[b] << j for j, b in enumerate(slots["y"]))
         cells[yv, xv] += n
         if v != plot.pixel(xv, yv):
             mismatches += n
@@ -252,7 +260,7 @@ def test_sampling_tally_matches_a_per_key_loop_on_broken_oracles(seed):
         "untouched": [],
     }
     for name, extra in mutations.items():
-        broken = good.append_stage("sabotage", extra) if extra else good
+        broken = good.append_stages([("sabotage", extra)]) if extra else good
         for shots in (1, 7, 3000):
             got = validate_sampling(r, q, shots, seed=seed, circuit=broken)
             want = _tally_by_key(r, q, shots, seed, broken)
@@ -263,3 +271,18 @@ def test_sampling_tally_matches_a_per_key_loop_on_broken_oracles(seed):
             assert got.details["chi2_statistic"] == want.details["chi2_statistic"]
         if name != "untouched":
             assert not got.passed and got.mismatches > 0, name
+
+
+def test_sampling_p_value_leaves_scipy_stats_unloaded():
+    # The p-value comes from scipy.special.chdtrc, the function behind
+    # scipy.stats.chi2.sf, whose import costs about three times as much.
+    src = str(Path(qdotplot.__file__).resolve().parents[1])
+    code = ("import sys\n"
+            "from qdotplot import SymbolSequence, validate_sampling\n"
+            "r = SymbolSequence((0, 1, 3, 2, 1, 2, 3, 0), d=2, original_length=8)\n"
+            "print(validate_sampling(r, r, shots=2000).passed, "
+            "'scipy.special' in sys.modules, 'scipy.stats' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["True", "True", "False"]
