@@ -1,9 +1,10 @@
 """Gate-level circuit IR: registers, gates with control polarity, staged metrics.
 
-Circuits are immutable; all builders return new circuits. A qubit is addressed
-as a (register, offset) pair that resolves to a global wire index in register
-declaration order. Offset 0 is the least significant bit of its register, and
-wire 0 is the least significant bit of a basis-state integer.
+Circuits are immutable; all builders return new circuits. A qubit is the
+named tuple QubitRef(register, offset), keyed as the plain tuple it is, and
+resolves to a global wire index in register declaration order. Offset 0 is the
+least significant bit of its register, and wire 0 the least significant bit of
+a basis-state integer.
 
 Metrics follow transpiler conventions: width counts only wires touched by at
 least one gate, depth is the critical path where every gate (measurements
@@ -21,6 +22,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import CircuitError
 
@@ -72,14 +74,12 @@ class Register:
         return tuple(QubitRef(self.name, k) for k in range(self.size))
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class QubitRef:
+class QubitRef(NamedTuple):
     register: str
     offset: int
 
 
-@dataclass(frozen=True, slots=True)
-class Control:
+class Control(NamedTuple):
     """A control qubit with polarity. positive=False fires on |0>."""
 
     qubit: QubitRef
@@ -157,10 +157,9 @@ class Gate:
         if len(targets) + len(controls) > 1:
             seen = set()
             for q in self.qubits():
-                key = (q.register, q.offset)  # QubitRef equality, without its hash call
-                if key in seen:
+                if q in seen:
                     raise CircuitError(f"qubit {q} appears twice in one gate")
-                seen.add(key)
+                seen.add(q)
 
     def qubits(self) -> tuple[QubitRef, ...]:
         if not self.controls:

@@ -113,13 +113,15 @@ def _compile(config: RunConfig, circuit: Circuit, dataset: str):
 def run_pipeline(config: RunConfig, validate: bool = False) -> int:
     """ingest -> encode -> build -> lower/route -> estimate, artifacts on disk.
 
-    With validate, both validation procedures check the pattern circuit
-    that was just built and compiled, whose statevector cap is checked first.
+    With validate, both validation procedures check the pattern circuit just
+    built and compiled, after its statevector cap and the shots are checked.
     Returns the process exit code (0, or 1 when a requested validation fails)."""
     r, q, dataset = _load_pair(config)
     circuit = build_pattern_circuit(r, q, use_minimizer=config.use_minimizer)
     if validate:
         check_qubit_cap(circuit.n_qubits)
+        if config.shots < 1:
+            raise ConfigError(f"shots must be >= 1, got {config.shots}")
     compiled, report, out = _compile(config, circuit, dataset)
     emit_qasm(compiled, out / "qpr.qasm")
     (out / "report.csv").write_text(reports_to_csv([report]))

@@ -69,8 +69,7 @@ def decompose_mcx_chain(gate: Gate, ancillas, ladder=_chain_ladder, x=Gate.x) ->
     ancillas = list(ancillas)[: c - 2]
     if len(ancillas) < c - 2:
         raise CircuitError(f"{c}-control chain needs {c - 2} ancillas")
-    used = {(q.register, q.offset) for q in gate.qubits()}  # no QubitRef hash calls
-    if any((a.register, a.offset) in used for a in ancillas):
+    if not set(gate.qubits()).isdisjoint(ancillas):
         raise CircuitError("ancillas overlap the gate's own qubits")
     return rewrite_negative_controls(gate, lambda controls: ladder(controls, ancillas, target), x)
 
@@ -147,7 +146,7 @@ def decompose_mcx_single_ancilla(gate: Gate, ancilla: QubitRef) -> list[Gate]:
     c = len(gate.controls)
     if c <= 2:
         return rewrite_negative_controls(gate)
-    if ancilla in {ctl.qubit for ctl in gate.controls} | {target}:
+    if ancilla in set(gate.qubits()):
         raise CircuitError("ancilla overlaps the gate's own qubits")
 
     def echo(controls):
@@ -267,15 +266,15 @@ def _ancilla_pool(circuit: Circuit, mcx_mode: str) -> tuple[tuple[Register, ...]
 
 def _cancel_x_pairs(gates: list[Gate]) -> list[Gate]:
     # Adjacent-per-qubit cancellation of bare X pairs, as produced by
-    # consecutive negative-control sandwiches sharing qubits. Qubits are
-    # keyed as (register, offset) pairs, worked out once per gate object.
+    # consecutive negative-control sandwiches sharing qubits. Each gate
+    # object is classified once.
     out: list = []
-    pending: dict[tuple[str, int], int] = {}
+    pending: dict[QubitRef, int] = {}
     seen: dict[int, tuple] = {}
     for g in gates:
         entry = seen.get(id(g))
         if entry is None:
-            keys = tuple([(q.register, q.offset) for q in g.qubits()])
+            keys = g.qubits()
             bare = g.kind == "x" and not g.controls and len(g.targets) == 1
             entry = seen[id(g)] = (keys[0] if bare else None, keys)
         bare, keys = entry
@@ -296,8 +295,11 @@ def _cancel_x_pairs(gates: list[Gate]) -> list[Gate]:
 def lower_to_native(circuit: Circuit, backend, mcx_mode: str = "ccnot_chain") -> Circuit:
     """Rewrite every gate into the backend's native set.
 
-    Stage labels are kept (an unmarked circuit stays unmarked); X pairs
-    produced by adjacent negative-control rewrites cancel within each stage.
+    Stage labels are kept (an unmarked circuit stays unmarked). X pairs
+    produced by adjacent negative-control rewrites cancel within each stage
+    only where bare x is native (allsim): cancellation runs on native gates,
+    so elsewhere the pairs survive in native form, such as adjacent
+    u3(pi, 0, pi) pairs on superconducting-53.
     Equal gates share one lowering, at one memo hash per gate. Flip X gates
     and chain-ladder Toffolis come from a piece cache local to the call:
     each distinct piece is built and lowered once, then found by identity,
@@ -311,9 +313,9 @@ def lower_to_native(circuit: Circuit, backend, mcx_mode: str = "ccnot_chain") ->
     # equality treats 0.0 == -0.0, so the key also holds each parameter's
     # sign: p(0.0) and p(-0.0) must keep their own rendered angles.
     memo: dict[tuple, list[Gate]] = {}
-    # Pieces by their qubits' (register, offset) pairs (one for an X, three
-    # for a Toffoli), and id(piece) -> its lowering: the cache keeps every
-    # piece alive, so no other object takes its id during the call.
+    # Pieces by their qubits (one for an X, three for a Toffoli), and
+    # id(piece) -> its lowering: the cache keeps every piece alive, so no
+    # other object takes its id during the call.
     pieces: dict[tuple, Gate] = {}
     known: dict[int, list[Gate]] = {}
 
@@ -333,10 +335,9 @@ def lower_to_native(circuit: Circuit, backend, mcx_mode: str = "ccnot_chain") ->
         return out
 
     def piece(make, *qubits) -> Gate:
-        key = tuple([(q.register, q.offset) for q in qubits])
-        g = pieces.get(key)
+        g = pieces.get(qubits)
         if g is None:
-            g = pieces[key] = make(*qubits)
+            g = pieces[qubits] = make(*qubits)
             known[id(g)] = lower(g)
         return g
 
@@ -345,7 +346,7 @@ def lower_to_native(circuit: Circuit, backend, mcx_mode: str = "ccnot_chain") ->
 
     def ladder(controls, ancillas, target) -> list[Gate]:
         # Ancillas are pool[: c - 2], so the qubits of the gate fix them.
-        key = tuple([(q.register, q.offset) for q in (target, *controls)])
+        key = (target, *controls)
         out = ladders.get(key)
         if out is None:
             out = ladders[key] = _chain_ladder(controls, ancillas, target, ccx_piece)

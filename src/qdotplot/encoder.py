@@ -131,18 +131,11 @@ def inverse_qft_gates(qubits) -> list[Gate]:
     # Adjoint of the textbook transform cascade, relabeled so the bit-order
     # reversal swaps land at the end.
     n = len(qubits)
-    fwd = []
-    for j in reversed(range(n)):
-        fwd.append(("h", j))
-        for k in reversed(range(j)):
-            fwd.append(("cp", math.pi / 2 ** (j - k), k, j))
     gates = []
-    for item in reversed(fwd):
-        if item[0] == "h":
-            gates.append(Gate.h(qubits[n - 1 - item[1]]))
-        else:
-            _, angle, k, j = item
-            gates.append(Gate.cphase(-angle, qubits[n - 1 - k], qubits[n - 1 - j]))
+    for j in range(n):
+        for k in range(j):
+            gates.append(Gate.cphase(-math.pi / 2 ** (j - k), qubits[n - 1 - k], qubits[n - 1 - j]))
+        gates.append(Gate.h(qubits[n - 1 - j]))
     for i in range(n // 2):
         gates.append(Gate.swap(qubits[i], qubits[n - 1 - i]))
     return gates

@@ -14,7 +14,8 @@ from __future__ import annotations
 from dataclasses import replace
 
 from .backends import BackendModel
-from .circuit import Circuit, Control, Gate, QubitRef, Register
+from .circuit import Circuit, Control, Gate, Register
+from .decompose import swap_network
 from .errors import LoweringError
 
 
@@ -81,7 +82,7 @@ def route(circuit: Circuit, backend: BackendModel) -> Circuit:
             if swap_native:
                 gates = (Gate.swap(refs[a], refs[b]),)
             else:
-                gates = (Gate.cx(refs[a], refs[b]), Gate.cx(refs[b], refs[a]), Gate.cx(refs[a], refs[b]))
+                gates = tuple(swap_network(refs[a], refs[b]))
             swaps[a, b] = gates
         out.extend(gates)
         la, lb = p2l[a], p2l[b]

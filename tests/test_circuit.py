@@ -170,6 +170,19 @@ def test_gate_rejects_duplicate_qubits_and_bad_params():
         Gate.measure(a, -1)
 
 
+def test_gate_rejects_one_qubit_as_two_controls_of_opposite_polarity():
+    a, b = Register("r", 2).refs()
+    with pytest.raises(CircuitError, match=r"qubit QubitRef\(register='r', offset=0\) appears twice in one gate"):
+        Gate("x", (b,), (Control(a), Control(a, False)))
+
+
+def test_qubit_refs_and_controls_are_the_tuples_they_name():
+    q = QubitRef("r", 1)
+    assert q == ("r", 1) and hash(q) == hash(("r", 1))
+    assert Control(q) == (q, True) and Control(q, False) != Control(q)
+    assert repr(Control(q, False)) == "Control(qubit=QubitRef(register='r', offset=1), positive=False)"
+
+
 def test_depth_counts_longest_qubit_chain():
     r = Register("r", 3, "x")
     c = Circuit(registers=(r,)).append_stages([

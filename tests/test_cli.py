@@ -341,6 +341,15 @@ def test_simulate_zero_shots_exits_two(runner, seqdir):
     assert "shots must be >= 1" in result.output
 
 
+@pytest.mark.parametrize("shots", ["0", "-3"])
+def test_validate_rejects_shots_below_one_before_writing(runner, seqdir, shots):
+    result = runner.invoke(main, _args(seqdir, "validate", "--shots", shots))
+    assert result.exit_code == 2
+    assert f"shots must be >= 1, got {shots}" in result.output
+    out = seqdir / "out"
+    assert not out.exists() or not any(out.iterdir())
+
+
 @pytest.mark.parametrize("verb", ["simulate", "validate"])
 def test_negative_seed_exits_two(runner, seqdir, verb):
     result = runner.invoke(main, _args(seqdir, verb, "--shots", "100", "--seed", "-1"))

@@ -20,6 +20,7 @@ from qdotplot import (
     MCX_MODES,
     BackendModel,
     Circuit,
+    CircuitError,
     Control,
     Gate,
     LoweringError,
@@ -188,6 +189,21 @@ def test_decompositions_take_negative_controls(c):
     assert np.max(np.abs(circuit_unitary(chain)[:, cols] - want[:, cols])) < 1e-10
     assert equal_up_to_phase(circuit_unitary(single), want, tol=1e-10)
     assert gate_counts(chain) == {"ccx": 2 * (c - 2) + 1, "x": 2 * (c // 2)}
+
+
+def test_mcx_decompositions_reject_ancillas_on_the_gate_and_too_few_ancillas():
+    # Below three controls both return early, so the gate has four: target,
+    # positive and negative controls each clash in turn.
+    r = Register("r", 7)
+    gate = Gate.mcx([r[0], Control(r[1], False), r[2], r[3]], r[4])
+    for clash in (r[4], r[0], r[1]):
+        with pytest.raises(CircuitError, match="ancillas overlap the gate's own qubits"):
+            decompose_mcx_chain(gate, [r[5], clash])
+        with pytest.raises(CircuitError, match="ancilla overlaps the gate's own qubits"):
+            decompose_mcx_single_ancilla(gate, clash)
+    with pytest.raises(CircuitError, match="4-control chain needs 2 ancillas"):
+        decompose_mcx_chain(gate, [r[5]])
+    assert decompose_mcx_chain(gate, [r[5], r[6]]) and decompose_mcx_single_ancilla(gate, r[5])
 
 
 def test_single_ancilla_touches_only_one_ancilla():
