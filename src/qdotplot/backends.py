@@ -71,6 +71,13 @@ class BackendModel:
         return {q: tuple(sorted(s)) for q, s in nbrs.items()}
 
 
+def _integer(value, field: str) -> int:
+    # json reads 2.9, true and "3" as float, bool and str: none is a qubit.
+    if type(value) is not int:
+        raise ConfigError(f"{field} must be an integer, got {value!r}")
+    return value
+
+
 def _from_dict(raw: dict, fallback_name: str = "backend") -> BackendModel:
     # File schema: name, qubit_count, native_gates, coupling_map (a list of
     # pairs or the string "all"), gate_time_ns (optional).
@@ -83,21 +90,21 @@ def _from_dict(raw: dict, fallback_name: str = "backend") -> BackendModel:
         if coupling == "all" or coupling is None:
             coupling = None
         else:
-            coupling = tuple((int(a), int(b)) for a, b in coupling)
+            coupling = tuple(tuple(_integer(q, "coupling_map endpoint") for q in edge)
+                             for edge in coupling)
         gate_time_ns = raw.get("gate_time_ns")
         if gate_time_ns is not None:
-            gate_time_ns = float(gate_time_ns)
-            # json reads the literals NaN and Infinity; neither is a gate time.
-            if not (math.isfinite(gate_time_ns) and gate_time_ns > 0):
+            # Not true or "20", nor the NaN and Infinity json also reads.
+            if not (type(gate_time_ns) in (int, float) and 0 < gate_time_ns < math.inf):
                 raise ConfigError("gate_time_ns must be a positive finite number")
         return BackendModel(
             name=str(raw.get("name", fallback_name)),
-            qubit_count=int(raw["qubit_count"]),
+            qubit_count=_integer(raw["qubit_count"], "qubit_count"),
             native_gates=gates,
             coupling_map=coupling,
             gate_time_seconds=None if gate_time_ns is None else gate_time_ns * 1e-9,
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed backend description: {exc}") from exc
 
 
@@ -118,11 +125,11 @@ def load_backend(source) -> BackendModel:
     source = str(source)
     preset = resources.files(_PRESET_PACKAGE) / f"{source}.json"
     if preset.is_file():
-        return _from_dict(json.loads(preset.read_text()), fallback_name=source)
+        return _from_dict(json.loads(preset.read_text(encoding="utf-8")), fallback_name=source)
     path = Path(source)
     if path.is_file():
         try:
-            raw = json.loads(path.read_text())
+            raw = json.loads(path.read_text(encoding="utf-8"))
         except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad UTF-8 or JSON
             raise ConfigError(f"cannot read backend file {path}: {exc}") from exc
         return _from_dict(raw, fallback_name=path.stem)

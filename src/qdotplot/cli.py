@@ -11,9 +11,10 @@ encoder, always compiled in chain mode). Each run builds its circuit once,
 and every verb that compiles shares one compile step. Every verb loads
 --backend, simulate too, though it runs the unlowered circuit.
 --mcx-mode only picks how lowering decomposes multi-controlled X gates and
-how many ancillas it adds. Each verb takes only the options it reads:
---shots and --seed exist only on validate and simulate; simulate also
-takes --mcx-mode, which it ignores. Exit codes: 0 success, 1 a requested
+how many ancillas it adds. --alphabet is a choice of auto and the
+presets, so click rejects any other name before a file is read. Each verb
+takes only the options it reads: --shots and --seed exist only on validate
+and simulate; simulate also takes --mcx-mode, which it ignores. Exit codes: 0 success, 1 a requested
 validation failed, 2 configuration error or resource limit (an --out that
 cannot be made a directory, circuit wider than the backend, a backend with
 no native path for a needed gate, the statevector cap of validate, the
@@ -65,14 +66,7 @@ class RunConfig:
 
 def _load_pair(config: RunConfig) -> tuple[SymbolSequence, SymbolSequence, str]:
     """Read, code, and pad the sequence pair; absent query = self-alignment."""
-    preset = None
-    if config.alphabet != "auto":
-        if config.alphabet not in ALPHABET_PRESETS:
-            raise ConfigError(
-                f"unknown alphabet {config.alphabet!r}; presets: "
-                f"{', '.join(sorted(ALPHABET_PRESETS))} or auto"
-            )
-        preset = ALPHABET_PRESETS[config.alphabet]
+    preset = ALPHABET_PRESETS.get(config.alphabet)  # None for auto
     raw_r = read_sequence_file(config.reference_path, preset)
     name = Path(config.reference_path).stem
     if config.query_path is None:
@@ -106,7 +100,7 @@ def _compile(config: RunConfig, circuit: Circuit, dataset: str):
     backend = load_backend(config.backend)
     compiled, report = compile_circuit(circuit, backend, config.mcx_mode, dataset)
     out = _outdir(config)
-    (out / "report.json").write_text(report_to_json(report) + "\n")
+    (out / "report.json").write_text(report_to_json(report) + "\n", encoding="utf-8")
     return compiled, report, out
 
 
@@ -124,16 +118,16 @@ def run_pipeline(config: RunConfig, validate: bool = False) -> int:
             raise ConfigError(f"shots must be >= 1, got {config.shots}")
     compiled, report, out = _compile(config, circuit, dataset)
     emit_qasm(compiled, out / "qpr.qasm")
-    (out / "report.csv").write_text(reports_to_csv([report]))
+    (out / "report.csv").write_text(reports_to_csv([report]), encoding="utf-8")
     status = 0
     if validate:
         m1 = validate_exhaustive(r, q, config.mcx_mode, config.use_minimizer, circuit=circuit)
-        (out / "validation_method1.json").write_text(m1.to_json() + "\n")
+        (out / "validation_method1.json").write_text(m1.to_json() + "\n", encoding="utf-8")
         m2 = validate_sampling(
             r, q, shots=config.shots, seed=config.seed, mcx_mode=config.mcx_mode,
             use_minimizer=config.use_minimizer, circuit=circuit,
         )
-        (out / "validation_method2.json").write_text(m2.to_json() + "\n")
+        (out / "validation_method2.json").write_text(m2.to_json() + "\n", encoding="utf-8")
         if not (m1.passed and m2.passed):
             status = 1
     click.echo(
@@ -167,7 +161,8 @@ _PAIR_OPTIONS = (
                  type=click.Path(exists=True, dir_okay=False),
                  help="Query sequence file; omit to self-align."),
     click.option("--alphabet", default="auto", show_default=True,
-                 help="'auto' or a preset name (dna)."),
+                 type=click.Choice(("auto", *sorted(ALPHABET_PRESETS))),
+                 help="Symbol coding: a preset, or auto (first appearance)."),
     click.option("--backend", default="allsim", show_default=True,
                  help="Preset name or backend JSON path."),
 )
@@ -243,7 +238,7 @@ def estimate_cmd(**kwargs):
     circuit = build_pattern_circuit(r, q, use_minimizer=config.use_minimizer)
     _, report, out = _compile(config, circuit, dataset)
     csv_text = reports_to_csv([report])
-    (out / "report.csv").write_text(csv_text)
+    (out / "report.csv").write_text(csv_text, encoding="utf-8")
     click.echo(csv_text.rstrip())
     return 0
 
@@ -278,8 +273,8 @@ def simulate(**kwargs):
             for v, k, n in zip(vs.tolist(), ks.tolist(), counts[vs, ks].tolist())]
     rows.sort(key=lambda row: -row[4])  # stable: ties keep (v, k) order
     out = _outdir(config)
-    (out / "histogram.json").write_text(
-        _histogram_json({"dataset": dataset, "shots": config.shots, "seed": config.seed}, rows))
+    header = {"dataset": dataset, "shots": config.shots, "seed": config.seed}
+    (out / "histogram.json").write_text(_histogram_json(header, rows), encoding="utf-8")
     for v, x, y, k, n in rows[:10]:
         click.echo(f"v={v} k={k:>4} (x={x}, y={y})  count={n}")
     return 0
@@ -304,7 +299,7 @@ def compare_modes(**kwargs):
     backend = load_backend(config.backend)
     cmp = compare_encodings(r, backend)
     out = _outdir(config)
-    (out / "comparison.json").write_text(cmp.to_json() + "\n")
+    (out / "comparison.json").write_text(cmp.to_json() + "\n", encoding="utf-8")
     pct = "n/a" if cmp.compression_percent is None else f"{cmp.compression_percent:.2f}%"
     click.echo(f"dataset={dataset}")
     click.echo(f"encoder gates: brute={cmp.brute_mcx} minimized={cmp.minimized_mcx} "

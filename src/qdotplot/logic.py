@@ -5,17 +5,19 @@ term, inputs over {0, 1, -} (MSB first), outputs over {0, 1}. Tables built
 from a sequence have one minterm row per index whose element is nonzero; the
 minimizer is an exhaustive distance-1 merge (equal outputs only) plus
 subsumption, run to a fixpoint, which is the quick-merge mode of classic
-two-level minimizers. Both passes work on integer (care, value) masks,
-care marking the non-dash positions and value the 1s. A merge partner at
-a cared bit has the same outputs and care mask and a value that differs in
-that bit alone, so each try is one dict lookup on (outputs, care, value XOR
-bit). A cube is subsumed by another with the same outputs whose care mask
-is a proper subset of its own and agrees with it there. Cubes are grouped
-by care mask, and a merged table holds only a few dozen distinct masks, so
-each cube costs a few set lookups instead of a scan of every other cube.
-Cube lists convert 1:1 into multi-controlled-X descriptors, one gate per
-(cube, set output bit). Tables live in memory only: no PLA text is read or
-written.
+two-level minimizers. Merge passes run until one merges nothing, then a
+subsume pass; the loop stops when a subsume pass removes nothing, as the
+cubes are then fixed by both passes. Both passes work on integer (care,
+value) masks, care marking the non-dash positions and value the 1s. A merge
+partner at a cared bit has the same outputs and care mask and a value that
+differs in that bit alone, so each try is one dict lookup on (outputs, care,
+value XOR bit). A cube is subsumed by another with the same outputs whose
+care mask is a proper subset of its own and agrees with it there. Cubes are
+grouped by care mask, and a merged table holds only a few dozen distinct
+masks, so each cube costs a few set lookups instead of a scan of every other
+cube. Cube lists convert 1:1 into multi-controlled-X descriptors, one gate
+per (cube, set output bit). Tables live in memory only: no PLA text is read
+or written.
 """
 
 from __future__ import annotations
@@ -108,12 +110,12 @@ def _merge_pass(cubes: list[tuple[str, str]]) -> tuple[list[tuple[str, str]], bo
     # unconsumed cube merges with the first unconsumed partner at distance 1
     # with equal outputs, trying its cared positions MSB first. The partner at
     # a cared bit is the one cube with the same outputs and care mask whose
-    # value differs in that bit alone, so it is a single dict lookup.
+    # value differs in that bit alone, so it is a single dict lookup. Each
+    # merge makes one cube of two, so the list shrinks iff a merge happened.
     keys = [(outs, *_masks(ins)) for ins, outs in cubes]
     where = {key: i for i, key in enumerate(keys)}
     consumed = [False] * len(cubes)
     out = []
-    changed = False
     for i, (ins, outs) in enumerate(cubes):
         if consumed[i]:
             continue
@@ -127,12 +129,11 @@ def _merge_pass(cubes: list[tuple[str, str]]) -> tuple[list[tuple[str, str]], bo
             if j is not None and not consumed[j]:
                 consumed[j] = True
                 out.append((ins[:p] + "-" + ins[p + 1:], outs))
-                changed = True
                 break
         else:
             out.append((ins, outs))
     deduped = sorted(set(out))
-    return deduped, changed or len(deduped) < len(cubes)
+    return deduped, len(deduped) < len(cubes)
 
 
 def _subsume_pass(cubes: list[tuple[str, str]]) -> tuple[list[tuple[str, str]], bool]:
@@ -158,17 +159,12 @@ def d1merge(table: PlaTable) -> PlaTable:
     preserved exactly; the result is idempotent under re-minimization.
     """
     cubes = sorted(set((c.inputs, c.outputs) for c in table.cubes))
-    while True:
-        any_change = False
-        while True:
-            cubes, changed = _merge_pass(cubes)
-            any_change |= changed
-            if not changed:
-                break
-        cubes, changed = _subsume_pass(cubes)
-        any_change |= changed
-        if not any_change:
-            break
+    subsumed = True
+    while subsumed:
+        merged = True
+        while merged:
+            cubes, merged = _merge_pass(cubes)
+        cubes, subsumed = _subsume_pass(cubes)
     return PlaTable(table.n_inputs, table.n_outputs,
                     tuple(Cube(i, o) for i, o in sorted(cubes)))
 

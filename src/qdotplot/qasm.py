@@ -146,7 +146,7 @@ def qasm_text(circuit: Circuit) -> str:
 
 
 def emit_qasm(circuit: Circuit, path) -> None:
-    Path(path).write_text(qasm_text(circuit))
+    Path(path).write_text(qasm_text(circuit), encoding="utf-8")
 
 
 # -- parsing ------------------------------------------------------------------
@@ -288,8 +288,7 @@ def parse_qasm(text: str) -> Circuit:
 
     registers: list[Register] = []
     qreg_sizes: dict[str, int] = {}
-    creg_names: dict[str, int] = {}
-    creg_base: dict[str, int] = {}
+    cregs: dict[str, tuple[int, int]] = {}  # name -> (first bit, size)
     classical_bits = 0
     gates: list[Gate] = []
     # Work is done once per distinct text, in dicts local to this call: a
@@ -316,8 +315,13 @@ def parse_qasm(text: str) -> Circuit:
             ref = refs[tok] = QubitRef(name, off)
         return ref
 
-    header_seen = False
     try:
+        # The first non-empty statement is the header; the next loop resumes after it.
+        for st in map(str.strip, statements):
+            if st:
+                if not re.fullmatch(r"OPENQASM\s+2\.0", st):
+                    raise QasmError("program must start with OPENQASM 2.0;")
+                break
         for raw in statements:
             gate = built.get(raw)
             if gate is not None:
@@ -326,11 +330,6 @@ def parse_qasm(text: str) -> Circuit:
             st = raw.strip()
             if not st:
                 continue
-            if not header_seen:
-                if re.fullmatch(r"OPENQASM\s+2\.0", st):
-                    header_seen = True
-                    continue
-                raise QasmError("program must start with OPENQASM 2.0;")
             m = _STATEMENT.match(st)
             head, params, rest = m.groups() if m else (None, None, "")
             row = _PARSED.get(head)
@@ -346,28 +345,22 @@ def parse_qasm(text: str) -> Circuit:
                     raise QasmError("cannot parse statement")
             if params is None and rest[:1] == "(":
                 raise QasmError("unclosed parameter list")
-            if head == "qreg":
+            if head in ("qreg", "creg"):
                 dm = _OPERAND.fullmatch(st[4:].strip())
                 if not dm:
-                    raise QasmError("malformed qreg declaration")
-                if dm.group(1) in qreg_sizes:
-                    raise QasmError(f"qreg {dm.group(1)!r} declared twice")
-                if dm.group(1) in creg_names:
-                    raise QasmError(f"qreg {dm.group(1)!r} reuses the name of a creg")
-                registers.append(Register(dm.group(1), int(dm.group(2))))
-                qreg_sizes[dm.group(1)] = registers[-1].size
-                continue
-            if head == "creg":
-                dm = _OPERAND.fullmatch(st[4:].strip())
-                if not dm:
-                    raise QasmError("malformed creg declaration")
-                if dm.group(1) in creg_names:
-                    raise QasmError(f"creg {dm.group(1)!r} declared twice")
-                if dm.group(1) in qreg_sizes:
-                    raise QasmError(f"creg {dm.group(1)!r} reuses the name of a qreg")
-                creg_base[dm.group(1)] = classical_bits
-                creg_names[dm.group(1)] = int(dm.group(2))
-                classical_bits += int(dm.group(2))
+                    raise QasmError(f"malformed {head} declaration")
+                name = dm.group(1)
+                kind = "qreg" if name in qreg_sizes else "creg" if name in cregs else None
+                if kind == head:
+                    raise QasmError(f"{head} {name!r} declared twice")
+                if kind:
+                    raise QasmError(f"{head} {name!r} reuses the name of a {kind}")
+                if head == "qreg":
+                    registers.append(Register(name, int(dm.group(2))))
+                    qreg_sizes[name] = registers[-1].size
+                else:
+                    cregs[name] = (classical_bits, int(dm.group(2)))
+                    classical_bits += cregs[name][1]
                 continue
             if head == "measure":
                 if params is not None:
@@ -376,9 +369,10 @@ def parse_qasm(text: str) -> Circuit:
                 if not dm:
                     raise QasmError("malformed measure")
                 cname, cbit = dm.group(2), int(dm.group(3))
-                if cname not in creg_names or cbit >= creg_names[cname]:
+                first, size = cregs.get(cname, (0, 0))
+                if cbit >= size:
                     raise QasmError(f"unknown classical bit {cname}[{cbit}]")
-                gate = built[raw] = Gate.measure(qubit(dm.group(1)), creg_base[cname] + cbit)
+                gate = built[raw] = Gate.measure(qubit(dm.group(1)), first + cbit)
                 gates.append(gate)
                 continue
             shared = operand_sets.get((head, rest))
@@ -401,4 +395,4 @@ def parse_qasm(text: str) -> Circuit:
 
 
 def read_qasm(path) -> Circuit:
-    return parse_qasm(Path(path).read_text())
+    return parse_qasm(Path(path).read_text(encoding="utf-8"))

@@ -110,10 +110,7 @@ def estimate(
 
 
 def report_to_json(report: ResourceReport) -> str:
-    raw = asdict(report)
-    if raw["final_layout"] is not None:
-        raw["final_layout"] = list(raw["final_layout"])
-    return json.dumps(raw, indent=2, sort_keys=True)
+    return json.dumps(asdict(report), indent=2, sort_keys=True)
 
 
 def reports_to_csv(reports) -> str:

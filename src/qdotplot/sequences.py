@@ -19,10 +19,6 @@ DNA_ALPHABET = {"A": 0, "C": 1, "G": 2, "T": 3}
 ALPHABET_PRESETS = {"dna": DNA_ALPHABET}
 
 
-def _is_pow2(n: int) -> bool:
-    return n > 0 and n & (n - 1) == 0
-
-
 def _padded_length(n: int) -> int:
     # the next power of two, at least 2: an index register has >= 1 qubit
     return max(2, 1 << (n - 1).bit_length())
@@ -57,14 +53,11 @@ class SymbolSequence:
                 raise ValueError(f"code {c} at position {i} does not fit in {self.d} bits")
 
     @property
-    def is_padded(self) -> bool:
-        return _is_pow2(len(self.codes))
-
-    @property
     def index_bits(self) -> int:
-        if not self.is_padded:
+        n = len(self.codes)  # > 0, checked above
+        if n & (n - 1):
             raise ValueError("sequence length is not a power of two; pad first")
-        return max(1, (len(self.codes) - 1).bit_length())
+        return max(1, (n - 1).bit_length())
 
 
 def map_alphabet(raw, alphabet: dict | None = None) -> SymbolSequence:
@@ -141,7 +134,7 @@ def read_sequence_file(path, alphabet: dict | None = None) -> str:
     """
     p = Path(path)
     try:
-        text = p.read_text()
+        text = p.read_text(encoding="utf-8-sig")  # a leading byte-order mark is not a symbol
     except (OSError, UnicodeDecodeError) as e:
         raise ConfigError(f"cannot read sequence file {path}: {e}") from e
     lines = text.splitlines()

@@ -93,10 +93,7 @@ class ValidationReport:
     details: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        raw = asdict(self)
-        if raw["first_counterexample"] is not None:
-            raw["first_counterexample"] = list(raw["first_counterexample"])
-        return json.dumps(raw, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def validate_exhaustive(

@@ -132,3 +132,9 @@ def test_adjacency_symmetric_sorted():
     assert adj[1] == (0, 2)
     assert adj[2] == (1, 3)
     assert all(a in adj[c] for a, nbrs in adj.items() for c in nbrs)
+
+
+def test_a_gate_time_too_large_for_a_float_is_a_config_error():
+    with pytest.raises(ConfigError, match="malformed backend description"):
+        load_backend({"name": "t", "qubit_count": 2, "native_gates": ["cx"],
+                      "gate_time_ns": 10 ** 400})

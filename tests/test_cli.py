@@ -297,6 +297,46 @@ def test_bad_alphabet_exits_two(runner, seqdir):
     assert result.exit_code == 2
 
 
+def test_unknown_alphabet_lists_the_choices_and_writes_nothing(runner, seqdir):
+    result = runner.invoke(main, _args(seqdir, "build", "--alphabet", "klingon"))
+    assert result.exit_code == 2
+    assert "'klingon' is not one of 'auto', 'dna'" in result.output
+    assert not (seqdir / "out").exists()
+    help_text = runner.invoke(main, ["build", "--help"]).output
+    assert "[auto|dna]" in help_text
+
+
+def test_sequence_file_with_a_byte_order_mark_builds_like_one_without(runner, tmp_path):
+    artifacts = []
+    for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        ref = tmp_path / name / "seq.fa"
+        ref.parent.mkdir()
+        ref.write_bytes(prefix + b">seq1\nACGTTGCA\n")
+        out = tmp_path / name / "out"
+        result = runner.invoke(main, ["build", "--reference", str(ref), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        artifacts.append([(out / f).read_bytes() for f in ("qpr.qasm", "report.json")])
+    assert artifacts[0] == artifacts[1]
+
+
+@pytest.mark.parametrize("fields, error", [
+    ('"qubit_count": 2.9', "qubit_count must be an integer, got 2.9"),
+    ('"qubit_count": true', "qubit_count must be an integer, got True"),
+    ('"qubit_count": "3"', "qubit_count must be an integer, got '3'"),
+    ('"qubit_count": 40, "coupling_map": [[0.7, 1]]',
+     "coupling_map endpoint must be an integer, got 0.7"),
+    ('"qubit_count": 40, "gate_time_ns": true', "gate_time_ns must be a positive finite number"),
+    ('"qubit_count": 40, "gate_time_ns": "20"', "gate_time_ns must be a positive finite number"),
+], ids=["float-count", "bool-count", "string-count", "float-endpoint", "bool-time", "string-time"])
+def test_backend_numbers_of_the_wrong_json_type_exit_two(runner, seqdir, fields, error):
+    backend = seqdir / "backend.json"
+    backend.write_text('{"name": "b", "native_gates": ["rx", "ry", "rxx"], %s}' % fields)
+    result = runner.invoke(main, _args(seqdir, "estimate", "--backend", str(backend)))
+    assert result.exit_code == 2, result.output
+    assert "configuration error" in result.output and error in result.output
+    assert not (seqdir / "out").exists()
+
+
 def test_missing_file_exits_two(runner, seqdir):
     result = runner.invoke(
         main, ["build", "--reference", str(seqdir / "absent.txt")]

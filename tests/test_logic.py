@@ -1,6 +1,7 @@
 """Two-level logic: table building, minimization, MCX conversion."""
 
 import hashlib
+import random
 import time
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import eval_cover
 from qdotplot import (
+    DNA_ALPHABET,
     Cube,
     PlaTable,
     build_pla,
@@ -17,7 +19,9 @@ from qdotplot import (
     d1merge,
     evaluate_all,
     functional_equal,
+    map_alphabet,
 )
+from qdotplot import logic
 from qdotplot.logic import _merge_pass, _subsume_pass
 
 # The worked example used throughout: an 8-element sequence over a 4-symbol
@@ -299,3 +303,51 @@ def test_merge_pass_matches_string_keyed_sweep_on_long_sequence():
 def test_d1merge_of_a_table_without_inputs():
     table = PlaTable(0, 2, (Cube("", "01"), Cube("", "11")))
     assert d1merge(table) == table
+
+
+# -- the fixpoint loop ----------------------------------------------------------
+
+
+def _fixpoint_by_comparison(table):
+    # Reference loop: merge passes until the list stops changing, then a
+    # subsume pass; repeat until a whole round leaves the list as it was.
+    # Change is seen by comparing lists, not by the passes' flags.
+    cubes = sorted(set((c.inputs, c.outputs) for c in table.cubes))
+    while True:
+        before = cubes
+        while True:
+            merged = _merge_pass(cubes)[0]
+            if merged == cubes:
+                break
+            cubes = merged
+        cubes = _subsume_pass(cubes)[0]
+        if cubes == before:
+            return tuple(Cube(i, o) for i, o in sorted(cubes))
+
+
+@given(pla_tables())
+@settings(max_examples=200, deadline=None)
+def test_d1merge_equals_the_two_loop_fixpoint(table):
+    assert d1merge(table).cubes == _fixpoint_by_comparison(table)
+
+
+def test_d1merge_equals_the_two_loop_fixpoint_on_long_sequence():
+    table = _long_dna_table()
+    assert d1merge(table).cubes == _fixpoint_by_comparison(table)
+
+
+def test_d1merge_stops_after_the_subsume_pass_that_changes_nothing(monkeypatch):
+    # The 4096 bp DNA sequence of the build-long-self benchmark at seed 1:
+    # three merge passes (the last merges nothing) and one subsume pass that
+    # removes nothing; no confirming round follows.
+    rng = random.Random("build-long-self/1")
+    seq = map_alphabet("".join(rng.choice("ACGT") for _ in range(4096)), DNA_ALPHABET)
+    passes = []
+    for name in ("_merge_pass", "_subsume_pass"):
+        def counted(cubes, run=getattr(logic, name), name=name):
+            passes.append(name)
+            return run(cubes)
+        monkeypatch.setattr(logic, name, counted)
+    table = d1merge(build_pla(seq.codes, seq.d))
+    assert len(table.cubes) == 1733
+    assert passes == ["_merge_pass"] * 3 + ["_subsume_pass"]

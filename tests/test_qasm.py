@@ -467,3 +467,26 @@ def test_seeded_program_of_every_dialect_name_round_trips(seed):
              if not line.startswith(("gate ", "qreg ", "creg ", "measure "))}
     assert heads == {line.split("(")[0].split()[0] for line in _DIALECT_LINES}
     assert parse_qasm(text) == c
+
+
+def test_header_is_the_first_non_empty_statement():
+    circuit = parse_qasm(";\n  ;\nOPENQASM 2.0;\nqreg q[1];\nh q[0];\n")
+    assert [g.kind for g in circuit.gates] == ["h"]
+    with pytest.raises(QasmError, match=r"^program must start with OPENQASM 2\.0; "
+                                        r"in statement 'qreg q\[1\]'$"):
+        parse_qasm(";\nqreg q[1];\nOPENQASM 2.0;\n")
+    for text in ("", " \n", "// a comment only\n", ";\n;\n"):
+        empty = parse_qasm(text)
+        assert (empty.registers, empty.gates, empty.classical_bits) == ((), (), 0)
+
+
+def test_each_declaration_and_classical_bit_is_checked():
+    for kind in ("qreg", "creg"):
+        with pytest.raises(QasmError, match=rf"^malformed {kind} declaration in statement '{kind} r'$"):
+            parse_qasm(f"OPENQASM 2.0;\n{kind} r;\n")
+    with pytest.raises(QasmError, match=r"^unknown classical bit c\[1\] in statement"):
+        parse_qasm("OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\nmeasure q[0] -> c[1];\n")
+    three = parse_qasm("OPENQASM 2.0;\nqreg q[1];\ncreg c[2];\ncreg d[1];\n"
+                       "measure q[0] -> c[1];\nmeasure q[0] -> d[0];\n")
+    assert three.classical_bits == 3
+    assert [g.classical_bit for g in three.gates] == [1, 2]

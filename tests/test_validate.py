@@ -286,3 +286,14 @@ def test_sampling_p_value_leaves_scipy_stats_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["True", "True", "False"]
+
+
+def test_failing_report_serializes_its_counterexample_as_a_list():
+    good = build_dotplot_circuit(R8, Q8)
+    v = good.register("v")[0]
+    broken = good.append_stages([("sabotage", [Gate.x(v)])])
+    rep = validate_exhaustive(R8, Q8, "ccnot_chain", True, circuit=broken)
+    assert not rep.passed
+    raw = json.loads(rep.to_json())
+    assert raw["first_counterexample"] == list(rep.first_counterexample)
+    assert len(raw["first_counterexample"]) == 4
