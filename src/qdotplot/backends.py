@@ -22,6 +22,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError
+from .qasm import UNWRITABLE
 
 _GATE_ALIASES = {"u1": "p"}
 
@@ -41,10 +42,16 @@ class BackendModel:
             raise ConfigError("backend needs at least one qubit")
         if not self.native_gates:
             raise ConfigError("backend needs a native gate set")
+        for gate in self.native_gates:
+            if gate in UNWRITABLE:
+                raise ConfigError(f"native gate {gate!r} of {self.name!r} has no OpenQASM 2.0 form")
         if self.coupling_map is not None:
             for a, b in self.coupling_map:
                 if a == b or not (0 <= a < self.qubit_count) or not (0 <= b < self.qubit_count):
                     raise ConfigError(f"bad coupling edge ({a}, {b})")
+            # n qubits need n - 1 edges; the walk below builds n neighbor sets.
+            if len(self.coupling_map) < self.qubit_count - 1:
+                raise ConfigError(f"coupling map of {self.name!r} is not connected")
             seen = {0}
             stack = [0]
             adj = self.adjacency()
@@ -97,8 +104,11 @@ def _from_dict(raw: dict, fallback_name: str = "backend") -> BackendModel:
             # Not true or "20", nor the NaN and Infinity json also reads.
             if not (type(gate_time_ns) in (int, float) and 0 < gate_time_ns < math.inf):
                 raise ConfigError("gate_time_ns must be a positive finite number")
+        name = raw.get("name", fallback_name)
+        if type(name) is not str:
+            raise ConfigError(f"name must be a string, got {name!r}")
         return BackendModel(
-            name=str(raw.get("name", fallback_name)),
+            name=name,
             qubit_count=_integer(raw["qubit_count"], "qubit_count"),
             native_gates=gates,
             coupling_map=coupling,
@@ -109,11 +119,8 @@ def _from_dict(raw: dict, fallback_name: str = "backend") -> BackendModel:
 
 
 def builtin_backend_names() -> tuple[str, ...]:
-    names = []
-    for entry in resources.files(_PRESET_PACKAGE).iterdir():
-        if entry.name.endswith(".json"):
-            names.append(entry.name[: -len(".json")])
-    return tuple(sorted(names))
+    files = resources.files(_PRESET_PACKAGE).iterdir()
+    return tuple(sorted(f.name[: -len(".json")] for f in files if f.name.endswith(".json")))
 
 
 def load_backend(source) -> BackendModel:

@@ -47,6 +47,9 @@ _SHAPES = {
     "ry": (1, 1, None),
 }
 _PLAIN = (1, 0, None)
+# The label of every form of the kinds above, mcx, mcp and mcrootx included.
+LABELS = frozenset(chain.from_iterable((*exact, "mc" + kind) if exact else (kind,)
+                                       for kind, (_, _, exact) in _SHAPES.items()))
 
 
 @dataclass(frozen=True)

@@ -292,30 +292,19 @@ def _cancel_x_pairs(gates: list[Gate]) -> list[Gate]:
     return [g for g in out if g is not None]
 
 
-def lower_to_native(circuit: Circuit, backend, mcx_mode: str = "ccnot_chain") -> Circuit:
-    """Rewrite every gate into the backend's native set.
-
-    Stage labels are kept (an unmarked circuit stays unmarked). X pairs
-    produced by adjacent negative-control rewrites cancel within each stage
-    only where bare x is native (allsim): cancellation runs on native gates,
-    so elsewhere the pairs survive in native form, such as adjacent
-    u3(pi, 0, pi) pairs on superconducting-53.
-    Equal gates share one lowering, at one memo hash per gate. Flip X gates
-    and chain-ladder Toffolis come from a piece cache local to the call:
-    each distinct piece is built and lowered once, then found by identity,
-    and each distinct ladder (target and control qubits) is built once.
-    """
-    if mcx_mode not in MCX_MODES:
-        raise LoweringError(f"mcx_mode must be one of {MCX_MODES}")
+def native_lowering(backend, mcx_mode: str = "ccnot_chain", pool: tuple = ()):
+    """The function that lowers a list of gates into the backend's native
+    set, multi-controlled X by mcx_mode over the ancilla pool. Its caches
+    live as long as it does: each distinct gate, X or Toffoli piece and
+    ladder is built and lowered once."""
     native = set(backend.native_gates)
-    registers, pool = _ancilla_pool(circuit, mcx_mode)
     # Equal gates lower to one shared expansion of immutable gates. Gate
     # equality treats 0.0 == -0.0, so the key also holds each parameter's
     # sign: p(0.0) and p(-0.0) must keep their own rendered angles.
     memo: dict[tuple, list[Gate]] = {}
     # Pieces by their qubits (one for an X, three for a Toffoli), and
     # id(piece) -> its lowering: the cache keeps every piece alive, so no
-    # other object takes its id during the call.
+    # other object takes its id while the function lives.
     pieces: dict[tuple, Gate] = {}
     known: dict[int, list[Gate]] = {}
 
@@ -403,6 +392,22 @@ def lower_to_native(circuit: Circuit, backend, mcx_mode: str = "ccnot_chain") ->
             return lower_all(rxx_network(g.params[0], *g.targets))
         raise LoweringError(f"cannot lower {g.label}")
 
+    return lower_all
+
+
+def lower_to_native(circuit: Circuit, backend, mcx_mode: str = "ccnot_chain") -> Circuit:
+    """Rewrite every gate into the backend's native set.
+
+    Stage labels are kept (an unmarked circuit stays unmarked). X pairs
+    produced by adjacent negative-control rewrites cancel within each stage
+    only where bare x is native (allsim): cancellation runs on native gates,
+    so elsewhere the pairs survive in native form, such as adjacent
+    u3(pi, 0, pi) pairs on superconducting-53.
+    """
+    if mcx_mode not in MCX_MODES:
+        raise LoweringError(f"mcx_mode must be one of {MCX_MODES}")
+    registers, pool = _ancilla_pool(circuit, mcx_mode)
+    lower_all = native_lowering(backend, mcx_mode, pool)
     lowered = Circuit(registers, (), circuit.classical_bits, (), circuit.final_layout)
     return lowered.append_stages(
         (label, _cancel_x_pairs(lower_all(circuit.gates[start:stop])))

@@ -23,29 +23,27 @@ once, its target and control tuples then shared by every gate that names
 those operands.
 
 A gate parameter is a plain number (the emitter's repr form) or an angle
-expression, evaluated in double precision without eval:
-
-    sum     := product (("+" | "-") product)*
-    product := signed (("*" | "/") signed)*
-    signed  := ("+" | "-")* atom
-    atom    := NUMBER | "pi" | "(" sum ")"
-
-NUMBER is an ASCII decimal literal such as 3, 0.25, .5 or 1e-3, as are
-register sizes and offsets. Anything else, such as "**", "1_0", any other
-name, division by zero, or a result that is not finite (including "inf"
-and "nan"), raises "cannot evaluate angle".
+expression: Python arithmetic on ASCII decimal literals (3, 0.25, .5, 5.,
+1e-3) and pi with + - * /, unary signs and parentheses, evaluated in
+doubles by a whitelist over ast, never eval. Anything else, such as "**",
+"1_0", another name, division by zero or a result that is not finite,
+raises "cannot evaluate angle", as do three forms Python's parser refuses:
+"pi/04" (a leading zero), more than 200 nested parentheses, and a chain of
+about 1,000 operators or more. Register sizes and offsets are ASCII digits.
 """
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 import re
 from collections.abc import Iterator
 from fractions import Fraction
 from itertools import chain
 from pathlib import Path
 
-from .circuit import ROOT_EXPONENTS, Circuit, Control, Gate, QubitRef, Register
+from .circuit import LABELS, ROOT_EXPONENTS, Circuit, Control, Gate, QubitRef, Register
 from .errors import QasmError
 
 # The xrt_/cxrt_ tag of each root exponent the IR admits: p2 is +1/2, m8 is -1/8.
@@ -105,6 +103,8 @@ _Q = Register("q", 3).refs()
 _NAMES = {(Gate(kind, _Q[controls:operands], tuple(map(Control, _Q[:controls])),
                 (0.0,) * n_params, exponent).label, exponent): name
           for name, (kind, controls, operands, n_params, exponent) in _DIALECT.items()}
+# The IR labels with no name here: mcx, mcp and mcrootx.
+UNWRITABLE = LABELS - {label for label, _ in _NAMES}
 
 
 def _statement(g: Gate, creg: str, used: set[str]) -> str:
@@ -158,62 +158,25 @@ _DELIMITER = re.compile(r"[{};]")
 _STATEMENT = re.compile(r"(\w+)\s*(?:\((.*)\))?\s*(.*)", re.ASCII | re.DOTALL)
 _OPERAND = re.compile(r"^(\w+)\[(\d+)\]$", re.ASCII)
 _MEASURE = re.compile(r"(\S+)\s*->\s*(\w+)\[(\d+)\]", re.ASCII)
-_ANGLE_TOKEN = re.compile(
-    r"\s*([0-9]+\.?[0-9]*(?:[eE][-+]?[0-9]+)?|\.[0-9]+(?:[eE][-+]?[0-9]+)?|pi|[-+*/()])"
-)
+# The characters an angle may hold. Python would also read 1_0, 0x10, 1j
+# and '#' comments; none of them gets past this set.
+_ANGLE_CHARS = frozenset("0123456789.eE+-*/()pi \t\n\r\f\v")
+_OPS = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+        ast.Div: operator.truediv, ast.UAdd: operator.pos, ast.USub: operator.neg}
 
 
-def _angle_tokens(text: str) -> list[str]:
-    tokens, pos = [], 0
-    for m in _ANGLE_TOKEN.finditer(text):
-        if m.start() != pos:
-            break
-        tokens.append(m.group(1))
-        pos = m.end()
-    if text[pos:].strip():
-        raise ValueError("unexpected character")
-    return tokens
-
-
-# Recursive descent over the angle grammar; each returns (value, next index).
-
-def _sum(tokens: list[str], i: int) -> tuple[float, int]:
-    value, i = _product(tokens, i)
-    while i < len(tokens) and tokens[i] in ("+", "-"):
-        op = tokens[i]
-        rhs, i = _product(tokens, i + 1)
-        value = value + rhs if op == "+" else value - rhs
-    return value, i
-
-
-def _product(tokens: list[str], i: int) -> tuple[float, int]:
-    value, i = _signed(tokens, i)
-    while i < len(tokens) and tokens[i] in ("*", "/"):
-        op = tokens[i]
-        rhs, i = _signed(tokens, i + 1)
-        value = value * rhs if op == "*" else value / rhs
-    return value, i
-
-
-def _signed(tokens: list[str], i: int) -> tuple[float, int]:
-    negate = False
-    while i < len(tokens) and tokens[i] in ("+", "-"):
-        negate ^= tokens[i] == "-"
-        i += 1
-    if i == len(tokens):
-        raise ValueError("missing operand")
-    tok = tokens[i]
-    if tok == "(":
-        value, i = _sum(tokens, i + 1)
-        if i == len(tokens) or tokens[i] != ")":
-            raise ValueError("unbalanced parenthesis")
-    elif tok == "pi":
-        value = math.pi
-    elif tok[0] in "0123456789.":
-        value = float(tok)
-    else:
-        raise ValueError(f"unexpected {tok!r}")
-    return (-value if negate else value), i + 1
+def _evaluate(node: ast.expr) -> float:
+    # Numbers become floats at the leaves, so all arithmetic is in doubles.
+    kind = type(node)
+    if kind is ast.Constant and type(node.value) in (int, float):
+        return float(node.value)
+    if kind is ast.Name and node.id == "pi":
+        return math.pi
+    if kind is ast.UnaryOp and type(node.op) in _OPS:
+        return _OPS[type(node.op)](_evaluate(node.operand))
+    if kind is ast.BinOp and type(node.op) in _OPS:
+        return _OPS[type(node.op)](_evaluate(node.left), _evaluate(node.right))
+    raise ValueError(f"unexpected {kind.__name__}")
 
 
 def _angle(text: str, memo: dict[str, float]) -> float:
@@ -230,11 +193,12 @@ def _angle(text: str, memo: dict[str, float]) -> float:
         value = memo.get(text)
         if value is None:
             try:
-                tokens = _angle_tokens(text)
-                value, end = _sum(tokens, 0)
-                if end != len(tokens):
-                    raise ValueError("trailing tokens")
-            except (ValueError, ZeroDivisionError, RecursionError):
+                if not _ANGLE_CHARS.issuperset(text):
+                    raise ValueError("unexpected character")
+                # QASM, unlike Python, lets a newline stand between tokens.
+                value = _evaluate(ast.parse(" ".join(text.split()), mode="eval").body)
+            except (SyntaxError, ValueError, ZeroDivisionError, OverflowError,
+                    RecursionError, MemoryError):
                 raise QasmError(f"cannot evaluate angle {text.strip()!r}") from None
             memo[text] = value
     if not math.isfinite(value):

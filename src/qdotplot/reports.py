@@ -74,7 +74,7 @@ def compile_circuit(
     """Lower to the backend's native set, check width, route, and measure.
 
     A lowered circuit wider than the backend is a configuration error, on
-    all-to-all backends too. Routing runs only on coupled backends.
+    all-to-all backends too.
     """
     lowered = lower_to_native(circuit, backend, mcx_mode)
     if lowered.n_qubits > backend.qubit_count:
@@ -82,7 +82,7 @@ def compile_circuit(
             f"circuit needs {lowered.n_qubits} qubits but backend "
             f"{backend.name!r} has {backend.qubit_count}"
         )
-    compiled = lowered if backend.all_to_all else route(lowered, backend)
+    compiled = route(lowered, backend)
     levels, per_stage = _levels(compiled, compiled.stage_ranges())
     n = compiled.n_qubits
     total = max(levels, default=0)

@@ -7,6 +7,8 @@ greedy and deterministic (lowest-index tie-break). The final placement is
 recorded on the returned circuit so downstream consumers can undo the
 permutation; measurement gates follow their logical qubit automatically.
 Swaps join the stage of the gate that needs them, under the input's labels.
+Each swap is lowered to the backend's native set by lower_to_native's
+rules, once per edge: it stays a swap only where swap is native.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import replace
 
 from .backends import BackendModel
 from .circuit import Circuit, Control, Gate, Register
-from .decompose import swap_network
+from .decompose import native_lowering
 from .errors import LoweringError
 
 
@@ -65,7 +67,7 @@ def route(circuit: Circuit, backend: BackendModel) -> Circuit:
     # ids from n_logical up stand for the unoccupied ones.
     l2p = list(range(backend.qubit_count))
     p2l = list(range(backend.qubit_count))
-    swap_native = "swap" in backend.native_gates
+    lower = native_lowering(backend)
 
     # Memo tables local to this call. Lowering shares one object among equal
     # gates, so the remapped gate is kept per (gate object, physical wires).
@@ -79,11 +81,7 @@ def route(circuit: Circuit, backend: BackendModel) -> Circuit:
         # qubits at a and b exchange homes.
         gates = swaps.get((a, b))
         if gates is None:
-            if swap_native:
-                gates = (Gate.swap(refs[a], refs[b]),)
-            else:
-                gates = tuple(swap_network(refs[a], refs[b]))
-            swaps[a, b] = gates
+            gates = swaps[a, b] = tuple(lower([Gate.swap(refs[a], refs[b])]))
         out.extend(gates)
         la, lb = p2l[a], p2l[b]
         p2l[a], p2l[b] = lb, la

@@ -1,6 +1,7 @@
 """Backend models: presets, JSON schema, validation."""
 
 import json
+import time
 
 import pytest
 
@@ -99,6 +100,19 @@ def test_validation_rejects_bad_maps():
             native_gates=("cx",),
             coupling_map=((0, 1), (2, 3)),
         )
+
+
+def test_a_coupled_backend_with_too_few_edges_is_rejected_at_once():
+    start = time.perf_counter()
+    with pytest.raises(ConfigError, match="coupling map of 'big' is not connected"):
+        load_backend({"name": "big", "qubit_count": 10**9, "native_gates": ["cx"],
+                      "coupling_map": [[0, 1]]})
+    assert time.perf_counter() - start < 1.0
+
+
+def test_native_names_that_match_no_gate_label_are_accepted():
+    assert load_backend({"qubit_count": 2, "native_gates": ["rz", "id", "cx"]}).native_gates == (
+        "rz", "id", "cx")
 
 
 def test_validation_rejects_bad_scalars():

@@ -327,7 +327,11 @@ def test_sequence_file_with_a_byte_order_mark_builds_like_one_without(runner, tm
      "coupling_map endpoint must be an integer, got 0.7"),
     ('"qubit_count": 40, "gate_time_ns": true', "gate_time_ns must be a positive finite number"),
     ('"qubit_count": 40, "gate_time_ns": "20"', "gate_time_ns must be a positive finite number"),
-], ids=["float-count", "bool-count", "string-count", "float-endpoint", "bool-time", "string-time"])
+    ('"qubit_count": 40, "name": null', "name must be a string, got None"),
+    ('"qubit_count": 40, "name": 5', "name must be a string, got 5"),
+    ('"qubit_count": 40, "name": ["x"]', "name must be a string, got ['x']"),
+], ids=["float-count", "bool-count", "string-count", "float-endpoint", "bool-time", "string-time",
+        "null-name", "number-name", "list-name"])
 def test_backend_numbers_of_the_wrong_json_type_exit_two(runner, seqdir, fields, error):
     backend = seqdir / "backend.json"
     backend.write_text('{"name": "b", "native_gates": ["rx", "ry", "rxx"], %s}' % fields)
@@ -335,6 +339,37 @@ def test_backend_numbers_of_the_wrong_json_type_exit_two(runner, seqdir, fields,
     assert result.exit_code == 2, result.output
     assert "configuration error" in result.output and error in result.output
     assert not (seqdir / "out").exists()
+
+
+@pytest.mark.parametrize("gate", ["mcx", "mcp", "mcrootx"])
+def test_a_native_gate_with_no_qasm_form_exits_two_before_writing(runner, seqdir, gate):
+    backend = seqdir / "backend.json"
+    backend.write_text(json.dumps({"name": "b", "qubit_count": 40,
+                                   "native_gates": ["h", "x", "cx", "ccx", "p", "cp", gate]}))
+    out = seqdir / "out"
+    out.mkdir()
+    result = runner.invoke(main, _args(seqdir, "build", "--backend", str(backend)))
+    assert result.exit_code == 2, result.output
+    assert "configuration error" in result.output
+    assert f"native gate {gate!r} of 'b' has no OpenQASM 2.0 form" in result.output
+    assert list(out.iterdir()) == []
+
+
+def test_routing_swaps_are_lowered_to_the_native_set(runner, tmp_path):
+    # A coupled trapped-ion set: swaps, like every other gate, end as rx, ry and rxx.
+    backend = tmp_path / "ion-line.json"
+    backend.write_text(json.dumps({"name": "ion-line", "qubit_count": 40,
+                                   "native_gates": ["rx", "ry", "rxx"],
+                                   "coupling_map": [[k, k + 1] for k in range(39)]}))
+    (tmp_path / "self.txt").write_text("ACGTACGA\n")
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["build", "--reference", str(tmp_path / "self.txt"),
+                                  "--alphabet", "dna", "--backend", str(backend), "--out", str(out)])
+    assert result.exit_code == 0, result.output
+    circuit = qdotplot.read_qasm(out / "qpr.qasm")
+    counts = qdotplot.gate_counts(circuit)
+    assert set(counts) == {"rx", "ry", "rxx", "measure"}
+    assert json.loads((out / "report.json").read_text())["gate_counts"] == counts
 
 
 def test_missing_file_exits_two(runner, seqdir):
