@@ -10,7 +10,9 @@ Three presets ship with the package:
   20 us per circuit layer.
 
 ``u1`` is a legacy name for the phase gate and is normalized to ``p`` on
-load so the rest of the package only ever sees one spelling.
+load so the rest of the package only ever sees one spelling. A backend with
+a coupling map may not list a native on three or more qubits (``ccx``):
+routing brings only two qubits together at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from importlib import resources
 from pathlib import Path
 
 from .errors import ConfigError
-from .qasm import UNWRITABLE
+from .qasm import QUBIT_COUNTS, UNWRITABLE
 
 _GATE_ALIASES = {"u1": "p"}
 
@@ -46,6 +48,12 @@ class BackendModel:
             if gate in UNWRITABLE:
                 raise ConfigError(f"native gate {gate!r} of {self.name!r} has no OpenQASM 2.0 form")
         if self.coupling_map is not None:
+            for gate in self.native_gates:
+                if QUBIT_COUNTS.get(gate, 1) > 2:
+                    raise ConfigError(
+                        f"native gate {gate!r} of {self.name!r} acts on {QUBIT_COUNTS[gate]} "
+                        "qubits; a backend with a coupling map takes natives on at most 2"
+                    )
             for a, b in self.coupling_map:
                 if a == b or not (0 <= a < self.qubit_count) or not (0 <= b < self.qubit_count):
                     raise ConfigError(f"bad coupling edge ({a}, {b})")

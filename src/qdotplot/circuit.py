@@ -2,7 +2,9 @@
 
 Circuits are immutable; all builders return new circuits. A qubit is the
 named tuple QubitRef(register, offset), keyed as the plain tuple it is, and
-resolves to a global wire index in register declaration order. Offset 0 is the
+resolves to a global wire index in register declaration order. A Gate is a
+validated named tuple too, its label the last element; a Circuit resolves
+the wires of each distinct (targets, controls) pair once. Offset 0 is the
 least significant bit of its register, and wire 0 the least significant bit of
 a basis-state integer.
 
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -99,30 +101,41 @@ def _as_control(spec) -> Control:
     raise CircuitError(f"cannot interpret {spec!r} as a control")
 
 
-@dataclass(frozen=True, slots=True)
-class Gate:
-    """One gate application.
-
-    kind is the base family ("x" covers X through multi-controlled X; "p" is
-    the phase family). label is the reporting name of exactly one form,
-    fixed at construction from the kind, targets and controls: x/cx/ccx,
-    p/cp and rootx/crootx have one target and only positive controls; every
-    other controlled or multi-target form of those kinds is mcx, mcp or
-    mcrootx. So a CNOT is structurally an "x" with one positive control and
-    is counted as "cx". label takes no part in ==, hash or repr, and
-    dataclasses.replace computes it anew.
-    """
-
+class _GateFields(NamedTuple):
     kind: str
     targets: tuple[QubitRef, ...]
-    controls: tuple[Control, ...] = ()
-    params: tuple[float, ...] = ()
-    exponent: Fraction | None = None
-    classical_bit: int | None = None
-    label: str = field(init=False, repr=False, compare=False)
+    controls: tuple[Control, ...]
+    params: tuple[float, ...]
+    exponent: Fraction | None
+    classical_bit: int | None
+    label: str
 
-    def __post_init__(self):
-        kind, targets, controls, params = self.kind, self.targets, self.controls, self.params
+
+# The fields a Gate is built from: all but label.
+_INPUTS = _GateFields._fields[:-1]
+
+
+class Gate(_GateFields):
+    """One gate application: an immutable, validated named tuple.
+
+    kind is the base family ("x" covers X through multi-controlled X; "p" is
+    the phase family). label, the last element, is the reporting name of
+    exactly one form, computed at construction from the kind, targets and
+    controls: x/cx/ccx, p/cp and rootx/crootx have one target and only
+    positive controls; every other controlled or multi-target form of those
+    kinds is mcx, mcp or mcrootx. So a CNOT is structurally an "x" with one
+    positive control and is counted as "cx". label is a pure function of the
+    other fields, so it changes neither == nor hash; repr leaves it out.
+
+    Every way to make a Gate runs the checks in __new__: the constructor,
+    _replace and _make (both compute label anew), copy and pickle.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, targets: tuple[QubitRef, ...], controls: tuple[Control, ...] = (),
+                params: tuple[float, ...] = (), exponent: Fraction | None = None,
+                classical_bit: int | None = None):
         want, n_params, exact = _SHAPES.get(kind, _PLAIN)
         if want is None:
             if not targets:
@@ -141,28 +154,50 @@ class Gate:
                         break
                 else:
                     label = exact[len(controls)]
-        object.__setattr__(self, "label", label)
         if len(params) != n_params:
             raise CircuitError(f"{kind} gate takes {n_params} parameter(s)")
         for a in params:
             if not math.isfinite(a):
                 raise CircuitError("gate parameters must be finite")
         if kind == "rootx":
-            if self.exponent not in ROOT_EXPONENTS:
-                raise CircuitError(f"rootx exponent must be one of {sorted(ROOT_EXPONENTS)}, got {self.exponent}")
-        elif self.exponent is not None:
+            if exponent not in ROOT_EXPONENTS:
+                raise CircuitError(f"rootx exponent must be one of {sorted(ROOT_EXPONENTS)}, got {exponent}")
+        elif exponent is not None:
             raise CircuitError(f"{kind} gate does not take an exponent")
         if kind == "measure":
-            if self.classical_bit is None or self.classical_bit < 0:
+            if classical_bit is None or classical_bit < 0:
                 raise CircuitError("measure needs a classical bit index >= 0")
-        elif self.classical_bit is not None:
+        elif classical_bit is not None:
             raise CircuitError(f"{kind} gate does not take a classical bit")
         if len(targets) + len(controls) > 1:
             seen = set()
-            for q in self.qubits():
+            for q in chain(targets, [c.qubit for c in controls]):
                 if q in seen:
                     raise CircuitError(f"qubit {q} appears twice in one gate")
                 seen.add(q)
+        return tuple.__new__(cls, (kind, targets, controls, params, exponent, classical_bit, label))
+
+    def __getnewargs__(self):
+        # copy and pickle rebuild through __new__, so label is computed anew.
+        return self[:-1]
+
+    @classmethod
+    def _make(cls, fields) -> Gate:
+        """Build from the fields in order; a trailing label is computed anew."""
+        fields = tuple(fields)
+        if len(fields) == len(cls._fields):
+            fields = fields[:-1]
+        return cls(*fields)
+
+    def _replace(self, **changes) -> Gate:
+        gate = Gate(*map(changes.pop, _INPUTS, self))
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        return gate
+
+    def __repr__(self) -> str:
+        return ("Gate(kind={!r}, targets={!r}, controls={!r}, params={!r}, exponent={!r}, "
+                "classical_bit={!r})").format(*self)
 
     def qubits(self) -> tuple[QubitRef, ...]:
         if not self.controls:
@@ -268,21 +303,28 @@ class Circuit:
             last = idx
         starts = self._starts
         # Gates are immutable and compiled circuits share one object among
-        # equal gates, so each distinct object is resolved (and so checked)
-        # once and its uses share one tuple. One loop calls id() once per
-        # gate: two map(id, ...) passes cost more than this loop.
+        # equal gates, so each distinct object is looked up once and its uses
+        # share one tuple. One loop calls id() once per gate: two map(id, ...)
+        # passes cost more than this loop. The wires depend only on the
+        # operands, which many distinct gates share, so each distinct
+        # (targets, controls) pair is resolved (and so checked) once.
         resolved: dict[int, tuple[int, ...]] = {}
+        by_operands: dict[tuple, tuple[int, ...]] = {}
         wires = []
         for g in self.gates:
             found = resolved.get(id(g))
             if found is None:
-                found = []
-                for q in g.qubits():
-                    s = starts.get(q.register)
-                    if s is None or not 0 <= q.offset < s[1]:
-                        self.wire(q)  # raises the CircuitError that names the bad reference
-                    found.append(s[0] + q.offset)
-                found = resolved[id(g)] = tuple(found)
+                operands = (g.targets, g.controls)
+                found = by_operands.get(operands)
+                if found is None:
+                    found = []
+                    for q in g.qubits():
+                        s = starts.get(q.register)
+                        if s is None or not 0 <= q.offset < s[1]:
+                            self.wire(q)  # raises the CircuitError that names the bad reference
+                        found.append(s[0] + q.offset)
+                    found = by_operands[operands] = tuple(found)
+                resolved[id(g)] = found
                 if g.kind == "measure" and g.classical_bit >= self.classical_bits:
                     raise CircuitError(
                         f"measure writes bit {g.classical_bit} but circuit has {self.classical_bits}"

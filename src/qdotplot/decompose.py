@@ -16,7 +16,6 @@ gate is in the backend's native set, preserving stage marks.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 
@@ -42,7 +41,7 @@ def rewrite_negative_controls(gate: Gate, core=None, x=Gate.x) -> list[Gate]:
     elif not flips:
         return [gate]
     else:
-        middle = [replace(gate, controls=tuple(Control(c.qubit) for c in gate.controls))]
+        middle = [gate._replace(controls=tuple(Control(c.qubit) for c in gate.controls))]
     return flips + middle + flips[::-1]
 
 

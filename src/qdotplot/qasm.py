@@ -20,7 +20,10 @@ parameters (up to the last ')') and the operand text of each statement.
 Work is shared by text within one parse: a repeated statement reuses its
 Gate, and each distinct (name, operand text) pair is resolved and checked
 once, its target and control tuples then shared by every gate that names
-those operands.
+those operands. A parameter list of plain numbers is read with one float()
+per part; any other list falls back to reading each part as an angle.
+Each statement's text is freed once read, and automatic garbage collection
+is paused while the circuit is built.
 
 A gate parameter is a plain number (the emitter's repr form) or an angle
 expression: Python arithmetic on ASCII decimal literals (3, 0.25, .5, 5.,
@@ -35,12 +38,11 @@ about 1,000 operators or more. Register sizes and offsets are ASCII digits.
 from __future__ import annotations
 
 import ast
+import gc
 import math
 import operator
 import re
-from collections.abc import Iterator
 from fractions import Fraction
-from itertools import chain
 from pathlib import Path
 
 from .circuit import LABELS, ROOT_EXPONENTS, Circuit, Control, Gate, QubitRef, Register
@@ -105,6 +107,8 @@ _NAMES = {(Gate(kind, _Q[controls:operands], tuple(map(Control, _Q[:controls])),
           for name, (kind, controls, operands, n_params, exponent) in _DIALECT.items()}
 # The IR labels with no name here: mcx, mcp and mcrootx.
 UNWRITABLE = LABELS - {label for label, _ in _NAMES}
+# The qubit count of each label with a name: ccx is the one on three.
+QUBIT_COUNTS = {label: _DIALECT[name][2] for (label, _), name in _NAMES.items()}
 
 
 def _statement(g: Gate, creg: str, used: set[str]) -> str:
@@ -206,12 +210,32 @@ def _angle(text: str, memo: dict[str, float]) -> float:
     return value
 
 
-def _split_statements(text: str) -> Iterator[str]:
+def _angles(text: str, memo: dict[str, float]) -> tuple[float, ...]:
+    """Evaluate a gate's parameter list.
+
+    A list of finite plain numbers is read with one float() per part; any
+    other list is read part by part by _angle, which accepts the same set
+    and names the part it refuses.
+    """
+    parts = text.split(",")
+    if text.isascii() and "_" not in text:  # float() also reads "_" and non-ASCII digits
+        try:
+            values = tuple(map(float, parts))
+        except ValueError:  # an angle expression
+            pass
+        else:
+            if math.isfinite(sum(values)):
+                return values
+    return tuple([_angle(a, memo) for a in parts])
+
+
+def _split_statements(text: str) -> list[str]:
     """Split on top-level ';', keeping each braced gate body whole.
 
     Braces belong only to gate definitions, so the brace-aware scan stops
     at the last brace and the text after it is cut with str.split. Prefix
-    statements come back stripped, body pieces as cut.
+    statements come back stripped, body pieces as cut, all in reverse
+    order: list.pop() hands them out in program order and frees each.
     """
     end = max(text.rfind("{"), text.rfind("}")) + 1
     statements = []
@@ -236,7 +260,9 @@ def _split_statements(text: str) -> Iterator[str]:
     tail = body.pop().strip()
     if tail:
         raise QasmError(f"trailing unterminated statement {tail!r}")
-    return chain(statements, body)  # no copy of the body's list
+    body.reverse()
+    body.extend(reversed(statements))
+    return body
 
 
 def parse_qasm(text: str) -> Circuit:
@@ -244,12 +270,25 @@ def parse_qasm(text: str) -> Circuit:
 
     The gate definitions the emitter writes are recognized by name and
     skipped; their uses are mapped back to the originating gate kinds.
+    Automatic garbage collection is paused while the circuit is built and
+    resumed afterwards if it was on: the parse makes only acyclic tuples,
+    which the collector would traverse again and again and never free.
     """
     if "//" in text:
         text = _COMMENT.sub("", text)
-    statements = _split_statements(text)
+    pending = _split_statements(text)  # reversed: pop() reads the next one
     del text  # the statements hold every byte that is still needed
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _build(pending)
+    finally:
+        if enabled:
+            gc.enable()
 
+
+def _build(pending: list[str]) -> Circuit:
+    """The circuit of the statements in pending, popped in program order."""
     registers: list[Register] = []
     qreg_sizes: dict[str, int] = {}
     cregs: dict[str, tuple[int, int]] = {}  # name -> (first bit, size)
@@ -280,13 +319,17 @@ def parse_qasm(text: str) -> Circuit:
         return ref
 
     try:
-        # The first non-empty statement is the header; the next loop resumes after it.
-        for st in map(str.strip, statements):
+        # The first non-empty statement is the header; the next loop resumes
+        # after it. Each statement's text is dropped once read, unless built
+        # keeps it as a key.
+        while pending:
+            st = pending.pop().strip()
             if st:
                 if not re.fullmatch(r"OPENQASM\s+2\.0", st):
                     raise QasmError("program must start with OPENQASM 2.0;")
                 break
-        for raw in statements:
+        while pending:
+            raw = pending.pop()
             gate = built.get(raw)
             if gate is not None:
                 gates.append(gate)
@@ -346,7 +389,7 @@ def parse_qasm(text: str) -> Circuit:
                 shared = operand_sets[head, rest] = (
                     len(operands), tuple(operands[c:]), tuple([Control(q) for q in operands[:c]]))
             n_operands, targets, controls = shared
-            angles = tuple([_angle(a, expressions) for a in params.split(",")]) if params else ()
+            angles = _angles(params, expressions) if params else ()
             if row is None or n_operands != row[2] or len(angles) != row[3]:
                 raise QasmError("unsupported gate or operand count")
             gate = built[raw] = Gate(row[0], targets, controls, angles, row[4])
@@ -354,7 +397,7 @@ def parse_qasm(text: str) -> Circuit:
     except ValueError as exc:  # QasmError, CircuitError, or an over-long integer
         raise QasmError(f"{exc} in statement {st!r}") from exc
 
-    del statements, built  # the statement texts and the circuit need not peak together
+    del built  # the statement texts and the circuit need not peak together
     return Circuit(tuple(registers), tuple(gates), classical_bits)
 
 

@@ -13,8 +13,6 @@ rules, once per edge: it stays a swap only where swap is native.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 from .backends import BackendModel
 from .circuit import Circuit, Control, Gate, Register
 from .decompose import native_lowering
@@ -92,7 +90,7 @@ def route(circuit: Circuit, backend: BackendModel) -> Circuit:
         n = len(g.targets)
         targets = tuple(refs[p] for p in placed[:n])
         controls = tuple(Control(refs[p], c.positive) for p, c in zip(placed[n:], g.controls))
-        return replace(g, targets=targets, controls=controls)
+        return g._replace(targets=targets, controls=controls)
 
     stages = []
     for label, start, stop in circuit.stage_ranges():

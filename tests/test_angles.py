@@ -106,3 +106,26 @@ def test_an_integer_too_large_for_a_float_cannot_be_evaluated():
     angle = "2*1" + "0" * 400
     with pytest.raises(QasmError, match=re.escape(f"cannot evaluate angle '{angle}' in statement")):
         _one_gate(f"rx({angle}) q[0];")
+
+
+@pytest.mark.parametrize("statement,part", [
+    ("u3(1,nan,0) q[0]", "nan"),
+    ("u2(0,inf) q[0]", "inf"),
+    ("u3(0,1_0,0) q[0]", "1_0"),
+    ("u2(0,١) q[0]", "١"),
+])
+def test_a_parameter_list_names_the_one_part_that_cannot_be_evaluated(statement, part):
+    # float() reads every one of these parts; the whole list is read at once
+    # only when each part is a finite plain number.
+    with pytest.raises(QasmError) as err:
+        _one_gate(statement + ";")
+    assert str(err.value) == f"cannot evaluate angle {part!r} in statement {statement!r}"
+
+
+@pytest.mark.parametrize("statement,expected", [
+    ("u3(pi/2,0.5,-pi) q[0];", (math.pi / 2, 0.5, -math.pi)),
+    ("u3(0.1, -2.5e-3 ,3) q[0];", (0.1, -2.5e-3, 3.0)),
+    ("u2(1e308,1e308) q[0];", (1e308, 1e308)),  # finite parts, an overflowing sum
+])
+def test_parameter_lists_read_bit_for_bit(statement, expected):
+    assert [a.hex() for a in _one_gate(statement).params] == [a.hex() for a in expected]

@@ -110,6 +110,14 @@ def test_a_coupled_backend_with_too_few_edges_is_rejected_at_once():
     assert time.perf_counter() - start < 1.0
 
 
+def test_a_coupled_backend_refuses_natives_on_three_qubits():
+    natives = ("u3", "cx", "ccx")
+    with pytest.raises(ConfigError, match="native gate 'ccx' of 'line' acts on 3 qubits"):
+        BackendModel(name="line", qubit_count=3, native_gates=natives,
+                     coupling_map=((0, 1), (1, 2)))
+    assert BackendModel(name="all", qubit_count=3, native_gates=natives).native_gates == natives
+
+
 def test_native_names_that_match_no_gate_label_are_accepted():
     assert load_backend({"qubit_count": 2, "native_gates": ["rz", "id", "cx"]}).native_gates == (
         "rz", "id", "cx")

@@ -1,6 +1,8 @@
 """Circuit IR: wiring, labels, depth, width, stages."""
 
+import copy
 import dataclasses
+import pickle
 import random
 from fractions import Fraction
 
@@ -420,18 +422,79 @@ def test_duplicate_register_names_rejected():
 def test_label_is_fixed_at_construction_and_left_out_of_eq_hash_and_repr():
     a, b, c = Register("q", 3).refs()
     cx = Gate.cx(a, b)
-    label = {f.name: f for f in dataclasses.fields(Gate)}["label"]
-    assert not label.init and not label.compare and not label.repr
     assert "label" not in repr(cx)
     twin = Gate.cx(a, b)
-    object.__setattr__(twin, "label", "other")
-    assert twin == cx and hash(twin) == hash(cx)
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    assert twin is not cx and twin == cx and hash(twin) == hash(cx)
+    with pytest.raises(AttributeError):
         cx.label = "ccx"
-    ccx = dataclasses.replace(cx, controls=(Control(a), Control(c)))
+    ccx = cx._replace(controls=(Control(a), Control(c)))
     assert ccx.label == "ccx" and cx.label == "cx"
-    assert dataclasses.replace(cx, controls=(Control(a, False),)).label == "mcx"
-    assert dataclasses.replace(ccx, controls=()).label == "x"
+    assert cx._replace(controls=(Control(a, False),)).label == "mcx"
+    assert ccx._replace(controls=()).label == "x"
+
+
+def _sample_gates():
+    a, b = Register("q", 2).refs()
+    return (Gate.h(a), Gate.cx(a, b), Gate.u3(0.5, -1.25, 3.0, b),
+            Gate.root_x(Fraction(-1, 4), b, a), Gate.measure(a, 1))
+
+
+_CLONES = {"copy": copy.copy, "deepcopy": copy.deepcopy,
+           "pickle": lambda g: pickle.loads(pickle.dumps(g))}
+
+
+@pytest.mark.parametrize("clone", _CLONES.values(), ids=_CLONES.keys())
+def test_copies_and_pickles_rebuild_an_equal_gate_with_its_label(clone):
+    for g in _sample_gates():
+        twin = clone(g)
+        assert type(twin) is Gate and twin == g and twin.label == g.label
+
+
+def test_copies_and_pickles_build_through_the_checks(monkeypatch):
+    # Each rebuild passes through __new__ with the six input fields.
+    built = []
+    new = Gate.__new__
+
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    cx = _sample_gates()[1]
+    monkeypatch.setattr(Gate, "__new__", counted)
+    for clone in _CLONES.values():
+        clone(cx)
+    monkeypatch.undo()
+    assert built == [cx[:-1]] * len(_CLONES)
+
+
+def test_replace_and_make_run_the_checks():
+    a, b = Register("q", 2).refs()
+    cx = Gate.cx(a, b)
+    with pytest.raises(CircuitError, match="appears twice"):
+        cx._replace(targets=(a,))
+    with pytest.raises(CircuitError, match=r"u3 gate takes 3 parameter\(s\)"):
+        Gate._make(("u3", (a,), (), (1.0,), None, None))
+    with pytest.raises(ValueError, match="unexpected field names: \\['label'\\]"):
+        cx._replace(label="ccx")
+    u3 = Gate.u3(0.1, 0.2, 0.3, a)
+    assert Gate._make(u3) == u3 and Gate._make(u3[:-1]).label == "u3"
+
+
+def test_repr_is_the_dataclass_form_without_label():
+    assert [repr(g) for g in _sample_gates()] == [
+        "Gate(kind='h', targets=(QubitRef(register='q', offset=0),), controls=(), params=(), "
+        "exponent=None, classical_bit=None)",
+        "Gate(kind='x', targets=(QubitRef(register='q', offset=1),), controls=(Control(qubit="
+        "QubitRef(register='q', offset=0), positive=True),), params=(), exponent=None, "
+        "classical_bit=None)",
+        "Gate(kind='u3', targets=(QubitRef(register='q', offset=1),), controls=(), "
+        "params=(0.5, -1.25, 3.0), exponent=None, classical_bit=None)",
+        "Gate(kind='rootx', targets=(QubitRef(register='q', offset=1),), controls=(Control(qubit="
+        "QubitRef(register='q', offset=0), positive=True),), params=(), "
+        "exponent=Fraction(-1, 4), classical_bit=None)",
+        "Gate(kind='measure', targets=(QubitRef(register='q', offset=0),), controls=(), "
+        "params=(), exponent=None, classical_bit=1)",
+    ]
 
 
 def _staged_random_circuit(rng):

@@ -355,6 +355,22 @@ def test_a_native_gate_with_no_qasm_form_exits_two_before_writing(runner, seqdir
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("verb", ["transpile", "simulate"])
+def test_a_coupled_backend_with_a_three_qubit_native_exits_two_before_writing(runner, seqdir, verb):
+    # Routing brings only two qubits together, so the loader refuses ccx on a coupling map.
+    backend = seqdir / "line.json"
+    backend.write_text(json.dumps({"name": "line", "qubit_count": 40,
+                                   "native_gates": ["u1", "u2", "u3", "cx", "ccx"],
+                                   "coupling_map": [[k, k + 1] for k in range(39)]}))
+    out = seqdir / "out"
+    out.mkdir()
+    result = runner.invoke(main, _args(seqdir, verb, "--backend", str(backend)))
+    assert result.exit_code == 2, result.output
+    assert "configuration error" in result.output
+    assert "native gate 'ccx' of 'line' acts on 3 qubits" in result.output
+    assert list(out.iterdir()) == []
+
+
 def test_routing_swaps_are_lowered_to_the_native_set(runner, tmp_path):
     # A coupled trapped-ion set: swaps, like every other gate, end as rx, ry and rxx.
     backend = tmp_path / "ion-line.json"

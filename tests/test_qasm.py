@@ -1,5 +1,6 @@
 """OpenQASM 2.0 emission and ingestion."""
 
+import gc
 import math
 import random
 import re
@@ -490,3 +491,19 @@ def test_each_declaration_and_classical_bit_is_checked():
                        "measure q[0] -> c[1];\nmeasure q[0] -> d[0];\n")
     assert three.classical_bits == 3
     assert [g.classical_bit for g in three.gates] == [1, 2]
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parsing_leaves_the_garbage_collector_as_it_found_it(enabled):
+    # parse_qasm pauses automatic collection while it builds the circuit.
+    program = "OPENQASM 2.0;\nqreg q[2];\ncx q[0],q[1];\n"
+    (gc.enable if enabled else gc.disable)()
+    try:
+        parse_qasm(program)
+        after_parse = gc.isenabled()
+        with pytest.raises(QasmError, match="appears twice"):
+            parse_qasm(program + "cx q[0],q[0];\n")
+        after_error = gc.isenabled()
+    finally:
+        gc.enable()
+    assert after_parse is enabled and after_error is enabled
