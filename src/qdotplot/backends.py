@@ -122,6 +122,8 @@ def _from_dict(raw: dict, fallback_name: str = "backend") -> BackendModel:
             coupling_map=coupling,
             gate_time_seconds=None if gate_time_ns is None else gate_time_ns * 1e-9,
         )
+    except ConfigError:
+        raise  # a field or a refusal that already names itself
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed backend description: {exc}") from exc
 

@@ -75,12 +75,8 @@ def _load_pair(config: RunConfig) -> tuple[SymbolSequence, SymbolSequence, str]:
     else:
         raw_q = read_sequence_file(config.query_path, preset)
         name += "-" + Path(config.query_path).stem
-    table = preset
-    if table is None:
-        # One shared first-appearance code table across both files.
-        table = {}
-        for s in raw_r + raw_q:
-            table.setdefault(s, len(table))
+    # auto: one shared first-appearance code table across both files.
+    table = preset or map_alphabet(raw_r + raw_q).alphabet
     r, q = pad_pair(map_alphabet(raw_r, table), map_alphabet(raw_q, table))
     return r, q, name
 
@@ -108,7 +104,7 @@ def run_pipeline(config: RunConfig, validate: bool = False) -> int:
     """ingest -> encode -> build -> lower/route -> estimate, artifacts on disk.
 
     With validate, both validation procedures check the pattern circuit just
-    built and compiled, after its statevector cap and the shots are checked.
+    built, before lowering, after its statevector cap and the shots are checked.
     Returns the process exit code (0, or 1 when a requested validation fails)."""
     r, q, dataset = _load_pair(config)
     circuit = build_pattern_circuit(r, q, use_minimizer=config.use_minimizer)
@@ -231,7 +227,7 @@ def build(**kwargs):
 
 @main.command()
 @_build_options
-def estimate_cmd(**kwargs):
+def estimate(**kwargs):
     """Resource report (width, stage depths, gate counts, runtime)."""
     config = RunConfig(**kwargs)
     r, q, dataset = _load_pair(config)
@@ -309,8 +305,7 @@ def compare_modes(**kwargs):
     return 0
 
 
-main.add_command(estimate_cmd, name="estimate")
-main.add_command(build, name="transpile")
+main.commands["transpile"] = build  # the same verb under its other name
 
 if __name__ == "__main__":
     main()

@@ -110,26 +110,28 @@ def c4x_network(c0, c1, c2, c3, target) -> list[Gate]:
     )
 
 
+def _echo(controls, target, pool) -> list[Gate]:
+    # A = X on pool[0] controlled by the first ceil(c/2) controls, B = X on
+    # target controlled by the rest and pool[0]; A B A B cancels whatever
+    # pool[0] held. Every pool qubit may be in any state: each piece borrows
+    # the qubits the other half leaves idle.
+    anc, half = pool[0], (len(controls) + 1) // 2
+    first, rest = list(controls[:half]), list(controls[half:])
+    a = _mcx_borrowed(first, anc, rest + [target] + pool[1:])
+    b = _mcx_borrowed(rest + [anc], target, first + pool[1:])
+    return a + b + a + b
+
+
 def _mcx_borrowed(controls, target, pool) -> list[Gate]:
-    # pool holds qubits that may be in any state; they are borrowed and
-    # restored by the A B A B echo.
+    # Two or more positive controls; pool holds borrowed qubits.
     c = len(controls)
-    if c == 0:
-        return [Gate.x(target)]
-    if c == 1:
-        return [Gate.cx(controls[0], target)]
     if c == 2:
         return [Gate.ccx(controls[0], controls[1], target)]
     if c == 3:
         return c3x_network(*controls, target)
     if c == 4:
         return c4x_network(*controls, target)
-    anc = pool[0]
-    half = (c + 1) // 2
-    first, rest = list(controls[:half]), list(controls[half:])
-    a = _mcx_borrowed(first, anc, rest + [target] + pool[1:])
-    b = _mcx_borrowed(rest + [anc], target, first + pool[1:])
-    return a + b + a + b
+    return _echo(controls, target, pool)
 
 
 def decompose_mcx_single_ancilla(gate: Gate, ancilla: QubitRef) -> list[Gate]:
@@ -147,14 +149,7 @@ def decompose_mcx_single_ancilla(gate: Gate, ancilla: QubitRef) -> list[Gate]:
         return rewrite_negative_controls(gate)
     if ancilla in set(gate.qubits()):
         raise CircuitError("ancilla overlaps the gate's own qubits")
-
-    def echo(controls):
-        first, rest = controls[:(c + 1) // 2], controls[(c + 1) // 2:]
-        a = _mcx_borrowed(first, ancilla, rest + [target])
-        b = _mcx_borrowed(rest + [ancilla], target, first)
-        return a + b + a + b
-
-    return rewrite_negative_controls(gate, echo)
+    return rewrite_negative_controls(gate, lambda controls: _echo(controls, target, [ancilla]))
 
 
 def ccx_network(a, b, target) -> list[Gate]:

@@ -20,10 +20,8 @@ from .errors import LoweringError
 
 
 def _bfs_path(adj: dict, start: int, goal: int) -> list[int]:
-    # Deterministic shortest path: neighbors are pre-sorted, first-found
-    # predecessor wins.
-    if start == goal:
-        return [start]
+    # Deterministic shortest path between two distinct qubits: neighbors are
+    # pre-sorted, first-found predecessor wins.
     prev = {start: None}
     frontier = [start]
     while frontier:

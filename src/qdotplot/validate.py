@@ -1,8 +1,8 @@
 """Classical dot-plot oracle and the two circuit validation procedures.
 
 Both procedures take as the oracle every gate of a given circuit before its
-first measurement: the pattern circuit that a CLI run built and compiled,
-or, when no circuit is given, a fresh build_dotplot_circuit.
+first measurement: the pattern circuit that a CLI run built, before it was
+lowered, or, when no circuit is given, a fresh build_dotplot_circuit.
 
 Method 1 (exhaustive): drop the oracle's init stage, supply every (x, y)
 basis pair as an input, propagate bits through the match oracle on

@@ -419,6 +419,12 @@ def test_duplicate_register_names_rejected():
         Circuit(registers=(Register("a", 1, "x"), Register("a", 2, "y")))
 
 
+def test_ancilla_register_skips_a_name_taken_by_another_role():
+    taken = Circuit(registers=(Register("anc", 2, "data"),))
+    extra = taken.ancilla_register(3)
+    assert (extra.name, extra.size, extra.role) == ("anc1", 3, "ancilla")
+
+
 def test_label_is_fixed_at_construction_and_left_out_of_eq_hash_and_repr():
     a, b, c = Register("q", 3).refs()
     cx = Gate.cx(a, b)

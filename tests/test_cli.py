@@ -371,6 +371,27 @@ def test_a_coupled_backend_with_a_three_qubit_native_exits_two_before_writing(ru
     assert list(out.iterdir()) == []
 
 
+_LINE = [[k, k + 1] for k in range(39)]
+
+
+@pytest.mark.parametrize("natives, coupling, message", [
+    (["u1", "u2", "u3", "cx", "ccx"], _LINE, "native gate 'ccx' of 'b' acts on 3 qubits"),
+    (["u1", "u2", "u3", "cx", "mcx"], _LINE, "native gate 'mcx' of 'b' has no OpenQASM 2.0 form"),
+    # 39 edges, enough to reach the walk, but none joins qubits 19 and 20.
+    (["u1", "u2", "u3", "cx"], [e for e in _LINE if e != [19, 20]] + [[0, 2]],
+     "coupling map of 'b' is not connected"),
+], ids=["ccx", "mcx", "not-connected"])
+def test_a_refused_well_formed_backend_is_not_called_malformed(runner, seqdir, natives, coupling,
+                                                              message):
+    backend = seqdir / "backend.json"
+    backend.write_text(json.dumps({"name": "b", "qubit_count": 40, "native_gates": natives,
+                                   "coupling_map": coupling}))
+    result = runner.invoke(main, _args(seqdir, "transpile", "--backend", str(backend)))
+    assert result.exit_code == 2, result.output
+    assert f"configuration error: {message}" in result.output
+    assert "malformed" not in result.output
+
+
 def test_routing_swaps_are_lowered_to_the_native_set(runner, tmp_path):
     # A coupled trapped-ion set: swaps, like every other gate, end as rx, ry and rxx.
     backend = tmp_path / "ion-line.json"

@@ -339,6 +339,34 @@ def test_unloweable_gate_raises():
         lower_to_native(c, bare, "ccnot_chain")
 
 
+def test_ion_natives_lower_to_u3_and_cx():
+    # rx, ry and rxx, the output of an ion-40 lowering, each have a path to {u3, cx}.
+    r = _r(3)
+    gates = [Gate.ccx(r[0], r[1], r[2]), Gate.cx(r[2], r[0]), Gate.x(r[1])]
+    ion = lower_to_native(Circuit(registers=(r,)).append_stages([("s", gates)]), ION_SET)
+    assert set(gate_counts(ion)) == {"rx", "ry", "rxx"}
+    u3_cx = BackendModel(name="test-u3-cx", qubit_count=16, native_gates=("u3", "cx"))
+    lowered = lower_to_native(ion, u3_cx)
+    assert set(gate_counts(lowered)) == {"u3", "cx"}
+    # The truth table of the three gates, wire 0 the least significant bit.
+    want = np.zeros((8, 8), dtype=complex)
+    for s in range(8):
+        bit = [(s >> w) & 1 for w in range(3)]
+        bit[2] ^= bit[0] & bit[1]
+        bit[0] ^= bit[2]
+        bit[1] ^= 1
+        want[bit[0] | bit[1] << 1 | bit[2] << 2, s] = 1.0
+    assert equal_up_to_phase(circuit_unitary(lowered), want)
+
+
+def test_ry_without_ry_or_u3_has_no_native_path():
+    r = _r(1)
+    c = Circuit(registers=(r,)).append_stages([("s", [Gate.ry(0.3, r[0])])])
+    no_ry = BackendModel(name="no-ry", qubit_count=4, native_gates=("rx", "rxx"))
+    with pytest.raises(LoweringError, match="no native path for ry on backend 'no-ry'"):
+        lower_to_native(c, no_ry)
+
+
 @pytest.mark.parametrize("backend", ["allsim", "superconducting-53", "ion-40"])
 def test_two_control_rootx_cannot_be_lowered(backend):
     # allsim's crootx used to admit it, and the emitter then wrote a

@@ -142,6 +142,28 @@ def test_parse_rejects_bad_input():
         parse_qasm("OPENQASM 2.0;\nqreg q[1];\nmeasure q[0] -> c[0];")  # no creg
 
 
+def test_a_qreg_named_c_moves_the_creg_to_c_():
+    c, q = Register("c", 2), Register("q", 1)
+    gates = (Gate.cx(c[0], q[0]), Gate.h(c[1]), Gate.measure(q[0], 0), Gate.measure(c[0], 1))
+    circuit = Circuit((c, q), gates, 2)
+    text = qasm_text(circuit)
+    assert "creg c_[2];" in text and "measure c[0] -> c_[1];" in text
+    back = parse_qasm(text)
+    assert back.gates == circuit.gates
+    assert back.classical_bits == 2
+
+
+@pytest.mark.parametrize("statement, message", [
+    ("u3(0.1,0.2 q[0];", "unclosed parameter list in statement 'u3(0.1,0.2 q[0]'"),
+    ("measure q[0] c[0];", "malformed measure in statement 'measure q[0] c[0]'"),
+    ("measure q[0] -> c;", "malformed measure in statement 'measure q[0] -> c'"),
+])
+def test_unclosed_parameters_and_malformed_measures_are_named(statement, message):
+    with pytest.raises(QasmError) as info:
+        parse_qasm("OPENQASM 2.0;\nqreg q[1];\ncreg c[1];\n" + statement)
+    assert str(info.value) == message
+
+
 def test_gate_counts_unaffected_by_angle_formatting():
     a = Register("a", 1, "x")
     c = Circuit(registers=(a,)).append_stages([("s", [Gate.phase(1 / 3, a[0])])])
