@@ -18,8 +18,8 @@ and simulate; simulate also takes --mcx-mode, which it ignores. Exit codes: 0 su
 validation failed, 2 configuration error or resource limit (an --out that
 cannot be made a directory, circuit wider than the backend, a backend with
 no native path for a needed gate, the statevector cap of validate, the
-plot-cell cap of simulate, shots below 1, a negative seed), 3 internal
-error.
+plot-cell cap of simulate, shots below 1 or above simulate.SHOT_CAP, a
+negative seed), 3 internal error.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .sequences import (
     pad_pair,
     read_sequence_file,
 )
-from .simulate import check_qubit_cap, sample_pattern
+from .simulate import check_qubit_cap, check_shots, sample_pattern
 from .validate import validate_exhaustive, validate_sampling
 
 _MODE_FLAGS = {"chain": "ccnot_chain", "single-ancilla": "single_ancilla"}
@@ -110,8 +110,7 @@ def run_pipeline(config: RunConfig, validate: bool = False) -> int:
     circuit = build_pattern_circuit(r, q, use_minimizer=config.use_minimizer)
     if validate:
         check_qubit_cap(circuit.n_qubits)
-        if config.shots < 1:
-            raise ConfigError(f"shots must be >= 1, got {config.shots}")
+        check_shots(config.shots)
     compiled, report, out = _compile(config, circuit, dataset)
     emit_qasm(compiled, out / "qpr.qasm")
     (out / "report.csv").write_text(reports_to_csv([report]), encoding="utf-8")

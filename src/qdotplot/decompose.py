@@ -10,7 +10,12 @@ Two interchangeable strategies remove high arity X gates:
   scratch space is needed beyond that one qubit.
 
 `lower_to_native` drives either strategy and keeps rewriting until every
-gate is in the backend's native set, preserving stage marks.
+gate is in the backend's native set, preserving stage marks. After the
+multi-control, negative-control and multi-target rewrites, every gate form
+lowers by its row of NATIVE_RULES, keyed by Gate.label: the natives the
+rule needs and the gates that stand for the form. A label with no row
+cannot be lowered, and a row whose natives the backend lacks has no native
+path there.
 """
 
 from __future__ import annotations
@@ -242,6 +247,33 @@ def u3_ion_network(theta, phi, lam, target) -> list[Gate]:
     ]
 
 
+# label -> (the natives the rule needs, the gates that stand for a gate of
+# that label, built from its operands), each exact up to a global phase.
+NATIVE_RULES = {
+    "x": ((), lambda t: [Gate.u3(math.pi, 0.0, math.pi, t)]),
+    "cx": (("rx", "ry", "rxx"), cx_ion_network),
+    "ccx": ((), ccx_network),
+    "p": ((), lambda lam, t: [Gate.u3(0.0, 0.0, lam, t)]),
+    "cp": ((), cphase_network),
+    "rootx": ((), lambda e, t: [Gate.u3(math.pi * float(e), -math.pi / 2, math.pi / 2, t)]),
+    "crootx": ((), crootx_network),
+    "swap": ((), swap_network),
+    "h": ((), lambda t: [Gate.u2(0.0, math.pi, t)]),
+    "u2": ((), lambda phi, lam, t: [Gate.u3(math.pi / 2, phi, lam, t)]),
+    "u3": (("rx", "ry"), u3_ion_network),
+    "rx": (("u3",), lambda theta, t: [Gate.u3(theta, -math.pi / 2, math.pi / 2, t)]),
+    "ry": (("u3",), lambda theta, t: [Gate.u3(theta, 0.0, 0.0, t)]),
+    "rxx": ((), rxx_network),
+}
+
+
+def _operands(g: Gate) -> tuple:
+    """A gate's operands in the order its NATIVE_RULES row takes them: the
+    parameters or root exponent, then the control qubits, then the targets."""
+    exponent = () if g.exponent is None else (g.exponent,)
+    return (*g.params, *exponent, *[c.qubit for c in g.controls], *g.targets)
+
+
 def _ancilla_pool(circuit: Circuit, mcx_mode: str) -> tuple[tuple[Register, ...], tuple]:
     """The circuit's registers, widened by the ancillas mcx_mode needs, and the ancilla pool."""
     biggest = max((len(g.controls) for g in circuit.gates if g.kind == "x"), default=0)
@@ -336,55 +368,22 @@ def native_lowering(backend, mcx_mode: str = "ccnot_chain", pool: tuple = ()):
         return out
 
     def _expand(g: Gate) -> list[Gate]:
-        kind, c = g.kind, len(g.controls)
-        if kind == "x" and c > 2 and len(g.targets) == 1 and mcx_mode == "ccnot_chain":
+        c = len(g.controls)
+        if g.kind == "x" and c > 2 and len(g.targets) == 1 and mcx_mode == "ccnot_chain":
             return lower_all(decompose_mcx_chain(g, pool[: c - 2], ladder, x_piece))
         if any(not ctl.positive for ctl in g.controls):
             return lower_all(rewrite_negative_controls(g, x=x_piece))
-        if kind == "x":
-            if len(g.targets) > 1:
-                return lower_all(Gate(kind, (t,), g.controls) for t in g.targets)
-            if c == 0:
-                return lower_all([Gate.u3(math.pi, 0.0, math.pi, g.targets[0])])
-            if c == 1:
-                if {"rx", "ry", "rxx"} <= native:
-                    return lower_all(cx_ion_network(g.controls[0].qubit, g.targets[0]))
-                raise LoweringError(f"no native path for cx on backend {backend.name!r}")
-            if c == 2:
-                return lower_all(ccx_network(g.controls[0].qubit, g.controls[1].qubit, g.targets[0]))
+        if g.kind == "x" and len(g.targets) > 1:
+            return lower_all(Gate("x", (t,), g.controls) for t in g.targets)
+        if g.label == "mcx":
             return lower_all(decompose_mcx_single_ancilla(g, pool[0]))
-        if kind == "p":
-            if c == 0:
-                return lower_all([Gate.u3(0.0, 0.0, g.params[0], g.targets[0])])
-            if c == 1:
-                return lower_all(cphase_network(g.params[0], g.controls[0].qubit, g.targets[0]))
-        if kind == "rootx":
-            s = float(g.exponent)
-            if c == 0:
-                return lower_all([Gate.u3(math.pi * s, -math.pi / 2, math.pi / 2, g.targets[0])])
-            if c == 1:
-                return lower_all(crootx_network(g.exponent, g.controls[0].qubit, g.targets[0]))
-        if kind == "swap":
-            return lower_all(swap_network(*g.targets))
-        if kind == "h":
-            return lower_all([Gate.u2(0.0, math.pi, g.targets[0])])
-        if kind == "u2":
-            return lower_all([Gate.u3(math.pi / 2, g.params[0], g.params[1], g.targets[0])])
-        if kind == "u3":
-            if {"rx", "ry"} <= native:
-                return lower_all(u3_ion_network(*g.params, g.targets[0]))
-            raise LoweringError(f"no native path for u3 on backend {backend.name!r}")
-        if kind == "rx":
-            if "u3" in native:
-                return lower_all([Gate.u3(g.params[0], -math.pi / 2, math.pi / 2, g.targets[0])])
-            raise LoweringError(f"no native path for rx on backend {backend.name!r}")
-        if kind == "ry":
-            if "u3" in native:
-                return lower_all([Gate.u3(g.params[0], 0.0, 0.0, g.targets[0])])
-            raise LoweringError(f"no native path for ry on backend {backend.name!r}")
-        if kind == "rxx":
-            return lower_all(rxx_network(g.params[0], *g.targets))
-        raise LoweringError(f"cannot lower {g.label}")
+        rule = NATIVE_RULES.get(g.label)
+        if rule is None:
+            raise LoweringError(f"cannot lower {g.label}")
+        needs, stand_in = rule
+        if not native.issuperset(needs):
+            raise LoweringError(f"no native path for {g.label} on backend {backend.name!r}")
+        return lower_all(stand_in(*_operands(g)))
 
     return lower_all
 

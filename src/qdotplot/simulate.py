@@ -9,9 +9,13 @@ its control planes into each target. run_cells runs an oracle on every plot
 cell, whose x and y planes are the bit patterns of the cell index;
 toffoli_run_batch packs given states into planes and unpacks the result;
 toffoli_run is the scalar reference, returning (bits, classical) for one
-state. The statevector engine holds all 2^n amplitudes and applies gates
-as in-place amplitude updates on a [2]*n view; wire q maps to tensor axis
-n-1-q so that wire 0 is the least significant bit of the basis index.
+state. The statevector engine holds all 2^n amplitudes as a [2]*n view;
+wire q maps to tensor axis n-1-q so that wire 0 is the least significant
+bit of the basis index. It applies every gate by one block rule
+(_Engine.apply): fix each control at its firing value, take the 2^k blocks
+that the k targets pick out, then, for an X, trade block b with block
+2^k-1-b, or else combine the blocks by the gate's 2x2 or 4x4 matrix
+(_matrix); a measure reads and collapses the two blocks of its wire.
 statevector_run returns (amplitudes, classical) and collapses the state
 at each measure; sample defers mid-circuit measurements, draws from one
 dense pass over the support of its distribution, and tallies the draws in
@@ -24,7 +28,6 @@ cells (run_cells) and an FFT stands in for the inverse QFT
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -34,12 +37,23 @@ from .errors import ConfigError
 
 DEFAULT_QUBIT_CAP = 24
 READOUT_CELL_CAP = 1 << 20
+# A draw holds an 8-byte index and an 8-byte uniform per shot: validate of
+# an 8 bp pair peaks near 190 MB at the cap.
+SHOT_CAP = 10_000_000
 
 
 def check_qubit_cap(n: int, cap: int = DEFAULT_QUBIT_CAP, engine: str = "statevector") -> None:
     """Raise ConfigError when a dense engine would hold more than cap qubits."""
     if n > cap:
         raise ConfigError(f"{n} qubits exceeds the {engine} cap of {cap}")
+
+
+def check_shots(shots: int) -> None:
+    """Raise ConfigError unless 1 <= shots <= SHOT_CAP."""
+    if shots < 1:
+        raise ConfigError(f"shots must be >= 1, got {shots}")
+    if shots > SHOT_CAP:
+        raise ConfigError(f"{shots} shots exceed the shot cap of {SHOT_CAP}")
 
 
 # -- Toffoli engine ---------------------------------------------------------
@@ -206,21 +220,20 @@ def _u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
     )
 
 
-def _rootx_matrix(exponent: Fraction) -> np.ndarray:
-    e = np.exp(1j * np.pi * float(exponent))
-    return 0.5 * np.array([[1 + e, 1 - e], [1 - e, 1 + e]])
-
-
 _H = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+_SWAP = np.eye(4)[[0, 2, 1, 3]]
 
 
-def _matrix_1q(g: Gate) -> np.ndarray:
+def _matrix(g: Gate) -> np.ndarray:
+    """The matrix of a gate's target block: 2x2 on one target, 4x4 on two,
+    whose row index is 2*bit(first target) + bit(second)."""
     if g.kind == "h":
         return _H
     if g.kind == "p":
         return np.array([[1, 0], [0, np.exp(1j * g.params[0])]])
     if g.kind == "rootx":
-        return _rootx_matrix(g.exponent)
+        e = np.exp(1j * np.pi * float(g.exponent))
+        return 0.5 * np.array([[1 + e, 1 - e], [1 - e, 1 + e]])
     if g.kind == "u2":
         return _u3_matrix(math.pi / 2, *g.params)
     if g.kind == "u3":
@@ -229,17 +242,12 @@ def _matrix_1q(g: Gate) -> np.ndarray:
         return _u3_matrix(g.params[0], -math.pi / 2, math.pi / 2)
     if g.kind == "ry":
         return _u3_matrix(g.params[0], 0.0, 0.0)
-    raise ValueError(f"no single-qubit matrix for {g.kind!r}")
-
-
-_SWAP = np.eye(4)[[0, 2, 1, 3]]
-
-
-def _matrix_2q(g: Gate) -> np.ndarray:
     if g.kind == "swap":
         return _SWAP
-    c, s = math.cos(g.params[0] / 2), -1j * math.sin(g.params[0] / 2)
-    return np.array([[c, 0, 0, s], [0, c, s, 0], [0, s, c, 0], [s, 0, 0, c]])
+    if g.kind == "rxx":
+        c, s = math.cos(g.params[0] / 2), -1j * math.sin(g.params[0] / 2)
+        return np.array([[c, 0, 0, s], [0, c, s, 0], [0, s, c, 0], [s, 0, 0, c]])
+    raise ValueError(f"no matrix for {g.kind!r}")
 
 
 class _Engine:
@@ -250,56 +258,53 @@ class _Engine:
         self.t = tensor
         self.wires = dict(zip(map(id, circuit.gates), circuit.wires))
 
-    def _controlled_view(self, controls):
-        idx = [slice(None)] * self.t.ndim
-        collapsed = []
-        for wire, positive in controls:
-            ax = self.n - 1 - wire
-            idx[ax] = 1 if positive else 0
-            collapsed.append(ax)
-        return self.t[tuple(idx)], sorted(collapsed)
-
-    def _view_axis(self, wire, collapsed):
-        ax = self.n - 1 - wire
-        return ax - sum(1 for c in collapsed if c < ax)
-
-    @staticmethod
-    def _slices(view, ax):
-        s0 = [slice(None)] * view.ndim
-        s1 = [slice(None)] * view.ndim
-        s0[ax], s1[ax] = 0, 1
-        return tuple(s0), tuple(s1)
-
-    def apply_1q(self, m: np.ndarray, wire: int, controls=()):
-        view, coll = self._controlled_view(controls)
-        s0, s1 = self._slices(view, self._view_axis(wire, coll))
-        a = view[s0].copy()
-        b = view[s1]
-        view[s0] = m[0, 0] * a + m[0, 1] * b
-        view[s1] = m[1, 0] * a + m[1, 1] * b
-
-    def apply_x(self, wires, controls=()):
-        view, coll = self._controlled_view(controls)
-        for w in wires:
-            s0, s1 = self._slices(view, self._view_axis(w, coll))
-            tmp = view[s0].copy()
-            view[s0] = view[s1]
-            view[s1] = tmp
-
-    def apply_2q(self, m: np.ndarray, w1: int, w2: int):
-        """Apply the 4x4 matrix m, whose row index is 2*bit(w1) + bit(w2)."""
-        a1, a2 = self.n - 1 - w1, self.n - 1 - w2
+    def _blocks(self, targets, controls=()) -> list[tuple]:
+        """The index of each of the 2^k blocks in which every control, a
+        (wire, Control) pair, reads its firing value and the k target wires
+        read the bits of the block number, the first target's bit highest.
+        Each index ends with ..., so even a block that fixes every axis is
+        a view."""
+        last = self.n - 1
+        idx = [slice(None)] * self.n + [...]
+        for wire, c in controls:
+            idx[last - wire] = 1 if c.positive else 0
         blocks = []
-        for b in range(4):
-            idx = [slice(None)] * self.t.ndim
-            idx[a1], idx[a2] = b >> 1, b & 1
+        for b in range(1 << len(targets)):
+            for wire in reversed(targets):
+                idx[last - wire] = b & 1
+                b >>= 1
             blocks.append(tuple(idx))
-        old = [self.t[i].copy() for i in blocks]
-        for row, i in zip(m, blocks):
-            self.t[i] = sum(c * b for c, b in zip(row, old) if c)
+        return blocks
+
+    def apply(self, g: Gate, rng=None):
+        """One rule for every gate: fix the controls, take the blocks the
+        targets pick out, then swap the blocks (X) or combine them by the
+        gate's matrix."""
+        wires = self.wires[id(g)]
+        n = len(g.targets)
+        blocks = self._blocks(wires[:n], zip(wires[n:], g.controls))
+        t = self.t
+        if g.kind == "x":
+            # X on all k targets trades block b with block 2^k - 1 - b.
+            for s0, s1 in zip(blocks[: len(blocks) // 2], blocks[::-1]):
+                tmp = t[s0].copy()
+                t[s0] = t[s1]
+                t[s1] = tmp
+            return
+        # Every block is copied but the last, which is written last. Each
+        # row's terms are made one at a time and added in place: a large
+        # temporary is page-faulted afresh whenever it is allocated.
+        old = [t[i].copy() for i in blocks[:-1]] + [t[blocks[-1]]]
+        for row, i in zip(_matrix(g).tolist(), blocks):
+            terms = ((c, b) for c, b in zip(row, old) if c)
+            c, b = next(terms)
+            new = c * b
+            for c, b in terms:
+                new += c * b
+            t[i] = new
 
     def measure(self, wire: int, rng) -> int:
-        s0, s1 = self._slices(self.t, self.n - 1 - wire)
+        s0, s1 = self._blocks((wire,))
         p1 = float(np.sum(np.abs(self.t[s1]) ** 2))
         outcome = 1 if rng.random() < p1 else 0
         keep, drop = (s1, s0) if outcome else (s0, s1)
@@ -307,19 +312,6 @@ class _Engine:
         self.t[drop] = 0.0
         self.t[keep] = self.t[keep] / math.sqrt(p)
         return outcome
-
-    def apply(self, g: Gate, rng=None):
-        wires = self.wires[id(g)]
-        n = len(g.targets)
-        controls = [(w, c.positive) for w, c in zip(wires[n:], g.controls)]
-        if g.kind == "x":
-            self.apply_x(wires[:n], controls)
-        elif g.kind in ("swap", "rxx"):
-            self.apply_2q(_matrix_2q(g), wires[0], wires[1])
-        elif g.kind == "measure":
-            raise ValueError("unexpected measure")
-        else:
-            self.apply_1q(_matrix_1q(g), wires[0], controls)
 
 
 def statevector_run(
@@ -377,8 +369,7 @@ def _draw(
     measurement writing classical bit b reads, states the distinct states
     drawn, ascending, and counts[i] how often states[i] was drawn.
     """
-    if shots < 1:
-        raise ConfigError(f"shots must be >= 1, got {shots}")
+    check_shots(shots)
     gates = circuit.gates
     if not any(g.kind == "measure" for g in gates):
         raise ValueError("circuit has no measurements to sample")
@@ -508,8 +499,7 @@ def sample_pattern(circuit: Circuit, shots: int, seed: int = 0) -> np.ndarray:
     """Counts over (v, k), shape (2, W*H): shots draws from
     pattern_distribution(circuit) with the seeded generator. Past
     READOUT_CELL_CAP plot cells, raises ConfigError."""
-    if shots < 1:
-        raise ConfigError(f"shots must be >= 1, got {shots}")
+    check_shots(shots)
     p = pattern_distribution(circuit)
     return np.random.default_rng(seed).multinomial(shots, p.ravel()).reshape(p.shape)
 

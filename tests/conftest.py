@@ -67,6 +67,45 @@ def root_x_matrix(exponent: float) -> np.ndarray:
     return h @ np.diag([1.0, np.exp(1j * np.pi * exponent)]) @ h
 
 
+HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def rx_matrix(theta: float) -> np.ndarray:
+    """exp(-i theta/2 X) from the series closed form."""
+    return np.cos(theta / 2) * np.eye(2) - 1j * np.sin(theta / 2) * PAULI_X
+
+
+def ry_matrix(theta: float) -> np.ndarray:
+    """exp(-i theta/2 Y) from the series closed form."""
+    c, s = np.cos(theta / 2), np.sin(theta / 2)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
+    """OpenQASM 2.0's u3 as P(phi) RY(theta) P(lam), P(a) = diag(1, e^{i a})."""
+    return phase_matrix(1, [0], phi) @ ry_matrix(theta) @ phase_matrix(1, [0], lam)
+
+
+def controlled_matrix(n: int, controls, op: np.ndarray) -> np.ndarray:
+    """op (on n wires) where every (wire, positive) control fires, the
+    identity elsewhere."""
+    fire = np.array([all(((s >> w) & 1) == pos for w, pos in controls) for s in range(1 << n)])
+    return np.diag(~fire).astype(complex) + np.diag(fire) @ op
+
+
+def embed2q(n: int, a: int, b: int, m: np.ndarray) -> np.ndarray:
+    """The 4x4 m, whose row index is 2*bit(a) + bit(b), on wires a and b of n."""
+    mat = np.zeros((1 << n, 1 << n), dtype=complex)
+    rest = ~((1 << a) | (1 << b))
+    for s in range(1 << n):
+        for t in range(1 << n):
+            if s & rest == t & rest:
+                row = 2 * ((t >> a) & 1) + ((t >> b) & 1)
+                mat[t, s] = m[row, 2 * ((s >> a) & 1) + ((s >> b) & 1)]
+    return mat
+
+
 def dft_matrix(n: int) -> np.ndarray:
     """F[j, k] = exp(2 pi i j k / N) / sqrt(N) over basis indices."""
     big_n = 1 << n

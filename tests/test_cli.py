@@ -8,12 +8,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 import qdotplot
 from qdotplot import Circuit, cli
 from qdotplot.cli import main
+from qdotplot.simulate import SHOT_CAP
 
 
 @pytest.fixture
@@ -458,6 +460,20 @@ def test_validate_rejects_shots_below_one_before_writing(runner, seqdir, shots):
     result = runner.invoke(main, _args(seqdir, "validate", "--shots", shots))
     assert result.exit_code == 2
     assert f"shots must be >= 1, got {shots}" in result.output
+    out = seqdir / "out"
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("shots", [SHOT_CAP + 1, 10**20])
+@pytest.mark.parametrize("verb", ["simulate", "validate"])
+def test_shots_above_the_cap_exit_two_before_drawing(runner, seqdir, monkeypatch, verb, shots):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a generator was made for shots above the cap")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    result = runner.invoke(main, _args(seqdir, verb, "--shots", str(shots)))
+    assert result.exit_code == 2
+    assert f"configuration error: {shots} shots exceed the shot cap of {SHOT_CAP}" in result.output
     out = seqdir / "out"
     assert not out.exists() or not any(out.iterdir())
 

@@ -3,13 +3,28 @@
 import gc
 import hashlib
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import embed1q, mcx_matrix
+from conftest import (
+    HADAMARD,
+    PAULI_X,
+    controlled_matrix,
+    embed1q,
+    embed2q,
+    mcx_matrix,
+    phase_matrix,
+    root_x_matrix,
+    rx_matrix,
+    rxx_matrix,
+    ry_matrix,
+    swap_matrix,
+    u3_matrix,
+)
 from qdotplot import (
     ALPHABET_PRESETS,
     Circuit,
@@ -30,7 +45,7 @@ from qdotplot import (
     toffoli_run_batch,
 )
 from qdotplot.encoder import oracle_circuit
-from qdotplot.simulate import _Engine, run_cells, unpack_planes
+from qdotplot.simulate import SHOT_CAP, _Engine, run_cells, unpack_planes
 from qdotplot.validate import TOFFOLI_BACKEND
 
 
@@ -181,6 +196,74 @@ def test_mcx_statevector_matches_permutation_oracle():
     assert np.max(np.abs(circuit_unitary(c) - want)) < 1e-12
 
 
+_ANGLES = (0.37, -1.21, 2.05)
+
+
+def _engine_cases():
+    """(name, n, gate, reference matrix) for every kind the dense engine applies."""
+    n = 4
+    r = _reg(n)
+    th, ph, la = _ANGLES
+    one = [
+        ("h", Gate.h(r[2]), HADAMARD),
+        ("p", Gate.phase(th, r[2]), phase_matrix(1, [0], th)),
+        ("rootx", Gate.root_x(Fraction(1, 4), r[2]), root_x_matrix(0.25)),
+        ("u2", Gate.u2(ph, la, r[2]), u3_matrix(np.pi / 2, ph, la)),
+        ("u3", Gate.u3(th, ph, la, r[2]), u3_matrix(th, ph, la)),
+        ("rx", Gate.rx(th, r[2]), rx_matrix(th)),
+        ("ry", Gate.ry(ph, r[2]), ry_matrix(ph)),
+        ("x", Gate.x(r[2]), PAULI_X),
+    ]
+    for name, g, u in one:
+        yield name, n, g, embed1q(n, 2, u)
+    yield "p-reference", n, Gate.phase(la, r[1]), phase_matrix(n, [1], la)
+    for a, b in ((0, 2), (3, 1)):
+        yield f"swap-{a}{b}", n, Gate.swap(r[a], r[b]), swap_matrix(n, a, b)
+        yield f"rxx-{a}{b}", n, Gate.rxx(th, r[a], r[b]), embed2q(n, a, b, rxx_matrix(th))
+    # One and two controls of mixed polarity, above and below the target.
+    for controls in (((3, False),), ((0, True), (3, False)), ((3, True), (1, False))):
+        ctl = [Control(r[w], pos) for w, pos in controls]
+        tag = "".join(f"{w}{'+' if pos else '-'}" for w, pos in controls)
+        yield f"x-{tag}", n, Gate("x", (r[2],), tuple(ctl)), mcx_matrix(n, controls, 2)
+        yield (f"p-{tag}", n, Gate("p", (r[2],), tuple(ctl), (th,)),
+               controlled_matrix(n, controls, embed1q(n, 2, phase_matrix(1, [0], th))))
+        yield (f"rootx-{tag}", n, Gate("rootx", (r[2],), tuple(ctl), exponent=Fraction(-1, 8)),
+               controlled_matrix(n, controls, embed1q(n, 2, root_x_matrix(-0.125))))
+    yield ("x-multi-target", n, Gate("x", (r[3], r[0]), (Control(r[1], False),)),
+           mcx_matrix(n, [(1, False)], 3) @ mcx_matrix(n, [(1, False)], 0))
+    r1 = _reg(1)
+    for name, g, u in (("h", Gate.h(r1[0]), HADAMARD), ("u3", Gate.u3(th, ph, la, r1[0]), u3_matrix(th, ph, la)),
+                       ("x", Gate.x(r1[0]), PAULI_X)):
+        yield f"{name}-one-qubit", 1, g, u
+
+
+_ENGINE_CASES = [pytest.param(n, gate, want, id=name) for name, n, gate, want in _engine_cases()]
+
+
+@pytest.mark.parametrize("n,gate,want", _ENGINE_CASES)
+def test_dense_engine_matches_each_gate_kind(n, gate, want):
+    c = _circuit(n, [gate])
+    assert np.max(np.abs(circuit_unitary(c) - want)) < 1e-12
+    for initial in range(1 << n):
+        psi, _ = statevector_run(c, initial=initial)
+        assert np.max(np.abs(psi - want[:, initial])) < 1e-12
+
+
+@pytest.mark.parametrize("n,gate,want", _ENGINE_CASES)
+def test_statevector_measure_projects_each_gate_kind(n, gate, want):
+    # The gate, then a measure of its first target: the state left is the
+    # reference column projected onto the drawn outcome and renormalized.
+    w = gate.targets[0].offset
+    c = _circuit(n, [gate, Gate.measure(gate.targets[0], 0)])
+    for initial in range(1 << n):
+        for seed in range(2):
+            psi, (bit,) = statevector_run(c, seed=seed, initial=initial)
+            keep = np.array([(s >> w & 1) == bit for s in range(1 << n)])
+            projected = np.where(keep, want[:, initial], 0)
+            assert np.linalg.norm(projected) > 1e-9
+            assert np.max(np.abs(psi - projected / np.linalg.norm(projected))) < 1e-12
+
+
 def test_norm_preserved_over_long_circuit():
     rng = np.random.default_rng(7)
     n = 6
@@ -231,6 +314,23 @@ def test_resource_limits_raise_config_error(monkeypatch):
         with pytest.raises(ConfigError, match="^25 qubits exceeds the statevector cap of 24$"):
             sample(deferred, 100)
     assert issubclass(ConfigError, ValueError)
+
+
+def test_shots_outside_one_to_the_cap_raise_config_error(monkeypatch):
+    r = _reg(1)
+    c = _circuit(1, [Gate.h(r[0]), Gate.measure(r[0], 0)])
+    pattern = build_pattern_circuit(*pad_pair(map_alphabet("ACGT"), map_alphabet("AC")))
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a generator was made for shots outside the range")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    for shots in (0, SHOT_CAP + 1):
+        message = "shots must be >= 1" if shots < 1 else f"shots exceed the shot cap of {SHOT_CAP}$"
+        with pytest.raises(ConfigError, match=message):
+            sample(c, shots)
+        with pytest.raises(ConfigError, match=message):
+            sample_pattern(pattern, shots)
 
 
 def test_unitary_cap_and_measure_rejection():
