@@ -1,0 +1,104 @@
+"""Per-layer wall times of the compile pipeline, in one process.
+
+    python3 bench/layers.py
+    python3 bench/layers.py --bp 256 1024 --repeat 5
+
+Run it from anywhere; it imports the package from the src/ next to it. For
+each length it codes a seeded DNA self pair (random.Random(1) over ACGT, with
+the dna alphabet) and times build_pattern_circuit, then on allsim,
+superconducting-53 and ion-40: lower_to_native in chain mode, route, the
+level walk behind every depth (circuit._levels over the routed circuit's
+stages, as compile_circuit calls it), gate_counts, qasm_text and
+parse_qasm. Each time is the best of --repeat runs. It prints one JSON
+line: the times in seconds and the lowered and routed gate counts by length
+and backend, and the process's peak RSS. The default lengths peak at about
+1.3 GB, most of it the 4096 bp ion-40 program and its parse.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import random
+import resource
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from qdotplot import (  # noqa: E402
+    ALPHABET_PRESETS,
+    build_pattern_circuit,
+    gate_counts,
+    load_backend,
+    lower_to_native,
+    map_alphabet,
+    pad_pair,
+    parse_qasm,
+    qasm_text,
+    route,
+)
+from qdotplot.circuit import _levels  # noqa: E402
+
+BACKENDS = ("allsim", "superconducting-53", "ion-40")
+
+
+def best(repeat: int, fn, *args):
+    """(best wall time of repeat calls, the last call's result)."""
+    times = []
+    for _ in range(repeat):
+        out = None  # the previous result is not held through the next call
+        start = time.perf_counter()
+        out = fn(*args)
+        times.append(time.perf_counter() - start)
+    return round(min(times), 6), out
+
+
+def self_pair(bp: int):
+    rng = random.Random(1)
+    seq = map_alphabet("".join(rng.choice("ACGT") for _ in range(bp)), ALPHABET_PRESETS["dna"])
+    return pad_pair(seq, seq)
+
+
+def layers(bp: int, repeat: int) -> dict:
+    r, q = self_pair(bp)
+    row: dict = {}
+    row["build_pattern_circuit"], circuit = best(repeat, build_pattern_circuit, r, q)
+    for name in BACKENDS:
+        backend = load_backend(name)
+        times: dict = {}
+        times["lower_to_native"], lowered = best(repeat, lower_to_native, circuit, backend)
+        times["route"], routed = best(repeat, route, lowered, backend)
+        # Results are dropped as soon as they are timed: every live gate
+        # lengthens the collector's full passes in the layers timed after.
+        times["levels"] = best(repeat, _levels, routed, routed.stage_ranges())[0]
+        times["gate_counts"] = best(repeat, gate_counts, routed)[0]
+        times["qasm_text"], text = best(repeat, qasm_text, routed)
+        times["parse_qasm"] = best(repeat, parse_qasm, text)[0]
+        times["lowered_gates"] = len(lowered.gates)
+        times["routed_gates"] = len(routed.gates)
+        row[name] = times
+        del lowered, routed, text
+    return row
+
+
+def main(argv=None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--bp", type=int, nargs="+", default=[256, 1024, 4096],
+                    help="sequence lengths (default: 256 1024 4096)")
+    ap.add_argument("--repeat", type=int, default=3, help="runs per timing; the best is kept")
+    args = ap.parse_args(argv)
+    if args.repeat < 1 or min(args.bp) < 1:
+        ap.error("--repeat and every --bp must be at least 1")
+    result = {
+        "repeat": args.repeat,
+        "bp": {str(bp): layers(bp, args.repeat) for bp in args.bp},
+        # ru_maxrss is in KiB on Linux.
+        "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+    }
+    print(json.dumps(result, sort_keys=True))
+
+
+if __name__ == "__main__":
+    main()

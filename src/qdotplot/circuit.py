@@ -22,7 +22,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -382,8 +382,10 @@ class Circuit:
             if label or gates or marks:
                 marks.append((len(gates), label))
             gates.extend(stage)
-        # Old gates' bits are below classical_bits already.
-        top = max([g.classical_bit for g in gates if g.kind == "measure"], default=-1)
+        # Old gates' bits are below classical_bits already, so only the
+        # appended gates are scanned.
+        added = islice(gates, len(self.gates), None)
+        top = max([g.classical_bit for g in added if g.kind == "measure"], default=-1)
         bits = max(self.classical_bits, top + 1)
         return replace(self, gates=tuple(gates), classical_bits=bits, stage_marks=tuple(marks))
 
@@ -415,6 +417,12 @@ def _levels(circuit: Circuit, ranges) -> tuple[list[int], dict[str, int]]:
     level of every key after all ranges (wire w is key w, classical bit b
     is key n + b), where a key's level is the layer of the last gate on it,
     and the depth of each label measured alone.
+
+    The walk branches on a gate's wire count. Only a one-wire gate can be a
+    measure, which then updates its wire and its bit like a two-wire gate.
+    Two- and three-wire gates (the Toffolis that allsim keeps in chain
+    mode) unpack their wires and read no gate field; wider gates take the
+    general loop.
     """
     merged: list[list] = []
     for label, start, stop in ranges:
@@ -430,23 +438,37 @@ def _levels(circuit: Circuit, ranges) -> tuple[list[int], dict[str, int]]:
     for label, start, stop in merged:
         level = [0] * len(total)
         for g, keys in zip(gates[start:stop], wires[start:stop]):
-            if g.kind == "measure":
-                keys += (n + g.classical_bit,)
-            if len(keys) == 1:
-                k = keys[0]
-                level[k] += 1
-                total[k] += 1
-            elif len(keys) == 2:
+            arity = len(keys)
+            if arity == 1:
+                a = keys[0]
+                if g.kind != "measure":
+                    level[a] += 1
+                    total[a] += 1
+                    continue
+                b = n + g.classical_bit
+            elif arity == 2:
                 a, b = keys
-                la, lb, ta, tb = level[a], level[b], total[a], total[b]
-                level[a] = level[b] = (la if la > lb else lb) + 1
-                total[a] = total[b] = (ta if ta > tb else tb) + 1
+            elif arity == 3:
+                # Inline maxima: a call to max costs more than the compares.
+                a, b, c = keys
+                la, lb, lc = level[a], level[b], level[c]
+                la = la if la > lb and la > lc else lb if lb > lc else lc
+                level[a] = level[b] = level[c] = la + 1
+                ta, tb, tc = total[a], total[b], total[c]
+                ta = ta if ta > tb and ta > tc else tb if tb > tc else tc
+                total[a] = total[b] = total[c] = ta + 1
+                continue
             else:
                 here = 1 + max([level[k] for k in keys])
                 overall = 1 + max([total[k] for k in keys])
                 for k in keys:
                     level[k] = here
                     total[k] = overall
+                continue
+            # Two keys: the wires of a two-wire gate, or a measure's wire and bit.
+            la, lb, ta, tb = level[a], level[b], total[a], total[b]
+            level[a] = level[b] = (la if la > lb else lb) + 1
+            total[a] = total[b] = (ta if ta > tb else tb) + 1
         per_label[label] = per_label.get(label, 0) + max(level, default=0)
     return total, per_label
 

@@ -393,16 +393,18 @@ def lower_to_native(circuit: Circuit, backend, mcx_mode: str = "ccnot_chain") ->
 
     Stage labels are kept (an unmarked circuit stays unmarked). X pairs
     produced by adjacent negative-control rewrites cancel within each stage
-    only where bare x is native (allsim): cancellation runs on native gates,
-    so elsewhere the pairs survive in native form, such as adjacent
-    u3(pi, 0, pi) pairs on superconducting-53.
+    by a pass over the native gates that runs only where bare x is native
+    (allsim). Elsewhere every bare X is expanded by its NATIVE_RULES row, so
+    none reaches the pass and the pairs survive in native form, such as
+    adjacent u3(pi, 0, pi) pairs on superconducting-53.
     """
     if mcx_mode not in MCX_MODES:
         raise LoweringError(f"mcx_mode must be one of {MCX_MODES}")
     registers, pool = _ancilla_pool(circuit, mcx_mode)
     lower_all = native_lowering(backend, mcx_mode, pool)
+    stages = ((label, lower_all(circuit.gates[start:stop]))
+              for label, start, stop in circuit.stage_ranges())
+    if "x" in backend.native_gates:
+        stages = ((label, _cancel_x_pairs(stage)) for label, stage in stages)
     lowered = Circuit(registers, (), circuit.classical_bits, (), circuit.final_layout)
-    return lowered.append_stages(
-        (label, _cancel_x_pairs(lower_all(circuit.gates[start:stop])))
-        for label, start, stop in circuit.stage_ranges()
-    )
+    return lowered.append_stages(stages)

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdotplot import (
+    ALPHABET_PRESETS,
     Circuit,
     CircuitError,
     Control,
@@ -26,6 +27,8 @@ from qdotplot import (
     gate_counts,
     load_backend,
     lower_to_native,
+    map_alphabet,
+    pad_pair,
     parse_qasm,
     qasm_text,
     route,
@@ -544,3 +547,37 @@ def test_depth_and_stage_depths_match_a_dict_keyed_reference():
                               Gate.measure(r[2], 0), Gate.measure(r[1], 1)), 2)
     assert depth(same_bit) == dict_depth(same_bit) == 3
     assert depth(same_bit, (2, 4)) == 1
+
+
+def test_level_walk_branches_match_the_dict_reference():
+    # A measure straight after a ccx on its wire, two measures to one bit
+    # and a 4-wire mcx: every arity branch of the walk, measures through
+    # the two-key update.
+    r = Register("r", 5)
+    c = Circuit((r,), (), 2).append_stages([
+        ("s", [Gate.ccx(r[0], r[1], r[2]), Gate.measure(r[2], 0), Gate.measure(r[3], 0)]),
+        ("t", [Gate.mcx([r[0], r[1], r[3]], r[4]), Gate.cx(r[4], r[2]), Gate.h(r[0])]),
+        ("s", [Gate.measure(r[4], 1), Gate.swap(r[1], r[3])]),
+    ])
+    assert [len(w) for w in c.wires] == [3, 1, 1, 4, 2, 1, 1, 2]
+    assert depth(c) == dict_depth(c) == 6
+    assert stage_depths(c) == dict_stage_depths(c) == {"s": 4, "t": 2}
+    for start in range(len(c.gates) + 1):
+        for stop in range(start, len(c.gates) + 1):
+            assert depth(c, (start, stop)) == dict_depth(c, (start, stop))
+
+
+@pytest.mark.parametrize("backend", ["allsim", "superconducting-53", "ion-40"])
+def test_level_walk_matches_the_dict_reference_on_compiled_oracles(backend):
+    # In the default chain mode allsim keeps long ccx runs (the three-wire
+    # branch); the hardware presets lower and route to one- and two-wire gates.
+    rng = random.Random(64)
+    dna = ALPHABET_PRESETS["dna"]
+    r, q = pad_pair(*(map_alphabet("".join(rng.choice("ACGT") for _ in range(64)), dna)
+                      for _ in range(2)))
+    compiled, report = compile_circuit(build_pattern_circuit(r, q), load_backend(backend))
+    arities = {len(w) for w in compiled.wires}
+    assert any(g.kind == "measure" for g in compiled.gates)
+    assert arities == ({1, 2, 3} if backend == "allsim" else {1, 2})
+    assert report.total_depth == depth(compiled) == dict_depth(compiled)
+    assert report.depth_per_stage == stage_depths(compiled) == dict_stage_depths(compiled)

@@ -14,6 +14,7 @@ from conftest import (
     embed1q,
     embed2q,
     equal_up_to_phase,
+    random_circuit,
     seeded_circuits,
     mcx_matrix,
     phase_matrix,
@@ -43,14 +44,18 @@ from qdotplot import (
     rewrite_negative_controls,
     width,
 )
+from qdotplot import decompose
 from qdotplot.circuit import ROOT_EXPONENTS
 from qdotplot.decompose import (
     NATIVE_RULES,
+    _ancilla_pool,
+    _cancel_x_pairs,
     _operands,
     ccx_network,
     cphase_network,
     crootx_network,
     cx_ion_network,
+    native_lowering,
     rxx_network,
     swap_network,
     u3_ion_network,
@@ -341,6 +346,48 @@ def test_adjacent_x_pairs_cancel():
     ])
     lowered2 = lower_to_native(c2, TOFFOLI_SET, "ccnot_chain")
     assert gate_counts(lowered2).get("x", 0) == 2
+
+
+def _lowered_stages(backend):
+    # (name, stage) for every stage that native_lowering makes of seeded
+    # circuits on backend, in both modes.
+    circuits = [*seeded_circuits(), *((f"random-{seed}", random_circuit(
+        random.Random(200 + seed), marks=seed % 2 == 0)) for seed in range(8))]
+    for mode in MCX_MODES:
+        for name, circuit in circuits:
+            _, pool = _ancilla_pool(circuit, mode)
+            lower_all = native_lowering(backend, mode, pool)
+            for label, start, stop in circuit.stage_ranges():
+                yield f"{backend.name}/{mode}/{name}/{label}", lower_all(circuit.gates[start:stop])
+
+
+def test_x_pair_cancellation_removes_nothing_where_x_is_not_native():
+    # Every bare X is expanded by its NATIVE_RULES row where x is not
+    # native, so the cancellation pass that lowering skips there is a no-op.
+    for preset in ("superconducting-53", "ion-40"):
+        backend = load_backend(preset)
+        assert "x" not in backend.native_gates
+        stages = 0
+        for name, stage in _lowered_stages(backend):
+            assert _cancel_x_pairs(stage) == stage, name
+            stages += 1
+        assert stages > 0
+    # The same circuits do make X pairs where x is native.
+    assert any(len(_cancel_x_pairs(stage)) < len(stage) for _, stage in _lowered_stages(ALLSIM))
+
+
+def test_lowering_runs_cancellation_only_where_x_is_native(monkeypatch):
+    def refuse(gates):
+        raise AssertionError("X-pair cancellation ran")
+
+    monkeypatch.setattr(decompose, "_cancel_x_pairs", refuse)
+    for backend in ("superconducting-53", "ion-40"):
+        for mode in MCX_MODES:
+            for _, circuit in seeded_circuits():
+                lower_to_native(circuit, load_backend(backend), mode)
+    r = _r(1)
+    with pytest.raises(AssertionError, match="cancellation ran"):
+        lower_to_native(Circuit((r,)).append_stages([("s", [Gate.x(r[0])])]), ALLSIM)
 
 
 def test_unloweable_gate_raises():

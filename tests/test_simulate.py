@@ -45,7 +45,7 @@ from qdotplot import (
     toffoli_run_batch,
 )
 from qdotplot.encoder import oracle_circuit
-from qdotplot.simulate import SHOT_CAP, _Engine, run_cells, unpack_planes
+from qdotplot.simulate import SHOT_CAP, _Engine, check_qubit_cap, run_cells, unpack_planes
 from qdotplot.validate import TOFFOLI_BACKEND
 
 
@@ -288,8 +288,13 @@ def test_statevector_cap():
     c = Circuit(registers=(r,)).append_stages([("s", [Gate.h(r[0])])])
     with pytest.raises(ValueError, match="cap"):
         statevector_run(c)
-    # Configurable upward.
-    psi, _ = statevector_run(c, max_qubits=25)
+    # Configurable upward: max_qubits moves the cap that statevector_run
+    # checks, shown on 4 qubits rather than on a 2^25 state.
+    check_qubit_cap(25, 25)
+    small = _circuit(4, [Gate.h(_reg(4)[0])])
+    with pytest.raises(ValueError, match="cap"):
+        statevector_run(small, max_qubits=3)
+    psi, _ = statevector_run(small, max_qubits=4)
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-9
 
 
