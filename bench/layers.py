@@ -9,10 +9,15 @@ the dna alphabet) and times build_pattern_circuit, then on allsim,
 superconducting-53 and ion-40: lower_to_native in chain mode, route, the
 level walk behind every depth (circuit._levels over the routed circuit's
 stages, as compile_circuit calls it), gate_counts, qasm_text and
-parse_qasm. Each time is the best of --repeat runs. It prints one JSON
-line: the times in seconds and the lowered and routed gate counts by length
-and backend, and the process's peak RSS. The default lengths peak at about
-1.3 GB, most of it the 4096 bp ion-40 program and its parse.
+parse_qasm. At 1024 bp and below it also times lower_to_native in
+single-ancilla mode, the one place that path's time is shown; the 4096 bp
+ion-40 single-ancilla lowering alone peaks near 1.6 GB. Each time is the
+best of --repeat runs. It prints one JSON line: the times in seconds, the
+lowered and routed gate counts by length and backend, the gate count at
+the logical level (lowering's first pass, decompose.LOGICAL) of each
+length and mode before and after X-pair cancellation, and the process's
+peak RSS. The default lengths peak at about 1.3 GB, most of it the
+4096 bp ion-40 program and its parse.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from qdotplot import (  # noqa: E402
     ALPHABET_PRESETS,
+    MCX_MODES,
     build_pattern_circuit,
     gate_counts,
     load_backend,
@@ -40,8 +46,16 @@ from qdotplot import (  # noqa: E402
     route,
 )
 from qdotplot.circuit import _levels  # noqa: E402
+from qdotplot.decompose import (  # noqa: E402
+    LOGICAL,
+    _ancilla_pool,
+    _cancel_x_pairs,
+    native_lowering,
+)
 
 BACKENDS = ("allsim", "superconducting-53", "ion-40")
+# Single-ancilla lowering is timed up to this length.
+SINGLE_ANCILLA_MAX_BP = 1024
 
 
 def best(repeat: int, fn, *args):
@@ -61,13 +75,30 @@ def self_pair(bp: int):
     return pad_pair(seq, seq)
 
 
+def logical_gates(circuit, mode: str) -> dict:
+    """The circuit's gate count at the logical level, before and after the
+    X-pair cancellation that lower_to_native runs there."""
+    _, pool = _ancilla_pool(circuit, mode)
+    to_logical = native_lowering(LOGICAL, mode, pool)
+    before = after = 0
+    for _, start, stop in circuit.stage_ranges():
+        stage = to_logical(circuit.gates[start:stop])
+        before += len(stage)
+        after += len(_cancel_x_pairs(stage))
+    return {"before": before, "after": after}
+
+
 def layers(bp: int, repeat: int) -> dict:
     r, q = self_pair(bp)
     row: dict = {}
     row["build_pattern_circuit"], circuit = best(repeat, build_pattern_circuit, r, q)
+    row["logical_gates"] = {mode: logical_gates(circuit, mode) for mode in MCX_MODES}
     for name in BACKENDS:
         backend = load_backend(name)
         times: dict = {}
+        if bp <= SINGLE_ANCILLA_MAX_BP:
+            times["lower_to_native_single"] = best(
+                repeat, lower_to_native, circuit, backend, "single_ancilla")[0]
         times["lower_to_native"], lowered = best(repeat, lower_to_native, circuit, backend)
         times["route"], routed = best(repeat, route, lowered, backend)
         # Results are dropped as soon as they are timed: every live gate

@@ -71,10 +71,6 @@ class BackendModel:
             if len(seen) != self.qubit_count:
                 raise ConfigError(f"coupling map of {self.name!r} is not connected")
 
-    @property
-    def all_to_all(self) -> bool:
-        return self.coupling_map is None
-
     def adjacency(self) -> dict[int, tuple[int, ...]]:
         """Undirected neighbor lists, sorted, for routing."""
         if self.coupling_map is None:

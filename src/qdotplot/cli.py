@@ -14,7 +14,8 @@ and every verb that compiles shares one compile step. Every verb loads
 how many ancillas it adds. --alphabet is a choice of auto and the
 presets, so click rejects any other name before a file is read. Each verb
 takes only the options it reads: --shots and --seed exist only on validate
-and simulate; simulate also takes --mcx-mode, which it ignores. Exit codes: 0 success, 1 a requested
+and simulate; simulate also takes --mcx-mode, which it ignores, but not
+--no-minimize, which cannot change the plot it reads out. Exit codes: 0 success, 1 a requested
 validation failed, 2 configuration error or resource limit (an --out that
 cannot be made a directory, circuit wider than the backend, a backend with
 no native path for a needed gate, the statevector cap of validate, the
@@ -161,14 +162,12 @@ _PAIR_OPTIONS = (
     click.option("--backend", default="allsim", show_default=True,
                  help="Preset name or backend JSON path."),
 )
-_BUILD_OPTIONS = (
-    click.option("--mcx-mode", default="chain", show_default=True,
-                 type=click.Choice(sorted(_MODE_FLAGS)),
-                 callback=lambda ctx, param, value: _MODE_FLAGS[value],
-                 help="Multi-controlled X lowering strategy."),
-    click.option("--no-minimize", "use_minimizer", flag_value=False, default=True,
-                 help="Skip cover minimization (brute-force encoder)."),
-)
+_MODE_OPTION = click.option("--mcx-mode", default="chain", show_default=True,
+                            type=click.Choice(sorted(_MODE_FLAGS)),
+                            callback=lambda ctx, param, value: _MODE_FLAGS[value],
+                            help="Multi-controlled X lowering strategy.")
+_MINIMIZE_OPTION = click.option("--no-minimize", "use_minimizer", flag_value=False, default=True,
+                                help="Skip cover minimization (brute-force encoder).")
 _SAMPLE_OPTIONS = (
     click.option("--shots", default=100_000, show_default=True, type=int),
     click.option("--seed", default=DEFAULT_SEED, show_default=True,
@@ -176,8 +175,9 @@ _SAMPLE_OPTIONS = (
 )
 _OUT_OPTION = click.option("--out", "out_dir", default="qdp-out", show_default=True,
                            help="Output directory for artifacts.")
-_build_options = _apply((*_PAIR_OPTIONS, *_BUILD_OPTIONS, _OUT_OPTION))
-_sample_options = _apply((*_PAIR_OPTIONS, *_BUILD_OPTIONS, *_SAMPLE_OPTIONS, _OUT_OPTION))
+_build_options = _apply((*_PAIR_OPTIONS, _MODE_OPTION, _MINIMIZE_OPTION, _OUT_OPTION))
+_sample_options = _apply((*_PAIR_OPTIONS, _MODE_OPTION, _MINIMIZE_OPTION, *_SAMPLE_OPTIONS,
+                          _OUT_OPTION))
 
 
 class _Cli(click.Group):
@@ -254,14 +254,13 @@ def _histogram_json(header: dict, rows) -> str:
 
 
 @main.command()
-@_sample_options
+@_apply((*_PAIR_OPTIONS, _MODE_OPTION, *_SAMPLE_OPTIONS, _OUT_OPTION))
 def simulate(**kwargs):
     """Sample the pattern circuit's exact readout; write the histogram."""
     config = RunConfig(**kwargs)
     load_backend(config.backend)  # a bad --backend exits 2 here too
     r, q, dataset = _load_pair(config)
-    circuit = build_pattern_circuit(r, q, use_minimizer=config.use_minimizer)
-    counts = sample_pattern(circuit, config.shots, seed=config.seed)
+    counts = sample_pattern(build_pattern_circuit(r, q), config.shots, seed=config.seed)
     width = 1 << layout_for(r, q).w
     vs, ks = counts.nonzero()  # in (v, k) order
     rows = [(v, k % width, k // width, k, n)

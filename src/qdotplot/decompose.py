@@ -9,21 +9,25 @@ Two interchangeable strategies remove high arity X gates:
   controls is then expanded over controlled root-of-X gates, so no clean
   scratch space is needed beyond that one qubit.
 
-`lower_to_native` drives either strategy and keeps rewriting until every
-gate is in the backend's native set, preserving stage marks. After the
-multi-control, negative-control and multi-target rewrites, every gate form
-lowers by its row of NATIVE_RULES, keyed by Gate.label: the natives the
-rule needs and the gates that stand for the form. A label with no row
-cannot be lowered, and a row whose natives the backend lacks has no native
-path there.
+`lower_to_native` lowers every stage in two passes, on every backend. The
+first goes to LOGICAL, whose native set is the labels of NATIVE_RULES: it
+rewrites the multi-control, negative-control and multi-target gates (the
+mc* labels) by mcx_mode and passes every other gate through. The bare X
+pairs that adjacent negative-control rewrites leave on a wire then cancel.
+The second pass lowers each remaining gate by its row of NATIVE_RULES,
+keyed by Gate.label: the natives the rule needs and the gates that stand
+for the form. A label with no row cannot be lowered, and a row whose
+natives the backend lacks has no native path there.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from functools import partial
 
+from .backends import BackendModel
 from .circuit import Circuit, Control, Gate, QubitRef, Register
 from .errors import CircuitError, LoweringError
 
@@ -265,6 +269,10 @@ NATIVE_RULES = {
     "ry": (("u3",), lambda theta, t: [Gate.u3(theta, 0.0, 0.0, t)]),
     "rxx": ((), rxx_network),
 }
+# The logical level, between lowering's two passes: every form with a rule
+# is native, so lowering to it rewrites only the mc* forms. It has no width
+# limit; lowering reads only its native set.
+LOGICAL = BackendModel(name="logical", qubit_count=sys.maxsize, native_gates=tuple(NATIVE_RULES))
 
 
 def _operands(g: Gate) -> tuple:
@@ -328,17 +336,18 @@ def native_lowering(backend, mcx_mode: str = "ccnot_chain", pool: tuple = ()):
     # equality treats 0.0 == -0.0, so the key also holds each parameter's
     # sign: p(0.0) and p(-0.0) must keep their own rendered angles.
     memo: dict[tuple, list[Gate]] = {}
-    # Pieces by their qubits (one for an X, three for a Toffoli), and
-    # id(piece) -> its lowering: the cache keeps every piece alive, so no
-    # other object takes its id while the function lives.
-    pieces: dict[tuple, Gate] = {}
+    # id(gate) -> its lowering, for the gate of each memo key: the key keeps
+    # it alive, so no other object takes its id while the function lives.
     known: dict[int, list[Gate]] = {}
+    # Pieces by their qubits: one for an X, three for a Toffoli.
+    pieces: dict[tuple, Gate] = {}
 
     def lower(g: Gate) -> list[Gate]:
         out = []
         found = memo.setdefault((g, tuple([math.copysign(1.0, a) for a in g.params])), out)
         if found is not out:
             return found
+        known[id(g)] = out
         out += [g] if g.kind == "measure" or g.label in native else _expand(g)
         return out
 
@@ -353,7 +362,6 @@ def native_lowering(backend, mcx_mode: str = "ccnot_chain", pool: tuple = ()):
         g = pieces.get(qubits)
         if g is None:
             g = pieces[qubits] = make(*qubits)
-            known[id(g)] = lower(g)
         return g
 
     x_piece, ccx_piece = partial(piece, Gate.x), partial(piece, Gate.ccx)
@@ -391,20 +399,17 @@ def native_lowering(backend, mcx_mode: str = "ccnot_chain", pool: tuple = ()):
 def lower_to_native(circuit: Circuit, backend, mcx_mode: str = "ccnot_chain") -> Circuit:
     """Rewrite every gate into the backend's native set.
 
-    Stage labels are kept (an unmarked circuit stays unmarked). X pairs
-    produced by adjacent negative-control rewrites cancel within each stage
-    by a pass over the native gates that runs only where bare x is native
-    (allsim). Elsewhere every bare X is expanded by its NATIVE_RULES row, so
-    none reaches the pass and the pairs survive in native form, such as
-    adjacent u3(pi, 0, pi) pairs on superconducting-53.
+    Each stage is lowered to LOGICAL, its X pairs cancel (_cancel_x_pairs),
+    and what is left is lowered to the backend: the same two passes and the
+    same cancellation on every backend. Stage labels are kept (an unmarked
+    circuit stays unmarked).
     """
     if mcx_mode not in MCX_MODES:
         raise LoweringError(f"mcx_mode must be one of {MCX_MODES}")
     registers, pool = _ancilla_pool(circuit, mcx_mode)
-    lower_all = native_lowering(backend, mcx_mode, pool)
-    stages = ((label, lower_all(circuit.gates[start:stop]))
+    to_logical = native_lowering(LOGICAL, mcx_mode, pool)
+    to_native = native_lowering(backend)
+    stages = ((label, to_native(_cancel_x_pairs(to_logical(circuit.gates[start:stop]))))
               for label, start, stop in circuit.stage_ranges())
-    if "x" in backend.native_gates:
-        stages = ((label, _cancel_x_pairs(stage)) for label, stage in stages)
     lowered = Circuit(registers, (), circuit.classical_bits, (), circuit.final_layout)
     return lowered.append_stages(stages)

@@ -8,7 +8,8 @@ recorded on the returned circuit so downstream consumers can undo the
 permutation; measurement gates follow their logical qubit automatically.
 Swaps join the stage of the gate that needs them, under the input's labels.
 Each swap is lowered to the backend's native set by lower_to_native's
-rules, once per edge: it stays a swap only where swap is native.
+second pass, native_lowering(backend), once per edge: it stays a swap only
+where swap is native.
 """
 
 from __future__ import annotations

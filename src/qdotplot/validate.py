@@ -7,11 +7,13 @@ lowered, or, when no circuit is given, a fresh build_dotplot_circuit.
 Method 1 (exhaustive): drop the oracle's init stage, supply every (x, y)
 basis pair as an input, propagate bits through the match oracle on
 bit-planes (simulate.run_cells), and compare the v plane against the
-classical plot. In chain mode the oracle is first lowered to {x, cx, ccx},
-so the Toffoli decomposition itself is under test; the single-ancilla
-lowering produces root-of-X gates a bit-propagation engine cannot run, so
-that mode is checked at the multi-controlled gate level (its decomposition
-is covered by the dense-matrix oracles).
+classical plot. In chain mode the oracle is first lowered to
+decompose.LOGICAL, the first pass of every compile, X-pair cancellation
+included: there it is x, cx and ccx gates, so the Toffoli decomposition
+itself is under test. The single-ancilla lowering produces root-of-X gates
+a bit-propagation engine cannot run, so that mode is checked at the
+multi-controlled gate level (its decomposition is covered by the
+dense-matrix oracles).
 
 Method 2 (sampling): run the superposed oracle, measure v and both index
 registers, assert every sampled (x, y, v) agrees with the classical plot,
@@ -29,9 +31,8 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .backends import BackendModel
 from .circuit import Circuit
-from .decompose import MCX_MODES, lower_to_native
+from .decompose import LOGICAL, MCX_MODES, lower_to_native
 from .encoder import (
     build_dotplot_circuit,
     layout_for,
@@ -43,12 +44,6 @@ from .errors import ConfigError
 from .sequences import SymbolSequence
 from .simulate import _draw, run_cells, unpack_planes
 
-# Wide virtual target whose native set a bit-propagation engine can run.
-TOFFOLI_BACKEND = BackendModel(
-    name="toffoli",
-    qubit_count=63,
-    native_gates=("x", "cx", "ccx", "swap"),
-)
 # Method 2 fails when the chi-square p-value is at or below this level.
 SIGNIFICANCE = 0.001
 
@@ -114,7 +109,7 @@ def validate_exhaustive(
         circuit = build_dotplot_circuit(r, q, use_minimizer=use_minimizer)
     circuit = oracle_circuit(circuit, skip="init")
     if mcx_mode == "ccnot_chain":
-        circuit = lower_to_native(circuit, TOFFOLI_BACKEND, mcx_mode)
+        circuit = lower_to_native(circuit, LOGICAL, mcx_mode)
     wf, hf = plot.width, plot.height
     v0 = circuit.wire(circuit.register("v")[0])
     got = unpack_planes(run_cells(circuit), [v0], wf * hf).astype(np.uint8)

@@ -51,7 +51,7 @@ from qdotplot import (
     width,
     width_bounds,
 )
-from qdotplot.validate import TOFFOLI_BACKEND
+from qdotplot.decompose import LOGICAL
 
 SEQ8 = (0, 1, 3, 2, 1, 2, 3, 0)
 ALLSIM = load_backend("allsim")
@@ -92,7 +92,7 @@ def _mcx_circuit(descriptors, n_inputs, n_outputs):
 
 def _chain_ccnots(descriptors, n_inputs, n_outputs):
     c = _mcx_circuit(descriptors, n_inputs, n_outputs)
-    lowered = lower_to_native(c, TOFFOLI_BACKEND, "ccnot_chain")
+    lowered = lower_to_native(c, LOGICAL, "ccnot_chain")
     return gate_counts(lowered).get("ccx", 0)
 
 
@@ -119,7 +119,7 @@ def test_criterion_02_brute_force_synthesis():
         assert len(gates) == 8
         assert all(len(g.controls) == 3 for g in gates)
         lowered = lower_to_native(
-            _mcx_circuit(gates, 3, 2), TOFFOLI_BACKEND, "ccnot_chain"
+            _mcx_circuit(gates, 3, 2), LOGICAL, "ccnot_chain"
         )
     counts = gate_counts(lowered)
     assert counts["ccx"] == 24
@@ -238,7 +238,7 @@ def test_criterion_07_mcx_decompositions():
                 ("s", [Gate.mcx([idx[i] for i in range(c)], val[0])]),
             ])
 
-            chain = lower_to_native(base, TOFFOLI_BACKEND, "ccnot_chain")
+            chain = lower_to_native(base, LOGICAL, "ccnot_chain")
             n = chain.n_qubits
             want = mcx_matrix(n, [(i, True) for i in range(c)], c)
             got = circuit_unitary(chain)

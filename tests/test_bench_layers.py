@@ -7,7 +7,8 @@ from pathlib import Path
 
 LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 BACKENDS = ("allsim", "superconducting-53", "ion-40")
-TIMED = ("lower_to_native", "route", "levels", "gate_counts", "qasm_text", "parse_qasm")
+TIMED = ("lower_to_native", "lower_to_native_single", "route", "levels", "gate_counts",
+         "qasm_text", "parse_qasm")
 
 
 def test_layers_smoke_at_8_bp():
@@ -20,6 +21,9 @@ def test_layers_smoke_at_8_bp():
     assert result["peak_rss_mb"] > 0
     row = result["bp"]["8"]
     assert row["build_pattern_circuit"] >= 0
+    for mode in ("ccnot_chain", "single_ancilla"):
+        logical = row["logical_gates"][mode]
+        assert 0 < logical["after"] <= logical["before"], mode
     for backend in BACKENDS:
         times = row[backend]
         assert all(times[layer] >= 0 for layer in TIMED), backend

@@ -210,7 +210,7 @@ VERB_OPTIONS = {
     "transpile": _BUILD_OPTIONS,
     "estimate": _BUILD_OPTIONS,
     # simulate ignores --mcx-mode, but the benchmark passes it.
-    "simulate": (*_BUILD_OPTIONS, "--shots", "--seed"),
+    "simulate": (*_PAIR_OPTIONS, "--mcx-mode", "--shots", "--seed"),
     "validate": (*_BUILD_OPTIONS, "--shots", "--seed"),
     # compare-modes always compares both encoders in chain mode, sampling nothing.
     "compare-modes": _PAIR_OPTIONS,
@@ -745,17 +745,17 @@ GOLDEN = {
         "simulate-single/histogram.json":
             "ab5707a4125930e71ae616b69dff53bce04049658ee4934aee24c9d3939a1fc4",
         "transpile-ion40/qpr.qasm":
-            "62daac00e977ba0813aff2a2f163906799a3c1c8940d81db70bceea04434aafb",
+            "d9da87c2c4b87f683d905ae6358aa6f802a2a681de1c9739dface9993ad9699f",
         "transpile-ion40/report.csv":
-            "0af698c6cf5fd6e405329dfb966a08834a6e29829eef0ef348d3ef3d094def07",
+            "5d08b405e441969127ff5f9b2b9ddc4d9cf364650b3027b876213892c6789d2a",
         "transpile-ion40/report.json":
-            "d6c0fe2446d3f1684ec503920bac3c717ae3617c25e30ea0d40588803b74fc15",
+            "fa4af3b5105797fa028675ba09eaf3f13058cec8ecd8e4b32caf9d617e64426f",
         "transpile-sc53/qpr.qasm":
-            "26e3f1ef6d8a56be098deaa2ac27d3ddecd2e9b8eb0d42ddeb0b4f205e73accf",
+            "197934c11265a7a43bdfde0cc1e9899bc60be71f399f6089b0c2aa7af355e289",
         "transpile-sc53/report.csv":
-            "bcfc66ca30878e82410e6ddb5d4008240381d0a9c66d8ba9b4b47558f4edd14c",
+            "04959a2a1b5d34c17fda5fda599e10b4e66cb8795db831a724f8c426b2d916de",
         "transpile-sc53/report.json":
-            "b7d78b71d9714886e2a34dd6c13e8c178a2df61d817611f15f4785f7bf22072d",
+            "83e602f3101d4ca75bcab757cfb49a1b3582a10f8390b146670700ca77fe0ff7",
         "validate-chain/qpr.qasm":
             "34164565c85f52ddd655f057c93df7db306c909984c2fd1367fe294e95745889",
         "validate-chain/report.csv":
@@ -797,17 +797,17 @@ GOLDEN = {
         "simulate-single/histogram.json":
             "1a39373d38fd1af291a2eaadff25a741a675cbbabe2491b26df363c739ae22e1",
         "transpile-ion40/qpr.qasm":
-            "d65a9a2d134b13422c885ae338d27f1b59a50b8921964e4fb80461270b41a938",
+            "1a8e95ce42d59d0c043f84aa08aadecbae57594eb3a45513ce56ff19e6e14bd1",
         "transpile-ion40/report.csv":
-            "1fc931b322e2d075ec987cf4d1330dd345c460813c453ab4ede74ee3efef9358",
+            "b471537877d6615c15766a255d2d93ee98df2e811229f057fa6a574142087b75",
         "transpile-ion40/report.json":
-            "896b3045083a340d2e2b142395c4ffd10325bc9be2c880d27018e87241108f6f",
+            "d47ffd7664105afb3b5975d2fdd25aa7d09e811cd5ea85c048ac0d839cac09d6",
         "transpile-sc53/qpr.qasm":
-            "c22ba6c3ec7acb8d22abe075404440361ea985b66f857009c859f1ec2fc7f006",
+            "833f99e0ecf66eb274223f8c249885257fbeca5f43500fef9cd1c54658750def",
         "transpile-sc53/report.csv":
-            "6f88ba3de36e4198b59f6fb2df6da00e274262442678ddbe3457847982f1ce9f",
+            "f3dad61ac0d62588fdf4ac6d89ffcd8f5bb6205f9c6b55f0ddb30de1691e976e",
         "transpile-sc53/report.json":
-            "c0f9179db2267dc13a234f55746b232bb6a3d8be6c342f6b61ace48d01ee42ab",
+            "0d9f6326c9cd90ea611e6698f2927e2de60209bef7ea320b18eb2e384ff86ea0",
         "validate-chain/qpr.qasm":
             "44c3e3b023631acf7b53ad441ad339e857ef612bec2dca08d4ac6dbb46219851",
         "validate-chain/report.csv":

@@ -69,7 +69,7 @@ def test_one_walk_report_matches_public_metrics(backend, mode):
         compiled, report = compile_circuit(circuit, be, mode)
         if name == "pattern":
             assert any(g.kind == "measure" for g in compiled.gates)
-            assert (compiled.final_layout is None) == be.all_to_all
+            assert (compiled.final_layout is None) == (be.coupling_map is None)
         assert report.width == width(compiled), name
         assert report.total_depth == depth(compiled) == dict_depth(compiled), name
         per_stage = list(report.depth_per_stage.items())

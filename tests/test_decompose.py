@@ -47,6 +47,7 @@ from qdotplot import (
 from qdotplot import decompose
 from qdotplot.circuit import ROOT_EXPONENTS
 from qdotplot.decompose import (
+    LOGICAL,
     NATIVE_RULES,
     _ancilla_pool,
     _cancel_x_pairs,
@@ -348,46 +349,57 @@ def test_adjacent_x_pairs_cancel():
     assert gate_counts(lowered2).get("x", 0) == 2
 
 
-def _lowered_stages(backend):
-    # (name, stage) for every stage that native_lowering makes of seeded
-    # circuits on backend, in both modes.
-    circuits = [*seeded_circuits(), *((f"random-{seed}", random_circuit(
+def _x_pair_circuits():
+    return [*seeded_circuits(), *((f"random-{seed}", random_circuit(
         random.Random(200 + seed), marks=seed % 2 == 0)) for seed in range(8))]
+
+
+def test_lowering_is_the_logical_pass_then_x_pair_cancellation_then_the_native_pass():
+    # On every preset and in both modes: each stage goes to LOGICAL, its X
+    # pairs cancel, and each remaining gate is lowered on its own.
+    circuits = _x_pair_circuits()
     for mode in MCX_MODES:
-        for name, circuit in circuits:
-            _, pool = _ancilla_pool(circuit, mode)
-            lower_all = native_lowering(backend, mode, pool)
-            for label, start, stop in circuit.stage_ranges():
-                yield f"{backend.name}/{mode}/{name}/{label}", lower_all(circuit.gates[start:stop])
+        cancelled = 0
+        for preset in ("allsim", "superconducting-53", "ion-40"):
+            backend = load_backend(preset)
+            for name, circuit in circuits:
+                _, pool = _ancilla_pool(circuit, mode)
+                to_logical = native_lowering(LOGICAL, mode, pool)
+                to_native = native_lowering(backend)
+                want = []
+                for _, start, stop in circuit.stage_ranges():
+                    logical = to_logical(circuit.gates[start:stop])
+                    kept = _cancel_x_pairs(logical)
+                    cancelled += len(logical) - len(kept)
+                    last = {}  # wire -> label of the last kept gate on it
+                    for g in kept:
+                        for q in g.qubits():
+                            assert not g.label == last.get(q) == "x", (preset, mode, name, q)
+                            last[q] = g.label
+                        want += to_native([g])
+                lowered = lower_to_native(circuit, backend, mode)
+                assert list(lowered.gates) == want, (preset, mode, name)
+        # The same circuits do make X pairs to cancel.
+        assert cancelled > 0, mode
 
 
 def test_x_pair_cancellation_removes_nothing_where_x_is_not_native():
-    # Every bare X is expanded by its NATIVE_RULES row where x is not
-    # native, so the cancellation pass that lowering skips there is a no-op.
+    # Where x is not native the native pass expands every bare X by its
+    # NATIVE_RULES row, so X pairs can cancel only before that pass: run
+    # again over the lowered stages, the cancellation is a no-op.
+    circuits = _x_pair_circuits()
     for preset in ("superconducting-53", "ion-40"):
         backend = load_backend(preset)
         assert "x" not in backend.native_gates
         stages = 0
-        for name, stage in _lowered_stages(backend):
-            assert _cancel_x_pairs(stage) == stage, name
-            stages += 1
-        assert stages > 0
-    # The same circuits do make X pairs where x is native.
-    assert any(len(_cancel_x_pairs(stage)) < len(stage) for _, stage in _lowered_stages(ALLSIM))
-
-
-def test_lowering_runs_cancellation_only_where_x_is_native(monkeypatch):
-    def refuse(gates):
-        raise AssertionError("X-pair cancellation ran")
-
-    monkeypatch.setattr(decompose, "_cancel_x_pairs", refuse)
-    for backend in ("superconducting-53", "ion-40"):
         for mode in MCX_MODES:
-            for _, circuit in seeded_circuits():
-                lower_to_native(circuit, load_backend(backend), mode)
-    r = _r(1)
-    with pytest.raises(AssertionError, match="cancellation ran"):
-        lower_to_native(Circuit((r,)).append_stages([("s", [Gate.x(r[0])])]), ALLSIM)
+            for name, circuit in circuits:
+                lowered = lower_to_native(circuit, backend, mode)
+                for label, start, stop in lowered.stage_ranges():
+                    stage = list(lowered.gates[start:stop])
+                    assert _cancel_x_pairs(stage) == stage, (preset, mode, name, label)
+                    stages += 1
+        assert stages > 0
 
 
 def test_unloweable_gate_raises():
@@ -478,25 +490,44 @@ def test_chain_lowering_builds_no_gate_twice(monkeypatch):
     assert len(built) <= len(set(lowered.gates))
 
 
-# sha256 of qasm_text(lower_to_native(_seeded_encoder(), backend, mode)), as
-# the lowering wrote it before the piece cache: the cache changes no byte.
+# sha256 of qasm_text(lower_to_native(_seeded_encoder(), backend, mode)). The
+# allsim rows are as the lowering wrote them before the piece cache: the
+# cache changes no byte. The hardware rows have the X pairs of adjacent
+# negative-control rewrites cancelled at the logical level.
 SEEDED_ENCODER_DIGESTS = {
     ("allsim", "ccnot_chain"): "dce3df2d3f15bc2f530b93a030be2aa192f1a46452ede4e8e93bc6426ce34db5",
     ("allsim", "single_ancilla"): "f7937371dafcd5ff830c0bffac3da6b2d7636e440a02eff3f10196427452839b",
+    ("superconducting-53", "ccnot_chain"): "0e2bac79f5e2f99b785ef5494a6bbff6c8db60bac92b21e00997ed4b9407d0ae",
+    ("ion-40", "ccnot_chain"): "a1d9e9486e7fb91733dcfaca2c27053aa40f79efb04344754b122f7d1a2bf49e",
+    ("superconducting-53", "single_ancilla"): "664a434b64a24aca799b6c0821cd2dda25213575aa3f6244c4c2e6392286de38",
+    ("ion-40", "single_ancilla"): "4b5bf7500f185e087a1244917511a6b4b22dfd4bd73b8fa28d82499795d76d1c",
+}
+# The hardware rows as the lowering wrote them while X pairs cancelled only
+# where bare x is native. Single-ancilla lowering on the hardware sets runs
+# the crootx, u3, rx and ry rules; those two rows were taken before the
+# rules became a table.
+UNCANCELLED_HARDWARE_DIGESTS = {
     ("superconducting-53", "ccnot_chain"): "21c72575cd123583ee6b7e4def6b666ddbf85b4f5c4ffe33d847983ac8772e15",
     ("ion-40", "ccnot_chain"): "04f676129fa74da1bbafb8b47bca2953043eb82e543cf66125d39da53e7eb410",
-    # Single-ancilla lowering on the hardware sets runs the crootx, u3, rx
-    # and ry rules; these two were taken before the rules became a table.
     ("superconducting-53", "single_ancilla"): "814efb19fc6d6673d28c27e8df38c536bfc3a2792841dcb16c4b0d725093996e",
     ("ion-40", "single_ancilla"): "696d9664c889d8ba2f37377f6eedb70a15e25b99210c10255b4297b3dbf9f3f0",
 }
 
 
+def _seeded_encoder_digest(backend, mode):
+    lowered = lower_to_native(_seeded_encoder(), load_backend(backend), mode)
+    return hashlib.sha256(qasm_text(lowered).encode()).hexdigest()
+
+
 @pytest.mark.parametrize("backend,mode", sorted(SEEDED_ENCODER_DIGESTS))
 def test_seeded_encoder_lowering_digest(backend, mode):
-    lowered = lower_to_native(_seeded_encoder(), load_backend(backend), mode)
-    digest = hashlib.sha256(qasm_text(lowered).encode()).hexdigest()
-    assert digest == SEEDED_ENCODER_DIGESTS[backend, mode]
+    assert _seeded_encoder_digest(backend, mode) == SEEDED_ENCODER_DIGESTS[backend, mode]
+
+
+@pytest.mark.parametrize("backend,mode", sorted(UNCANCELLED_HARDWARE_DIGESTS))
+def test_hardware_lowering_differs_only_by_the_cancelled_x_pairs(monkeypatch, backend, mode):
+    monkeypatch.setattr(decompose, "_cancel_x_pairs", list)
+    assert _seeded_encoder_digest(backend, mode) == UNCANCELLED_HARDWARE_DIGESTS[backend, mode]
 
 
 # -- the native-rule table, one row at a time ------------------------------------

@@ -26,7 +26,7 @@ from qdotplot import (
     toffoli_run_batch,
     width,
 )
-from qdotplot.validate import TOFFOLI_BACKEND
+from qdotplot.decompose import LOGICAL
 
 SEQ8 = make_sequence((0, 1, 3, 2, 1, 2, 3, 0))
 
@@ -89,7 +89,7 @@ def test_encoder_reproduces_every_element(use_minimizer):
         codes = random_codes(rng, length, 2)
         seq = make_sequence(codes)
         c = drop_stage(build_encoder_circuit(seq, use_minimizer=use_minimizer), "init")
-        lowered = lower_to_native(c, TOFFOLI_BACKEND, "ccnot_chain")
+        lowered = lower_to_native(c, LOGICAL, "ccnot_chain")
         x0 = lowered.wire(lowered.register("x")[0])
         d0 = lowered.wire(lowered.register("dr")[0])
         n = seq.index_bits
@@ -116,7 +116,7 @@ def test_dotplot_pinned_matches_classical():
     q = make_sequence(random_codes(rng, 4, 2))
     plot = brute_dot_plot(r.codes, q.codes)
     c = drop_stage(build_dotplot_circuit(r, q), "init")
-    lowered = lower_to_native(c, TOFFOLI_BACKEND, "ccnot_chain")
+    lowered = lower_to_native(c, LOGICAL, "ccnot_chain")
     x0 = lowered.wire(lowered.register("x")[0])
     y0 = lowered.wire(lowered.register("y")[0])
     v0 = lowered.wire(lowered.register("v")[0])

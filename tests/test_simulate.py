@@ -46,7 +46,7 @@ from qdotplot import (
 )
 from qdotplot.encoder import oracle_circuit
 from qdotplot.simulate import SHOT_CAP, _Engine, check_qubit_cap, run_cells, unpack_planes
-from qdotplot.validate import TOFFOLI_BACKEND
+from qdotplot.decompose import LOGICAL
 
 
 def _circuit(n, gates):
@@ -624,7 +624,7 @@ def test_run_cells_matches_toffoli_run_per_cell(pair, mcx_mode):
     # unlowered in single-ancilla mode.
     oracle = oracle_circuit(_golden_pair(*pair), skip="init")
     if mcx_mode == "ccnot_chain":
-        oracle = lower_to_native(oracle, TOFFOLI_BACKEND, mcx_mode)
+        oracle = lower_to_native(oracle, LOGICAL, mcx_mode)
     w, h = oracle.register("x").size, oracle.register("y").size
     x0, y0 = oracle.wire(oracle.register("x")[0]), oracle.wire(oracle.register("y")[0])
     cells = unpack_planes(run_cells(oracle), range(oracle.n_qubits), 1 << (w + h))
