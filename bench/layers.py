@@ -10,14 +10,15 @@ superconducting-53 and ion-40: lower_to_native in chain mode, route, the
 level walk behind every depth (circuit._levels over the routed circuit's
 stages, as compile_circuit calls it), gate_counts, qasm_text and
 parse_qasm. At 1024 bp and below it also times lower_to_native in
-single-ancilla mode, the one place that path's time is shown; the 4096 bp
-ion-40 single-ancilla lowering alone peaks near 1.6 GB. Each time is the
-best of --repeat runs. It prints one JSON line: the times in seconds, the
-lowered and routed gate counts by length and backend, the gate count at
-the logical level (lowering's first pass, decompose.LOGICAL) of each
-length and mode before and after X-pair cancellation, and the process's
-peak RSS. The default lengths peak at about 1.3 GB, most of it the
-4096 bp ion-40 program and its parse.
+single-ancilla mode; the 4096 bp ion-40 single-ancilla lowering alone
+peaks near 1.6 GB. At every length it times lowering's first pass in each
+mode (each stage lowered to decompose.LOGICAL, then its X pairs
+cancelled), which does all of the multi-controlled X work. Each time is
+the best of --repeat runs. It prints one JSON line: the times in seconds,
+the lowered and routed gate counts by length and backend, the gate count
+at the logical level of each length and mode before and after X-pair
+cancellation, and the process's peak RSS. The default lengths peak at
+about 1.3 GB, most of it the 4096 bp ion-40 program and its parse.
 """
 
 from __future__ import annotations
@@ -75,14 +76,25 @@ def self_pair(bp: int):
     return pad_pair(seq, seq)
 
 
+def logical_stages(circuit, mode: str):
+    """Each stage of the circuit lowered to LOGICAL, one at a time, as
+    lower_to_native does."""
+    _, pool = _ancilla_pool(circuit, mode)
+    to_logical = native_lowering(LOGICAL, mode, pool)
+    for _, start, stop in circuit.stage_ranges():
+        yield to_logical(circuit.gates[start:stop])
+
+
+def logical_pass(circuit, mode: str) -> list:
+    """Lowering's first pass: the logical stages with their X pairs cancelled."""
+    return [_cancel_x_pairs(stage) for stage in logical_stages(circuit, mode)]
+
+
 def logical_gates(circuit, mode: str) -> dict:
     """The circuit's gate count at the logical level, before and after the
     X-pair cancellation that lower_to_native runs there."""
-    _, pool = _ancilla_pool(circuit, mode)
-    to_logical = native_lowering(LOGICAL, mode, pool)
     before = after = 0
-    for _, start, stop in circuit.stage_ranges():
-        stage = to_logical(circuit.gates[start:stop])
+    for stage in logical_stages(circuit, mode):
         before += len(stage)
         after += len(_cancel_x_pairs(stage))
     return {"before": before, "after": after}
@@ -93,6 +105,7 @@ def layers(bp: int, repeat: int) -> dict:
     row: dict = {}
     row["build_pattern_circuit"], circuit = best(repeat, build_pattern_circuit, r, q)
     row["logical_gates"] = {mode: logical_gates(circuit, mode) for mode in MCX_MODES}
+    row["logical_pass"] = {mode: best(repeat, logical_pass, circuit, mode)[0] for mode in MCX_MODES}
     for name in BACKENDS:
         backend = load_backend(name)
         times: dict = {}

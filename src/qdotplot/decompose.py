@@ -9,6 +9,10 @@ Two interchangeable strategies remove high arity X gates:
   controls is then expanded over controlled root-of-X gates, so no clean
   scratch space is needed beyond that one qubit.
 
+In both modes a single-target X of three or more controls lowers to an X
+pair on each negative control around the all-positive core that _mcx_core
+builds, checks and lowers once per (target, *control qubits).
+
 `lower_to_native` lowers every stage in two passes, on every backend. The
 first goes to LOGICAL, whose native set is the labels of NATIVE_RULES: it
 rewrites the multi-control, negative-control and multi-target gates (the
@@ -40,18 +44,14 @@ def _x_target(gate: Gate) -> QubitRef:
     return gate.targets[0]
 
 
-def rewrite_negative_controls(gate: Gate, core=None, x=Gate.x) -> list[Gate]:
+def rewrite_negative_controls(gate: Gate, x=Gate.x) -> list[Gate]:
     """Sandwich every negative control between X gates (each built by x),
-    around an all-positive gate of the same kind, or around core(control
-    qubits): the gates that stand for it, so it is never built."""
+    around an all-positive gate of the same kind."""
     flips = [x(c.qubit) for c in gate.controls if not c.positive]
-    if core is not None:
-        middle = core([c.qubit for c in gate.controls])
-    elif not flips:
+    if not flips:
         return [gate]
-    else:
-        middle = [gate._replace(controls=tuple(Control(c.qubit) for c in gate.controls))]
-    return flips + middle + flips[::-1]
+    middle = gate._replace(controls=tuple(Control(c.qubit) for c in gate.controls))
+    return flips + [middle] + flips[::-1]
 
 
 def _chain_ladder(controls, ancillas, target, ccx=Gate.ccx) -> list[Gate]:
@@ -63,23 +63,34 @@ def _chain_ladder(controls, ancillas, target, ccx=Gate.ccx) -> list[Gate]:
     return up + [ccx(controls[-1], ancillas[-1], target)] + up[::-1]
 
 
-def decompose_mcx_chain(gate: Gate, ancillas, ladder=_chain_ladder, x=Gate.x) -> list[Gate]:
+def _mcx_core(controls, target, pool, mcx_mode: str, ccx=Gate.ccx) -> list[Gate]:
+    """The all-positive c-control X on qubits, c >= 3, by mcx_mode: the
+    chain ladder over the clean ancillas pool[:c-2] (ccx builds each
+    Toffoli), or the echo over the borrowed ancilla pool[0]."""
+    c = len(controls)
+    chain = mcx_mode == "ccnot_chain"
+    need = c - 2 if chain else 1
+    ancillas = list(pool[:need])
+    if len(ancillas) < need:
+        raise CircuitError(f"{c}-control chain needs {need} ancillas" if chain
+                           else f"{c}-control echo needs an ancilla")
+    if not {target, *controls}.isdisjoint(ancillas):
+        raise CircuitError("ancillas overlap the gate's own qubits" if chain
+                           else "ancilla overlaps the gate's own qubits")
+    if chain:
+        return _chain_ladder(controls, ancillas, target, ccx)
+    return _echo(controls, target, ancillas)
+
+
+def decompose_mcx_chain(gate: Gate, ancillas) -> list[Gate]:
     """c-control X -> 2(c-2)+1 Toffolis through c-2 clean ancillas.
 
-    The ancillas must start in |0> and are returned to |0>. The ladder,
-    ladder(control qubits, ancillas, target), goes inside the X pairs (each
-    built by x) of any negative control; lower_to_native passes cached ones.
+    The ancillas must start in |0> and are returned to |0>. The gate is
+    lowered to LOGICAL like any other: X pairs around the ladder for each
+    negative control.
     """
-    target = _x_target(gate)
-    c = len(gate.controls)
-    if c <= 2:
-        return rewrite_negative_controls(gate, x=x)
-    ancillas = list(ancillas)[: c - 2]
-    if len(ancillas) < c - 2:
-        raise CircuitError(f"{c}-control chain needs {c - 2} ancillas")
-    if not set(gate.qubits()).isdisjoint(ancillas):
-        raise CircuitError("ancillas overlap the gate's own qubits")
-    return rewrite_negative_controls(gate, lambda controls: ladder(controls, ancillas, target), x)
+    _x_target(gate)
+    return native_lowering(LOGICAL, "ccnot_chain", tuple(ancillas))([gate])
 
 
 def _gray_root_network(c0, c1, c2, target, exponent: Fraction) -> list[Gate]:
@@ -149,16 +160,12 @@ def decompose_mcx_single_ancilla(gate: Gate, ancilla: QubitRef) -> list[Gate]:
     Splitting the controls as A = first ceil(c/2), B = rest + ancilla and
     echoing A B A B cancels any stale ancilla value, so the ancilla may be
     dirty. Gates of at most two controls pass through; three or four
-    control pieces expand over controlled roots of X. Negative controls
-    get X pairs around the echo.
+    control pieces expand over controlled roots of X. The gate is lowered
+    to LOGICAL like any other: X pairs around the echo for each negative
+    control.
     """
-    target = _x_target(gate)
-    c = len(gate.controls)
-    if c <= 2:
-        return rewrite_negative_controls(gate)
-    if ancilla in set(gate.qubits()):
-        raise CircuitError("ancilla overlaps the gate's own qubits")
-    return rewrite_negative_controls(gate, lambda controls: _echo(controls, target, [ancilla]))
+    _x_target(gate)
+    return native_lowering(LOGICAL, "single_ancilla", (ancilla,))([gate])
 
 
 def ccx_network(a, b, target) -> list[Gate]:
@@ -330,7 +337,7 @@ def native_lowering(backend, mcx_mode: str = "ccnot_chain", pool: tuple = ()):
     """The function that lowers a list of gates into the backend's native
     set, multi-controlled X by mcx_mode over the ancilla pool. Its caches
     live as long as it does: each distinct gate, X or Toffoli piece and
-    ladder is built and lowered once."""
+    multi-control X core is built and lowered once."""
     native = set(backend.native_gates)
     # Equal gates lower to one shared expansion of immutable gates. Gate
     # equality treats 0.0 == -0.0, so the key also holds each parameter's
@@ -365,26 +372,21 @@ def native_lowering(backend, mcx_mode: str = "ccnot_chain", pool: tuple = ()):
         return g
 
     x_piece, ccx_piece = partial(piece, Gate.x), partial(piece, Gate.ccx)
-    ladders: dict[tuple, list[Gate]] = {}
-
-    def ladder(controls, ancillas, target) -> list[Gate]:
-        # Ancillas are pool[: c - 2], so the qubits of the gate fix them.
-        key = (target, *controls)
-        out = ladders.get(key)
-        if out is None:
-            out = ladders[key] = _chain_ladder(controls, ancillas, target, ccx_piece)
-        return out
+    # The lowered all-positive multi-control X by its (target, *controls).
+    cores: dict[tuple, list[Gate]] = {}
 
     def _expand(g: Gate) -> list[Gate]:
-        c = len(g.controls)
-        if g.kind == "x" and c > 2 and len(g.targets) == 1 and mcx_mode == "ccnot_chain":
-            return lower_all(decompose_mcx_chain(g, pool[: c - 2], ladder, x_piece))
-        if any(not ctl.positive for ctl in g.controls):
-            return lower_all(rewrite_negative_controls(g, x=x_piece))
         if g.kind == "x" and len(g.targets) > 1:
             return lower_all(Gate("x", (t,), g.controls) for t in g.targets)
-        if g.label == "mcx":
-            return lower_all(decompose_mcx_single_ancilla(g, pool[0]))
+        if g.kind == "x" and len(g.controls) > 2:
+            key = (g.targets[0], *[c.qubit for c in g.controls])
+            core = cores.get(key)
+            if core is None:
+                core = cores[key] = lower_all(_mcx_core(key[1:], key[0], pool, mcx_mode, ccx_piece))
+            flips = [x_piece(c.qubit) for c in g.controls if not c.positive]
+            return lower_all(flips) + core + lower_all(flips[::-1])
+        if any(not ctl.positive for ctl in g.controls):
+            return lower_all(rewrite_negative_controls(g, x=x_piece))
         rule = NATIVE_RULES.get(g.label)
         if rule is None:
             raise LoweringError(f"cannot lower {g.label}")

@@ -73,9 +73,14 @@ def classical_dotplot(r: SymbolSequence, q: SymbolSequence) -> DotPlot:
     return DotPlot((qc[:, None] == rc[None, :]).astype(np.uint8))
 
 
-def _check_mode(mcx_mode: str) -> None:
+def _plot_and_oracle(r, q, mcx_mode, use_minimizer, circuit, skip=None) -> tuple[DotPlot, Circuit]:
+    """The classical plot and the oracle: circuit's gates before its first
+    measurement (of a fresh build when circuit is None), less stage skip."""
     if mcx_mode not in MCX_MODES:
         raise ConfigError(f"mcx_mode must be one of {MCX_MODES}")
+    if circuit is None:
+        circuit = build_dotplot_circuit(r, q, use_minimizer=use_minimizer)
+    return classical_dotplot(r, q), oracle_circuit(circuit, skip=skip)
 
 
 @dataclass(frozen=True)
@@ -103,11 +108,7 @@ def validate_exhaustive(
     Each (x, y) pair is the input basis state of one batched
     bit-propagation run (run_cells) of the oracle without its init stage.
     """
-    _check_mode(mcx_mode)
-    plot = classical_dotplot(r, q)
-    if circuit is None:
-        circuit = build_dotplot_circuit(r, q, use_minimizer=use_minimizer)
-    circuit = oracle_circuit(circuit, skip="init")
+    plot, circuit = _plot_and_oracle(r, q, mcx_mode, use_minimizer, circuit, skip="init")
     if mcx_mode == "ccnot_chain":
         circuit = lower_to_native(circuit, LOGICAL, mcx_mode)
     wf, hf = plot.width, plot.height
@@ -148,12 +149,8 @@ def validate_sampling(
     the chi-square p-value of the (x, y) marginal drops to SIGNIFICANCE or
     below.
     """
-    _check_mode(mcx_mode)
-    plot = classical_dotplot(r, q)
+    plot, circuit = _plot_and_oracle(r, q, mcx_mode, use_minimizer, circuit)
     layout = layout_for(r, q)
-    if circuit is None:
-        circuit = build_dotplot_circuit(r, q, use_minimizer=use_minimizer)
-    circuit = oracle_circuit(circuit)
     circuit = circuit.append_stages([("readout", readout_gates(circuit, layout))])
     wire, states, counts = _draw(circuit, shots, seed)
     # One column per classical bit, in the order sorted() compares bit tuples.

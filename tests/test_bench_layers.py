@@ -24,6 +24,7 @@ def test_layers_smoke_at_8_bp():
     for mode in ("ccnot_chain", "single_ancilla"):
         logical = row["logical_gates"][mode]
         assert 0 < logical["after"] <= logical["before"], mode
+        assert row["logical_pass"][mode] >= 0, mode
     for backend in BACKENDS:
         times = row[backend]
         assert all(times[layer] >= 0 for layer in TIMED), backend

@@ -175,6 +175,21 @@ def test_gate_rejects_duplicate_qubits_and_bad_params():
         Gate.measure(a, -1)
 
 
+@pytest.mark.parametrize("make, error", [
+    (lambda a, b: Gate("x", ()), "^x gate needs at least one target$"),
+    (lambda a, b: Gate("h", (a,), (Control(b),)), "^h gate cannot carry controls$"),
+    (lambda a, b: Gate("p", (a,), (), (0.5,), exponent=Fraction(1, 2)),
+     "^p gate does not take an exponent$"),
+    (lambda a, b: Gate("h", (a,), classical_bit=0), "^h gate does not take a classical bit$"),
+    (lambda a, b: Gate.root_x(Fraction(1, 3), a), r"^rootx exponent must be one of .*, got 1/3$"),
+    (lambda a, b: Gate.mcx([], a), "^mcx needs at least one control$"),
+], ids=["x-no-target", "h-controls", "p-exponent", "h-classical-bit", "rootx-third", "mcx-empty"])
+def test_gate_refuses_malformed_fields(make, error):
+    a, b = Register("r", 2).refs()
+    with pytest.raises(CircuitError, match=error):
+        make(a, b)
+
+
 def test_gate_rejects_one_qubit_as_two_controls_of_opposite_polarity():
     a, b = Register("r", 2).refs()
     with pytest.raises(CircuitError, match=r"qubit QubitRef\(register='r', offset=0\) appears twice in one gate"):

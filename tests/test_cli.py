@@ -308,6 +308,20 @@ def test_unknown_alphabet_lists_the_choices_and_writes_nothing(runner, seqdir):
     assert "[auto|dna]" in help_text
 
 
+@pytest.mark.parametrize("text, error", [
+    (">only a header\n\n", "no sequence data in {ref}"),
+    ("ACG7T\n", "{ref}: symbol '7' at position 3 is not a letter"),
+], ids=["empty", "digit"])
+def test_unreadable_sequence_exits_two_and_writes_nothing(runner, tmp_path, text, error):
+    ref = tmp_path / "ref.fa"
+    ref.write_text(text)
+    result = runner.invoke(main, ["build", "--reference", str(ref), "--alphabet", "auto",
+                                  "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert f"configuration error: {error.format(ref=ref)}" in result.output
+    assert not (tmp_path / "out").exists()
+
+
 def test_sequence_file_with_a_byte_order_mark_builds_like_one_without(runner, tmp_path):
     artifacts = []
     for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):

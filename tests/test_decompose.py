@@ -224,6 +224,31 @@ def test_mcx_decompositions_reject_ancillas_on_the_gate_and_too_few_ancillas():
     assert decompose_mcx_chain(gate, [r[5], r[6]]) and decompose_mcx_single_ancilla(gate, r[5])
 
 
+@pytest.mark.parametrize("mode, error", [
+    ("ccnot_chain", "^ancillas overlap the gate's own qubits$"),
+    ("single_ancilla", "^ancilla overlaps the gate's own qubits$"),
+])
+@pytest.mark.parametrize("role", ["control", "negative-control", "target"])
+def test_lowering_refuses_an_mcx_on_an_ancilla_qubit(mode, error, role):
+    # A 3-control chain takes pool[:1] and the echo pool[0]: anc[0] either way.
+    r, anc = Register("r", 4, "x"), Register("anc", 2, "ancilla")
+    third = {"control": anc[0], "negative-control": Control(anc[0], False), "target": r[2]}[role]
+    gate = Gate.mcx([r[0], r[1], third], anc[0] if role == "target" else r[3])
+    with pytest.raises(CircuitError, match=error):
+        lower_to_native(Circuit((r, anc)).append_stages([("s", [gate])]), ALLSIM, mode)
+
+
+def test_lowering_refuses_a_pool_too_small_and_an_unknown_mode():
+    r = Register("r", 6)
+    gate = Gate.mcx([r[0], Control(r[1], False), r[2], r[3]], r[4])
+    with pytest.raises(CircuitError, match="^4-control chain needs 2 ancillas$"):
+        native_lowering(LOGICAL, "ccnot_chain", (r[5],))([gate])
+    with pytest.raises(CircuitError, match="^4-control echo needs an ancilla$"):
+        native_lowering(LOGICAL, "single_ancilla", ())([gate])
+    with pytest.raises(LoweringError, match="mcx_mode must be one of"):
+        lower_to_native(Circuit((r,)).append_stages([("s", [gate])]), ALLSIM, "toffoli")
+
+
 def test_single_ancilla_touches_only_one_ancilla():
     gate, regs, ctrl, tgt, anc = _mcx_gate(5, 1, "single")
     circuit = Circuit(registers=regs)
@@ -473,21 +498,45 @@ def _seeded_encoder(seed=16, n_gates=64):
     return Circuit((x, d)).append_stages([("neqr", gates)])
 
 
-def test_chain_lowering_builds_no_gate_twice(monkeypatch):
-    circuit = _seeded_encoder()
+def _built_while(monkeypatch, fn, *args) -> tuple[list, object]:
+    """The gates built while fn(*args) runs, and its result."""
     built = []
     new = Gate.__new__
 
-    def counted(cls, *args, **kwargs):
-        gate = new(cls, *args, **kwargs)
+    def counted(cls, *a, **kw):
+        gate = new(cls, *a, **kw)
         built.append(gate)
         return gate
 
     monkeypatch.setattr(Gate, "__new__", counted)
-    lowered = lower_to_native(circuit, load_backend("allsim"), "ccnot_chain")
+    result = fn(*args)
     monkeypatch.undo()
+    return built, result
+
+
+def test_chain_lowering_builds_no_gate_twice(monkeypatch):
+    built, lowered = _built_while(monkeypatch, lower_to_native, _seeded_encoder(),
+                                  load_backend("allsim"), "ccnot_chain")
     assert built
     assert len(built) <= len(set(lowered.gates))
+
+
+# The gates of each mode's all-positive core of a 6-control X: a ladder of
+# 5 Toffolis shared up and down, or the echo's 3- and 4-control pieces.
+@pytest.mark.parametrize("mode, core", [("ccnot_chain", 5), ("single_ancilla", 13 + 41)])
+def test_polarity_variants_of_one_mcx_share_one_core(monkeypatch, mode, core):
+    # However many polarity variants of one control set lowering meets, it
+    # builds the core once and one X per qubit it flips: no positive copy
+    # of a negative-control gate, and nothing per variant.
+    ctrl, tgt = Register("c", 6, "index"), Register("t", 1, "value")
+    patterns = random.Random(6).sample(range(64), 64)
+    for k in (1, 4, 16, 64):
+        gates = [Gate.mcx([Control(ctrl[b], bool(p >> b & 1)) for b in range(6)], tgt[0])
+                 for p in patterns[:k]]
+        circuit = Circuit((ctrl, tgt)).append_stages([("neqr", gates)])
+        flipped = {b for p in patterns[:k] for b in range(6) if not p >> b & 1}
+        built, _ = _built_while(monkeypatch, lower_to_native, circuit, load_backend("allsim"), mode)
+        assert len(built) == core + len(flipped), k
 
 
 # sha256 of qasm_text(lower_to_native(_seeded_encoder(), backend, mode)). The

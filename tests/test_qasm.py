@@ -71,6 +71,13 @@ def test_emit_contains_header_and_registers():
     assert "measure a[0] -> c[0];" in text
 
 
+def test_emitting_a_gate_with_no_qasm_form_raises():
+    r = Register("r", 4, "x")
+    c = Circuit(registers=(r,)).append_stages([("s", [Gate.mcx([r[0], r[1], r[2]], r[3])])])
+    with pytest.raises(QasmError, match="^gate 'mcx' has no OpenQASM 2.0 form; lower the circuit first$"):
+        qasm_text(c)
+
+
 def test_round_trip_preserves_counts_depth_and_bytes():
     c = _rich_circuit()
     text = qasm_text(c)

@@ -685,6 +685,9 @@ def test_sample_pattern_rejects_other_circuits():
     no_init = _with_gate(circuit, 0, Gate.x(x0))
     with pytest.raises(ValueError, match="one h on each x and y qubit"):
         sample_pattern(no_init, 100)
+    dr_first = _with_gate(circuit, stop, Gate.measure(circuit.register("dr")[0], 0))
+    with pytest.raises(ValueError, match="^the first measurement of a pattern circuit must read v into bit 0$"):
+        pattern_distribution(dr_first)
 
 
 def test_sample_pattern_limits_raise_config_error():
