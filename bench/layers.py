@@ -11,13 +11,16 @@ level walk behind every depth (circuit._levels over the routed circuit's
 stages, as compile_circuit calls it), gate_counts, qasm_text and
 parse_qasm. At 1024 bp and below it also times lower_to_native in
 single-ancilla mode; the 4096 bp ion-40 single-ancilla lowering alone
-peaks near 1.6 GB. At every length it times lowering's first pass in each
-mode (each stage lowered to decompose.LOGICAL, then its X pairs
-cancelled), which does all of the multi-controlled X work. Each time is
-the best of --repeat runs. It prints one JSON line: the times in seconds,
-the lowered and routed gate counts by length and backend, the gate count
-at the logical level of each length and mode before and after X-pair
-cancellation, and the process's peak RSS. The default lengths peak at
+peaks near 1.6 GB. Where the pattern circuit fits the dense engine's
+24-qubit cap (21 qubits at 256 bp, 25 at 1024 bp), it times method 2:
+validate_sampling with 100,000 shots and seed 11 on that circuit. At
+every length it times lowering's first pass in each mode (each stage
+lowered to decompose.LOGICAL, then its X pairs cancelled), which does all
+of the multi-controlled X work. Each time is the best of --repeat runs.
+It prints one JSON line: the times in seconds, the lowered and routed
+gate counts by length and backend, the gate count at the logical level
+of each length and mode before and after X-pair cancellation, and the
+process's peak RSS. The default lengths peak at
 about 1.3 GB, most of it the 4096 bp ion-40 program and its parse.
 """
 
@@ -45,6 +48,7 @@ from qdotplot import (  # noqa: E402
     parse_qasm,
     qasm_text,
     route,
+    validate_sampling,
 )
 from qdotplot.circuit import _levels  # noqa: E402
 from qdotplot.decompose import (  # noqa: E402
@@ -53,6 +57,7 @@ from qdotplot.decompose import (  # noqa: E402
     _cancel_x_pairs,
     native_lowering,
 )
+from qdotplot.simulate import DEFAULT_QUBIT_CAP  # noqa: E402
 
 BACKENDS = ("allsim", "superconducting-53", "ion-40")
 # Single-ancilla lowering is timed up to this length.
@@ -106,6 +111,9 @@ def layers(bp: int, repeat: int) -> dict:
     row["build_pattern_circuit"], circuit = best(repeat, build_pattern_circuit, r, q)
     row["logical_gates"] = {mode: logical_gates(circuit, mode) for mode in MCX_MODES}
     row["logical_pass"] = {mode: best(repeat, logical_pass, circuit, mode)[0] for mode in MCX_MODES}
+    if circuit.n_qubits <= DEFAULT_QUBIT_CAP:
+        row["validate_sampling"] = best(
+            repeat, lambda: validate_sampling(r, q, 100_000, 11, circuit=circuit))[0]
     for name in BACKENDS:
         backend = load_backend(name)
         times: dict = {}

@@ -17,9 +17,11 @@ that the k targets pick out, then, for an X, trade block b with block
 2^k-1-b, or else combine the blocks by the gate's 2x2 or 4x4 matrix
 (_matrix); a measure reads and collapses the two blocks of its wire.
 statevector_run returns (amplitudes, classical) and collapses the state
-at each measure; sample defers mid-circuit measurements, draws from one
-dense pass over the support of its distribution, and tallies the draws in
-numpy. A pattern circuit (encoder.build_pattern_circuit) is read out
+at each measure; sample defers mid-circuit measurements and draws from one
+dense pass over the support of its distribution, counting the shots per
+state from their sorted uniforms (_draw_counts): numpy's Generator.choice
+count for count, as it is the same uniforms between the same partial
+sums. A pattern circuit (encoder.build_pattern_circuit) is read out
 without a statevector: its oracle runs once on the planes of all plot
 cells (run_cells) and an FFT stands in for the inverse QFT
 (pattern_distribution).
@@ -37,8 +39,8 @@ from .errors import ConfigError
 
 DEFAULT_QUBIT_CAP = 24
 READOUT_CELL_CAP = 1 << 20
-# A draw holds an 8-byte index and an 8-byte uniform per shot: validate of
-# an 8 bp pair peaks near 190 MB at the cap.
+# A draw holds one 8-byte uniform per shot, sorted in place: validate of
+# an 8 bp pair peaks near 114 MB at the cap.
 SHOT_CAP = 10_000_000
 
 
@@ -356,6 +358,24 @@ def circuit_unitary(circuit: Circuit, max_qubits: int = 12) -> np.ndarray:
     return mat
 
 
+def _draw_counts(p: np.ndarray, shots: int, seed: int = 0) -> np.ndarray:
+    """How often each index of p is drawn in shots draws with the seeded
+    generator, as np.bincount(default_rng(seed).choice(p.size, size=shots,
+    p=p), minlength=p.size) counts them.
+
+    choice sends each of its uniforms u to the first index whose cdf entry
+    (p's cumulative sum over its last entry) exceeds u. Sorting the same
+    uniforms and counting those below each cdf entry gives index i the ones
+    below cdf[i] but not below cdf[i - 1]: choice's draw, with one search
+    per state instead of one per shot.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    u = np.random.default_rng(seed).random(shots)
+    u.sort()
+    return np.diff(np.searchsorted(u, cdf), prepend=0)
+
+
 def _draw(
     circuit: Circuit,
     shots: int,
@@ -367,7 +387,10 @@ def _draw(
 
     Returns (wire, states, counts): wire[b] is the wire that the last
     measurement writing classical bit b reads, states the distinct states
-    drawn, ascending, and counts[i] how often states[i] was drawn.
+    drawn, ascending, and counts[i] how often states[i] was drawn. The
+    counts are those of numpy's Generator.choice over the distribution
+    with the seeded generator, made from its sorted uniforms
+    (_draw_counts).
     """
     check_shots(shots)
     gates = circuit.gates
@@ -394,12 +417,11 @@ def _draw(
     dist = np.abs(psi) ** 2
     del psi, eng  # the 2^n amplitudes are not needed while drawing
     dist /= dist.sum()
-    # Drawing over the support alone gives the draws of a draw over all of
-    # dist: the partial sums at the support positions are the same, so
-    # the same uniforms land on the same states.
+    # Counting over the support alone gives the counts of a draw over all
+    # of dist: the partial sums at the support positions are the same, so
+    # the same uniforms fall between the same bounds.
     support = np.flatnonzero(dist)
-    drawn = np.random.default_rng(seed).choice(len(support), size=shots, p=dist[support])
-    counts = np.bincount(drawn, minlength=support.size)
+    counts = _draw_counts(dist[support], shots, seed)
     hit = np.flatnonzero(counts)
     # A later write to a bit wins.
     wire = {g.classical_bit: wires[0]

@@ -45,7 +45,14 @@ from qdotplot import (
     toffoli_run_batch,
 )
 from qdotplot.encoder import oracle_circuit
-from qdotplot.simulate import SHOT_CAP, _Engine, check_qubit_cap, run_cells, unpack_planes
+from qdotplot.simulate import (
+    SHOT_CAP,
+    _draw_counts,
+    _Engine,
+    check_qubit_cap,
+    run_cells,
+    unpack_planes,
+)
 from qdotplot.decompose import LOGICAL
 
 
@@ -458,21 +465,60 @@ def test_sample_draws_are_pinned():
     assert digest == "5ac0822c7dcef251d66e3466f5c42a9506f51c00066377250edd877025614efe"
 
 
+def _choice_counts(p, shots, seed):
+    """The per-index counts of numpy's own draw."""
+    drawn = np.random.default_rng(seed).choice(p.size, size=shots, p=p)
+    return np.bincount(drawn, minlength=p.size)
+
+
+def _random_distribution(rng):
+    """A random distribution over 1 to 299 states, some of them often zero."""
+    p = rng.random(int(rng.integers(1, 300))) ** int(rng.integers(1, 6))
+    p[rng.random(p.size) < rng.random()] = 0.0
+    if not p.any():
+        p[int(rng.integers(p.size))] = 1.0
+    return p / p.sum()
+
+
+def test_draw_counts_equal_numpy_choice():
+    # The count from sorted uniforms must be numpy's draw, count for count.
+    cases = [
+        (np.array([1.0]), 1),  # a one-state support, one shot
+        (np.array([1.0]), 1000),
+        (np.full(7, 1 / 7), 50_000),  # far more shots than states
+        (np.full(400, 1 / 400), 3),  # far more states than shots
+    ]
+    # Terms that the cumulative sum absorbs: 1 + 1e-20 == 1, so their
+    # partial sums repeat and none of them is ever drawn.
+    tiny = np.full(50, 1e-20)
+    tiny[::7] = 1.0
+    cases.append((tiny / tiny.sum(), 20_000))
+    rng = np.random.default_rng(1)
+    cases += [(_random_distribution(rng), int(rng.integers(1, 5000))) for _ in range(300)]
+    for seed, (p, shots) in enumerate(cases):
+        counts = _draw_counts(p, shots, seed)
+        assert counts.sum() == shots, seed
+        assert np.array_equal(counts, _choice_counts(p, shots, seed)), seed
+    # One shot on the bounds: a uniform equal to a partial sum goes to the
+    # next state, and a bound is where it lies once divided by the total,
+    # which numpy lets differ from 1 by up to sqrt(eps).
+    u = np.random.default_rng(0).random()
+    a = u * (1 + 5e-10)
+    for p in (np.array([u, 1 - u]), np.array([a, 1 + 1e-9 - a])):
+        assert _draw_counts(p, 1, 0).tolist() == _choice_counts(p, 1, 0).tolist() == [0, 1]
+
+
 def test_support_draw_equals_the_full_draw():
-    # sample draws over the nonzero entries of its distribution only; numpy's
-    # Generator.choice must give the same states for the same seed.
+    # sample counts over the nonzero entries of its distribution only; that
+    # must give the counts of numpy's draw over the whole distribution.
     rng = np.random.default_rng(0)
     for trial in range(300):
-        p = rng.random(int(rng.integers(1, 300))) ** 3
-        p[rng.random(p.size) < rng.random()] = 0.0
-        if not p.any():
-            p[int(rng.integers(p.size))] = 1.0
-        p /= p.sum()
+        p = _random_distribution(rng)
         shots = int(rng.integers(1, 5000))
-        full = np.random.default_rng(trial).choice(p.size, size=shots, p=p)
         support = np.flatnonzero(p)
-        drawn = np.random.default_rng(trial).choice(support.size, size=shots, p=p[support])
-        assert np.array_equal(support[drawn], full), trial
+        counts = np.zeros(p.size, dtype=np.int64)
+        counts[support] = _draw_counts(p[support], shots, trial)
+        assert np.array_equal(counts, _choice_counts(p, shots, trial)), trial
 
 
 def _projected_distribution(circuit: Circuit) -> dict:
