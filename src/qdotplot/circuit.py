@@ -200,8 +200,6 @@ class Gate(_GateFields):
                 "classical_bit={!r})").format(*self)
 
     def qubits(self) -> tuple[QubitRef, ...]:
-        if not self.controls:
-            return self.targets
         return self.targets + tuple([c.qubit for c in self.controls])
 
     # -- constructors ------------------------------------------------------

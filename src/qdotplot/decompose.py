@@ -54,19 +54,16 @@ def rewrite_negative_controls(gate: Gate, x=Gate.x) -> list[Gate]:
     return flips + [middle] + flips[::-1]
 
 
-def _chain_ladder(controls, ancillas, target, ccx=Gate.ccx) -> list[Gate]:
-    """The 2(c-2)+1 Toffolis of a c-control X on qubits, c >= 3, laddering
-    the partial AND through c-2 clean ancillas; ccx builds each."""
-    up = [ccx(controls[0], controls[1], ancillas[0])]
-    for k in range(len(controls) - 3):
-        up.append(ccx(controls[k + 2], ancillas[k], ancillas[k + 1]))
-    return up + [ccx(controls[-1], ancillas[-1], target)] + up[::-1]
+def _mcx_core(controls, target, pool, mcx_mode: str, ccx) -> list[Gate]:
+    """The all-positive c-control X on qubits, c >= 3, by mcx_mode.
 
-
-def _mcx_core(controls, target, pool, mcx_mode: str, ccx=Gate.ccx) -> list[Gate]:
-    """The all-positive c-control X on qubits, c >= 3, by mcx_mode: the
-    chain ladder over the clean ancillas pool[:c-2] (ccx builds each
-    Toffoli), or the echo over the borrowed ancilla pool[0]."""
+    In chain mode, the 2(c-2)+1 Toffolis (ccx builds each) of a ladder over
+    the clean ancillas a = pool[:c-2]: a[0] takes the AND of the first two
+    controls, a[k+1] that of a[k] and the next control, the last control
+    and a[-1] flip the target, and the ladder is undone in reverse, so the
+    ancillas return to |0>. Otherwise, the echo over the borrowed ancilla
+    pool[0].
+    """
     c = len(controls)
     chain = mcx_mode == "ccnot_chain"
     need = c - 2 if chain else 1
@@ -77,9 +74,12 @@ def _mcx_core(controls, target, pool, mcx_mode: str, ccx=Gate.ccx) -> list[Gate]
     if not {target, *controls}.isdisjoint(ancillas):
         raise CircuitError("ancillas overlap the gate's own qubits" if chain
                            else "ancilla overlaps the gate's own qubits")
-    if chain:
-        return _chain_ladder(controls, ancillas, target, ccx)
-    return _echo(controls, target, ancillas)
+    if not chain:
+        return _echo(controls, target, ancillas)
+    up = [ccx(controls[0], controls[1], ancillas[0])]
+    for k in range(c - 3):
+        up.append(ccx(controls[k + 2], ancillas[k], ancillas[k + 1]))
+    return up + [ccx(controls[-1], ancillas[-1], target)] + up[::-1]
 
 
 def decompose_mcx_chain(gate: Gate, ancillas) -> list[Gate]:

@@ -20,8 +20,8 @@ parameters (up to the last ')') and the operand text of each statement.
 Work is shared by text within one parse: a repeated statement reuses its
 Gate, and each distinct (name, operand text) pair is resolved and checked
 once, its target and control tuples then shared by every gate that names
-those operands. A parameter list of plain numbers is read with one float()
-per part; any other list falls back to reading each part as an angle.
+those operands. Each part of a parameter list is read on its own: a plain
+number by float(), an expression once per distinct text.
 Each statement's text is freed once read, and automatic garbage collection
 is paused while the circuit is built.
 
@@ -184,7 +184,8 @@ def _evaluate(node: ast.expr) -> float:
 
 
 def _angle(text: str, memo: dict[str, float]) -> float:
-    """Evaluate one gate parameter (grammar in the module docstring).
+    """Evaluate one part of a gate's parameter list (grammar in the module
+    docstring).
 
     A plain number is read by float(); each expression is evaluated once
     and its value kept in memo.
@@ -208,25 +209,6 @@ def _angle(text: str, memo: dict[str, float]) -> float:
     if not math.isfinite(value):
         raise QasmError(f"cannot evaluate angle {text.strip()!r}")
     return value
-
-
-def _angles(text: str, memo: dict[str, float]) -> tuple[float, ...]:
-    """Evaluate a gate's parameter list.
-
-    A list of finite plain numbers is read with one float() per part; any
-    other list is read part by part by _angle, which accepts the same set
-    and names the part it refuses.
-    """
-    parts = text.split(",")
-    if text.isascii() and "_" not in text:  # float() also reads "_" and non-ASCII digits
-        try:
-            values = tuple(map(float, parts))
-        except ValueError:  # an angle expression
-            pass
-        else:
-            if math.isfinite(sum(values)):
-                return values
-    return tuple([_angle(a, memo) for a in parts])
 
 
 def _split_statements(text: str) -> list[str]:
@@ -389,7 +371,7 @@ def _build(pending: list[str]) -> Circuit:
                 shared = operand_sets[head, rest] = (
                     len(operands), tuple(operands[c:]), tuple([Control(q) for q in operands[:c]]))
             n_operands, targets, controls = shared
-            angles = _angles(params, expressions) if params else ()
+            angles = tuple([_angle(a, expressions) for a in params.split(",")]) if params else ()
             if row is None or n_operands != row[2] or len(angles) != row[3]:
                 raise QasmError("unsupported gate or operand count")
             gate = built[raw] = Gate(row[0], targets, controls, angles, row[4])

@@ -316,20 +316,16 @@ class _Engine:
         return outcome
 
 
-def statevector_run(
-    circuit: Circuit,
-    seed: int = 0,
-    initial: int = 0,
-    max_qubits: int = DEFAULT_QUBIT_CAP,
-) -> tuple[np.ndarray, list]:
+def statevector_run(circuit: Circuit, seed: int = 0, initial: int = 0) -> tuple[np.ndarray, list]:
     """Dense simulation; returns the final amplitudes (basis index bit q is
     wire q) and the classical bit list.
 
     Measurements sample the target's marginal with the seeded generator and
-    collapse the state in place.
+    collapse the state in place. More than DEFAULT_QUBIT_CAP qubits raise
+    ConfigError.
     """
     n = circuit.n_qubits
-    check_qubit_cap(n, max_qubits)
+    check_qubit_cap(n)
     if not 0 <= initial < (1 << n):
         raise ValueError(f"initial state {initial} out of range for {n} qubits")
     psi = np.zeros(1 << n, dtype=complex)
@@ -345,10 +341,10 @@ def statevector_run(
     return psi, classical
 
 
-def circuit_unitary(circuit: Circuit, max_qubits: int = 12) -> np.ndarray:
-    """Dense unitary of a measurement-free circuit (oracle-sized circuits only)."""
+def circuit_unitary(circuit: Circuit) -> np.ndarray:
+    """Dense unitary of a measurement-free circuit of at most 12 qubits."""
     n = circuit.n_qubits
-    check_qubit_cap(n, max_qubits, "unitary")
+    check_qubit_cap(n, 12, "unitary")
     if any(g.kind == "measure" for g in circuit.gates):
         raise ValueError("circuit with measurements has no unitary")
     mat = np.eye(1 << n, dtype=complex)
@@ -376,12 +372,7 @@ def _draw_counts(p: np.ndarray, shots: int, seed: int = 0) -> np.ndarray:
     return np.diff(np.searchsorted(u, cdf), prepend=0)
 
 
-def _draw(
-    circuit: Circuit,
-    shots: int,
-    seed: int = 0,
-    max_qubits: int = DEFAULT_QUBIT_CAP,
-) -> tuple[dict, np.ndarray, np.ndarray]:
+def _draw(circuit: Circuit, shots: int, seed: int = 0) -> tuple[dict, np.ndarray, np.ndarray]:
     """Draw shots basis states from circuit's final distribution, in one
     dense pass (see sample for the deferral of mid-circuit measurements).
 
@@ -399,7 +390,7 @@ def _draw(
     # The trailing measurements start at stop.
     stop = max((i + 1 for i, g in enumerate(gates) if g.kind != "measure"), default=0)
     mid = [i for i in range(stop) if gates[i].kind == "measure"]
-    check_qubit_cap(circuit.n_qubits + len(mid), max_qubits)
+    check_qubit_cap(circuit.n_qubits + len(mid))
     if mid:
         anc = circuit.ancilla_register(len(mid))
         fresh = dict(zip(mid, anc.refs()))
@@ -429,21 +420,16 @@ def _draw(
     return wire, support[hit], counts[hit]
 
 
-def sample(
-    circuit: Circuit,
-    shots: int,
-    seed: int = 0,
-    max_qubits: int = DEFAULT_QUBIT_CAP,
-) -> dict[tuple, int]:
+def sample(circuit: Circuit, shots: int, seed: int = 0) -> dict[tuple, int]:
     """Histogram over classical bit tuples (index = classical bit), drawn
     from the final distribution of one dense pass.
 
     Measurement is deferred: each measure with gates after it becomes a cx
-    onto a fresh ancilla wire (counted toward max_qubits), measured at the
-    end in program order before the trailing measures, so a later write to
-    the same bit still wins.
+    onto a fresh ancilla wire (counted toward DEFAULT_QUBIT_CAP), measured
+    at the end in program order before the trailing measures, so a later
+    write to the same bit still wins.
     """
-    wire, states, counts = _draw(circuit, shots, seed, max_qubits)
+    wire, states, counts = _draw(circuit, shots, seed)
     # States that agree on the measured wires give one outcome, listed in
     # the order the ascending states first show it.
     measured = states & sum(1 << w for w in set(wire.values()))

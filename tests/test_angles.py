@@ -115,8 +115,8 @@ def test_an_integer_too_large_for_a_float_cannot_be_evaluated():
     ("u2(0,١) q[0]", "١"),
 ])
 def test_a_parameter_list_names_the_one_part_that_cannot_be_evaluated(statement, part):
-    # float() reads every one of these parts; the whole list is read at once
-    # only when each part is a finite plain number.
+    # float() reads every one of these parts, yet none is an angle: each part
+    # is read on its own, and the error names the one refused.
     with pytest.raises(QasmError) as err:
         _one_gate(statement + ";")
     assert str(err.value) == f"cannot evaluate angle {part!r} in statement {statement!r}"

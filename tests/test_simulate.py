@@ -295,13 +295,9 @@ def test_statevector_cap():
     c = Circuit(registers=(r,)).append_stages([("s", [Gate.h(r[0])])])
     with pytest.raises(ValueError, match="cap"):
         statevector_run(c)
-    # Configurable upward: max_qubits moves the cap that statevector_run
-    # checks, shown on 4 qubits rather than on a 2^25 state.
     check_qubit_cap(25, 25)
     small = _circuit(4, [Gate.h(_reg(4)[0])])
-    with pytest.raises(ValueError, match="cap"):
-        statevector_run(small, max_qubits=3)
-    psi, _ = statevector_run(small, max_qubits=4)
+    psi, _ = statevector_run(small)
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-9
 
 
