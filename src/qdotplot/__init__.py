@@ -23,10 +23,7 @@ from .circuit import (
 from .decompose import (
     MCX_MODES,
     ccx_network,
-    decompose_mcx_chain,
-    decompose_mcx_single_ancilla,
     lower_to_native,
-    rewrite_negative_controls,
 )
 from .encoder import (
     DotplotLayout,
@@ -81,7 +78,6 @@ from .simulate import (
     toffoli_run_batch,
 )
 from .validate import (
-    DotPlot,
     ValidationReport,
     classical_dotplot,
     validate_exhaustive,
@@ -100,7 +96,6 @@ __all__ = [
     "Control",
     "Cube",
     "DNA_ALPHABET",
-    "DotPlot",
     "DotplotLayout",
     "EncodingComparison",
     "Gate",
@@ -126,8 +121,6 @@ __all__ = [
     "compile_circuit",
     "cubes_to_mcx",
     "d1merge",
-    "decompose_mcx_chain",
-    "decompose_mcx_single_ancilla",
     "depth",
     "emit_qasm",
     "encode_sequence",
@@ -150,7 +143,6 @@ __all__ = [
     "readout_bits",
     "report_to_json",
     "reports_to_csv",
-    "rewrite_negative_controls",
     "route",
     "sample",
     "sample_pattern",

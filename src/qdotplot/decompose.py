@@ -9,9 +9,12 @@ Two interchangeable strategies remove high arity X gates:
   controls is then expanded over controlled root-of-X gates, so no clean
   scratch space is needed beyond that one qubit.
 
-In both modes a single-target X of three or more controls lowers to an X
-pair on each negative control around the all-positive core that _mcx_core
-builds, checks and lowers once per (target, *control qubits).
+One rule lowers every gate with a negative control and every single-target
+X of three or more controls: an X on each negative control, the gate's
+all-positive form, then the same X gates reversed. For an X of three or
+more controls that form is the core that _mcx_core builds, checks and
+lowers once per (target, *control qubits); for any other gate it is the
+gate with its controls made positive, lowered like any other.
 
 `lower_to_native` lowers every stage in two passes, on every backend. The
 first goes to LOGICAL, whose native set is the labels of NATIVE_RULES: it
@@ -36,22 +39,6 @@ from .circuit import Circuit, Control, Gate, QubitRef, Register
 from .errors import CircuitError, LoweringError
 
 MCX_MODES = ("ccnot_chain", "single_ancilla")
-
-
-def _x_target(gate: Gate) -> QubitRef:
-    if gate.kind != "x" or len(gate.targets) != 1:
-        raise CircuitError("expected a single-target x-family gate")
-    return gate.targets[0]
-
-
-def rewrite_negative_controls(gate: Gate, x=Gate.x) -> list[Gate]:
-    """Sandwich every negative control between X gates (each built by x),
-    around an all-positive gate of the same kind."""
-    flips = [x(c.qubit) for c in gate.controls if not c.positive]
-    if not flips:
-        return [gate]
-    middle = gate._replace(controls=tuple(Control(c.qubit) for c in gate.controls))
-    return flips + [middle] + flips[::-1]
 
 
 def _mcx_core(controls, target, pool, mcx_mode: str, ccx) -> list[Gate]:
@@ -80,17 +67,6 @@ def _mcx_core(controls, target, pool, mcx_mode: str, ccx) -> list[Gate]:
     for k in range(c - 3):
         up.append(ccx(controls[k + 2], ancillas[k], ancillas[k + 1]))
     return up + [ccx(controls[-1], ancillas[-1], target)] + up[::-1]
-
-
-def decompose_mcx_chain(gate: Gate, ancillas) -> list[Gate]:
-    """c-control X -> 2(c-2)+1 Toffolis through c-2 clean ancillas.
-
-    The ancillas must start in |0> and are returned to |0>. The gate is
-    lowered to LOGICAL like any other: X pairs around the ladder for each
-    negative control.
-    """
-    _x_target(gate)
-    return native_lowering(LOGICAL, "ccnot_chain", tuple(ancillas))([gate])
 
 
 def _gray_root_network(c0, c1, c2, target, exponent: Fraction) -> list[Gate]:
@@ -152,20 +128,6 @@ def _mcx_borrowed(controls, target, pool) -> list[Gate]:
     if c == 4:
         return c4x_network(*controls, target)
     return _echo(controls, target, pool)
-
-
-def decompose_mcx_single_ancilla(gate: Gate, ancilla: QubitRef) -> list[Gate]:
-    """c-control X through one borrowed ancilla.
-
-    Splitting the controls as A = first ceil(c/2), B = rest + ancilla and
-    echoing A B A B cancels any stale ancilla value, so the ancilla may be
-    dirty. Gates of at most two controls pass through; three or four
-    control pieces expand over controlled roots of X. The gate is lowered
-    to LOGICAL like any other: X pairs around the echo for each negative
-    control.
-    """
-    _x_target(gate)
-    return native_lowering(LOGICAL, "single_ancilla", (ancilla,))([gate])
 
 
 def ccx_network(a, b, target) -> list[Gate]:
@@ -378,22 +340,23 @@ def native_lowering(backend, mcx_mode: str = "ccnot_chain", pool: tuple = ()):
     def _expand(g: Gate) -> list[Gate]:
         if g.kind == "x" and len(g.targets) > 1:
             return lower_all(Gate("x", (t,), g.controls) for t in g.targets)
+        flips = [x_piece(c.qubit) for c in g.controls if not c.positive]
         if g.kind == "x" and len(g.controls) > 2:
             key = (g.targets[0], *[c.qubit for c in g.controls])
             core = cores.get(key)
             if core is None:
                 core = cores[key] = lower_all(_mcx_core(key[1:], key[0], pool, mcx_mode, ccx_piece))
-            flips = [x_piece(c.qubit) for c in g.controls if not c.positive]
-            return lower_all(flips) + core + lower_all(flips[::-1])
-        if any(not ctl.positive for ctl in g.controls):
-            return lower_all(rewrite_negative_controls(g, x=x_piece))
-        rule = NATIVE_RULES.get(g.label)
-        if rule is None:
-            raise LoweringError(f"cannot lower {g.label}")
-        needs, stand_in = rule
-        if not native.issuperset(needs):
-            raise LoweringError(f"no native path for {g.label} on backend {backend.name!r}")
-        return lower_all(stand_in(*_operands(g)))
+        elif flips:
+            core = lower(g._replace(controls=tuple(Control(c.qubit) for c in g.controls)))
+        else:
+            rule = NATIVE_RULES.get(g.label)
+            if rule is None:
+                raise LoweringError(f"cannot lower {g.label}")
+            needs, stand_in = rule
+            if not native.issuperset(needs):
+                raise LoweringError(f"no native path for {g.label} on backend {backend.name!r}")
+            return lower_all(stand_in(*_operands(g)))
+        return lower_all(flips) + core + lower_all(flips[::-1])
 
     return lower_all
 

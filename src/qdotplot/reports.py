@@ -18,7 +18,6 @@ from .backends import BackendModel
 from .circuit import Circuit, _levels, gate_counts
 from .decompose import lower_to_native
 from .encoder import build_encoder_circuit
-from .errors import ConfigError
 from .routing import route
 from .sequences import SymbolSequence
 
@@ -71,18 +70,12 @@ def compile_circuit(
     mcx_mode: str = "ccnot_chain",
     dataset: str | None = None,
 ) -> tuple[Circuit, ResourceReport]:
-    """Lower to the backend's native set, check width, route, and measure.
+    """Lower to the backend's native set, route, and measure.
 
-    A lowered circuit wider than the backend is a configuration error, on
-    all-to-all backends too.
+    route raises ConfigError for a lowered circuit wider than the backend,
+    on all-to-all backends too.
     """
-    lowered = lower_to_native(circuit, backend, mcx_mode)
-    if lowered.n_qubits > backend.qubit_count:
-        raise ConfigError(
-            f"circuit needs {lowered.n_qubits} qubits but backend "
-            f"{backend.name!r} has {backend.qubit_count}"
-        )
-    compiled = route(lowered, backend)
+    compiled = route(lower_to_native(circuit, backend, mcx_mode), backend)
     levels, per_stage = _levels(compiled, compiled.stage_ranges())
     n = compiled.n_qubits
     total = max(levels, default=0)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from .backends import BackendModel
 from .circuit import Circuit, Control, Gate, Register
 from .decompose import native_lowering
-from .errors import LoweringError
+from .errors import ConfigError, LoweringError
 
 
 def _bfs_path(adj: dict, start: int, goal: int) -> list[int]:
@@ -44,19 +44,21 @@ def _bfs_path(adj: dict, start: int, goal: int) -> list[int]:
 def route(circuit: Circuit, backend: BackendModel) -> Circuit:
     """Insert SWAPs so every multi-qubit gate acts on a coupled pair.
 
-    All-to-all backends return the circuit unchanged. Otherwise the result
-    is re-expressed on one physical register and carries final_layout with
+    A circuit wider than the backend raises ConfigError, on all-to-all
+    backends too: this is the compile path's one width check. All-to-all
+    backends return any other circuit unchanged. Otherwise the result is
+    re-expressed on one physical register and carries final_layout with
     final_layout[logical_wire] = physical_wire. Requires the circuit to be
     lowered to gates of at most two qubits first.
     """
-    if backend.coupling_map is None:
-        return circuit
     n_logical = circuit.n_qubits
     if n_logical > backend.qubit_count:
-        raise LoweringError(
+        raise ConfigError(
             f"circuit needs {n_logical} qubits but backend "
             f"{backend.name!r} has {backend.qubit_count}"
         )
+    if backend.coupling_map is None:
+        return circuit
     adj = backend.adjacency()
     phys = Register("q", backend.qubit_count, "physical")
     refs = phys.refs()

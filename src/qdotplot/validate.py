@@ -1,5 +1,8 @@
 """Classical dot-plot oracle and the two circuit validation procedures.
 
+The classical plot is a plain (H, W) uint8 array indexed [y, x]: row y of
+the query, column x of the reference, 1 where the symbols match.
+
 Both procedures take as the oracle every gate of a given circuit before its
 first measurement: the pattern circuit that a CLI run built, before it was
 lowered, or, when no circuit is given, a fresh build_dotplot_circuit.
@@ -48,32 +51,14 @@ from .simulate import _draw, run_cells, unpack_planes
 SIGNIFICANCE = 0.001
 
 
-@dataclass(frozen=True)
-class DotPlot:
-    """W x H binary match matrix; pixel(x, y) = 1 iff S_R[x] == S_Q[y]."""
-
-    pixels: np.ndarray  # shape (H, W), row y, column x
-
-    @property
-    def width(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.pixels.shape[0]
-
-    def pixel(self, x: int, y: int) -> int:
-        return int(self.pixels[y, x])
-
-
-def classical_dotplot(r: SymbolSequence, q: SymbolSequence) -> DotPlot:
-    """Exhaustive W*H comparison."""
+def classical_dotplot(r: SymbolSequence, q: SymbolSequence) -> np.ndarray:
+    """The (H, W) uint8 match matrix, indexed [y, x]: 1 iff S_R[x] == S_Q[y]."""
     rc = np.asarray(r.codes)
     qc = np.asarray(q.codes)
-    return DotPlot((qc[:, None] == rc[None, :]).astype(np.uint8))
+    return (qc[:, None] == rc[None, :]).astype(np.uint8)
 
 
-def _plot_and_oracle(r, q, mcx_mode, use_minimizer, circuit, skip=None) -> tuple[DotPlot, Circuit]:
+def _plot_and_oracle(r, q, mcx_mode, use_minimizer, circuit, skip=None) -> tuple[np.ndarray, Circuit]:
     """The classical plot and the oracle: circuit's gates before its first
     measurement (of a fresh build when circuit is None), less stage skip."""
     if mcx_mode not in MCX_MODES:
@@ -111,10 +96,10 @@ def validate_exhaustive(
     plot, circuit = _plot_and_oracle(r, q, mcx_mode, use_minimizer, circuit, skip="init")
     if mcx_mode == "ccnot_chain":
         circuit = lower_to_native(circuit, LOGICAL, mcx_mode)
-    wf, hf = plot.width, plot.height
+    hf, wf = plot.shape
     v0 = circuit.wire(circuit.register("v")[0])
     got = unpack_planes(run_cells(circuit), [v0], wf * hf).astype(np.uint8)
-    want = plot.pixels.ravel()
+    want = plot.ravel()
     bad = np.nonzero(got != want)[0]
     first = None
     if bad.size:
@@ -159,10 +144,10 @@ def validate_sampling(
     v = bit[slots["v"]]
     xv = sum((bit[b] << i for i, b in enumerate(slots["x"])), np.zeros_like(states))
     yv = sum((bit[b] << j for j, b in enumerate(slots["y"])), np.zeros_like(states))
-    wf, hf = plot.width, plot.height
+    hf, wf = plot.shape
     cells = np.zeros((hf, wf), dtype=np.int64)
     np.add.at(cells, (yv, xv), counts)
-    want = plot.pixels[yv, xv]
+    want = plot[yv, xv]
     bad = np.flatnonzero(v != want)
     mismatches = int(counts[bad].sum())
     first = None

@@ -160,3 +160,8 @@ def test_a_gate_time_too_large_for_a_float_is_a_config_error():
     with pytest.raises(ConfigError, match="malformed backend description"):
         load_backend({"name": "t", "qubit_count": 2, "native_gates": ["cx"],
                       "gate_time_ns": 10 ** 400})
+
+
+def test_adjacency_needs_a_coupling_map():
+    with pytest.raises(ConfigError, match="^backend 'allsim' has no coupling map$"):
+        load_backend("allsim").adjacency()

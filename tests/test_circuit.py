@@ -141,6 +141,8 @@ def test_bad_references_raise_when_the_circuit_is_built():
         Circuit((a,), (Gate("x", (a[0],), (Control(a[2], False),)),))
     with pytest.raises(CircuitError, match="measure writes bit 1 but circuit has 1"):
         Circuit((a,), (Gate.measure(a[1], 1),), 1)
+    with pytest.raises(CircuitError, match="^unknown register 'nope'$"):
+        Circuit((a,)).register("nope")
 
 
 def test_gate_labels_follow_control_count():
@@ -183,7 +185,9 @@ def test_gate_rejects_duplicate_qubits_and_bad_params():
     (lambda a, b: Gate("h", (a,), classical_bit=0), "^h gate does not take a classical bit$"),
     (lambda a, b: Gate.root_x(Fraction(1, 3), a), r"^rootx exponent must be one of .*, got 1/3$"),
     (lambda a, b: Gate.mcx([], a), "^mcx needs at least one control$"),
-], ids=["x-no-target", "h-controls", "p-exponent", "h-classical-bit", "rootx-third", "mcx-empty"])
+    (lambda a, b: Gate.mcx([5, a], b), "^cannot interpret 5 as a control$"),
+], ids=["x-no-target", "h-controls", "p-exponent", "h-classical-bit", "rootx-third", "mcx-empty",
+        "mcx-int-control"])
 def test_gate_refuses_malformed_fields(make, error):
     a, b = Register("r", 2).refs()
     with pytest.raises(CircuitError, match=error):

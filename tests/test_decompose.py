@@ -35,13 +35,10 @@ from qdotplot import (
     LoweringError,
     Register,
     circuit_unitary,
-    decompose_mcx_chain,
-    decompose_mcx_single_ancilla,
     gate_counts,
     load_backend,
     lower_to_native,
     qasm_text,
-    rewrite_negative_controls,
     width,
 )
 from qdotplot import decompose
@@ -163,7 +160,7 @@ def test_chain_decomposition_unitary_and_count(c):
     n_anc = max(c - 2, 0)
     gate, regs, ctrl, tgt, anc = _mcx_gate(c, n_anc, "chain")
     circuit = Circuit(registers=regs)
-    gates = decompose_mcx_chain(gate, [anc[i] for i in range(n_anc)] if n_anc else [])
+    gates = native_lowering(LOGICAL, "ccnot_chain", tuple(anc[i] for i in range(n_anc)))([gate])
     lowered = circuit.append_stages([("s", gates)])
     got = circuit_unitary(lowered)
     n = lowered.n_qubits
@@ -184,7 +181,7 @@ def test_chain_decomposition_unitary_and_count(c):
 def test_single_ancilla_decomposition_dirty_on_full_space(c):
     gate, regs, ctrl, tgt, anc = _mcx_gate(c, 1, "single")
     circuit = Circuit(registers=regs)
-    gates = decompose_mcx_single_ancilla(gate, anc[0])
+    gates = native_lowering(LOGICAL, "single_ancilla", (anc[0],))([gate])
     lowered = circuit.append_stages([("s", gates)])
     got = circuit_unitary(lowered)
     n = lowered.n_qubits
@@ -200,8 +197,10 @@ def test_decompositions_take_negative_controls(c):
     polarity = [(k, k % 2 == 0) for k in range(c)]
     gate = Gate.mcx([Control(ctrl[k], positive) for k, positive in polarity], tgt[0])
     circuit = Circuit(registers=regs)
-    chain = circuit.append_stages([("s", decompose_mcx_chain(gate, [anc[i] for i in range(c - 2)]))])
-    single = circuit.append_stages([("s", decompose_mcx_single_ancilla(gate, anc[0]))])
+    chain_gates = native_lowering(LOGICAL, "ccnot_chain", tuple(anc[i] for i in range(c - 2)))([gate])
+    chain = circuit.append_stages([("s", chain_gates)])
+    single_gates = native_lowering(LOGICAL, "single_ancilla", (anc[0],))([gate])
+    single = circuit.append_stages([("s", single_gates)])
     want = mcx_matrix(chain.n_qubits, polarity, c)
     cols = [s for s in range(1 << chain.n_qubits) if (s >> (c + 1)) == 0]
     assert np.max(np.abs(circuit_unitary(chain)[:, cols] - want[:, cols])) < 1e-10
@@ -216,12 +215,13 @@ def test_mcx_decompositions_reject_ancillas_on_the_gate_and_too_few_ancillas():
     gate = Gate.mcx([r[0], Control(r[1], False), r[2], r[3]], r[4])
     for clash in (r[4], r[0], r[1]):
         with pytest.raises(CircuitError, match="ancillas overlap the gate's own qubits"):
-            decompose_mcx_chain(gate, [r[5], clash])
+            native_lowering(LOGICAL, "ccnot_chain", (r[5], clash))([gate])
         with pytest.raises(CircuitError, match="ancilla overlaps the gate's own qubits"):
-            decompose_mcx_single_ancilla(gate, clash)
+            native_lowering(LOGICAL, "single_ancilla", (clash,))([gate])
     with pytest.raises(CircuitError, match="4-control chain needs 2 ancillas"):
-        decompose_mcx_chain(gate, [r[5]])
-    assert decompose_mcx_chain(gate, [r[5], r[6]]) and decompose_mcx_single_ancilla(gate, r[5])
+        native_lowering(LOGICAL, "ccnot_chain", (r[5],))([gate])
+    assert native_lowering(LOGICAL, "ccnot_chain", (r[5], r[6]))([gate])
+    assert native_lowering(LOGICAL, "single_ancilla", (r[5],))([gate])
 
 
 @pytest.mark.parametrize("mode, error", [
@@ -252,14 +252,14 @@ def test_lowering_refuses_a_pool_too_small_and_an_unknown_mode():
 def test_single_ancilla_touches_only_one_ancilla():
     gate, regs, ctrl, tgt, anc = _mcx_gate(5, 1, "single")
     circuit = Circuit(registers=regs)
-    lowered = circuit.append_stages([("s", decompose_mcx_single_ancilla(gate, anc[0]))])
+    lowered = circuit.append_stages([("s", native_lowering(LOGICAL, "single_ancilla", (anc[0],))([gate]))])
     assert width(lowered) == 7  # 5 controls + target + 1 ancilla
 
 
 def test_negative_control_rewrite():
     r = _r(3)
     gate = Gate.mcx([Control(r[0], False), Control(r[1], True)], r[2])
-    gates = rewrite_negative_controls(gate)
+    gates = native_lowering(LOGICAL)([gate])
     assert all(cc.positive for g in gates for cc in g.controls)
     c = Circuit(registers=(r,)).append_stages([("s", gates)])
     assert equal_up_to_phase(

@@ -8,13 +8,16 @@ from qdotplot import (
     MCX_MODES,
     BackendModel,
     Circuit,
+    DotplotLayout,
     Gate,
     Register,
     build_dotplot_circuit,
     build_encoder_circuit,
     build_pattern_circuit,
+    build_pla,
     circuit_unitary,
     d1merge,
+    encode_sequence,
     gate_counts,
     inverse_qft_gates,
     layout_for,
@@ -47,6 +50,20 @@ def test_layout_register_order_and_sizes():
     assert [reg.name for reg in build_encoder_circuit(r).registers] == ["x", "dr"]
     for built in (c, build_dotplot_circuit(r, q), build_encoder_circuit(q)):
         assert all(reg.role != "ancilla" for reg in built.registers)
+
+
+def test_layout_and_encoder_refuse_mismatched_shapes():
+    with pytest.raises(ValueError, match="^layout needs w, h, d >= 1$"):
+        DotplotLayout(0, 1, 1)
+    with pytest.raises(ValueError, match="^sequences must share one data width; run pad_pair first$"):
+        layout_for(SEQ8, make_sequence((0, 5, 2, 7)))
+    table = build_pla(SEQ8.codes, SEQ8.d)
+    x, dr = Register("x", 3, "x"), Register("dr", 2, "dr")
+    with pytest.raises(ValueError, match="^register 'x' indexes 4 elements but sequence has 8$"):
+        encode_sequence(SEQ8, Register("x", 2, "x"), dr, table)
+    with pytest.raises(ValueError, match="^register 'dr' holds 3 bits but d=2$"):
+        encode_sequence(SEQ8, x, Register("dr", 3, "dr"), table)
+    assert encode_sequence(SEQ8, x, dr, table)
 
 
 def test_layout_ancilla_count_per_mode():

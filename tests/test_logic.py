@@ -177,6 +177,22 @@ def test_cube_validation():
         Cube("01", "00")  # no output bit set
     with pytest.raises(ValueError):
         Cube("0x", "1")
+    with pytest.raises(ValueError, match="^cube outputs must be over '01', got '02'$"):
+        Cube("01", "02")
+
+
+def test_table_guards():
+    with pytest.raises(ValueError, match="^need n_inputs >= 0 and n_outputs >= 1$"):
+        PlaTable(-1, 1, ())
+    with pytest.raises(ValueError, match="does not match table shape"):
+        PlaTable(2, 1, (Cube("011", "1"),))
+    # The cap is checked before the 2^n output array is allocated.
+    with pytest.raises(ValueError, match="^exhaustive evaluation capped at 22 inputs$"):
+        evaluate_all(PlaTable(23, 1, ()))
+    table = build_pla(SEQ8, 2)
+    assert not functional_equal(table, PlaTable(3, 1, ()))
+    assert not functional_equal(table, PlaTable(2, 2, ()))
+    assert functional_equal(table, d1merge(table))
 
 
 # -- care-mask subsumption against the literal all-pairs rule ------------------

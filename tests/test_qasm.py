@@ -33,6 +33,7 @@ from qdotplot import (
     read_qasm,
 )
 from conftest import equal_up_to_phase, make_sequence
+from qdotplot.qasm import _DEFINITIONS
 
 
 def _rich_circuit():
@@ -362,6 +363,29 @@ def test_every_dialect_name_round_trips(line):
     text = qasm_text(parse_qasm(_program(line)))
     assert text.splitlines()[-1] == line
     assert qasm_text(parse_qasm(text)) == text
+
+
+_DEFINITION_CASES = [(name, theta) for name in sorted(_DEFINITIONS)
+                     for theta in ((0.3, -1.1, math.pi) if name == "rxx" else (None,))]
+
+
+@pytest.mark.parametrize("name, theta", _DEFINITION_CASES)
+def test_every_emitted_definition_has_its_gates_unitary(name, theta):
+    # The parser skips the definitions it emits, so their bodies are read
+    # here: formals bound to q[k], theta to a number, against the gate that
+    # the dialect table names.
+    head, body = re.fullmatch(r"gate (.*?) \{ (.*) \}", _DEFINITIONS[name]).groups()
+    head_name, param, formals = re.fullmatch(r"(\w+)(?:\((\w+)\))? ([\w,]+)", head).groups()
+    assert head_name == name and (param is None) == (theta is None)
+    qubits = [f"q[{k}]" for k in range(len(formals.split(",")))]
+    bind = dict(zip(formals.split(","), qubits), **({param: repr(theta)} if param else {}))
+    bound = re.sub(r"\w+", lambda m: bind.get(m[0], m[0]), body)
+    gate = f"{name}{f'({theta!r})' if param else ''} {','.join(qubits)};"
+    got = circuit_unitary(parse_qasm(_program(bound)))
+    want = circuit_unitary(parse_qasm(_program(gate)))
+    assert equal_up_to_phase(got, want, tol=1e-12)
+    if name.startswith("cxrt_"):
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
 def test_p_and_cp_are_read_as_u1_and_cu1():

@@ -43,6 +43,12 @@ def test_runtime_arithmetic_frozen_values():
     assert estimated_runtime(100, None) is None
 
 
+@pytest.mark.parametrize("total_depth, gate_time", [(-1, 1e-9), (5, 0.0)])
+def test_runtime_needs_a_depth_and_a_positive_gate_time(total_depth, gate_time):
+    with pytest.raises(ValueError, match="^runtime needs depth >= 0 and gate_time > 0$"):
+        estimated_runtime(total_depth, gate_time)
+
+
 def test_width_bounds_formula():
     assert width_bounds(8, 2) == (21, 27)
     assert width_bounds(3, 1) == (9, 10)

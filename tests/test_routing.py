@@ -10,6 +10,7 @@ from qdotplot import (
     MCX_MODES,
     BackendModel,
     Circuit,
+    ConfigError,
     Gate,
     LoweringError,
     Register,
@@ -148,9 +149,12 @@ def test_routing_rejects_wide_gates():
 
 
 def test_routing_rejects_oversized_circuits():
+    # The width check runs before the all-to-all early return.
     c = _circ(9, [Gate.h(Register("r", 9, "x")[8])])
-    with pytest.raises(LoweringError):
-        route(c, LINE5)
+    for backend in (LINE5, ALL2ALL):
+        with pytest.raises(ConfigError, match=f"^circuit needs 9 qubits but backend "
+                                              f"'{backend.name}' has 5$"):
+            route(c, backend)
 
 
 def test_measure_targets_remap():

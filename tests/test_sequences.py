@@ -6,6 +6,7 @@ from conftest import brute_dot_plot
 from qdotplot import (
     ALPHABET_PRESETS,
     DNA_ALPHABET,
+    SymbolSequence,
     classical_dotplot,
     map_alphabet,
     pad_pair,
@@ -37,6 +38,15 @@ def test_precoded_integer_input():
         map_alphabet([0, 1], DNA_ALPHABET)
     with pytest.raises(ValueError):
         map_alphabet([-1, 0])
+
+
+@pytest.mark.parametrize("fields, message", [
+    (((), 1, 0), "^sequence must be non-empty$"),
+    (((0,), 0, 1), "^d must be >= 1$"),
+])
+def test_symbol_sequence_guards(fields, message):
+    with pytest.raises(ValueError, match=message):
+        SymbolSequence(*fields)
 
 
 def test_fixed_alphabet_rejects_unknown_symbol():
@@ -86,7 +96,7 @@ def test_pad_pair_pads_one_symbol_to_two():
     pr, pq = pad_pair(r, a)
     assert pr.codes == r.codes and pr.pad_code is None
     assert pq.codes == (0, pq.pad_code) and pq.pad_code not in r.codes
-    assert classical_dotplot(pr, pq).pixels[1].sum() == 0
+    assert classical_dotplot(pr, pq)[1].sum() == 0
 
 
 def test_padding_neutrality():
@@ -95,7 +105,7 @@ def test_padding_neutrality():
     q = map_alphabet("CATTAG", DNA_ALPHABET)
     pr, pq = pad_pair(r, q)
     before = brute_dot_plot(r.codes, q.codes)
-    after = classical_dotplot(pr, pq).pixels
+    after = classical_dotplot(pr, pq)
     assert (after[: len(q.codes), : len(r.codes)] == before).all()
     assert after[len(q.codes):, :].sum() == 0
     assert after[:, len(r.codes):].sum() == 0

@@ -290,6 +290,19 @@ def test_norm_preserved_over_long_circuit():
     assert abs(np.linalg.norm(psi) - 1.0) < 1e-9
 
 
+def test_engines_check_their_inputs_first():
+    c = _circuit(3, [Gate.x(_reg(3)[0])])
+    with pytest.raises(ValueError, match="^initial state 8 out of range for 3 qubits$"):
+        toffoli_run(c, 8)
+    with pytest.raises(ValueError, match="^initial state -1 out of range for 3 qubits$"):
+        statevector_run(c, initial=-1)
+    # Checked before a bit-plane array is allocated.
+    with pytest.raises(ValueError, match="^batched Toffoli run capped at 63 qubits$"):
+        toffoli_run_batch(_circuit(64, []), np.zeros(1, dtype=np.uint64))
+    with pytest.raises(ValueError, match="^no matrix for 't'$"):
+        statevector_run(_circuit(1, [Gate("t", (_reg(1)[0],))]))
+
+
 def test_statevector_cap():
     r = Register("r", 25, "x")
     c = Circuit(registers=(r,)).append_stages([("s", [Gate.h(r[0])])])

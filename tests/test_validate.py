@@ -41,10 +41,10 @@ def test_classical_dotplot_matches_double_loop(data):
         [data.draw(st.integers(min_value=0, max_value=3)) for _ in range(h)], d=2
     )
     plot = classical_dotplot(r, q)
-    assert plot.width == w and plot.height == h
-    assert np.array_equal(plot.pixels, brute_dot_plot(r.codes, q.codes))
+    assert plot.shape == (h, w)
+    assert np.array_equal(plot, brute_dot_plot(r.codes, q.codes))
     if w and h:
-        assert plot.pixel(0, 0) == (1 if r.codes[0] == q.codes[0] else 0)
+        assert int(plot[0, 0]) == (1 if r.codes[0] == q.codes[0] else 0)
 
 
 @pytest.mark.parametrize("mode", ["ccnot_chain", "single_ancilla"])
@@ -204,7 +204,7 @@ def _tally_by_key(r, q, shots, seed, circuit):
     slots = readout_bits(layout)
     circuit = oracle_circuit(circuit)
     counts = sample(circuit.append_stages([("readout", readout_gates(circuit, layout))]), shots, seed=seed)
-    wf, hf = plot.width, plot.height
+    hf, wf = plot.shape
     cells = np.zeros((hf, wf), dtype=np.int64)
     mismatches = 0
     first = None
@@ -214,10 +214,10 @@ def _tally_by_key(r, q, shots, seed, circuit):
         xv = sum(key[b] << i for i, b in enumerate(slots["x"]))
         yv = sum(key[b] << j for j, b in enumerate(slots["y"]))
         cells[yv, xv] += n
-        if v != plot.pixel(xv, yv):
+        if v != int(plot[yv, xv]):
             mismatches += n
             if first is None:
-                first = (xv, yv, v, plot.pixel(xv, yv))
+                first = (xv, yv, v, int(plot[yv, xv]))
     expected = shots / (wf * hf)
     stat = float(((cells - expected) ** 2 / expected).sum())
     p_value = float(chi2.sf(stat, wf * hf - 1))
