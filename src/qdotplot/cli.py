@@ -1,33 +1,32 @@
 """Command-line surface.
 
-Verbs mirror the pipeline stages: encode (sequence encoder only), build
-or its other name transpile (full pattern-recognition circuit, lowered and
+Verbs mirror the pipeline stages: encode (sequence encoder only), build or
+its other name transpile (full pattern-recognition circuit, lowered and
 routed to a backend), estimate (resource report), simulate (histogram
 drawn from the exact readout distribution of the unlowered circuit, see
-simulate.sample_pattern, so --mcx-mode does not change it),
-validate (build, then both validation procedures on the circuit the run
-built), compare-modes (minimizer on/off comparison of the reference
-encoder, always compiled in chain mode). Each run builds its circuit once,
-and every verb that compiles shares one compile step. Every verb loads
---backend, simulate too, though it runs the unlowered circuit.
+simulate.sample_pattern, so --mcx-mode does not change it), validate
+(build, then both validation procedures on the circuit the run built, then
+compile and write), compare-modes (minimizer on/off comparison of the
+reference encoder, always compiled in chain mode). Each run builds its
+circuit once, and every verb that compiles shares one compile step. Every
+verb loads --backend, simulate too, though it runs the unlowered circuit.
 --mcx-mode only picks how lowering decomposes multi-controlled X gates and
-how many ancillas it adds. --alphabet is a choice of auto and the
-presets, so click rejects any other name before a file is read. Each verb
-takes only the options it reads: --shots and --seed exist only on validate
-and simulate; simulate also takes --mcx-mode, which it ignores, but not
---no-minimize, which cannot change the plot it reads out. Exit codes: 0 success, 1 a requested
-validation failed, 2 configuration error or resource limit (an --out that
-cannot be made a directory, circuit wider than the backend, a backend with
-no native path for a needed gate, the statevector cap of validate, the
-plot-cell cap of simulate, shots below 1 or above simulate.SHOT_CAP, a
-negative seed), 3 internal error.
+how many ancillas it adds. --alphabet is a choice of auto and the presets,
+so click rejects any other name before a file is read. Each verb takes
+only the options it reads: --shots and --seed exist only on validate and
+simulate; simulate also takes --mcx-mode, which it ignores, but not
+--no-minimize, which cannot change the plot it reads out. Exit codes: 0
+success, 1 a requested validation failed, 2 configuration error or
+resource limit (an --out that cannot be made a directory, circuit wider
+than the backend, a backend with no native path for a needed gate, the
+statevector cap of validate, the plot-cell cap of simulate, shots below 1
+or above simulate.SHOT_CAP, a negative seed), 3 internal error.
 """
 
 from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import click
@@ -45,45 +44,33 @@ from .sequences import (
     pad_pair,
     read_sequence_file,
 )
-from .simulate import check_qubit_cap, check_shots, sample_pattern
+from .simulate import sample_pattern
 from .validate import validate_exhaustive, validate_sampling
 
 _MODE_FLAGS = {"chain": "ccnot_chain", "single-ancilla": "single_ancilla"}
 DEFAULT_SEED = 11
 
 
-@dataclass
-class RunConfig:
-    reference_path: str
-    query_path: str | None = None
-    alphabet: str = "auto"
-    mcx_mode: str = "ccnot_chain"
-    backend: str = "allsim"
-    use_minimizer: bool = True
-    out_dir: str = "qdp-out"
-    seed: int = DEFAULT_SEED
-    shots: int = 100_000
-
-
-def _load_pair(config: RunConfig) -> tuple[SymbolSequence, SymbolSequence, str]:
+def _load_pair(reference_path: str, query_path: str | None,
+               alphabet: str) -> tuple[SymbolSequence, SymbolSequence, str]:
     """Read, code, and pad the sequence pair; absent query = self-alignment."""
-    preset = ALPHABET_PRESETS.get(config.alphabet)  # None for auto
-    raw_r = read_sequence_file(config.reference_path, preset)
-    name = Path(config.reference_path).stem
-    if config.query_path is None:
+    preset = ALPHABET_PRESETS.get(alphabet)  # None for auto
+    raw_r = read_sequence_file(reference_path, preset)
+    name = Path(reference_path).stem
+    if query_path is None:
         raw_q = raw_r
         name += "-self"
     else:
-        raw_q = read_sequence_file(config.query_path, preset)
-        name += "-" + Path(config.query_path).stem
+        raw_q = read_sequence_file(query_path, preset)
+        name += "-" + Path(query_path).stem
     # auto: one shared first-appearance code table across both files.
     table = preset or map_alphabet(raw_r + raw_q).alphabet
     r, q = pad_pair(map_alphabet(raw_r, table), map_alphabet(raw_q, table))
     return r, q, name
 
 
-def _outdir(config: RunConfig) -> Path:
-    p = Path(config.out_dir)
+def _outdir(out_dir: str) -> Path:
+    p = Path(out_dir)
     try:
         p.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -91,43 +78,38 @@ def _outdir(config: RunConfig) -> Path:
     return p
 
 
-def _compile(config: RunConfig, circuit: Circuit, dataset: str):
-    """Lower, route and measure circuit on the configured backend, and write
-    report.json. Returns the compiled circuit, its report and the out dir."""
-    backend = load_backend(config.backend)
-    compiled, report = compile_circuit(circuit, backend, config.mcx_mode, dataset)
-    out = _outdir(config)
+def _compile(circuit: Circuit, dataset: str, backend, mcx_mode: str, out_dir: str):
+    """Lower, route and measure circuit on backend (a name, path or model),
+    write report.json, and return the compiled circuit, report and out dir."""
+    compiled, report = compile_circuit(circuit, load_backend(backend), mcx_mode, dataset)
+    out = _outdir(out_dir)
     (out / "report.json").write_text(report_to_json(report) + "\n", encoding="utf-8")
     return compiled, report, out
 
 
-def run_pipeline(config: RunConfig, validate: bool = False) -> int:
-    """ingest -> encode -> build -> lower/route -> estimate, artifacts on disk.
+def run_pipeline(reference_path: str, query_path: str | None, alphabet: str, backend: str,
+                 mcx_mode: str, use_minimizer: bool, out_dir: str,
+                 shots: int | None = None, seed: int | None = None) -> int:
+    """ingest -> build -> (check) -> lower/route -> estimate, artifacts on disk.
 
-    With validate, both validation procedures check the pattern circuit just
-    built, before lowering, after its statevector cap and the shots are checked.
-    Returns the process exit code (0, or 1 when a requested validation fails)."""
-    r, q, dataset = _load_pair(config)
-    circuit = build_pattern_circuit(r, q, use_minimizer=config.use_minimizer)
-    if validate:
-        check_qubit_cap(circuit.n_qubits)
-        check_shots(config.shots)
-    compiled, report, out = _compile(config, circuit, dataset)
+    With shots (validate), method 2 and then method 1 check the pattern
+    circuit just built, before it is compiled or anything is written; method
+    2's draw refuses the shots, then the statevector cap. Returns the exit
+    code (0, or 1 when a requested validation fails)."""
+    r, q, dataset = _load_pair(reference_path, query_path, alphabet)
+    circuit = build_pattern_circuit(r, q, use_minimizer=use_minimizer)
+    backend = load_backend(backend)  # a bad --backend exits 2 before the checks run
+    reports = []  # method 1's, then method 2's
+    if shots is not None:
+        m2 = validate_sampling(r, q, shots, seed, mcx_mode, use_minimizer, circuit)
+        reports = [validate_exhaustive(r, q, mcx_mode, use_minimizer, circuit), m2]
+    compiled, report, out = _compile(circuit, dataset, backend, mcx_mode, out_dir)
     emit_qasm(compiled, out / "qpr.qasm")
     (out / "report.csv").write_text(reports_to_csv([report]), encoding="utf-8")
-    status = 0
-    if validate:
-        m1 = validate_exhaustive(r, q, config.mcx_mode, config.use_minimizer, circuit=circuit)
-        (out / "validation_method1.json").write_text(m1.to_json() + "\n", encoding="utf-8")
-        m2 = validate_sampling(
-            r, q, shots=config.shots, seed=config.seed, mcx_mode=config.mcx_mode,
-            use_minimizer=config.use_minimizer, circuit=circuit,
-        )
-        (out / "validation_method2.json").write_text(m2.to_json() + "\n", encoding="utf-8")
-        if not (m1.passed and m2.passed):
-            status = 1
+    for method, m in enumerate(reports, 1):
+        (out / f"validation_method{method}.json").write_text(m.to_json() + "\n", encoding="utf-8")
     click.echo(
-        f"dataset={dataset} backend={report.backend_name} mcx_mode={config.mcx_mode} "
+        f"dataset={dataset} backend={report.backend_name} mcx_mode={mcx_mode} "
         f"width={report.width} total_depth={report.total_depth}"
         + (
             f" runtime_s={report.estimated_runtime_seconds:.6g}"
@@ -135,7 +117,7 @@ def run_pipeline(config: RunConfig, validate: bool = False) -> int:
             else ""
         )
     )
-    return status
+    return 0 if all(m.passed for m in reports) else 1
 
 
 def _apply(options):
@@ -147,8 +129,8 @@ def _apply(options):
     return decorate
 
 
-# Every option is named like the RunConfig field it sets, so each verb builds
-# its RunConfig from its arguments directly, and takes only the options it reads.
+# Every option is named like the parameter it sets, so each verb passes its
+# arguments straight on, and takes only the options it reads.
 _PAIR_OPTIONS = (
     click.option("--reference", "reference_path", required=True,
                  type=click.Path(exists=True, dir_okay=False),
@@ -205,12 +187,11 @@ def main():
 
 @main.command()
 @_build_options
-def encode(**kwargs):
+def encode(reference_path, query_path, alphabet, backend, mcx_mode, use_minimizer, out_dir):
     """Sequence encoder circuit only (reference sequence)."""
-    config = RunConfig(**kwargs)
-    r, _, dataset = _load_pair(config)
-    circuit = build_encoder_circuit(r, use_minimizer=config.use_minimizer)
-    compiled, report, out = _compile(config, circuit, dataset)
+    r, _, dataset = _load_pair(reference_path, query_path, alphabet)
+    circuit = build_encoder_circuit(r, use_minimizer=use_minimizer)
+    compiled, report, out = _compile(circuit, dataset, backend, mcx_mode, out_dir)
     emit_qasm(compiled, out / "encode.qasm")
     click.echo(f"dataset={dataset} width={report.width} "
                f"neqr_depth={report.depth_per_stage.get('neqr', 0)}")
@@ -221,17 +202,16 @@ def encode(**kwargs):
 @_build_options
 def build(**kwargs):
     """Full pattern-recognition circuit, lowered and routed to --backend."""
-    return run_pipeline(RunConfig(**kwargs))
+    return run_pipeline(**kwargs)
 
 
 @main.command()
 @_build_options
-def estimate(**kwargs):
+def estimate(reference_path, query_path, alphabet, backend, mcx_mode, use_minimizer, out_dir):
     """Resource report (width, stage depths, gate counts, runtime)."""
-    config = RunConfig(**kwargs)
-    r, q, dataset = _load_pair(config)
-    circuit = build_pattern_circuit(r, q, use_minimizer=config.use_minimizer)
-    _, report, out = _compile(config, circuit, dataset)
+    r, q, dataset = _load_pair(reference_path, query_path, alphabet)
+    circuit = build_pattern_circuit(r, q, use_minimizer=use_minimizer)
+    _, report, out = _compile(circuit, dataset, backend, mcx_mode, out_dir)
     csv_text = reports_to_csv([report])
     (out / "report.csv").write_text(csv_text, encoding="utf-8")
     click.echo(csv_text.rstrip())
@@ -255,19 +235,18 @@ def _histogram_json(header: dict, rows) -> str:
 
 @main.command()
 @_apply((*_PAIR_OPTIONS, _MODE_OPTION, *_SAMPLE_OPTIONS, _OUT_OPTION))
-def simulate(**kwargs):
+def simulate(reference_path, query_path, alphabet, backend, mcx_mode, shots, seed, out_dir):
     """Sample the pattern circuit's exact readout; write the histogram."""
-    config = RunConfig(**kwargs)
-    load_backend(config.backend)  # a bad --backend exits 2 here too
-    r, q, dataset = _load_pair(config)
-    counts = sample_pattern(build_pattern_circuit(r, q), config.shots, seed=config.seed)
+    load_backend(backend)  # a bad --backend exits 2 here too
+    r, q, dataset = _load_pair(reference_path, query_path, alphabet)
+    counts = sample_pattern(build_pattern_circuit(r, q), shots, seed=seed)
     width = 1 << layout_for(r, q).w
     vs, ks = counts.nonzero()  # in (v, k) order
     rows = [(v, k % width, k // width, k, n)
             for v, k, n in zip(vs.tolist(), ks.tolist(), counts[vs, ks].tolist())]
     rows.sort(key=lambda row: -row[4])  # stable: ties keep (v, k) order
-    out = _outdir(config)
-    header = {"dataset": dataset, "shots": config.shots, "seed": config.seed}
+    out = _outdir(out_dir)
+    header = {"dataset": dataset, "shots": shots, "seed": seed}
     (out / "histogram.json").write_text(_histogram_json(header, rows), encoding="utf-8")
     for v, x, y, k, n in rows[:10]:
         click.echo(f"v={v} k={k:>4} (x={x}, y={y})  count={n}")
@@ -278,21 +257,19 @@ def simulate(**kwargs):
 @_sample_options
 def validate(**kwargs):
     """Run both validation procedures; exit 1 on any failure."""
-    return run_pipeline(RunConfig(**kwargs), validate=True)
+    return run_pipeline(**kwargs)
 
 
 @main.command("compare-modes")
 @_apply((*_PAIR_OPTIONS, _OUT_OPTION))
-def compare_modes(**kwargs):
+def compare_modes(reference_path, query_path, alphabet, backend, out_dir):
     """Compare the brute-force and minimized reference encoders.
 
     Both are compiled in chain mode on --backend, routed where it is
     coupled; the CCNOT line counts the ccx gates left after compiling."""
-    config = RunConfig(**kwargs)
-    r, _, dataset = _load_pair(config)
-    backend = load_backend(config.backend)
-    cmp = compare_encodings(r, backend)
-    out = _outdir(config)
+    r, _, dataset = _load_pair(reference_path, query_path, alphabet)
+    cmp = compare_encodings(r, load_backend(backend))
+    out = _outdir(out_dir)
     (out / "comparison.json").write_text(cmp.to_json() + "\n", encoding="utf-8")
     pct = "n/a" if cmp.compression_percent is None else f"{cmp.compression_percent:.2f}%"
     click.echo(f"dataset={dataset}")

@@ -8,10 +8,12 @@ multi-target, negative control) raises QasmError. Output is byte-stable:
 fixed statement order, one canonical float form (repr).
 
 The parser reads the same table, plus p and cp, the other spellings of u1
-and cu1 (and whitespace/comment freedom). It skips exactly the definitions
-of the second table and maps every statement back to the gate that
-produced it, so counts, depth and bytes survive a round trip. Every
-rejection is a QasmError that names the offending statement.
+and cu1 (and whitespace/comment freedom). It skips a definition only when
+its text, whitespace runs collapsed, is the second table's, and an include
+only of "qelib1.inc"; it refuses more than WIRE_CAP declared qubits and
+classical bits. It maps every statement back to the gate that produced
+it, so counts, depth and bytes survive a round trip. Every rejection is a
+QasmError that names the offending statement.
 
 Statements are read in one pass. Braces open only gate definitions, so a
 brace-aware scan splits the text up to its last brace, and the body after
@@ -155,6 +157,9 @@ def emit_qasm(circuit: Circuit, path) -> None:
 
 # -- parsing ------------------------------------------------------------------
 
+# The most qubits plus classical bits a program may declare: the level walk
+# behind depth holds one entry per wire.
+WIRE_CAP = 1 << 20
 _COMMENT = re.compile(r"//[^\n]*")
 _DELIMITER = re.compile(r"[{};]")
 # head, then the parameters (greedy, to the last ')', so angles may nest),
@@ -250,8 +255,8 @@ def _split_statements(text: str) -> list[str]:
 def parse_qasm(text: str) -> Circuit:
     """Parse a program in the emitter's dialect back into a Circuit.
 
-    The gate definitions the emitter writes are recognized by name and
-    skipped; their uses are mapped back to the originating gate kinds.
+    The gate definitions the emitter writes are recognized by their text
+    and skipped; their uses are mapped back to the originating gate kinds.
     Automatic garbage collection is paused while the circuit is built and
     resumed afterwards if it was on: the parse makes only acyclic tuples,
     which the collector would traverse again and again and never free.
@@ -275,6 +280,7 @@ def _build(pending: list[str]) -> Circuit:
     qreg_sizes: dict[str, int] = {}
     cregs: dict[str, tuple[int, int]] = {}  # name -> (first bit, size)
     classical_bits = 0
+    wires = 0  # qubits and classical bits declared so far
     gates: list[Gate] = []
     # Work is done once per distinct text, in dicts local to this call: a
     # repeated statement reuses its (immutable) Gate; each (name, operand
@@ -324,10 +330,12 @@ def _build(pending: list[str]) -> Circuit:
             row = _PARSED.get(head)
             if row is None:
                 if st.startswith("include"):
-                    continue
-                if st.startswith("gate "):
+                    if " ".join(st.split()) == 'include "qelib1.inc"':
+                        continue
+                    raise QasmError(f"unsupported include {st[7:].strip()}")
+                if head == "gate" and rest:
                     name = st.split()[1].split("(")[0]
-                    if name in _DEFINITIONS:
+                    if " ".join(st.split()) == _DEFINITIONS.get(name):
                         continue
                     raise QasmError(f"unsupported gate definition {name!r}")
                 if not m:
@@ -344,12 +352,17 @@ def _build(pending: list[str]) -> Circuit:
                     raise QasmError(f"{head} {name!r} declared twice")
                 if kind:
                     raise QasmError(f"{head} {name!r} reuses the name of a {kind}")
+                size = int(dm.group(2))
+                wires += size
+                if wires > WIRE_CAP:
+                    raise QasmError(f"{wires} qubits and classical bits exceed the wire cap "
+                                    f"of {WIRE_CAP}")
                 if head == "qreg":
-                    registers.append(Register(name, int(dm.group(2))))
-                    qreg_sizes[name] = registers[-1].size
+                    registers.append(Register(name, size))
+                    qreg_sizes[name] = size
                 else:
-                    cregs[name] = (classical_bits, int(dm.group(2)))
-                    classical_bits += cregs[name][1]
+                    cregs[name] = (classical_bits, size)
+                    classical_bits += size
                 continue
             if head == "measure":
                 if params is not None:

@@ -294,6 +294,17 @@ def test_simulate_unknown_backend_exits_two(runner, seqdir):
     assert not (seqdir / "out").exists()
 
 
+def test_validate_refuses_an_unknown_backend_before_validating(runner, seqdir, monkeypatch):
+    def no_check(*args, **kwargs):
+        raise AssertionError("validated before the backend was loaded")
+
+    monkeypatch.setattr(cli, "validate_sampling", no_check)
+    result = runner.invoke(main, _args(seqdir, "validate", "--backend", "no-such-backend"))
+    assert result.exit_code == 2, result.output
+    assert "configuration error: unknown backend 'no-such-backend'" in result.output
+    assert not (seqdir / "out").exists()
+
+
 def test_bad_alphabet_exits_two(runner, seqdir):
     result = runner.invoke(main, _args(seqdir, "build", "--alphabet", "klingon"))
     assert result.exit_code == 2
@@ -639,20 +650,34 @@ def test_simulate_25_qubits_exits_zero(runner, tmp_path):
     assert all(o["k"] == o["y"] * 256 + o["x"] for o in hist["outcomes"])
 
 
-def test_validate_past_the_statevector_cap_exits_two_before_writing(runner, tmp_path):
-    # The 25-qubit pair above: method 2's cap is checked before the run
-    # compiles, validates or writes anything.
+def _validate_25_qubits(runner, tmp_path, *extra):
+    """validate on the 25-qubit pair above."""
     rng = random.Random(25)
     letters = "ACDEFGHIKLMNPQRS"
     for name in ("ref.txt", "qry.txt"):
         seq = letters + "".join(rng.choice(letters) for _ in range(240))
         (tmp_path / name).write_text(seq + "\n")
-    result = runner.invoke(main, [
+    return runner.invoke(main, [
         "validate", "--reference", str(tmp_path / "ref.txt"),
-        "--query", str(tmp_path / "qry.txt"), "--out", str(tmp_path / "out"),
+        "--query", str(tmp_path / "qry.txt"), *extra, "--out", str(tmp_path / "out"),
     ])
+
+
+def test_validate_past_the_statevector_cap_exits_two_before_writing(runner, tmp_path):
+    # Method 2 runs first, and its draw refuses the cap before the run
+    # compiles or writes anything.
+    result = _validate_25_qubits(runner, tmp_path)
     assert result.exit_code == 2, result.output
     assert "configuration error: 25 qubits exceeds the statevector cap of 24" in result.output
+    assert not (tmp_path / "out").exists()
+
+
+def test_validate_refuses_the_shots_before_the_statevector_cap(runner, tmp_path):
+    # Past both limits, method 2's draw names the shot limit first.
+    result = _validate_25_qubits(runner, tmp_path, "--shots", "0")
+    assert result.exit_code == 2, result.output
+    assert "configuration error: shots must be >= 1, got 0" in result.output
+    assert "statevector cap" not in result.output
     assert not (tmp_path / "out").exists()
 
 
@@ -706,6 +731,7 @@ _GOLDEN_RUNS = (
     ("simulate-single", "simulate", "--mcx-mode", "single-ancilla"),
     ("encode", "encode"),
     ("estimate", "estimate"),
+    ("compare-modes", "compare-modes"),
 )
 # seed -> (reference length, query length) of a random DNA pair.
 _GOLDEN_PAIRS = {1: (8, 16), 2: (16, 12)}
@@ -746,6 +772,8 @@ GOLDEN = {
             "21de3c6210d621e8ff15507b45815776cf5c0f128898015131c7b1a82ba38555",
         "build/report.json":
             "e596b1614223a7577d2f95d54aac5a0c75df6a0d80cbdb86f2d9439f04e6727e",
+        "compare-modes/comparison.json":
+            "90c2f65b43099edacc1048d035ea51b631cdd7a81d67e600666457c750c8884b",
         "encode/encode.qasm":
             "1f0756af80cdb5a534a3c1d8caf95b6b4cd0d0ac1dd58964e0fdd5bf0dd9719b",
         "encode/report.json":
@@ -798,6 +826,8 @@ GOLDEN = {
             "84d5c53c56a66bf71d48bf9d990aeffff7bc1f9d4b54441466d096f1db49b8f2",
         "build/report.json":
             "4264aae8103e72ab223ba8d2373a26ead40ac320b96b62ec3e7ab99a497d7002",
+        "compare-modes/comparison.json":
+            "c732fd6a8b108ed700c540bb76ce4dff575b34e6ef502b37fad066ca9a08ae54",
         "encode/encode.qasm":
             "ef2f467128ee596b4e6893cb88678d27baeb97103c4979e30783062b22c14b49",
         "encode/report.json":

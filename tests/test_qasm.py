@@ -33,7 +33,7 @@ from qdotplot import (
     read_qasm,
 )
 from conftest import equal_up_to_phase, make_sequence
-from qdotplot.qasm import _DEFINITIONS
+from qdotplot.qasm import _DEFINITIONS, WIRE_CAP
 
 
 def _rich_circuit():
@@ -404,6 +404,9 @@ def test_every_preset_native_gate_has_a_qasm_name():
 def test_names_and_counts_outside_the_table_are_rejected():
     for statement, error in (("xrt_q9 q[0]", "unsupported gate or operand count"),
                              ("gate xrt_q9 a { x a; }", "unsupported gate definition 'xrt_q9'"),
+                             ("gate rxx(theta) a,b { x a; }", "unsupported gate definition 'rxx'"),
+                             ("gate xrt_p2 a { h a; }", "unsupported gate definition 'xrt_p2'"),
+                             ('include "other.inc"', 'unsupported include "other.inc"'),
                              ("h(0.5) q[0]", "unsupported gate or operand count"),
                              ("cx(1) q[0],q[1]", "unsupported gate or operand count"),
                              ("cp(0.5) q[0]", "unsupported gate or operand count"),
@@ -412,6 +415,22 @@ def test_names_and_counts_outside_the_table_are_rejected():
         named = re.escape(error) + ".* in statement " + re.escape(repr(statement))
         with pytest.raises(QasmError, match=named):
             parse_qasm(f"OPENQASM 2.0;\nqreg q[2];\ncreg c[1];\n{statement};\n")
+
+
+def test_the_emitters_definitions_and_qelib1_are_skipped_under_free_whitespace():
+    loose = _DEFINITIONS["rxx"].replace(" ", "\n  ")
+    c = parse_qasm(f'OPENQASM 2.0;\ninclude   "qelib1.inc" ;\n{loose}\nqreg q[2];\n'
+                   "rxx(0.5) q[0],q[1];\n")
+    assert gate_counts(c) == {"rxx": 1}
+
+
+@pytest.mark.parametrize("head", ["qreg", "creg"])
+def test_declaring_one_wire_past_the_cap_is_rejected(head):
+    at_cap = parse_qasm(f"OPENQASM 2.0;\nqreg q[1];\n{head} r[{WIRE_CAP - 1}];\n")
+    assert at_cap.n_qubits + at_cap.classical_bits == WIRE_CAP
+    error = f"{WIRE_CAP + 1} qubits and classical bits exceed the wire cap of {WIRE_CAP}"
+    with pytest.raises(QasmError, match=re.escape(error)):
+        parse_qasm(f"OPENQASM 2.0;\nqreg q[1];\n{head} r[{WIRE_CAP}];\nh q[0];\n")
 
 
 # -- statement splitting ------------------------------------------------------
