@@ -12,8 +12,9 @@ stages, as compile_circuit calls it), gate_counts, qasm_text and
 parse_qasm. At 1024 bp and below it also times lower_to_native in
 single-ancilla mode; the 4096 bp ion-40 single-ancilla lowering alone
 peaks near 1.6 GB. Where the pattern circuit fits the dense engine's
-24-qubit cap (21 qubits at 256 bp, 25 at 1024 bp), it times method 2:
-validate_sampling with 100,000 shots and seed 11 on that circuit. At
+24-qubit cap (21 qubits at 256 bp, 25 at 1024 bp), it times method 2,
+validate_sampling with 100,000 shots and seed 11 on that circuit, and
+statevector_run of its oracle (the gates before its first measure). At
 every length it times lowering's first pass in each mode (each stage
 lowered to decompose.LOGICAL, then its X pairs cancelled), which does all
 of the multi-controlled X work. Each time is the best of --repeat runs.
@@ -48,6 +49,7 @@ from qdotplot import (  # noqa: E402
     parse_qasm,
     qasm_text,
     route,
+    statevector_run,
     validate_sampling,
 )
 from qdotplot.circuit import _levels  # noqa: E402
@@ -57,6 +59,7 @@ from qdotplot.decompose import (  # noqa: E402
     _cancel_x_pairs,
     native_lowering,
 )
+from qdotplot.encoder import oracle_circuit  # noqa: E402
 from qdotplot.simulate import DEFAULT_QUBIT_CAP  # noqa: E402
 
 BACKENDS = ("allsim", "superconducting-53", "ion-40")
@@ -114,6 +117,7 @@ def layers(bp: int, repeat: int) -> dict:
     if circuit.n_qubits <= DEFAULT_QUBIT_CAP:
         row["validate_sampling"] = best(
             repeat, lambda: validate_sampling(r, q, 100_000, 11, circuit=circuit))[0]
+        row["statevector_run"] = best(repeat, statevector_run, oracle_circuit(circuit))[0]
     for name in BACKENDS:
         backend = load_backend(name)
         times: dict = {}

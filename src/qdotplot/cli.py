@@ -5,9 +5,10 @@ its other name transpile (full pattern-recognition circuit, lowered and
 routed to a backend), estimate (resource report), simulate (histogram
 drawn from the exact readout distribution of the unlowered circuit, see
 simulate.sample_pattern, so --mcx-mode does not change it), validate
-(build, then both validation procedures on the circuit the run built, then
-compile and write), compare-modes (minimizer on/off comparison of the
-reference encoder, always compiled in chain mode). Each run builds its
+(build, refuse a backend narrower than the compiled circuit, then both
+validation procedures on the circuit the run built, then compile and
+write), compare-modes (minimizer on/off comparison of the reference
+encoder, always compiled in chain mode). Each run builds its
 circuit once, and every verb that compiles shares one compile step. Every
 verb loads --backend, simulate too, though it runs the unlowered circuit.
 --mcx-mode only picks how lowering decomposes multi-controlled X gates and
@@ -33,10 +34,12 @@ import click
 
 from .backends import load_backend
 from .circuit import Circuit
+from .decompose import lowered_width
 from .encoder import build_encoder_circuit, build_pattern_circuit, layout_for
 from .errors import ConfigError, LoweringError
 from .qasm import emit_qasm
 from .reports import compile_circuit, compare_encodings, report_to_json, reports_to_csv
+from .routing import check_width
 from .sequences import (
     ALPHABET_PRESETS,
     SymbolSequence,
@@ -93,14 +96,17 @@ def run_pipeline(reference_path: str, query_path: str | None, alphabet: str, bac
     """ingest -> build -> (check) -> lower/route -> estimate, artifacts on disk.
 
     With shots (validate), method 2 and then method 1 check the pattern
-    circuit just built, before it is compiled or anything is written; method
-    2's draw refuses the shots, then the statevector cap. Returns the exit
-    code (0, or 1 when a requested validation fails)."""
+    circuit just built, before it is compiled or anything is written. A
+    backend narrower than the compiled circuit is refused before them, and
+    method 2's draw refuses the shots, then the statevector cap. Returns the
+    exit code (0, or 1 when a requested validation fails)."""
     r, q, dataset = _load_pair(reference_path, query_path, alphabet)
     circuit = build_pattern_circuit(r, q, use_minimizer=use_minimizer)
     backend = load_backend(backend)  # a bad --backend exits 2 before the checks run
     reports = []  # method 1's, then method 2's
     if shots is not None:
+        # So does one narrower than the compiled circuit: route would refuse it.
+        check_width(lowered_width(circuit, mcx_mode), backend)
         m2 = validate_sampling(r, q, shots, seed, mcx_mode, use_minimizer, circuit)
         reports = [validate_exhaustive(r, q, mcx_mode, use_minimizer, circuit), m2]
     compiled, report, out = _compile(circuit, dataset, backend, mcx_mode, out_dir)

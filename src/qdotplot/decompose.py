@@ -267,6 +267,11 @@ def _ancilla_pool(circuit: Circuit, mcx_mode: str) -> tuple[tuple[Register, ...]
     return circuit.registers + (extra,), tuple(pool) + extra.refs()
 
 
+def lowered_width(circuit: Circuit, mcx_mode: str) -> int:
+    """The width of lower_to_native(circuit, backend, mcx_mode) on any backend."""
+    return sum(reg.size for reg in _ancilla_pool(circuit, mcx_mode)[0])
+
+
 def _cancel_x_pairs(gates: list[Gate]) -> list[Gate]:
     # Adjacent-per-qubit cancellation of bare X pairs, as produced by
     # consecutive negative-control sandwiches sharing qubits. Each gate

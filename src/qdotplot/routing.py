@@ -41,22 +41,27 @@ def _bfs_path(adj: dict, start: int, goal: int) -> list[int]:
     raise LoweringError(f"no path between physical qubits {start} and {goal}")
 
 
+def check_width(n_qubits: int, backend: BackendModel) -> None:
+    """Raise ConfigError when a circuit of n_qubits wires is wider than backend."""
+    if n_qubits > backend.qubit_count:
+        raise ConfigError(
+            f"circuit needs {n_qubits} qubits but backend "
+            f"{backend.name!r} has {backend.qubit_count}"
+        )
+
+
 def route(circuit: Circuit, backend: BackendModel) -> Circuit:
     """Insert SWAPs so every multi-qubit gate acts on a coupled pair.
 
-    A circuit wider than the backend raises ConfigError, on all-to-all
-    backends too: this is the compile path's one width check. All-to-all
-    backends return any other circuit unchanged. Otherwise the result is
-    re-expressed on one physical register and carries final_layout with
-    final_layout[logical_wire] = physical_wire. Requires the circuit to be
-    lowered to gates of at most two qubits first.
+    A circuit wider than the backend raises ConfigError (check_width), on
+    all-to-all backends too. All-to-all backends return any other circuit
+    unchanged. Otherwise the result is re-expressed on one physical register
+    and carries final_layout with final_layout[logical_wire] =
+    physical_wire. Requires the circuit to be lowered to gates of at most
+    two qubits first.
     """
     n_logical = circuit.n_qubits
-    if n_logical > backend.qubit_count:
-        raise ConfigError(
-            f"circuit needs {n_logical} qubits but backend "
-            f"{backend.name!r} has {backend.qubit_count}"
-        )
+    check_width(n_logical, backend)
     if backend.coupling_map is None:
         return circuit
     adj = backend.adjacency()

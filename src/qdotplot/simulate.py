@@ -11,14 +11,20 @@ toffoli_run_batch packs given states into planes and unpacks the result;
 toffoli_run is the scalar reference, returning (bits, classical) for one
 state. The statevector engine holds all 2^n amplitudes as a [2]*n view;
 wire q maps to tensor axis n-1-q so that wire 0 is the least significant
-bit of the basis index. It applies every gate by one block rule
-(_Engine.apply): fix each control at its firing value, take the 2^k blocks
-that the k targets pick out, then, for an X, trade block b with block
-2^k-1-b, or else combine the blocks by the gate's 2x2 or 4x4 matrix
-(_matrix); a measure reads and collapses the two blocks of its wire.
-statevector_run returns (amplitudes, classical) and collapses the state
-at each measure; sample defers mid-circuit measurements and draws from one
-dense pass over the support of its distribution, counting the shots per
+bit of the basis index. A dense pass starts from a product state
+(_product_start): each wire's leading one-wire gates, those before any
+multi-wire gate or measure touches the wire, fold into a 2-vector on that
+wire, and the tensor starts as the outer product of those vectors, so a
+pattern circuit's init Hadamards never walk the tensor. Every other gate
+is applied by one block rule (_Engine.apply): fix each control at its
+firing value, take the 2^k blocks that the k targets pick out, then, for
+an X, trade block b with block 2^k-1-b, or else combine the blocks by the
+gate's 2x2 or 4x4 matrix (_matrix); a measure reads and collapses the two
+blocks of its wire. circuit_unitary applies every gate to the identity,
+with no product start. statevector_run returns (amplitudes, classical)
+and collapses the state at each measure; sample defers mid-circuit
+measurements and draws from one dense pass over the support of its
+distribution, counting the shots per
 state from their sorted uniforms (_draw_counts): numpy's Generator.choice
 count for count, as it is the same uniforms between the same partial
 sums. A pattern circuit (encoder.build_pattern_circuit) is read out
@@ -223,6 +229,7 @@ def _u3_matrix(theta: float, phi: float, lam: float) -> np.ndarray:
 
 
 _H = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+_X = np.array([[0, 1], [1, 0]])
 _SWAP = np.eye(4)[[0, 2, 1, 3]]
 
 
@@ -316,10 +323,45 @@ class _Engine:
         return outcome
 
 
+def _product_start(circuit: Circuit, stop: int, initial: int = 0) -> tuple[np.ndarray, list]:
+    """The dense start of circuit.gates[:stop] from basis state initial.
+
+    Each wire's leading one-wire gates, those before any multi-wire gate or
+    measure touches the wire, act on a product state, so they fold into a
+    2-vector on that wire that starts at bit w of initial. Returns the
+    amplitudes of the outer product of those vectors (basis index bit q is
+    wire q) and the (gate, wires) pairs of the gates left to apply, in
+    order.
+    """
+    n = circuit.n_qubits
+    vectors = [np.eye(2, dtype=complex)[initial >> w & 1] for w in range(n)]
+    folding = [True] * n
+    rest = []
+    for g, wires in zip(circuit.gates[:stop], circuit.wires[:stop]):
+        if len(wires) == 1 and g.kind != "measure" and folding[wires[0]]:
+            w = wires[0]
+            vectors[w] = (_X if g.kind == "x" else _matrix(g)) @ vectors[w]
+        else:
+            for w in wires:
+                folding[w] = False
+            rest.append((g, wires))
+    # A vector with a zero entry fixes its wire at one bit, so only the
+    # block of those bits is written.
+    t = np.zeros([2] * n, dtype=complex)
+    index, block = [], np.ones((), dtype=complex)
+    for v in reversed(vectors):  # wire n-1 is the first axis
+        index.append(1 if v[0] == 0 else 0 if v[1] == 0 else slice(None))
+        block = np.multiply.outer(block, v[index[-1]])
+    t[tuple(index)] = block
+    return t.reshape(-1), rest
+
+
 def statevector_run(circuit: Circuit, seed: int = 0, initial: int = 0) -> tuple[np.ndarray, list]:
     """Dense simulation; returns the final amplitudes (basis index bit q is
     wire q) and the classical bit list.
 
+    The pass starts from the product state of each wire's leading one-wire
+    gates on basis state initial (_product_start) and applies the rest.
     Measurements sample the target's marginal with the seeded generator and
     collapse the state in place. More than DEFAULT_QUBIT_CAP qubits raise
     ConfigError.
@@ -328,12 +370,11 @@ def statevector_run(circuit: Circuit, seed: int = 0, initial: int = 0) -> tuple[
     check_qubit_cap(n)
     if not 0 <= initial < (1 << n):
         raise ValueError(f"initial state {initial} out of range for {n} qubits")
-    psi = np.zeros(1 << n, dtype=complex)
-    psi[initial] = 1.0
+    psi, rest = _product_start(circuit, len(circuit.gates), initial)
     eng = _Engine(circuit, psi.reshape([2] * n))
     rng = np.random.default_rng(seed)
     classical = [None] * circuit.classical_bits
-    for g, wires in zip(circuit.gates, circuit.wires):
+    for g, wires in rest:
         if g.kind == "measure":
             classical[g.classical_bit] = eng.measure(wires[0], rng)
         else:
@@ -374,7 +415,9 @@ def _draw_counts(p: np.ndarray, shots: int, seed: int = 0) -> np.ndarray:
 
 def _draw(circuit: Circuit, shots: int, seed: int = 0) -> tuple[dict, np.ndarray, np.ndarray]:
     """Draw shots basis states from circuit's final distribution, in one
-    dense pass (see sample for the deferral of mid-circuit measurements).
+    dense pass over the gates before the trailing measurements, from the
+    product state of each wire's leading one-wire gates (_product_start;
+    see sample for the deferral of mid-circuit measurements).
 
     Returns (wire, states, counts): wire[b] is the wire that the last
     measurement writing classical bit b reads, states the distinct states
@@ -399,11 +442,9 @@ def _draw(circuit: Circuit, shots: int, seed: int = 0) -> tuple[dict, np.ndarray
         deferred = [Gate.measure(fresh[i], gates[i].classical_bit) for i in mid]
         circuit = Circuit(circuit.registers + (anc,), (*body, *deferred, *gates[stop:]),
                           circuit.classical_bits)
-    n = circuit.n_qubits
-    psi = np.zeros(1 << n, dtype=complex)
-    psi[0] = 1.0
-    eng = _Engine(circuit, psi.reshape([2] * n))
-    for g in circuit.gates[:stop]:
+    psi, rest = _product_start(circuit, stop)
+    eng = _Engine(circuit, psi.reshape([2] * circuit.n_qubits))
+    for g, _ in rest:
         eng.apply(g)
     dist = np.abs(psi) ** 2
     del psi, eng  # the 2^n amplitudes are not needed while drawing
@@ -422,7 +463,8 @@ def _draw(circuit: Circuit, shots: int, seed: int = 0) -> tuple[dict, np.ndarray
 
 def sample(circuit: Circuit, shots: int, seed: int = 0) -> dict[tuple, int]:
     """Histogram over classical bit tuples (index = classical bit), drawn
-    from the final distribution of one dense pass.
+    from the final distribution of one dense pass (_draw), which starts
+    from the product state of each wire's leading one-wire gates.
 
     Measurement is deferred: each measure with gates after it becomes a cx
     onto a fresh ancilla wire (counted toward DEFAULT_QUBIT_CAP), measured

@@ -22,6 +22,7 @@ def test_layers_smoke_at_8_bp():
     row = result["bp"]["8"]
     assert row["build_pattern_circuit"] >= 0
     assert row["validate_sampling"] >= 0
+    assert row["statevector_run"] >= 0
     for mode in ("ccnot_chain", "single_ancilla"):
         logical = row["logical_gates"][mode]
         assert 0 < logical["after"] <= logical["before"], mode

@@ -305,6 +305,38 @@ def test_validate_refuses_an_unknown_backend_before_validating(runner, seqdir, m
     assert not (seqdir / "out").exists()
 
 
+@pytest.mark.parametrize("mode", ["chain", "single-ancilla"])
+def test_validate_refuses_a_too_narrow_backend_before_validating(runner, seqdir, monkeypatch,
+                                                                 mode):
+    # The compiled width, from lowering the circuit the run builds.
+    r, q, _ = cli._load_pair(str(seqdir / "ref.txt"), str(seqdir / "qry.fa"), "auto")
+    width = qdotplot.lower_to_native(qdotplot.build_pattern_circuit(r, q),
+                                     qdotplot.load_backend("allsim"),
+                                     cli._MODE_FLAGS[mode]).n_qubits
+
+    def backend(qubits):
+        path = seqdir / f"narrow{qubits}.json"
+        path.write_text(json.dumps({"name": "narrow", "qubit_count": qubits,
+                                    "native_gates": ["x", "cx", "ccx", "h", "p", "swap"]}))
+        return str(path)
+
+    args = ("validate", "--shots", "2000", "--mcx-mode", mode, "--backend")
+    fits = runner.invoke(main, _args(seqdir, *args, backend(width)))
+    assert fits.exit_code == 0, fits.output
+
+    def no_check(*args, **kwargs):
+        raise AssertionError("validated before the backend's width was checked")
+
+    monkeypatch.setattr(cli, "validate_sampling", no_check)
+    monkeypatch.setattr(cli, "validate_exhaustive", no_check)
+    out = seqdir / "narrow-out"
+    result = runner.invoke(main, [*_args(seqdir, *args, backend(width - 1)), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert (f"configuration error: circuit needs {width} qubits but backend 'narrow' "
+            f"has {width - 1}") in result.output
+    assert not out.exists()
+
+
 def test_bad_alphabet_exits_two(runner, seqdir):
     result = runner.invoke(main, _args(seqdir, "build", "--alphabet", "klingon"))
     assert result.exit_code == 2

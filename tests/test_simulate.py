@@ -44,6 +44,7 @@ from qdotplot import (
     toffoli_run,
     toffoli_run_batch,
 )
+from qdotplot import simulate
 from qdotplot.encoder import oracle_circuit
 from qdotplot.simulate import (
     SHOT_CAP,
@@ -269,6 +270,73 @@ def test_statevector_measure_projects_each_gate_kind(n, gate, want):
             projected = np.where(keep, want[:, initial], 0)
             assert np.linalg.norm(projected) > 1e-9
             assert np.max(np.abs(psi - projected / np.linalg.norm(projected))) < 1e-12
+
+
+def _one_wire(rng: np.random.Generator, q) -> Gate:
+    """A gate of a random one-wire kind of the dense engine, on q."""
+    a, b, c = rng.uniform(-np.pi, np.pi, size=3).tolist()
+    exponent = Fraction(int(rng.choice([1, -1])), int(rng.choice([2, 4, 8])))
+    return [Gate.h(q), Gate.phase(a, q), Gate.u2(a, b, q), Gate.u3(a, b, c, q), Gate.rx(a, q),
+            Gate.ry(a, q), Gate.root_x(exponent, q), Gate.x(q)][int(rng.integers(8))]
+
+
+def _mixed_circuits():
+    """Circuits of one-wire gates before, between and after cx, ccx, swap
+    and rxx gates, from a fixed seed, each with a nonzero initial state."""
+    r = _reg(3)
+    # Wire 1's second one-wire gate follows a cx and must not fold into
+    # its start; wire 2's u3 follows the cx on its other wire, and folds.
+    yield _circuit(3, [Gate.ry(0.7, r[1]), Gate.h(r[0]), Gate.cx(r[0], r[1]),
+                       Gate.rx(-1.1, r[1]), Gate.u3(0.4, 0.2, -0.9, r[2])]), 0b011
+    rng = np.random.default_rng(31)
+    for _ in range(60):
+        n = int(rng.integers(1, 9))
+        r = _reg(n)
+        gates = []
+        for _ in range(int(rng.integers(1, 30))):
+            if n == 1 or rng.random() < 0.6:
+                gates.append(_one_wire(rng, r[int(rng.integers(n))]))
+                continue
+            wires = [r[int(w)] for w in rng.choice(n, size=min(n, 3), replace=False)]
+            a, b = wires[:2]
+            theta = float(rng.uniform(-np.pi, np.pi))
+            pick = [Gate.cx(a, b), Gate.swap(a, b), Gate.rxx(theta, a, b)]
+            if n > 2:
+                pick.append(Gate.ccx(*wires))
+            gates.append(pick[int(rng.integers(len(pick)))])
+        yield _circuit(n, gates), int(rng.integers(1, 1 << n))
+
+
+def test_product_start_matches_the_unitary():
+    # statevector_run folds each wire's leading one-wire gates into its
+    # start; circuit_unitary applies every gate to the identity instead.
+    for c, initial in _mixed_circuits():
+        psi, _ = statevector_run(c, initial=initial)
+        assert np.max(np.abs(psi - circuit_unitary(c)[:, initial])) < 1e-12
+
+
+def test_sample_applies_no_init_hadamard_in_the_engine(monkeypatch):
+    # The init stage's h gates act on a basis state, so the product start
+    # takes them all: the engine applies only the inverse QFT's h gates.
+    applied = []
+
+    class Recording(_Engine):
+        def apply(self, g, rng=None):
+            applied.append(g)
+            return super().apply(g, rng)
+
+    monkeypatch.setattr(simulate, "_Engine", Recording)
+    rng = random.Random(12)
+    pattern = _pattern(_dna(rng, 16), _dna(rng, 8))
+    assert pattern.n_qubits == 12
+    sample(pattern, 100, seed=2)
+    ((start, stop),) = [(s, e) for label, s, e in pattern.stage_ranges() if label == "init"]
+    init = pattern.gates[start:stop]
+    assert len(init) == 7 and all(g.kind == "h" for g in init)  # 4 x and 3 y qubits
+    assert applied and not {id(g) for g in init} & {id(g) for g in applied}
+    first = next(i for i, g in enumerate(pattern.gates) if g.kind == "measure")
+    assert (sum(g.kind == "h" for g in applied)
+            == sum(g.kind == "h" for g in pattern.gates[first:]) > 0)
 
 
 def test_norm_preserved_over_long_circuit():
