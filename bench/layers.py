@@ -14,8 +14,11 @@ single-ancilla mode; the 4096 bp ion-40 single-ancilla lowering alone
 peaks near 1.6 GB. Where the pattern circuit fits the dense engine's
 24-qubit cap (21 qubits at 256 bp, 25 at 1024 bp), it times method 2,
 validate_sampling with 100,000 shots and seed 11 on that circuit, and
-statevector_run of its oracle (the gates before its first measure). At
-every length it times lowering's first pass in each mode (each stage
+statevector_run of its oracle (the gates before its first measure). Where
+the plot has at most simulate.READOUT_CELL_CAP cells (256 and 1024 bp), it
+times method 1, validate_exhaustive in chain mode, and the exact readout
+behind the simulate verb, sample_pattern with 100,000 shots and seed 11.
+At every length it times lowering's first pass in each mode (each stage
 lowered to decompose.LOGICAL, then its X pairs cancelled), which does all
 of the multi-controlled X work. Each time is the best of --repeat runs.
 It prints one JSON line: the times in seconds, the lowered and routed
@@ -49,7 +52,9 @@ from qdotplot import (  # noqa: E402
     parse_qasm,
     qasm_text,
     route,
+    sample_pattern,
     statevector_run,
+    validate_exhaustive,
     validate_sampling,
 )
 from qdotplot.circuit import _levels  # noqa: E402
@@ -60,7 +65,7 @@ from qdotplot.decompose import (  # noqa: E402
     native_lowering,
 )
 from qdotplot.encoder import oracle_circuit  # noqa: E402
-from qdotplot.simulate import DEFAULT_QUBIT_CAP  # noqa: E402
+from qdotplot.simulate import DEFAULT_QUBIT_CAP, READOUT_CELL_CAP  # noqa: E402
 
 BACKENDS = ("allsim", "superconducting-53", "ion-40")
 # Single-ancilla lowering is timed up to this length.
@@ -118,6 +123,10 @@ def layers(bp: int, repeat: int) -> dict:
         row["validate_sampling"] = best(
             repeat, lambda: validate_sampling(r, q, 100_000, 11, circuit=circuit))[0]
         row["statevector_run"] = best(repeat, statevector_run, oracle_circuit(circuit))[0]
+    if 1 << (circuit.register("x").size + circuit.register("y").size) <= READOUT_CELL_CAP:
+        row["validate_exhaustive"] = best(
+            repeat, lambda: validate_exhaustive(r, q, "ccnot_chain", circuit=circuit))[0]
+        row["sample_pattern"] = best(repeat, sample_pattern, circuit, 100_000, 11)[0]
     for name in BACKENDS:
         backend = load_backend(name)
         times: dict = {}

@@ -44,6 +44,9 @@ class BackendModel:
             raise ConfigError("backend needs at least one qubit")
         if not self.native_gates:
             raise ConfigError("backend needs a native gate set")
+        t = self.gate_time_seconds
+        if t is not None and not (isinstance(t, float) and 0 < t < math.inf):
+            raise ConfigError(f"gate time of {self.name!r} must be a positive finite float, got {t!r}")
         for gate in self.native_gates:
             if gate in UNWRITABLE:
                 raise ConfigError(f"native gate {gate!r} of {self.name!r} has no OpenQASM 2.0 form")

@@ -8,9 +8,10 @@ simulate.sample_pattern, so --mcx-mode does not change it), validate
 (build, refuse a backend narrower than the compiled circuit, then both
 validation procedures on the circuit the run built, then compile and
 write), compare-modes (minimizer on/off comparison of the reference
-encoder, always compiled in chain mode). Each run builds its
-circuit once, and every verb that compiles shares one compile step. Every
-verb loads --backend, simulate too, though it runs the unlowered circuit.
+encoder, always compiled in chain mode). Each run builds its circuit once,
+and every verb that compiles shares one compile step, which refuses a
+backend narrower than the lowered circuit before it lowers. Every verb
+loads --backend, simulate too, though it runs the unlowered circuit.
 --mcx-mode only picks how lowering decomposes multi-controlled X gates and
 how many ancillas it adds. --alphabet is a choice of auto and the presets,
 so click rejects any other name before a file is read. Each verb takes

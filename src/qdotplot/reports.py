@@ -16,9 +16,9 @@ from dataclasses import asdict, dataclass, field
 
 from .backends import BackendModel
 from .circuit import Circuit, _levels, gate_counts
-from .decompose import lower_to_native
+from .decompose import lower_to_native, lowered_width
 from .encoder import build_encoder_circuit
-from .routing import route
+from .routing import check_width, route
 from .sequences import SymbolSequence
 
 CSV_COLUMNS = (
@@ -72,9 +72,10 @@ def compile_circuit(
 ) -> tuple[Circuit, ResourceReport]:
     """Lower to the backend's native set, route, and measure.
 
-    route raises ConfigError for a lowered circuit wider than the backend,
-    on all-to-all backends too.
+    A circuit whose lowered form is wider than the backend raises
+    ConfigError before anything is lowered, on all-to-all backends too.
     """
+    check_width(lowered_width(circuit, mcx_mode), backend)
     compiled = route(lower_to_native(circuit, backend, mcx_mode), backend)
     levels, per_stage = _levels(compiled, compiled.stage_ranges())
     n = compiled.n_qubits

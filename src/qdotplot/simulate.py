@@ -22,9 +22,9 @@ an X, trade block b with block 2^k-1-b, or else combine the blocks by the
 gate's 2x2 or 4x4 matrix (_matrix); a measure reads and collapses the two
 blocks of its wire. circuit_unitary applies every gate to the identity,
 with no product start. statevector_run returns (amplitudes, classical)
-and collapses the state at each measure; sample defers mid-circuit
-measurements and draws from one dense pass over the support of its
-distribution, counting the shots per
+and collapses the state at each measure, and it is the one dense driver:
+sample defers mid-circuit measurements, draws from the support of the
+distribution of one statevector_run pass (_draw), counting the shots per
 state from their sorted uniforms (_draw_counts): numpy's Generator.choice
 count for count, as it is the same uniforms between the same partial
 sums. A pattern circuit (encoder.build_pattern_circuit) is read out
@@ -323,8 +323,8 @@ class _Engine:
         return outcome
 
 
-def _product_start(circuit: Circuit, stop: int, initial: int = 0) -> tuple[np.ndarray, list]:
-    """The dense start of circuit.gates[:stop] from basis state initial.
+def _product_start(circuit: Circuit, initial: int = 0) -> tuple[np.ndarray, list]:
+    """The dense start of circuit from basis state initial.
 
     Each wire's leading one-wire gates, those before any multi-wire gate or
     measure touches the wire, act on a product state, so they fold into a
@@ -337,7 +337,7 @@ def _product_start(circuit: Circuit, stop: int, initial: int = 0) -> tuple[np.nd
     vectors = [np.eye(2, dtype=complex)[initial >> w & 1] for w in range(n)]
     folding = [True] * n
     rest = []
-    for g, wires in zip(circuit.gates[:stop], circuit.wires[:stop]):
+    for g, wires in zip(circuit.gates, circuit.wires):
         if len(wires) == 1 and g.kind != "measure" and folding[wires[0]]:
             w = wires[0]
             vectors[w] = (_X if g.kind == "x" else _matrix(g)) @ vectors[w]
@@ -370,7 +370,7 @@ def statevector_run(circuit: Circuit, seed: int = 0, initial: int = 0) -> tuple[
     check_qubit_cap(n)
     if not 0 <= initial < (1 << n):
         raise ValueError(f"initial state {initial} out of range for {n} qubits")
-    psi, rest = _product_start(circuit, len(circuit.gates), initial)
+    psi, rest = _product_start(circuit, initial)
     eng = _Engine(circuit, psi.reshape([2] * n))
     rng = np.random.default_rng(seed)
     classical = [None] * circuit.classical_bits
@@ -414,10 +414,9 @@ def _draw_counts(p: np.ndarray, shots: int, seed: int = 0) -> np.ndarray:
 
 
 def _draw(circuit: Circuit, shots: int, seed: int = 0) -> tuple[dict, np.ndarray, np.ndarray]:
-    """Draw shots basis states from circuit's final distribution, in one
-    dense pass over the gates before the trailing measurements, from the
-    product state of each wire's leading one-wire gates (_product_start;
-    see sample for the deferral of mid-circuit measurements).
+    """Draw shots basis states from the final distribution of circuit's
+    gates before its trailing measurements, which statevector_run gives
+    with each earlier measurement deferred (see sample).
 
     Returns (wire, states, counts): wire[b] is the wire that the last
     measurement writing classical bit b reads, states the distinct states
@@ -428,26 +427,18 @@ def _draw(circuit: Circuit, shots: int, seed: int = 0) -> tuple[dict, np.ndarray
     """
     check_shots(shots)
     gates = circuit.gates
-    if not any(g.kind == "measure" for g in gates):
-        raise ValueError("circuit has no measurements to sample")
     # The trailing measurements start at stop.
     stop = max((i + 1 for i, g in enumerate(gates) if g.kind != "measure"), default=0)
     mid = [i for i in range(stop) if gates[i].kind == "measure"]
-    check_qubit_cap(circuit.n_qubits + len(mid))
+    body, registers = gates[:stop], circuit.registers
     if mid:
         anc = circuit.ancilla_register(len(mid))
         fresh = dict(zip(mid, anc.refs()))
-        body = [Gate.cx(g.targets[0], fresh[i]) if i in fresh else g
-                for i, g in enumerate(gates[:stop])]
-        deferred = [Gate.measure(fresh[i], gates[i].classical_bit) for i in mid]
-        circuit = Circuit(circuit.registers + (anc,), (*body, *deferred, *gates[stop:]),
-                          circuit.classical_bits)
-    psi, rest = _product_start(circuit, stop)
-    eng = _Engine(circuit, psi.reshape([2] * circuit.n_qubits))
-    for g, _ in rest:
-        eng.apply(g)
+        body = [Gate.cx(g.targets[0], fresh[i]) if i in fresh else g for i, g in enumerate(body)]
+        registers += (anc,)
+    psi, _ = statevector_run(Circuit(registers, tuple(body)))
     dist = np.abs(psi) ** 2
-    del psi, eng  # the 2^n amplitudes are not needed while drawing
+    del psi  # the 2^n amplitudes are not needed while drawing
     dist /= dist.sum()
     # Counting over the support alone gives the counts of a draw over all
     # of dist: the partial sums at the support positions are the same, so
@@ -455,22 +446,24 @@ def _draw(circuit: Circuit, shots: int, seed: int = 0) -> tuple[dict, np.ndarray
     support = np.flatnonzero(dist)
     counts = _draw_counts(dist[support], shots, seed)
     hit = np.flatnonzero(counts)
-    # A later write to a bit wins.
-    wire = {g.classical_bit: wires[0]
-            for g, wires in zip(circuit.gates[stop:], circuit.wires[stop:])}
+    # Deferred measurement k reads ancilla wire n_qubits + k; a later write to a bit wins.
+    wire = {gates[i].classical_bit: circuit.n_qubits + k for k, i in enumerate(mid)}
+    wire.update((g.classical_bit, wires[0])
+                for g, wires in zip(gates[stop:], circuit.wires[stop:]))
     return wire, support[hit], counts[hit]
 
 
 def sample(circuit: Circuit, shots: int, seed: int = 0) -> dict[tuple, int]:
     """Histogram over classical bit tuples (index = classical bit), drawn
-    from the final distribution of one dense pass (_draw), which starts
-    from the product state of each wire's leading one-wire gates.
+    from the final distribution of one statevector_run pass (_draw).
 
     Measurement is deferred: each measure with gates after it becomes a cx
     onto a fresh ancilla wire (counted toward DEFAULT_QUBIT_CAP), measured
     at the end in program order before the trailing measures, so a later
     write to the same bit still wins.
     """
+    if not any(g.kind == "measure" for g in circuit.gates):
+        raise ValueError("circuit has no measurements to sample")
     wire, states, counts = _draw(circuit, shots, seed)
     # States that agree on the measured wires give one outcome, listed in
     # the order the ascending states first show it.

@@ -18,13 +18,13 @@ a bit-propagation engine cannot run, so that mode is checked at the
 multi-controlled gate level (its decomposition is covered by the
 dense-matrix oracles).
 
-Method 2 (sampling): run the superposed oracle, measure v and both index
-registers, assert every sampled (x, y, v) agrees with the classical plot,
-and chi-square test the (x, y) marginal for uniformity. The shots come
-from the dense draw behind simulate.sample and are tallied per distinct
-basis state in numpy; the first counterexample is the mismatching outcome
-whose classical bit tuple sorts first. The sampled circuit is not lowered,
-so it holds no ancillas and mcx_mode only labels the report.
+Method 2 (sampling): draw basis states from the superposed oracle (the
+draw behind simulate.sample), read v, x and y off them by their wires,
+assert every sampled (x, y, v) agrees with the classical plot, and
+chi-square test the (x, y) marginal for uniformity. The shots are tallied
+per distinct basis state in numpy; the first counterexample is the one
+whose readout bits (v, then x and y low bit first) sort first. The
+sampled oracle is not lowered, so mcx_mode only labels the report.
 """
 
 from __future__ import annotations
@@ -36,13 +36,7 @@ import numpy as np
 
 from .circuit import Circuit
 from .decompose import LOGICAL, MCX_MODES, lower_to_native
-from .encoder import (
-    build_dotplot_circuit,
-    layout_for,
-    oracle_circuit,
-    readout_bits,
-    readout_gates,
-)
+from .encoder import build_dotplot_circuit, oracle_circuit
 from .errors import ConfigError
 from .sequences import SymbolSequence
 from .simulate import _draw, run_cells, unpack_planes
@@ -135,15 +129,13 @@ def validate_sampling(
     below.
     """
     plot, circuit = _plot_and_oracle(r, q, mcx_mode, use_minimizer, circuit)
-    layout = layout_for(r, q)
-    circuit = circuit.append_stages([("readout", readout_gates(circuit, layout))])
-    wire, states, counts = _draw(circuit, shots, seed)
-    # One column per classical bit, in the order sorted() compares bit tuples.
-    bit = {b: (states >> wire[b]) & 1 for b in sorted(wire)}
-    slots = readout_bits(layout)
-    v = bit[slots["v"]]
-    xv = sum((bit[b] << i for i, b in enumerate(slots["x"])), np.zeros_like(states))
-    yv = sum((bit[b] << j for j, b in enumerate(slots["y"])), np.zeros_like(states))
+    _, states, counts = _draw(circuit, shots, seed)
+    # One column per wire read, in the readout-bit order in which sorted()
+    # compares bit tuples: v, then x and y low bit first.
+    col = {name: [(states >> circuit.wire(ref)) & 1 for ref in circuit.register(name).refs()]
+           for name in "vxy"}
+    (v,) = col["v"]
+    xv, yv = (sum((b << i for i, b in enumerate(col[name])), np.zeros_like(states)) for name in "xy")
     hf, wf = plot.shape
     cells = np.zeros((hf, wf), dtype=np.int64)
     np.add.at(cells, (yv, xv), counts)
@@ -154,7 +146,7 @@ def validate_sampling(
     if bad.size:
         # The mismatching outcome whose bit tuple sorts first; lexsort's
         # last key is its primary one.
-        k = bad[np.lexsort([col[bad] for col in reversed(bit.values())])[0]]
+        k = bad[np.lexsort([c[bad] for bits in reversed(col.values()) for c in bits[::-1]])[0]]
         first = (int(xv[k]), int(yv[k]), int(v[k]), int(want[k]))
     expected = shots / (wf * hf)
     stat = float(((cells - expected) ** 2 / expected).sum())

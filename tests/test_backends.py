@@ -162,6 +162,18 @@ def test_a_gate_time_too_large_for_a_float_is_a_config_error():
                       "gate_time_ns": 10 ** 400})
 
 
+@pytest.mark.parametrize("ns", [1e-320, 5e-324])
+def test_a_gate_time_that_rounds_to_zero_seconds_is_a_config_error(ns):
+    # A positive gate_time_ns whose product with 1e-9 is 0.0 s.
+    with pytest.raises(ConfigError, match="^gate time of 't' must be a positive finite float, got 0.0$"):
+        load_backend({"name": "t", "qubit_count": 2, "native_gates": ["cx"], "gate_time_ns": ns})
+
+
+def test_a_model_built_with_a_zero_gate_time_is_a_config_error():
+    with pytest.raises(ConfigError, match="^gate time of 'm' must be a positive finite float"):
+        BackendModel("m", 2, ("cx",), gate_time_seconds=0.0)
+
+
 def test_adjacency_needs_a_coupling_map():
     with pytest.raises(ConfigError, match="^backend 'allsim' has no coupling map$"):
         load_backend("allsim").adjacency()

@@ -23,6 +23,8 @@ def test_layers_smoke_at_8_bp():
     assert row["build_pattern_circuit"] >= 0
     assert row["validate_sampling"] >= 0
     assert row["statevector_run"] >= 0
+    assert row["validate_exhaustive"] >= 0
+    assert row["sample_pattern"] >= 0
     for mode in ("ccnot_chain", "single_ancilla"):
         logical = row["logical_gates"][mode]
         assert 0 < logical["after"] <= logical["before"], mode

@@ -506,6 +506,34 @@ def test_circuit_wider_than_all_to_all_backend_exits_two(runner, seqdir):
     assert "circuit needs 12 qubits but backend 'tiny' has 4" in result.output
 
 
+def test_a_gate_time_that_rounds_to_zero_exits_two_before_writing(runner, seqdir):
+    zero = seqdir / "zero.json"
+    zero.write_text(json.dumps({"name": "zero", "qubit_count": 40,
+                                "native_gates": ["rx", "ry", "rxx"], "gate_time_ns": 1e-320}))
+    result = runner.invoke(main, _args(seqdir, "build", "--backend", str(zero)))
+    assert result.exit_code == 2, result.output
+    assert ("configuration error: gate time of 'zero' must be a positive finite float, "
+            "got 0.0") in result.output
+    out = seqdir / "out"
+    assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize("verb", ["encode", "estimate", "build", "transpile", "compare-modes"])
+def test_a_too_narrow_backend_is_refused_before_lowering(runner, seqdir, monkeypatch, verb):
+    def no_lowering(*args, **kwargs):
+        raise AssertionError("lowered a circuit wider than the backend")
+
+    monkeypatch.setattr(qdotplot.reports, "lower_to_native", no_lowering)
+    tiny = seqdir / "tiny.json"
+    tiny.write_text(json.dumps({"name": "tiny", "qubit_count": 4,
+                                "native_gates": ["x", "cx", "ccx", "h", "p", "swap"]}))
+    result = runner.invoke(main, _args(seqdir, verb, "--backend", str(tiny)))
+    assert result.exit_code == 2, result.output
+    assert "qubits but backend 'tiny' has 4" in result.output
+    out = seqdir / "out"
+    assert not out.exists() or not any(out.iterdir())
+
+
 def test_simulate_zero_shots_exits_two(runner, seqdir):
     result = runner.invoke(main, _args(seqdir, "simulate", "--shots", "0"))
     assert result.exit_code == 2

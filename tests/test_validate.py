@@ -259,8 +259,17 @@ def test_sampling_tally_matches_a_per_key_loop_on_broken_oracles(seed):
         "every cell": [Gate.x(v)],
         "untouched": [],
     }
-    for name, extra in mutations.items():
-        broken = good.append_stages([("sabotage", extra)]) if extra else good
+    inputs = {name: good.append_stages([("sabotage", extra)]) if extra else good
+              for name, extra in mutations.items()}
+    # The one-cell oracle over its registers declared in another order, so
+    # that v, x and y sit on other wires than the readout bits they fill.
+    one = inputs["one cell"]
+    by_name = {reg.name: reg for reg in one.registers}
+    moved = Circuit(tuple(by_name[n] for n in ("y", "dq", "x", "dr", "v")), one.gates,
+                    one.classical_bits, one.stage_marks)
+    assert [moved.wire(b) for b in (v, *xs, *ys)] != [one.wire(b) for b in (v, *xs, *ys)]
+    inputs["registers reordered"] = moved
+    for name, broken in inputs.items():
         for shots in (1, 7, 3000):
             got = validate_sampling(r, q, shots, seed=seed, circuit=broken)
             want = _tally_by_key(r, q, shots, seed, broken)
