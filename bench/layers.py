@@ -5,10 +5,12 @@
 
 Run it from anywhere; it imports the package from the src/ next to it. For
 each length it codes a seeded DNA self pair (random.Random(1) over ACGT, with
-the dna alphabet) and times build_pattern_circuit, then on allsim,
-superconducting-53 and ion-40: lower_to_native in chain mode, route, the
-level walk behind every depth (circuit._levels over the routed circuit's
-stages, as compile_circuit calls it), gate_counts, qasm_text and
+the dna alphabet) and times ingest (cli._load_pair of that sequence, written
+once to a temporary file, as a self pair in the dna alphabet), d1merge of
+the reference's PLA table (logic.build_pla), build_pattern_circuit, then on
+allsim, superconducting-53 and ion-40: lower_to_native in chain mode,
+route, the level walk behind every depth (circuit._levels over the routed
+circuit's stages, as compile_circuit calls it), gate_counts, qasm_text and
 parse_qasm. At 1024 bp and below it also times lower_to_native in
 single-ancilla mode; the 4096 bp ion-40 single-ancilla lowering alone
 peaks near 1.6 GB. Where the pattern circuit fits the dense engine's
@@ -35,6 +37,7 @@ import json
 import random
 import resource
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -44,6 +47,8 @@ from qdotplot import (  # noqa: E402
     ALPHABET_PRESETS,
     MCX_MODES,
     build_pattern_circuit,
+    build_pla,
+    d1merge,
     gate_counts,
     load_backend,
     lower_to_native,
@@ -57,6 +62,7 @@ from qdotplot import (  # noqa: E402
     validate_exhaustive,
     validate_sampling,
 )
+from qdotplot import cli  # noqa: E402
 from qdotplot.circuit import _levels  # noqa: E402
 from qdotplot.decompose import (  # noqa: E402
     LOGICAL,
@@ -83,9 +89,13 @@ def best(repeat: int, fn, *args):
     return round(min(times), 6), out
 
 
-def self_pair(bp: int):
+def dna(bp: int) -> str:
     rng = random.Random(1)
-    seq = map_alphabet("".join(rng.choice("ACGT") for _ in range(bp)), ALPHABET_PRESETS["dna"])
+    return "".join(rng.choice("ACGT") for _ in range(bp))
+
+
+def self_pair(bp: int):
+    seq = map_alphabet(dna(bp), ALPHABET_PRESETS["dna"])
     return pad_pair(seq, seq)
 
 
@@ -116,6 +126,11 @@ def logical_gates(circuit, mode: str) -> dict:
 def layers(bp: int, repeat: int) -> dict:
     r, q = self_pair(bp)
     row: dict = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "ref.txt"
+        path.write_text(dna(bp) + "\n", encoding="utf-8")
+        row["ingest"] = best(repeat, cli._load_pair, str(path), None, "dna")[0]
+    row["d1merge"] = best(repeat, d1merge, build_pla(r.codes, r.d))[0]
     row["build_pattern_circuit"], circuit = best(repeat, build_pattern_circuit, r, q)
     row["logical_gates"] = {mode: logical_gates(circuit, mode) for mode in MCX_MODES}
     row["logical_pass"] = {mode: best(repeat, logical_pass, circuit, mode)[0] for mode in MCX_MODES}

@@ -8,21 +8,23 @@ simulate.sample_pattern, so --mcx-mode does not change it), validate
 (build, refuse a backend narrower than the compiled circuit, then both
 validation procedures on the circuit the run built, then compile and
 write), compare-modes (minimizer on/off comparison of the reference
-encoder, always compiled in chain mode). Each run builds its circuit once,
-and every verb that compiles shares one compile step, which refuses a
-backend narrower than the lowered circuit before it lowers. Every verb
-loads --backend, simulate too, though it runs the unlowered circuit.
---mcx-mode only picks how lowering decomposes multi-controlled X gates and
-how many ancillas it adds. --alphabet is a choice of auto and the presets,
-so click rejects any other name before a file is read. Each verb takes
-only the options it reads: --shots and --seed exist only on validate and
-simulate; simulate also takes --mcx-mode, which it ignores, but not
---no-minimize, which cannot change the plot it reads out. Exit codes: 0
-success, 1 a requested validation failed, 2 configuration error or
-resource limit (an --out that cannot be made a directory, circuit wider
-than the backend, a backend with no native path for a needed gate, the
-statevector cap of validate, the plot-cell cap of simulate, shots below 1
-or above simulate.SHOT_CAP, a negative seed), 3 internal error.
+encoder, always compiled in chain mode). Each run builds its circuit once;
+every verb that compiles calls reports.compile_circuit, which refuses a
+backend narrower than the lowered circuit before it lowers. Each verb
+computes its artifacts, then _finish writes them. Every verb loads
+--backend, simulate too, though it runs the unlowered circuit. --mcx-mode
+only picks how lowering decomposes multi-controlled X gates and how many
+ancillas it adds. --alphabet is a choice of auto and the presets, so click
+rejects any other name before a file is read. Each verb takes only the
+options it reads: --shots and --seed exist only on validate and simulate;
+simulate also takes --mcx-mode, which it ignores, but not --no-minimize,
+which cannot change the plot it reads out. Exit codes: 0 success, 1 a
+requested validation failed, 2 configuration error or resource limit (an
+--out that cannot be made a directory, an artifact under it that cannot be
+written, circuit wider than the backend, a backend with no native path for
+a needed gate, the statevector cap of validate, the plot-cell cap of
+simulate, shots below 1 or above simulate.SHOT_CAP, a negative seed), 3
+internal error.
 """
 
 from __future__ import annotations
@@ -34,11 +36,10 @@ from pathlib import Path
 import click
 
 from .backends import load_backend
-from .circuit import Circuit
 from .decompose import lowered_width
-from .encoder import build_encoder_circuit, build_pattern_circuit, layout_for
+from .encoder import build_encoder_circuit, build_pattern_circuit
 from .errors import ConfigError, LoweringError
-from .qasm import emit_qasm
+from .qasm import qasm_text
 from .reports import compile_circuit, compare_encodings, report_to_json, reports_to_csv
 from .routing import check_width
 from .sequences import (
@@ -73,28 +74,29 @@ def _load_pair(reference_path: str, query_path: str | None,
     return r, q, name
 
 
-def _outdir(out_dir: str) -> Path:
+def _finish(out_dir: str, files: dict[str, str], lines: list[str], code: int = 0) -> int:
+    """Write files (name -> text) under out_dir in order, then echo lines and
+    return code. What cannot be written is a ConfigError; earlier files stay."""
     p = Path(out_dir)
     try:
         p.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {p}: {exc.strerror}") from exc
-    return p
-
-
-def _compile(circuit: Circuit, dataset: str, backend, mcx_mode: str, out_dir: str):
-    """Lower, route and measure circuit on backend (a name, path or model),
-    write report.json, and return the compiled circuit, report and out dir."""
-    compiled, report = compile_circuit(circuit, load_backend(backend), mcx_mode, dataset)
-    out = _outdir(out_dir)
-    (out / "report.json").write_text(report_to_json(report) + "\n", encoding="utf-8")
-    return compiled, report, out
+    for name, text in files.items():
+        path = p / name
+        try:
+            path.write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc.strerror}") from exc
+    for line in lines:
+        click.echo(line)
+    return code
 
 
 def run_pipeline(reference_path: str, query_path: str | None, alphabet: str, backend: str,
                  mcx_mode: str, use_minimizer: bool, out_dir: str,
                  shots: int | None = None, seed: int | None = None) -> int:
-    """ingest -> build -> (check) -> lower/route -> estimate, artifacts on disk.
+    """ingest -> build -> (check) -> lower/route -> estimate -> artifacts.
 
     With shots (validate), method 2 and then method 1 check the pattern
     circuit just built, before it is compiled or anything is written. A
@@ -110,21 +112,16 @@ def run_pipeline(reference_path: str, query_path: str | None, alphabet: str, bac
         check_width(lowered_width(circuit, mcx_mode), backend)
         m2 = validate_sampling(r, q, shots, seed, mcx_mode, use_minimizer, circuit)
         reports = [validate_exhaustive(r, q, mcx_mode, use_minimizer, circuit), m2]
-    compiled, report, out = _compile(circuit, dataset, backend, mcx_mode, out_dir)
-    emit_qasm(compiled, out / "qpr.qasm")
-    (out / "report.csv").write_text(reports_to_csv([report]), encoding="utf-8")
+    compiled, report = compile_circuit(circuit, backend, mcx_mode, dataset)
+    files = {"report.json": report_to_json(report) + "\n", "qpr.qasm": qasm_text(compiled),
+             "report.csv": reports_to_csv([report])}
     for method, m in enumerate(reports, 1):
-        (out / f"validation_method{method}.json").write_text(m.to_json() + "\n", encoding="utf-8")
-    click.echo(
-        f"dataset={dataset} backend={report.backend_name} mcx_mode={mcx_mode} "
-        f"width={report.width} total_depth={report.total_depth}"
-        + (
-            f" runtime_s={report.estimated_runtime_seconds:.6g}"
-            if report.estimated_runtime_seconds is not None
-            else ""
-        )
-    )
-    return 0 if all(m.passed for m in reports) else 1
+        files[f"validation_method{method}.json"] = m.to_json() + "\n"
+    runtime = report.estimated_runtime_seconds
+    line = (f"dataset={dataset} backend={report.backend_name} mcx_mode={mcx_mode} "
+            f"width={report.width} total_depth={report.total_depth}"
+            + ("" if runtime is None else f" runtime_s={runtime:.6g}"))
+    return _finish(out_dir, files, [line], 0 if all(m.passed for m in reports) else 1)
 
 
 def _apply(options):
@@ -198,11 +195,10 @@ def encode(reference_path, query_path, alphabet, backend, mcx_mode, use_minimize
     """Sequence encoder circuit only (reference sequence)."""
     r, _, dataset = _load_pair(reference_path, query_path, alphabet)
     circuit = build_encoder_circuit(r, use_minimizer=use_minimizer)
-    compiled, report, out = _compile(circuit, dataset, backend, mcx_mode, out_dir)
-    emit_qasm(compiled, out / "encode.qasm")
-    click.echo(f"dataset={dataset} width={report.width} "
-               f"neqr_depth={report.depth_per_stage.get('neqr', 0)}")
-    return 0
+    compiled, report = compile_circuit(circuit, load_backend(backend), mcx_mode, dataset)
+    files = {"report.json": report_to_json(report) + "\n", "encode.qasm": qasm_text(compiled)}
+    return _finish(out_dir, files, [f"dataset={dataset} width={report.width} "
+                                    f"neqr_depth={report.depth_per_stage.get('neqr', 0)}"])
 
 
 @main.command()
@@ -218,11 +214,10 @@ def estimate(reference_path, query_path, alphabet, backend, mcx_mode, use_minimi
     """Resource report (width, stage depths, gate counts, runtime)."""
     r, q, dataset = _load_pair(reference_path, query_path, alphabet)
     circuit = build_pattern_circuit(r, q, use_minimizer=use_minimizer)
-    _, report, out = _compile(circuit, dataset, backend, mcx_mode, out_dir)
+    _, report = compile_circuit(circuit, load_backend(backend), mcx_mode, dataset)
     csv_text = reports_to_csv([report])
-    (out / "report.csv").write_text(csv_text, encoding="utf-8")
-    click.echo(csv_text.rstrip())
-    return 0
+    files = {"report.json": report_to_json(report) + "\n", "report.csv": csv_text}
+    return _finish(out_dir, files, [csv_text.rstrip()])
 
 
 _OUTCOME = ('    {\n      "v": %d,\n      "x": %d,\n      "y": %d,\n      "k": %d,\n'
@@ -247,17 +242,14 @@ def simulate(reference_path, query_path, alphabet, backend, mcx_mode, shots, see
     load_backend(backend)  # a bad --backend exits 2 here too
     r, q, dataset = _load_pair(reference_path, query_path, alphabet)
     counts = sample_pattern(build_pattern_circuit(r, q), shots, seed=seed)
-    width = 1 << layout_for(r, q).w
+    width = 1 << r.index_bits
     vs, ks = counts.nonzero()  # in (v, k) order
     rows = [(v, k % width, k // width, k, n)
             for v, k, n in zip(vs.tolist(), ks.tolist(), counts[vs, ks].tolist())]
     rows.sort(key=lambda row: -row[4])  # stable: ties keep (v, k) order
-    out = _outdir(out_dir)
     header = {"dataset": dataset, "shots": shots, "seed": seed}
-    (out / "histogram.json").write_text(_histogram_json(header, rows), encoding="utf-8")
-    for v, x, y, k, n in rows[:10]:
-        click.echo(f"v={v} k={k:>4} (x={x}, y={y})  count={n}")
-    return 0
+    return _finish(out_dir, {"histogram.json": _histogram_json(header, rows)},
+                   [f"v={v} k={k:>4} (x={x}, y={y})  count={n}" for v, x, y, k, n in rows[:10]])
 
 
 @main.command()
@@ -276,15 +268,13 @@ def compare_modes(reference_path, query_path, alphabet, backend, out_dir):
     coupled; the CCNOT line counts the ccx gates left after compiling."""
     r, _, dataset = _load_pair(reference_path, query_path, alphabet)
     cmp = compare_encodings(r, load_backend(backend))
-    out = _outdir(out_dir)
-    (out / "comparison.json").write_text(cmp.to_json() + "\n", encoding="utf-8")
     pct = "n/a" if cmp.compression_percent is None else f"{cmp.compression_percent:.2f}%"
-    click.echo(f"dataset={dataset}")
-    click.echo(f"encoder gates: brute={cmp.brute_mcx} minimized={cmp.minimized_mcx} "
-               f"compression={pct}")
-    click.echo(f"chain CCNOTs: brute={cmp.brute_ccnot} minimized={cmp.minimized_ccnot}")
-    click.echo(f"neqr depth:   brute={cmp.brute_depth} minimized={cmp.minimized_depth}")
-    return 0
+    return _finish(out_dir, {"comparison.json": cmp.to_json() + "\n"}, [
+        f"dataset={dataset}",
+        f"encoder gates: brute={cmp.brute_mcx} minimized={cmp.minimized_mcx} compression={pct}",
+        f"chain CCNOTs: brute={cmp.brute_ccnot} minimized={cmp.minimized_ccnot}",
+        f"neqr depth:   brute={cmp.brute_depth} minimized={cmp.minimized_depth}",
+    ])
 
 
 main.commands["transpile"] = build  # the same verb under its other name

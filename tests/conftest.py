@@ -13,8 +13,22 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
-from qdotplot import Circuit, Control, Gate, Register, SymbolSequence, build_pattern_circuit
+from qdotplot import (
+    DNA_ALPHABET,
+    MCX_MODES,
+    Circuit,
+    Control,
+    Gate,
+    Register,
+    SymbolSequence,
+    build_pattern_circuit,
+    load_backend,
+    lower_to_native,
+    map_alphabet,
+    pad_pair,
+)
 
 # -- dense reference operators -----------------------------------------------
 
@@ -267,6 +281,32 @@ def seeded_circuits():
         yield f"unmarked-{seed}", random_circuit(random.Random(100 + seed), marks=False)
     yield "empty", Circuit((Register("q", 2),))
     yield "empty-marked", Circuit((Register("q", 2),), stage_marks=((0, "s"), (0, "s")))
+
+
+ALLSIM = load_backend("allsim")
+NATIVE_FAMILIES = (("u1", "u2", "u3", "cx"), ("u3", "cx", "swap"), ("rx", "ry", "rxx"))
+
+
+@st.composite
+def coupled_compiles(draw):
+    """A DNA pair of 2-4 bp, its pattern circuit, a mode, and a backend of
+    one native family on a connected coupling map (a random spanning tree
+    plus extra edges) of the lowered circuit's width plus 0-2 spare qubits,
+    and that width."""
+    ref, query = (draw(st.text("ACGT", min_size=2, max_size=4)) for _ in range(2))
+    circuit = build_pattern_circuit(
+        *pad_pair(map_alphabet(ref, DNA_ALPHABET), map_alphabet(query, DNA_ALPHABET)))
+    mode = draw(st.sampled_from(MCX_MODES))
+    width = lower_to_native(circuit, ALLSIM, mode).n_qubits
+    n = width + draw(st.integers(0, 2))
+    order = draw(st.permutations(range(n)))
+    edges = [[order[k], order[draw(st.integers(0, k - 1))]] for k in range(1, n)]
+    qubit = st.integers(0, n - 1)
+    edges += draw(st.lists(st.lists(qubit, min_size=2, max_size=2, unique=True), max_size=4))
+    backend = load_backend({"name": "random", "qubit_count": n,
+                            "native_gates": list(draw(st.sampled_from(NATIVE_FAMILIES))),
+                            "coupling_map": edges})
+    return ref, query, circuit, mode, backend, width
 
 
 @pytest.fixture

@@ -20,6 +20,8 @@ def test_layers_smoke_at_8_bp():
     assert result["repeat"] == 1
     assert result["peak_rss_mb"] > 0
     row = result["bp"]["8"]
+    assert row["ingest"] >= 0
+    assert row["d1merge"] >= 0
     assert row["build_pattern_circuit"] >= 0
     assert row["validate_sampling"] >= 0
     assert row["statevector_run"] >= 0

@@ -6,14 +6,17 @@ import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
 
 import qdotplot
-from qdotplot import Circuit, cli
+from conftest import coupled_compiles
+from qdotplot import Circuit, cli, gate_counts, read_qasm
 from qdotplot.cli import main
 from qdotplot.simulate import SHOT_CAP
 
@@ -73,6 +76,38 @@ def test_transpile_routes_to_coupled_backend(runner, seqdir):
     report = json.loads((seqdir / "out" / "report.json").read_text())
     assert report["final_layout"] is not None
     assert report["estimated_runtime_seconds"] > 0
+
+
+@given(coupled_compiles())
+@settings(max_examples=20, deadline=None, derandomize=True)
+def test_build_on_a_random_backend_file_writes_native_routed_qasm(case):
+    ref, query, _, mode, backend, width = case
+    flag = {value: name for name, value in cli._MODE_FLAGS.items()}[mode]
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        (root / "ref.txt").write_text(ref + "\n")
+        (root / "qry.txt").write_text(query + "\n")
+        (root / "backend.json").write_text(json.dumps({
+            "name": backend.name, "qubit_count": backend.qubit_count,
+            "native_gates": list(backend.native_gates),
+            "coupling_map": [list(edge) for edge in backend.coupling_map]}))
+        result = CliRunner().invoke(main, [
+            "build", "--reference", str(root / "ref.txt"), "--query", str(root / "qry.txt"),
+            "--alphabet", "dna", "--backend", str(root / "backend.json"), "--mcx-mode", flag,
+            "--out", str(root / "out")])
+        assert result.exit_code == 0, result.output
+        program = read_qasm(root / "out" / "qpr.qasm")
+        report = json.loads((root / "out" / "report.json").read_text())
+    natives, adjacency = set(backend.native_gates), backend.adjacency()
+    for g in program.gates:
+        assert g.kind == "measure" or g.label in natives, g
+        if len(g.qubits()) == 2:
+            a, b = (program.wire(q) for q in g.qubits())
+            assert b in adjacency[a], g
+    layout = report["final_layout"]
+    assert len(layout) == width
+    assert len(set(layout)) == width and set(layout) <= set(range(backend.qubit_count))
+    assert report["gate_counts"] == gate_counts(program)
 
 
 def test_transpile_readouts_use_final_layout(runner, seqdir):
@@ -265,6 +300,30 @@ def test_out_that_cannot_be_a_directory_exits_two(runner, seqdir, extra):
                                   "--out", str(out)])
     assert result.exit_code == 2, result.output
     assert f"configuration error: cannot create output directory {out}: " in result.output
+    assert "internal error" not in result.output
+
+
+# (verb, artifact) for every file each verb writes, in its write order.
+_ARTIFACTS = [
+    *((verb, name) for verb in ("build", "transpile")
+      for name in ("report.json", "qpr.qasm", "report.csv")),
+    *(("validate", name) for name in ("report.json", "qpr.qasm", "report.csv",
+                                      "validation_method1.json", "validation_method2.json")),
+    ("encode", "report.json"), ("encode", "encode.qasm"),
+    ("estimate", "report.json"), ("estimate", "report.csv"),
+    ("simulate", "histogram.json"),
+    ("compare-modes", "comparison.json"),
+]
+
+
+@pytest.mark.parametrize("verb, name", _ARTIFACTS)
+def test_artifact_that_cannot_be_written_exits_two(runner, seqdir, verb, name):
+    blocked = seqdir / "out" / name
+    blocked.mkdir(parents=True)  # a directory where the file should go
+    extra = ["--shots", "1000"] if "--shots" in VERB_OPTIONS[verb] else []
+    result = runner.invoke(main, _args(seqdir, verb, *extra))
+    assert result.exit_code == 2, result.output
+    assert f"configuration error: cannot write {blocked}: " in result.output
     assert "internal error" not in result.output
 
 
@@ -801,15 +860,14 @@ def _dna(rng: random.Random, n: int) -> str:
     return "".join(rng.choice("ACGT") for _ in range(n))
 
 
-def _golden_hashes(root, seed: int) -> dict:
-    """sha256 of every artifact the golden runs write for one seeded pair."""
+def _golden_runs(root, seed: int):
+    """(name, out dir, click result) of each golden run on one seeded pair."""
     rng = random.Random(seed)
     ref_len, qry_len = _GOLDEN_PAIRS[seed]
     (root / "ref.txt").write_text(_dna(rng, ref_len) + "\n")
     (root / "qry.txt").write_text(_dna(rng, qry_len) + "\n")
     pair = ["--reference", str(root / "ref.txt"), "--query", str(root / "qry.txt"),
             "--alphabet", "dna"]
-    hashes = {}
     for name, *verb in _GOLDEN_RUNS:
         out = root / name
         sampling = []
@@ -817,6 +875,13 @@ def _golden_hashes(root, seed: int) -> dict:
             sampling = ["--shots", "4000", "--seed", str(seed)]
         result = CliRunner().invoke(main, [*verb, *pair, *sampling, "--out", str(out)])
         assert result.exit_code == 0, (name, result.output)
+        yield name, out, result
+
+
+def _golden_hashes(root, seed: int) -> dict:
+    """sha256 of every artifact the golden runs write for one seeded pair."""
+    hashes = {}
+    for name, out, _ in _golden_runs(root, seed):
         for path in sorted(out.iterdir()):
             hashes[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
     return hashes
@@ -939,3 +1004,60 @@ GOLDEN = {
 @pytest.mark.parametrize("seed", sorted(_GOLDEN_PAIRS))
 def test_artifacts_match_golden_hashes(tmp_path, seed):
     assert _golden_hashes(tmp_path, seed) == GOLDEN[seed]
+
+
+# Pins each verb's summary lines, byte for byte: sha256 of the output of
+# every golden run, by seed and run name.
+GOLDEN_STDOUT = {
+    1: {
+        "build":
+            "1620cb3b5d1c4c6a68ad099cd21dbaa0589c533413839a4861b9504fb0213768",
+        "transpile-sc53":
+            "7b23e51d17e7d7111ce0290c736f5cd99f41e68bdf3ff7b83b44ddb167e8d235",
+        "transpile-ion40":
+            "ced37e0ba1111262bd15e5f2ce5fea77d6342e7d6e75442677bfc18fb63e5d2f",
+        "validate-chain":
+            "1620cb3b5d1c4c6a68ad099cd21dbaa0589c533413839a4861b9504fb0213768",
+        "validate-single":
+            "c628e58be86144ca7d6a69af77559728b10e9c31df5a3f4921c1481bf5a1b557",
+        "simulate-chain":
+            "5018d42e676c69c644bcaed1fb9fc204c89be86a53ddbd76c1f2ad02c3c971c4",
+        "simulate-single":
+            "5018d42e676c69c644bcaed1fb9fc204c89be86a53ddbd76c1f2ad02c3c971c4",
+        "encode":
+            "d8eebee98c74a81f539b70499bf80ada136ce277f0a0420e98459f9628c72f4a",
+        "estimate":
+            "21de3c6210d621e8ff15507b45815776cf5c0f128898015131c7b1a82ba38555",
+        "compare-modes":
+            "75ef057e712d749464f0efe99b3be5043b2de797c733ab18657a98d86221ba49",
+    },
+    2: {
+        "build":
+            "f67ec84dcf30d21b0eb945a468fdcf1db07e320989060c367721fd6274d2e3cf",
+        "transpile-sc53":
+            "5684f9bb262b8b9fe7470e6dfdc2c698fceb808c86dddf6048f8bfa72f9b7caa",
+        "transpile-ion40":
+            "620c0517a995cac04b2d9e3d2e70aad5b2cf5f439d69fc767a6486e9d1eb3748",
+        "validate-chain":
+            "f67ec84dcf30d21b0eb945a468fdcf1db07e320989060c367721fd6274d2e3cf",
+        "validate-single":
+            "84580057cb1b39880ead6ace88579c5c7a1e430bc56b9e08150d5dab8a57c592",
+        "simulate-chain":
+            "a1926820c858db5806f0ddc3ec7899c30408f0c5b31447b9134281a5a947e21a",
+        "simulate-single":
+            "a1926820c858db5806f0ddc3ec7899c30408f0c5b31447b9134281a5a947e21a",
+        "encode":
+            "0d2593412c878b85832b78554c7fc91c58f46d06c2ee28fe353a70a45fd8f3c9",
+        "estimate":
+            "84d5c53c56a66bf71d48bf9d990aeffff7bc1f9d4b54441466d096f1db49b8f2",
+        "compare-modes":
+            "e1aa5c69d9bb550dd2a200fb039ba1aa165ad5ee40514981c52344b1943612b6",
+    },
+}
+
+
+@pytest.mark.parametrize("seed", sorted(_GOLDEN_PAIRS))
+def test_summary_lines_match_golden_hashes(tmp_path, seed):
+    hashes = {name: hashlib.sha256(result.output.encode()).hexdigest()
+              for name, _, result in _golden_runs(tmp_path, seed)}
+    assert hashes == GOLDEN_STDOUT[seed]

@@ -7,13 +7,10 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import make_sequence, random_codes
+from conftest import coupled_compiles, make_sequence, random_codes
 from qdotplot import (
     CSV_COLUMNS,
-    DNA_ALPHABET,
-    MCX_MODES,
     BackendModel,
     ConfigError,
     build_pattern_circuit,
@@ -24,9 +21,6 @@ from qdotplot import (
     estimated_runtime,
     gate_counts,
     load_backend,
-    lower_to_native,
-    map_alphabet,
-    pad_pair,
     report_to_json,
     reports_to_csv,
     stage_depths,
@@ -161,35 +155,10 @@ def test_random_mcx_reduction_levels():
     assert np.mean(gains) >= 15.0
 
 
-ALLSIM = load_backend("allsim")
-NATIVE_FAMILIES = (("u1", "u2", "u3", "cx"), ("u3", "cx", "swap"), ("rx", "ry", "rxx"))
-
-
-@st.composite
-def coupled_compiles(draw):
-    """A DNA pair of 2-4 bp, a mode, and a backend of one native family on a
-    connected coupling map (a random spanning tree plus extra edges) of the
-    lowered circuit's width plus 0-2 spare qubits, and that width."""
-    ref, query = (draw(st.text("ACGT", min_size=2, max_size=4)) for _ in range(2))
-    circuit = build_pattern_circuit(
-        *pad_pair(map_alphabet(ref, DNA_ALPHABET), map_alphabet(query, DNA_ALPHABET)))
-    mode = draw(st.sampled_from(MCX_MODES))
-    width = lower_to_native(circuit, ALLSIM, mode).n_qubits
-    n = width + draw(st.integers(0, 2))
-    order = draw(st.permutations(range(n)))
-    edges = [[order[k], order[draw(st.integers(0, k - 1))]] for k in range(1, n)]
-    qubit = st.integers(0, n - 1)
-    edges += draw(st.lists(st.lists(qubit, min_size=2, max_size=2, unique=True), max_size=4))
-    backend = load_backend({"name": "random", "qubit_count": n,
-                            "native_gates": list(draw(st.sampled_from(NATIVE_FAMILIES))),
-                            "coupling_map": edges})
-    return circuit, mode, backend, width
-
-
 @given(coupled_compiles())
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_compile_on_a_random_coupled_backend_is_native_and_routed(case):
-    circuit, mode, backend, width = case
+    _, _, circuit, mode, backend, width = case
     compiled, report = compile_circuit(circuit, backend, mode)
     natives, adjacency = set(backend.native_gates), backend.adjacency()
     for g in compiled.gates:
