@@ -28,20 +28,31 @@ gate counts by length and backend, the gate count at the logical level
 of each length and mode before and after X-pair cancellation, and the
 process's peak RSS. The default lengths peak at
 about 1.3 GB, most of it the 4096 bp ion-40 program and its parse.
+
+At each length it also runs every CLI verb once as a fresh
+`python -m qdotplot.cli` process on the same sequence file (build on
+allsim, transpile to superconducting-53, estimate on ion-40, encode,
+compare-modes, and simulate and validate with their default 100,000 shots),
+so interpreter start-up and imports are counted. Under "cli" it records
+each verb's wall time, the child's own peak RSS (os.wait4) and its exit
+code, which is 2 where the pair is past simulate's or validate's caps.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import resource
+import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+sys.path.insert(0, SRC)
 
 from qdotplot import (  # noqa: E402
     ALPHABET_PRESETS,
@@ -76,6 +87,10 @@ from qdotplot.simulate import DEFAULT_QUBIT_CAP, READOUT_CELL_CAP  # noqa: E402
 BACKENDS = ("allsim", "superconducting-53", "ion-40")
 # Single-ancilla lowering is timed up to this length.
 SINGLE_ANCILLA_MAX_BP = 1024
+# Each verb run as a fresh process: its name and the options past the pair.
+CLI_RUNS = (("build",), ("transpile", "--backend", "superconducting-53"),
+            ("estimate", "--backend", "ion-40"), ("encode",), ("compare-modes",),
+            ("simulate",), ("validate",))
 
 
 def best(repeat: int, fn, *args):
@@ -123,6 +138,36 @@ def logical_gates(circuit, mode: str) -> dict:
     return {"before": before, "after": after}
 
 
+# Runs each argv of the JSON list argv[1] in turn and prints, per run, its
+# wall time, ru_maxrss (KiB) and exit code. The kernel starts a child's
+# ru_maxrss at the peak of the process that spawned it, so the verbs are
+# spawned from this small interpreter, not from the bench process.
+_LAUNCHER = r"""
+import json, os, sys, time
+runs = []
+for argv in json.loads(sys.argv[1]):
+    start = time.perf_counter()
+    pid = os.posix_spawn(argv[0], argv, os.environ,
+                         file_actions=[(os.POSIX_SPAWN_OPEN, 1, os.devnull, os.O_WRONLY, 0)])
+    _, status, usage = os.wait4(pid, 0)
+    runs.append((time.perf_counter() - start, usage.ru_maxrss, os.waitstatus_to_exitcode(status)))
+print(json.dumps(runs))
+"""
+
+
+def cli_runs(path: Path, out: Path) -> dict:
+    """Every verb of CLI_RUNS once, as a fresh process on the self pair of
+    the sequence file path: wall time, the child's peak RSS and exit code."""
+    argvs = [[sys.executable, "-m", "qdotplot.cli", verb, "--reference", str(path),
+              "--alphabet", "dna", *options, "--out", str(out / verb)]
+             for verb, *options in CLI_RUNS]
+    done = subprocess.run([sys.executable, "-I", "-S", "-c", _LAUNCHER, json.dumps(argvs)],
+                          env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True,
+                          check=True)
+    return {verb: {"s": round(wall, 6), "peak_rss_mb": round(kib / 1024, 1), "exit": code}
+            for (verb, *_), (wall, kib, code) in zip(CLI_RUNS, json.loads(done.stdout))}
+
+
 def layers(bp: int, repeat: int) -> dict:
     r, q = self_pair(bp)
     row: dict = {}
@@ -130,6 +175,7 @@ def layers(bp: int, repeat: int) -> dict:
         path = Path(tmp) / "ref.txt"
         path.write_text(dna(bp) + "\n", encoding="utf-8")
         row["ingest"] = best(repeat, cli._load_pair, str(path), None, "dna")[0]
+        row["cli"] = cli_runs(path, Path(tmp))
     row["d1merge"] = best(repeat, d1merge, build_pla(r.codes, r.d))[0]
     row["build_pattern_circuit"], circuit = best(repeat, build_pattern_circuit, r, q)
     row["logical_gates"] = {mode: logical_gates(circuit, mode) for mode in MCX_MODES}

@@ -6,6 +6,8 @@ matching index pairs, and read the plot structure out through an inverse
 Fourier transform. Includes gate-level lowering for several backend gate
 sets, connectivity routing, resource estimation, QASM emission, and two
 validation procedures (exhaustive bit-propagation and sampled statistics).
+The names of simulate, which imports numpy, are bound on first use (PEP 562,
+_LAZY), so importing the package, or the CLI, loads neither numpy nor scipy.
 """
 
 from .backends import BackendModel, builtin_backend_names, load_backend
@@ -68,15 +70,6 @@ from .sequences import (
     pad_pair,
     read_sequence_file,
 )
-from .simulate import (
-    circuit_unitary,
-    pattern_distribution,
-    sample,
-    sample_pattern,
-    statevector_run,
-    toffoli_run,
-    toffoli_run_batch,
-)
 from .validate import (
     ValidationReport,
     classical_dotplot,
@@ -85,6 +78,16 @@ from .validate import (
 )
 
 __version__ = "0.1.0"
+
+_LAZY = ("circuit_unitary", "pattern_distribution", "sample", "sample_pattern",
+         "statevector_run", "toffoli_run", "toffoli_run_batch")
+
+
+def __getattr__(name: str):
+    if name in _LAZY:
+        from . import simulate
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "ALPHABET_PRESETS",

@@ -24,7 +24,8 @@ requested validation failed, 2 configuration error or resource limit (an
 written, circuit wider than the backend, a backend with no native path for
 a needed gate, the statevector cap of validate, the plot-cell cap of
 simulate, shots below 1 or above simulate.SHOT_CAP, a negative seed), 3
-internal error.
+internal error. Only simulate and validate import numpy, when they run
+(validate also scipy.special); the compiling verbs import neither.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .sequences import (
     pad_pair,
     read_sequence_file,
 )
-from .simulate import sample_pattern
 from .validate import validate_exhaustive, validate_sampling
 
 _MODE_FLAGS = {"chain": "ccnot_chain", "single-ancilla": "single_ancilla"}
@@ -239,6 +239,8 @@ def _histogram_json(header: dict, rows) -> str:
 @_apply((*_PAIR_OPTIONS, _MODE_OPTION, *_SAMPLE_OPTIONS, _OUT_OPTION))
 def simulate(reference_path, query_path, alphabet, backend, mcx_mode, shots, seed, out_dir):
     """Sample the pattern circuit's exact readout; write the histogram."""
+    from .simulate import sample_pattern  # numpy loads here, not with the CLI
+
     load_backend(backend)  # a bad --backend exits 2 here too
     r, q, dataset = _load_pair(reference_path, query_path, alphabet)
     counts = sample_pattern(build_pattern_circuit(r, q), shots, seed=seed)

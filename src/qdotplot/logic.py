@@ -24,8 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 _IN_CHARS = frozenset("01-")
 _OUT_CHARS = frozenset("01")
 
@@ -171,6 +169,8 @@ def d1merge(table: PlaTable) -> PlaTable:
 
 def evaluate_all(table: PlaTable) -> np.ndarray:
     """Output mask for every input value, as an int array of length 2^n."""
+    import numpy as np
+
     if table.n_inputs > 22:
         raise ValueError("exhaustive evaluation capped at 22 inputs")
     n = table.n_inputs
@@ -186,7 +186,7 @@ def functional_equal(a: PlaTable, b: PlaTable) -> bool:
     """Exhaustive truth-table equality over all 2^n inputs."""
     if a.n_inputs != b.n_inputs or a.n_outputs != b.n_outputs:
         return False
-    return bool(np.array_equal(evaluate_all(a), evaluate_all(b)))
+    return bool((evaluate_all(a) == evaluate_all(b)).all())
 
 
 def cubes_to_mcx(table: PlaTable) -> tuple[McxDescriptor, ...]:

@@ -32,14 +32,11 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
-import numpy as np
-
 from .circuit import Circuit
 from .decompose import LOGICAL, MCX_MODES, lower_to_native
 from .encoder import build_dotplot_circuit, oracle_circuit
 from .errors import ConfigError
 from .sequences import SymbolSequence
-from .simulate import _draw, run_cells, unpack_planes
 
 # Method 2 fails when the chi-square p-value is at or below this level.
 SIGNIFICANCE = 0.001
@@ -47,6 +44,8 @@ SIGNIFICANCE = 0.001
 
 def classical_dotplot(r: SymbolSequence, q: SymbolSequence) -> np.ndarray:
     """The (H, W) uint8 match matrix, indexed [y, x]: 1 iff S_R[x] == S_Q[y]."""
+    import numpy as np
+
     rc = np.asarray(r.codes)
     qc = np.asarray(q.codes)
     return (qc[:, None] == rc[None, :]).astype(np.uint8)
@@ -87,6 +86,10 @@ def validate_exhaustive(
     Each (x, y) pair is the input basis state of one batched
     bit-propagation run (run_cells) of the oracle without its init stage.
     """
+    import numpy as np
+
+    from .simulate import run_cells, unpack_planes
+
     plot, circuit = _plot_and_oracle(r, q, mcx_mode, use_minimizer, circuit, skip="init")
     if mcx_mode == "ccnot_chain":
         circuit = lower_to_native(circuit, LOGICAL, mcx_mode)
@@ -128,6 +131,10 @@ def validate_sampling(
     the chi-square p-value of the (x, y) marginal drops to SIGNIFICANCE or
     below.
     """
+    import numpy as np
+
+    from .simulate import _draw
+
     plot, circuit = _plot_and_oracle(r, q, mcx_mode, use_minimizer, circuit)
     _, states, counts = _draw(circuit, shots, seed)
     # One column per wire read, in the readout-bit order in which sorted()

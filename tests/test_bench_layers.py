@@ -9,6 +9,7 @@ LAYERS = Path(__file__).resolve().parents[1] / "bench" / "layers.py"
 BACKENDS = ("allsim", "superconducting-53", "ion-40")
 TIMED = ("lower_to_native", "lower_to_native_single", "route", "levels", "gate_counts",
          "qasm_text", "parse_qasm")
+VERBS = ("build", "transpile", "estimate", "encode", "compare-modes", "simulate", "validate")
 
 
 def test_layers_smoke_at_8_bp():
@@ -27,6 +28,11 @@ def test_layers_smoke_at_8_bp():
     assert row["statevector_run"] >= 0
     assert row["validate_exhaustive"] >= 0
     assert row["sample_pattern"] >= 0
+    # Each verb ran once as its own process and succeeded on the 8 bp pair.
+    assert sorted(row["cli"]) == sorted(VERBS)
+    for verb, run in row["cli"].items():
+        assert run["exit"] == 0, verb
+        assert run["s"] > 0 and run["peak_rss_mb"] > 0, verb
     for mode in ("ccnot_chain", "single_ancilla"):
         logical = row["logical_gates"][mode]
         assert 0 < logical["after"] <= logical["before"], mode

@@ -825,8 +825,9 @@ def test_non_finite_gate_time_exits_two(runner, seqdir, literal):
 
 
 def test_cli_import_loads_neither_scipy_nor_numpy_fft():
-    # Both load on first use (the sampling validator, the exact readout), so
-    # starting the CLI stays as cheap as importing numpy and click.
+    # Both load on first use (the sampling validator, the exact readout), as
+    # numpy itself does (tests/test_startup.py), so starting the CLI stays
+    # as cheap as importing click.
     src = str(Path(qdotplot.__file__).resolve().parents[1])
     code = ("import sys, qdotplot.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "

@@ -1,4 +1,5 @@
-"""The package's public names: __all__ lists exactly what __init__.py binds."""
+"""The package's public names: __all__ lists exactly what __init__.py binds,
+eagerly by import or on first use through its _LAZY table."""
 
 import ast
 from pathlib import Path
@@ -13,7 +14,10 @@ def test_all_lists_each_bound_public_name_once():
         if isinstance(node, ast.ImportFrom):
             bound.update(alias.asname or alias.name for alias in node.names)
         elif isinstance(node, ast.Assign):
-            bound.update(t.id for t in node.targets if isinstance(t, ast.Name))
+            names = {t.id for t in node.targets if isinstance(t, ast.Name)}
+            bound.update(names)
+            if "_LAZY" in names:  # bound by the module __getattr__
+                bound.update(ast.literal_eval(node.value))
     public = {name for name in bound if not name.startswith("_")}
     assert len(qdotplot.__all__) == len(set(qdotplot.__all__))
     assert all(hasattr(qdotplot, name) for name in qdotplot.__all__)
